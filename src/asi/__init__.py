@@ -38,6 +38,7 @@ from .errors import (
     AsiError,
     ConfigError,
     DegenerateInputError,
+    NonFiniteError,
     ScheduleError,
     ShapeError,
     SigmaError,

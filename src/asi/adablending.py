@@ -18,6 +18,7 @@ heads x positions x head_dim shape so fusion and blending stay shape-uniform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +66,10 @@ class BlendConfig:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ConfigError(f"n must be >= 0, got {self.n}")
-        if not self.alpha > 0:
-            raise ConfigError(f"alpha must be > 0, got {self.alpha}")
-        if not self.eps > 0:
-            raise ConfigError(f"eps must be > 0, got {self.eps}")
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ConfigError(f"alpha must be finite and > 0, got {self.alpha}")
+        if not (self.eps > 0 and math.isfinite(self.eps)):
+            raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
         if self.fusion not in ("or", "and"):
             raise ConfigError(f"fusion must be 'or' or 'and', got {self.fusion!r}")
 
@@ -174,6 +175,8 @@ def _check_same_shape(a: FeatureMap, b: FeatureMap) -> None:
 
 
 def _select_top_heads(distances: np.ndarray, n: int) -> HeadMask:
+    if n > len(distances):
+        raise ConfigError(f"n={n} exceeds head count {len(distances)}")
     # Descending distance, ties broken toward the lower head index.
     order = sorted(range(len(distances)), key=lambda i: (-distances[i], i))
     chosen = set(order[:n])
@@ -183,8 +186,6 @@ def _select_top_heads(distances: np.ndarray, n: int) -> HeadMask:
 def extract_head_mask(f_s: FeatureMap, f_c: FeatureMap, cfg: BlendConfig) -> HeadMask:
     """Select the cfg.n heads whose style/content covariances differ most."""
     _check_same_shape(f_s, f_c)
-    if cfg.n > f_s.heads:
-        raise ConfigError(f"n={cfg.n} exceeds head count {f_s.heads}")
     return _select_top_heads(head_distances(f_s, f_c), cfg.n)
 
 
@@ -283,8 +284,6 @@ def asi_layer(
 ) -> AsiLayerResult:
     """Dual-track attention, mask extraction, fusion, and blending in sequence."""
     f_s, f_c = siamese_attend(q, k_s, v_s, k_c, v_c)
-    if cfg.n > f_s.heads:
-        raise ConfigError(f"n={cfg.n} exceeds head count {f_s.heads}")
     distances = head_distances(f_s, f_c)
     head_mask = _select_top_heads(distances, cfg.n)
     spatial_mask = extract_spatial_mask(f_c, cfg)

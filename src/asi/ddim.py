@@ -188,10 +188,7 @@ def ddim_invert(
     x = x0
     for t_from, t_to in zip(rungs[:-1], rungs[1:]):
         eps = denoiser.predict(x, t_from)
-        ab_from = sched.bar(t_from)
-        x0_hat = Matrix((x.a - np.sqrt(1.0 - ab_from) * eps.a) / np.sqrt(ab_from))
-        ab_to = sched.bar(t_to)
-        x = Matrix(np.sqrt(ab_to) * x0_hat.a + np.sqrt(1.0 - ab_to) * eps.a)
+        x = forward_noise(predict_x0(x, eps, t_from, sched), t_to, eps, sched)
         trajectory.append(LatentState(t_to, x))
     return trajectory
 

@@ -27,3 +27,7 @@ class ScheduleError(AsiError, ValueError):
 
 class SigmaError(AsiError, ValueError):
     """The stochasticity parameter is inconsistent with the requested step."""
+
+
+class NonFiniteError(AsiError, ValueError):
+    """A matrix or feature block would hold NaN or Inf (e.g. after overflow)."""

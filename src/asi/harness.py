@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .adablending import BlendConfig, asi_layer, head_distances
+from .adablending import AsiLayerResult, BlendConfig, asi_layer, head_distances
 from .ddim import OracleDenoiser, ddim_invert, ddim_step, make_schedule
 from .errors import ConfigError
 from .numeric import Matrix, Rng, randn_matrix
@@ -44,6 +45,7 @@ __all__ = [
     "run_pipeline",
     "sweep",
     "render_mask_pgm",
+    "write_mask_artifacts",
 ]
 
 _MAX_SEED = (1 << 64) - 1
@@ -76,8 +78,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"positions must be >= 2 (covariance needs it), got {self.positions}"
             )
-        if self.perturbation < 0:
-            raise ConfigError(f"perturbation must be >= 0, got {self.perturbation}")
+        if not (self.perturbation >= 0 and math.isfinite(self.perturbation)):
+            raise ConfigError(f"perturbation must be finite and >= 0, got {self.perturbation}")
         if self.blend.n > self.heads:
             raise ConfigError(f"n={self.blend.n} exceeds heads={self.heads}")
         object.__setattr__(self, "dump_dir", Path(self.dump_dir))
@@ -162,6 +164,21 @@ def render_mask_pgm(path: str | Path, mask_slice: np.ndarray) -> Path:
     return path
 
 
+def write_mask_artifacts(out_dir: Path, result: AsiLayerResult) -> None:
+    """Dump one layer application's three masks and render one PGM per head.
+
+    Writes head_mask.asit, spatial_mask.asit and fused_mask.asit (each of
+    shape heads x positions x head_dim) and mask_head_<i>.pgm for every
+    head i into the existing directory out_dir.
+    """
+    _, positions, head_dim = result.f_c.a.shape
+    save_tensor(out_dir / "head_mask.asit", result.head_mask.dense(positions, head_dim))
+    save_tensor(out_dir / "spatial_mask.asit", result.spatial_mask.data)
+    save_tensor(out_dir / "fused_mask.asit", result.fused_mask.data)
+    for i, fused_head in enumerate(result.fused_mask.data):
+        render_mask_pgm(out_dir / f"mask_head_{i}.pgm", fused_head)
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -238,11 +255,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
 
     if cfg.apply_asi and last_result is not None:
         features_block = last_result.f_out.a
-        save_tensor(out_dir / "head_mask.asit", last_result.head_mask.dense(cfg.positions, cfg.head_dim))
-        save_tensor(out_dir / "spatial_mask.asit", last_result.spatial_mask.data)
-        save_tensor(out_dir / "fused_mask.asit", last_result.fused_mask.data)
-        for i in range(cfg.heads):
-            render_mask_pgm(out_dir / f"mask_head_{i}.pgm", last_result.fused_mask.data[i])
+        write_mask_artifacts(out_dir, last_result)
     else:
         features_block = FeatureMap.from_matrix(features, cfg.heads).a
     feature_path = save_tensor(out_dir / "features_out.asit", features_block)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NonFiniteError, ShapeError
 
 __all__ = ["Matrix", "Rng", "matmul", "softmax_rows", "randn_matrix"]
 
@@ -34,7 +34,7 @@ class Matrix:
         if a.shape[0] < 1 or a.shape[1] < 1:
             raise ShapeError(f"Matrix dimensions must be >= 1, got {a.shape[0]}x{a.shape[1]}")
         if not np.isfinite(a).all():
-            raise ValueError("Matrix entries must be finite (no NaN/Inf)")
+            raise NonFiniteError("Matrix entries must be finite (no NaN/Inf)")
         a.flags.writeable = False
         self._a = a
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NonFiniteError, ShapeError
 from .numeric import Matrix, matmul, softmax_rows
 
 __all__ = [
@@ -47,7 +47,7 @@ class FeatureMap:
         if min(a.shape) < 1:
             raise ShapeError(f"FeatureMap dimensions must be >= 1, got {a.shape}")
         if not np.isfinite(a).all():
-            raise ValueError("FeatureMap entries must be finite (no NaN/Inf)")
+            raise NonFiniteError("FeatureMap entries must be finite (no NaN/Inf)")
         a.flags.writeable = False
         self._a = a
 

@@ -45,11 +45,15 @@ def load_tensor(path: str | Path) -> np.ndarray:
     blob = Path(path).read_bytes()
     if blob[:4] != MAGIC:
         raise ValueError(f"{path}: bad magic {blob[:4]!r}, expected {MAGIC!r}")
+    if len(blob) < 6:
+        raise ValueError(f"{path}: truncated header, {len(blob)} of 6 bytes")
     version, rank = struct.unpack_from("<BB", blob, 4)
     if version != VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
-    dims = struct.unpack_from(f"<{rank}I", blob, 6)
     offset = 6 + 4 * rank
+    if len(blob) < offset:
+        raise ValueError(f"{path}: truncated dims, {len(blob)} of {offset} header bytes")
+    dims = struct.unpack_from(f"<{rank}I", blob, 6)
     count = int(np.prod(dims)) if rank else 0
     expected = offset + 4 * count
     if len(blob) != expected:

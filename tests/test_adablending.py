@@ -402,6 +402,42 @@ class TestAsiLayer:
             asi_layer(q, k_s, v_s, k_c, v_c, BlendConfig(n=3))
 
 
+@st.composite
+def edge_layer_inputs(draw):
+    """asi_layer operands at the shape edges m=2, d=1, L=1, h in {1, 3}."""
+    heads = draw(st.sampled_from([1, 3]))
+    m, d, tokens = 2, 1, 1
+
+    def block(rows):
+        data = draw(st.lists(bounded, min_size=heads * rows * d, max_size=heads * rows * d))
+        return FeatureMap(np.array(data).reshape(heads, rows, d))
+
+    return block(m), block(tokens), block(tokens), block(tokens), block(tokens)
+
+
+class TestAsiLayerShapeEdges:
+    @given(
+        operands=edge_layer_inputs(),
+        select_all=st.booleans(),
+        fusion=st.sampled_from(["or", "and"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_layer_invariants(self, operands, select_all, fusion):
+        q = operands[0]
+        n = q.heads if select_all else 0
+        cfg = BlendConfig(n=n, fusion=fusion)
+        result = asi_layer(*operands, cfg)
+        preserved = result.fused_mask.data == 0.0
+        assert np.array_equal(result.f_out.a[preserved], result.f_c.a[preserved])
+        for i in range(q.heads):
+            styled = adain(result.f_c.head(i), result.f_s.head(i), cfg.eps).a
+            blended = ~preserved[i]
+            assert np.array_equal(result.f_out.a[i][blended], styled[blended])
+        assert result.head_mask.selected_count == n
+        if fusion == "or" and select_all:
+            assert result.fused_mask.blended_fraction == 1.0
+
+
 class TestBlendConfig:
     def test_defaults(self):
         cfg = BlendConfig()

@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,8 @@ from asi.cli import main, parse_config
 from asi.errors import ConfigError
 from asi.numeric import Matrix
 from asi.tensorio import load_tensor
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestParseConfig:
@@ -102,11 +107,25 @@ class TestMainExitCodes:
         )
         assert rc == 1
 
-    def test_selftest_passes(self, capsys):
-        rc = main(["selftest"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "invariants passed" in out
+    @pytest.mark.parametrize(
+        "override, expected_rc",
+        [
+            ("perturbation=nan", 1),
+            ("perturbation=inf", 1),
+            ("eps=inf", 1),
+            ("eps=nan", 1),
+            ("alpha=inf", 1),
+            # finite, but the style features overflow mid-run
+            ("perturbation=1e300", 2),
+        ],
+    )
+    def test_non_finite_values_end_in_one_line_error(self, tmp_path, capsys, override, expected_rc):
+        rc = main(["run", "--set", override, "--set", "timesteps=2",
+                   "--set", f"dump_dir={tmp_path/'out'}"])
+        assert rc == expected_rc
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "finite" in err
 
 
 class TestRunCommand:
@@ -173,6 +192,17 @@ class TestDumpMasksCommand:
         for i in range(8):
             assert (tmp_path / "m" / f"mask_head_{i}.pgm").exists()
         assert "heads selected: 6" in capsys.readouterr().out
+
+    def test_seed0_output_matches_golden_digests(self, tmp_path):
+        assert main(["dump-masks", "--set", f"dump_dir={tmp_path/'m'}"]) == 0
+        expected = {}
+        for line in (GOLDEN / "dump_masks.sha256").read_text().splitlines():
+            digest, name = line.split("  ")
+            expected[name] = digest
+        written = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / "m").iterdir()
+        }
+        assert written == expected
 
 
 class TestDiagnosticsStaySmall:

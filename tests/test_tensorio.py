@@ -60,6 +60,15 @@ def test_truncated_payload(tmp_path):
         load_tensor(path)
 
 
+@pytest.mark.parametrize("size", [4, 5, 8], ids=["magic_only", "no_rank", "short_dims"])
+def test_truncated_header(tmp_path, size):
+    path = save_tensor(tmp_path / "t.asit", np.ones((2, 2)))
+    path.write_bytes(path.read_bytes()[:size])
+    with pytest.raises(ValueError, match="truncated") as info:
+        load_tensor(path)
+    assert str(path) in str(info.value)
+
+
 def test_mask_values_survive_exactly(tmp_path):
     mask = np.array([[[0.0, 1.0], [1.0, 0.0]]])
     loaded = load_tensor(save_tensor(tmp_path / "m.asit", mask))
