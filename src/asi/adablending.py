@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeError
-from .numeric import Matrix
+from .numeric import Matrix, _validated_block
 from .sica import FeatureMap, siamese_attend
 
 __all__ = [
@@ -97,12 +97,9 @@ class HeadMask:
 
 
 def _validate_binary_block(name: str, data: np.ndarray) -> np.ndarray:
-    a = np.array(data, dtype=np.float64, order="C", copy=True)
-    if a.ndim != 3:
-        raise ShapeError(f"{name} requires 3-D data, got {a.ndim}-D")
+    a = _validated_block(name, data, 3)
     if not np.isin(a, (0.0, 1.0)).all():
         raise ValueError(f"{name} entries must be exactly 0.0 or 1.0")
-    a.flags.writeable = False
     return a
 
 
@@ -130,6 +127,40 @@ class FusedMask:
         return float(self.data.mean())
 
 
+# The kernels below take one m x d block or a whole (h, m, d) block: every
+# reduction runs over positions (axis -2), so each head's result is bit for
+# bit the one its 2-D slice would give.
+
+
+def _check_same_shape(what: str, a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(f"{what}: shapes differ, {a.shape} vs {b.shape}")
+
+
+def _covariance(f: np.ndarray) -> np.ndarray:
+    m = f.shape[-2]
+    if m < 2:
+        raise DegenerateInputError(f"covariance needs at least 2 rows, got {m}")
+    # Contracting a contiguous F^T keeps the per-head summation order.
+    gram = np.einsum("...ik,...kj->...ij", np.ascontiguousarray(np.swapaxes(f, -1, -2)), f)
+    colsum = f.sum(axis=-2)
+    return (gram - colsum[..., :, None] * colsum[..., None, :] / m) / (m - 1)
+
+
+def _distance(f_s: np.ndarray, f_c: np.ndarray) -> np.ndarray:
+    d = f_s.shape[-1]
+    diff = _covariance(f_s) - _covariance(f_c)
+    return np.einsum("...ij,...ij->...", diff, diff) / (4.0 * d * d)
+
+
+def _adain(f_c: np.ndarray, f_s: np.ndarray, eps: float) -> np.ndarray:
+    mu_c = f_c.mean(axis=-2, keepdims=True)
+    sd_c = f_c.std(axis=-2, keepdims=True)
+    mu_s = f_s.mean(axis=-2, keepdims=True)
+    sd_s = f_s.std(axis=-2, keepdims=True)
+    return sd_s * (f_c - mu_c) / (sd_c + eps) + mu_s
+
+
 def covariance(f_head: Matrix) -> Matrix:
     """Spatial covariance of one head's m x d feature block.
 
@@ -138,12 +169,7 @@ def covariance(f_head: Matrix) -> Matrix:
     moderately scaled features (the Gram form cancels badly only for means
     that dwarf the spread).
     """
-    m = f_head.rows
-    if m < 2:
-        raise DegenerateInputError(f"covariance needs at least 2 rows, got {m}")
-    gram = np.einsum("ki,kj->ij", f_head.a, f_head.a)
-    colsum = f_head.a.sum(axis=0)
-    return Matrix((gram - np.outer(colsum, colsum) / m) / (m - 1))
+    return Matrix(_covariance(f_head.a))
 
 
 def head_distance(f_s_head: Matrix, f_c_head: Matrix) -> float:
@@ -153,25 +179,14 @@ def head_distance(f_s_head: Matrix, f_c_head: Matrix) -> float:
     4 d**2 where d is the per-head channel dimension. Symmetric in its
     arguments and zero when the blocks share their covariance.
     """
-    if (f_s_head.rows, f_s_head.cols) != (f_c_head.rows, f_c_head.cols):
-        raise ShapeError(
-            f"head_distance: shapes differ, {f_s_head.rows}x{f_s_head.cols} vs "
-            f"{f_c_head.rows}x{f_c_head.cols}"
-        )
-    d = f_s_head.cols
-    diff = covariance(f_s_head).a - covariance(f_c_head).a
-    return float(np.einsum("ij,ij->", diff, diff) / (4.0 * d * d))
+    _check_same_shape("head_distance", f_s_head.a, f_c_head.a)
+    return float(_distance(f_s_head.a, f_c_head.a))
 
 
 def head_distances(f_s: FeatureMap, f_c: FeatureMap) -> np.ndarray:
     """Covariance distance per head, as a length-h float array."""
-    _check_same_shape(f_s, f_c)
-    return np.array([head_distance(f_s.head(i), f_c.head(i)) for i in range(f_s.heads)])
-
-
-def _check_same_shape(a: FeatureMap, b: FeatureMap) -> None:
-    if a.a.shape != b.a.shape:
-        raise ShapeError(f"feature maps differ in shape: {a.a.shape} vs {b.a.shape}")
+    _check_same_shape("head_distances", f_s.a, f_c.a)
+    return _distance(f_s.a, f_c.a)
 
 
 def _select_top_heads(distances: np.ndarray, n: int) -> HeadMask:
@@ -185,7 +200,6 @@ def _select_top_heads(distances: np.ndarray, n: int) -> HeadMask:
 
 def extract_head_mask(f_s: FeatureMap, f_c: FeatureMap, cfg: BlendConfig) -> HeadMask:
     """Select the cfg.n heads whose style/content covariances differ most."""
-    _check_same_shape(f_s, f_c)
     return _select_top_heads(head_distances(f_s, f_c), cfg.n)
 
 
@@ -211,14 +225,14 @@ def fuse_masks(head: HeadMask, spatial: SpatialMask, fusion: str = "or") -> Fuse
     unselected heads blend only where the spatial mask permits. "and" is the
     conservative variant: only coordinates both masks agree on are blended.
     """
-    h, m, d = spatial.data.shape
+    h = spatial.data.shape[0]
     if head.heads != h:
         raise ShapeError(f"head mask has {head.heads} heads, spatial mask has {h}")
-    dense = head.dense(m, d)
+    flags = np.asarray(head.selected, dtype=np.float64)[:, None, None]
     if fusion == "or":
-        return FusedMask(np.maximum(dense, spatial.data))
+        return FusedMask(np.maximum(flags, spatial.data))
     if fusion == "and":
-        return FusedMask(np.minimum(dense, spatial.data))
+        return FusedMask(np.minimum(flags, spatial.data))
     raise ConfigError(f"fusion must be 'or' or 'and', got {fusion!r}")
 
 
@@ -231,16 +245,8 @@ def adain(f_c_head: Matrix, f_s_head: Matrix, eps: float) -> Matrix:
     deviation. eps guards the division for near-constant channels and is
     added to the denominator only, leaving the style scale untouched.
     """
-    if (f_c_head.rows, f_c_head.cols) != (f_s_head.rows, f_s_head.cols):
-        raise ShapeError(
-            f"adain: shapes differ, {f_c_head.rows}x{f_c_head.cols} vs "
-            f"{f_s_head.rows}x{f_s_head.cols}"
-        )
-    mu_c = f_c_head.a.mean(axis=0)
-    sd_c = f_c_head.a.std(axis=0)
-    mu_s = f_s_head.a.mean(axis=0)
-    sd_s = f_s_head.a.std(axis=0)
-    return Matrix(sd_s * (f_c_head.a - mu_c) / (sd_c + eps) + mu_s)
+    _check_same_shape("adain", f_c_head.a, f_s_head.a)
+    return Matrix(_adain(f_c_head.a, f_s_head.a, eps))
 
 
 def blend(f_c: FeatureMap, f_s: FeatureMap, mask: FusedMask, cfg: BlendConfig) -> FeatureMap:
@@ -251,14 +257,10 @@ def blend(f_c: FeatureMap, f_s: FeatureMap, mask: FusedMask, cfg: BlendConfig) -
     entry (mask 0) or the style-normalized entry (mask 1); no third value
     can appear.
     """
-    _check_same_shape(f_c, f_s)
-    if mask.data.shape != f_c.a.shape:
-        raise ShapeError(f"mask shape {mask.data.shape} differs from features {f_c.a.shape}")
-    out = np.empty_like(f_c.a)
-    for i in range(f_c.heads):
-        styled = adain(f_c.head(i), f_s.head(i), cfg.eps)
-        out[i] = np.where(mask.data[i] == 1.0, styled.a, f_c.a[i])
-    return FeatureMap(out)
+    _check_same_shape("blend", f_c.a, f_s.a)
+    _check_same_shape("blend mask", mask.data, f_c.a)
+    styled = _adain(f_c.a, f_s.a, cfg.eps)
+    return FeatureMap(np.where(mask.data == 1.0, styled, f_c.a))
 
 
 @dataclass(frozen=True)

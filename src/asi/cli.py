@@ -29,6 +29,7 @@ from .errors import AsiError, ConfigError
 from .harness import (
     SWEEPABLE_PARAMS,
     ExperimentConfig,
+    _sweep_value_type,
     run_pipeline,
     sweep,
     synth_inputs,
@@ -145,9 +146,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config, args.overrides)
-    if args.param not in SWEEPABLE_PARAMS:
-        raise ConfigError(f"unknown sweep parameter {args.param!r}; choose from {SWEEPABLE_PARAMS}")
-    caster = int if args.param in ("n", "seed") else float
+    caster = _sweep_value_type(args.param)
     try:
         values = [caster(v) for v in args.values.split(",") if v != ""]
     except ValueError as exc:

@@ -91,18 +91,10 @@ class OracleDenoiser:
     true_x0: Matrix
 
     def __post_init__(self) -> None:
-        if (self.true_noise.rows, self.true_noise.cols) != (self.true_x0.rows, self.true_x0.cols):
-            raise ShapeError(
-                f"oracle noise is {self.true_noise.rows}x{self.true_noise.cols} but "
-                f"x0 is {self.true_x0.rows}x{self.true_x0.cols}"
-            )
+        _check_shapes(self.true_noise, self.true_x0, "oracle noise vs x0")
 
     def predict(self, x_t: Matrix, t: int) -> Matrix:
-        if (x_t.rows, x_t.cols) != (self.true_noise.rows, self.true_noise.cols):
-            raise ShapeError(
-                f"latent is {x_t.rows}x{x_t.cols}, oracle expects "
-                f"{self.true_noise.rows}x{self.true_noise.cols}"
-            )
+        _check_shapes(x_t, self.true_noise, "latent vs oracle noise")
         return self.true_noise
 
 

@@ -273,16 +273,17 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
 SWEEPABLE_PARAMS = ("n", "alpha", "seed", "perturbation")
 
 
+def _sweep_value_type(param: str) -> type:
+    """int or float: the type of sweep parameter `param`; unknown names are a ConfigError."""
+    if param not in SWEEPABLE_PARAMS:
+        raise ConfigError(f"unknown sweep parameter {param!r}; choose from {SWEEPABLE_PARAMS}")
+    return int if param in ("n", "seed") else float
+
+
 def _with_param(cfg: ExperimentConfig, param: str, value) -> ExperimentConfig:
-    if param == "n":
-        return dataclasses.replace(cfg, blend=dataclasses.replace(cfg.blend, n=int(value)))
-    if param == "alpha":
-        return dataclasses.replace(cfg, blend=dataclasses.replace(cfg.blend, alpha=float(value)))
-    if param == "seed":
-        return dataclasses.replace(cfg, seed=int(value))
-    if param == "perturbation":
-        return dataclasses.replace(cfg, perturbation=float(value))
-    raise ConfigError(f"unknown sweep parameter {param!r}; choose from {SWEEPABLE_PARAMS}")
+    if param in ("n", "alpha"):
+        return dataclasses.replace(cfg, blend=dataclasses.replace(cfg.blend, **{param: value}))
+    return dataclasses.replace(cfg, **{param: value})
 
 
 def sweep(cfg: ExperimentConfig, param: str, values: list) -> list[RunReport]:
@@ -291,11 +292,10 @@ def sweep(cfg: ExperimentConfig, param: str, values: list) -> list[RunReport]:
     All runs share cfg.seed unless the sweep parameter is the seed itself.
     Reports come back in input order.
     """
-    if param not in SWEEPABLE_PARAMS:
-        raise ConfigError(f"unknown sweep parameter {param!r}; choose from {SWEEPABLE_PARAMS}")
+    value_type = _sweep_value_type(param)
     reports = []
     for value in values:
-        run_cfg = _with_param(cfg, param, value)
+        run_cfg = _with_param(cfg, param, value_type(value))
         run_cfg = dataclasses.replace(run_cfg, dump_dir=cfg.dump_dir / f"{param}_{value}")
         reports.append(run_pipeline(run_cfg))
     cfg.dump_dir.mkdir(parents=True, exist_ok=True)

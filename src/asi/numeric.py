@@ -2,8 +2,9 @@
 
 All arithmetic is 64-bit and uses fixed, single-threaded summation order
 (``np.einsum`` rather than BLAS), so identical inputs produce bit-identical
-outputs regardless of thread count or BLAS backend. There is no broadcasting
-anywhere: every shape mismatch raises :class:`~asi.errors.ShapeError`.
+outputs regardless of thread count or BLAS backend. :class:`Matrix` is the
+validated 2-D type at the edges (inputs, weights, latents); the layer kernels
+work on plain arrays, whole feature blocks at a time.
 """
 
 from __future__ import annotations
@@ -17,6 +18,19 @@ from .errors import NonFiniteError, ShapeError
 __all__ = ["Matrix", "Rng", "matmul", "softmax_rows", "randn_matrix"]
 
 
+def _validated_block(name: str, values, ndim: int) -> np.ndarray:
+    """Read-only C-ordered float64 copy of `values`, checked for rank, size and finiteness."""
+    a = np.array(values, dtype=np.float64, order="C", copy=True)
+    if a.ndim != ndim:
+        raise ShapeError(f"{name} requires {ndim}-D data, got {a.ndim}-D")
+    if min(a.shape) < 1:
+        raise ShapeError(f"{name} dimensions must be >= 1, got {'x'.join(map(str, a.shape))}")
+    if not np.isfinite(a).all():
+        raise NonFiniteError(f"{name} entries must be finite (no NaN/Inf)")
+    a.flags.writeable = False
+    return a
+
+
 class Matrix:
     """An immutable 2-D block of finite float64 values, row-major.
 
@@ -28,15 +42,7 @@ class Matrix:
     __slots__ = ("_a",)
 
     def __init__(self, values) -> None:
-        a = np.array(values, dtype=np.float64, order="C", copy=True)
-        if a.ndim != 2:
-            raise ShapeError(f"Matrix requires 2-D data, got {a.ndim}-D")
-        if a.shape[0] < 1 or a.shape[1] < 1:
-            raise ShapeError(f"Matrix dimensions must be >= 1, got {a.shape[0]}x{a.shape[1]}")
-        if not np.isfinite(a).all():
-            raise NonFiniteError("Matrix entries must be finite (no NaN/Inf)")
-        a.flags.writeable = False
-        self._a = a
+        self._a = _validated_block("Matrix", values, 2)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
@@ -97,15 +103,18 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(np.einsum("ik,kj->ij", a.a, b.a))
 
 
-def softmax_rows(a: Matrix) -> Matrix:
-    """Row-wise softmax with per-row max subtraction for overflow safety.
+def softmax_rows(a: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, with per-row max subtraction for overflow safety.
 
-    Every output row sums to 1 (within float64 rounding) and all entries
-    lie in (0, 1].
+    Takes a 2-D matrix of rows or a whole (heads, rows, cols) block and
+    returns a new array of the same shape, built in a single new buffer
+    (the block can be large). Every output row sums to 1 (within float64
+    rounding) and all entries lie in (0, 1] for finite input.
     """
-    shifted = a.a - a.a.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return Matrix(e / e.sum(axis=1, keepdims=True))
+    e = a - a.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 # splitmix64 finalizer constants

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeError
-from .numeric import Matrix, matmul, softmax_rows
+from .errors import ShapeError
+from .numeric import Matrix, _validated_block, matmul, softmax_rows
 
 __all__ = [
     "AttentionParams",
@@ -41,15 +41,7 @@ class FeatureMap:
     __slots__ = ("_a",)
 
     def __init__(self, values) -> None:
-        a = np.array(values, dtype=np.float64, order="C", copy=True)
-        if a.ndim != 3:
-            raise ShapeError(f"FeatureMap requires 3-D data, got {a.ndim}-D")
-        if min(a.shape) < 1:
-            raise ShapeError(f"FeatureMap dimensions must be >= 1, got {a.shape}")
-        if not np.isfinite(a).all():
-            raise NonFiniteError("FeatureMap entries must be finite (no NaN/Inf)")
-        a.flags.writeable = False
-        self._a = a
+        self._a = _validated_block("FeatureMap", values, 3)
 
     @classmethod
     def from_matrix(cls, flat: Matrix, heads: int) -> "FeatureMap":
@@ -61,10 +53,6 @@ class FeatureMap:
             )
         d = flat.cols // heads
         return cls(flat.a.reshape(flat.rows, heads, d).transpose(1, 0, 2))
-
-    @classmethod
-    def from_heads(cls, heads: list[Matrix]) -> "FeatureMap":
-        return cls(np.stack([h.a for h in heads]))
 
     @property
     def heads(self) -> int:
@@ -176,9 +164,12 @@ def _check_kv_track(name: str, q: FeatureMap, k: FeatureMap, v: FeatureMap) -> N
         )
 
 
-def _attend(q: Matrix, k: Matrix, v: Matrix, scale: float) -> Matrix:
-    logits = Matrix(matmul(q, k.transpose()).a * scale)
-    return matmul(softmax_rows(logits), v)
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
+    # These contraction layouts reproduce the per-head 2-D matmul bit for
+    # bit; contracting against k directly ("hmd,htd->hmt") does not.
+    logits = np.einsum("hmd,hdt->hmt", q, np.ascontiguousarray(k.transpose(0, 2, 1)))
+    logits *= scale
+    return np.einsum("hmt,htd->hmd", softmax_rows(logits), v)
 
 
 def siamese_attend(
@@ -193,15 +184,11 @@ def siamese_attend(
     Returns (style features, content features). The branches are fully
     independent apart from Q: the style and content prompts may have
     different token counts, and each branch is the plain attention formula
-    softmax(Q K^T / sqrt(d)) V evaluated per head.
+    softmax(Q K^T / sqrt(d)) V evaluated for all heads at once.
     """
     _check_kv_track("style", q, k_s, v_s)
     _check_kv_track("content", q, k_c, v_c)
     scale = 1.0 / math.sqrt(q.head_dim)
-    style_heads = []
-    content_heads = []
-    for i in range(q.heads):
-        qi = q.head(i)
-        style_heads.append(_attend(qi, k_s.head(i), v_s.head(i), scale))
-        content_heads.append(_attend(qi, k_c.head(i), v_c.head(i), scale))
-    return FeatureMap.from_heads(style_heads), FeatureMap.from_heads(content_heads)
+    f_s = _attend(q.a, k_s.a, v_s.a, scale)
+    f_c = _attend(q.a, k_c.a, v_c.a, scale)
+    return FeatureMap(f_s), FeatureMap(f_c)

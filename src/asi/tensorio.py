@@ -14,6 +14,7 @@ widens back to float64.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -50,11 +51,14 @@ def load_tensor(path: str | Path) -> np.ndarray:
     version, rank = struct.unpack_from("<BB", blob, 4)
     if version != VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
+    if rank == 0:
+        raise ValueError(f"{path}: rank 0, expected a rank in [1, 255]")
     offset = 6 + 4 * rank
     if len(blob) < offset:
         raise ValueError(f"{path}: truncated dims, {len(blob)} of {offset} header bytes")
     dims = struct.unpack_from(f"<{rank}I", blob, 6)
-    count = int(np.prod(dims)) if rank else 0
+    # math.prod: exact Python ints, where np.prod would wrap around in int64.
+    count = math.prod(dims)
     expected = offset + 4 * count
     if len(blob) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(blob)}")

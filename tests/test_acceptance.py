@@ -212,8 +212,8 @@ def test_criterion_08_sica_track_isolation():
     scale = 1.0 / math.sqrt(d)
     for k in (k_s, k_c):
         for i in range(heads):
-            weights = softmax_rows(Matrix(matmul(q.head(i), k.head(i).transpose()).a * scale))
-            assert np.abs(weights.a.sum(axis=1) - 1.0).max() < 1e-9
+            weights = softmax_rows(matmul(q.head(i), k.head(i).transpose()).a * scale)
+            assert np.abs(weights.sum(axis=1) - 1.0).max() < 1e-9
 
 
 @criterion(9, "50-step invert-then-generate roundtrip: max abs error < 1e-6, < 1s")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from asi.adablending import (
     head_distances,
 )
 from asi.errors import ConfigError, DegenerateInputError, ShapeError
-from asi.numeric import Matrix, Rng, randn_matrix
+from asi.numeric import Matrix, Rng, matmul, randn_matrix, softmax_rows
 from asi.sica import FeatureMap, siamese_attend
 
 from oracles import frobenius_sq, reference_attention, two_pass_covariance
@@ -338,6 +340,25 @@ class TestBlend:
         f_c, f_s = self._setup()
         with pytest.raises(ShapeError):
             blend(f_c, f_s, FusedMask(np.zeros((1, 2, 2))), BlendConfig())
+
+
+class TestWholeBlock:
+    @pytest.mark.parametrize("h, m, d, t", [(1, 2, 1, 1), (3, 17, 5, 7), (8, 1024, 40, 77)])
+    def test_equals_per_head_bitwise(self, h, m, d, t):
+        rng = Rng(35)
+        q = random_feature_map(rng, h, m, d)
+        k_s, v_s, k_c, v_c = (random_feature_map(rng, h, t, d) for _ in range(4))
+        f_s, f_c = siamese_attend(q, k_s, v_s, k_c, v_c)
+        distances = head_distances(f_s, f_c)
+        cfg = BlendConfig()
+        out = blend(f_c, f_s, FusedMask(np.ones(f_c.a.shape)), cfg)
+        scale = 1.0 / math.sqrt(d)
+        for i in range(h):
+            for f, k, v in ((f_s, k_s, v_s), (f_c, k_c, v_c)):
+                weights = softmax_rows(matmul(q.head(i), k.head(i).transpose()).a * scale)
+                assert np.array_equal(f.a[i], matmul(Matrix(weights), v.head(i)).a)
+            assert distances[i] == head_distance(f_s.head(i), f_c.head(i))
+            assert np.array_equal(out.a[i], adain(f_c.head(i), f_s.head(i), cfg.eps).a)
 
 
 def synth_layer_inputs(seed=0, heads=4, m=16, d=8, tokens=4):

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from asi.tensorio import MAGIC, load_tensor, save_tensor
 
@@ -73,3 +75,29 @@ def test_mask_values_survive_exactly(tmp_path):
     mask = np.array([[[0.0, 1.0], [1.0, 0.0]]])
     loaded = load_tensor(save_tensor(tmp_path / "m.asit", mask))
     assert np.array_equal(loaded, mask)
+
+
+@st.composite
+def headers(draw):
+    """Rank byte, dims and payload after the magic and version; some are valid."""
+    rank = draw(st.integers(0, 4))
+    dim = st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 1))
+    dims = draw(st.lists(dim, min_size=rank, max_size=rank))
+    payload = draw(st.binary(max_size=64))
+    return bytes([rank]) + struct.pack(f"<{rank}I", *dims) + payload
+
+
+@given(tail=st.one_of(st.binary(max_size=40), headers()))
+@example(tail=bytes([4]) + struct.pack("<4I", *[65536] * 4))  # prod wraps to 0 in int64
+@example(tail=bytes([2]) + struct.pack("<2I", 2**32 - 1, 2**32 - 1))
+@example(tail=bytes([0]))
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_malformed_bytes_load_or_raise_naming_the_path(tmp_path, tail):
+    path = tmp_path / "fuzz.asit"
+    path.write_bytes(MAGIC + bytes([1]) + tail)
+    try:
+        loaded = load_tensor(path)
+    except ValueError as exc:
+        assert str(exc).startswith(str(path)), exc
+    else:
+        assert loaded.dtype == np.float64 and loaded.ndim >= 1
