@@ -41,7 +41,6 @@ from .errors import (
     NonFiniteError,
     ScheduleError,
     ShapeError,
-    SigmaError,
     TimestepError,
 )
 from .harness import ExperimentConfig, RunReport, SynthInputs, run_pipeline, sweep, synth_inputs
@@ -49,7 +48,6 @@ from .numeric import Matrix, Rng, matmul, randn_matrix, softmax_rows
 from .sica import (
     AttentionParams,
     FeatureMap,
-    PromptEmbedding,
     project_kv,
     project_q,
     siamese_attend,

@@ -9,9 +9,11 @@ Subcommands:
 
 Configs are flat ``key = value`` text files (UTF-8, ``#`` comments, blank
 lines ignored); ``--set key=value`` overrides apply after the file, left to
-right. Unknown keys are rejected. Exit codes: 0 success, 1 invalid
-configuration or I/O failure, 2 an internal invariant failed (including
-values that overflow to NaN/Inf mid-run).
+right, and ``sweep --values`` entries are parsed the same way (see
+``harness.configure``). Unknown keys are rejected. Exit codes: 0 success,
+1 invalid configuration (including one too large to allocate) or I/O
+failure, 2 an internal invariant failed (including values that overflow to
+NaN/Inf mid-run).
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .adablending import BlendConfig, asi_layer
+from .adablending import asi_layer
 from .ddim import OracleDenoiser, ddim_generate, ddim_invert, dump_trajectory, make_schedule
 from .errors import AsiError, ConfigError
 from .harness import (
     SWEEPABLE_PARAMS,
     ExperimentConfig,
-    _sweep_value_type,
+    configure,
     run_pipeline,
     sweep,
     synth_inputs,
@@ -41,34 +43,6 @@ from .sica import project_kv, project_q
 __all__ = ["parse_config", "main", "entrypoint"]
 
 ROUNDTRIP_TOLERANCE = 1e-6
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
-# key -> (parser, target). Targets starting with "blend." land in BlendConfig.
-_CONFIG_KEYS: dict[str, tuple] = {
-    "seed": (int, "seed"),
-    "heads": (int, "heads"),
-    "head_dim": (int, "head_dim"),
-    "positions": (int, "positions"),
-    "tokens": (int, "tokens"),
-    "timesteps": (int, "timesteps"),
-    "layers_per_step": (int, "layers_per_step"),
-    "n": (int, "blend.n"),
-    "alpha": (float, "blend.alpha"),
-    "eps": (float, "blend.eps"),
-    "fusion": (str, "blend.fusion"),
-    "perturbation": (float, "perturbation"),
-    "apply_asi": (_parse_bool, "apply_asi"),
-    "dump_dir": (Path, "dump_dir"),
-}
 
 
 def _parse_kv_line(line: str, origin: str) -> tuple[str, str] | None:
@@ -99,27 +73,7 @@ def parse_config(path: str | Path | None, overrides: Sequence[str] = ()) -> Expe
         if parsed is None:
             raise ConfigError(f"--set {item!r}: expected 'key=value'")
         pairs.append(parsed)
-
-    plain: dict = {}
-    blend: dict = {}
-    for key, raw in pairs:
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-        parser, target = _CONFIG_KEYS[key]
-        try:
-            value = parser(raw)
-        except ValueError as exc:
-            raise ConfigError(f"invalid value for {key!r}: {raw!r} ({exc})") from exc
-        if target.startswith("blend."):
-            blend[target.split(".", 1)[1]] = value
-        else:
-            plain[target] = value
-    try:
-        return ExperimentConfig(blend=BlendConfig(**blend), **plain)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return configure(ExperimentConfig(), pairs)
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -146,13 +100,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config, args.overrides)
-    caster = _sweep_value_type(args.param)
-    try:
-        values = [caster(v) for v in args.values.split(",") if v != ""]
-    except ValueError as exc:
-        raise ConfigError(f"invalid sweep value list {args.values!r} ({exc})") from exc
-    if not values:
-        raise ConfigError("sweep needs at least one value")
+    values = [v for v in args.values.split(",") if v]
     reports = sweep(cfg, args.param, values)
     for value, report in zip(values, reports):
         print(f"{args.param}={value}: blended_fraction={report.blended_fraction!r}")
@@ -227,6 +175,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             return args.func(args)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: configuration too large to allocate: {exc}", file=sys.stderr)
         return 1
     except AsiError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

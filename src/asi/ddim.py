@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ScheduleError, ShapeError, SigmaError, TimestepError
+from .errors import ConfigError, ScheduleError, ShapeError, TimestepError
 from .numeric import Matrix
 from .tensorio import save_tensor
 
@@ -119,42 +119,16 @@ def predict_x0(x_t: Matrix, eps_pred: Matrix, t: int, sched: NoiseSchedule) -> M
     return Matrix((x_t.a - np.sqrt(1.0 - ab) * eps_pred.a) / np.sqrt(ab))
 
 
-def ddim_step(
-    x_t: Matrix,
-    eps_pred: Matrix,
-    t: int,
-    t_prev: int,
-    sigma: float,
-    z: Matrix | None,
-    sched: NoiseSchedule,
-) -> Matrix:
-    """One sampler update from t down to t_prev.
+def ddim_step(x_t: Matrix, eps_pred: Matrix, t: int, t_prev: int, sched: NoiseSchedule) -> Matrix:
+    """One deterministic sampler update from t down to t_prev, exactly invertible.
 
-    x_prev = sqrt(ab_prev) * x0_hat + sqrt(1 - ab_prev - sigma**2) * eps + sigma * z
-
-    With sigma = 0 the update is deterministic (z must be None) and exactly
-    invertible; larger sigma re-injects fresh noise z.
+    x_prev = sqrt(ab_prev) * x0_hat + sqrt(1 - ab_prev) * eps
     """
     if not 0 <= t_prev < t <= sched.steps:
         raise TimestepError(f"need 0 <= t_prev < t <= {sched.steps}, got t={t}, t_prev={t_prev}")
-    if sigma < 0:
-        raise SigmaError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0 and z is not None:
-        raise SigmaError("sigma = 0 is deterministic; no noise term z is accepted")
-    if sigma > 0 and z is None:
-        raise SigmaError(f"sigma = {sigma} requires a noise matrix z")
     ab_prev = sched.bar(t_prev)
-    radicand = 1.0 - ab_prev - sigma * sigma
-    if radicand < 0:
-        raise SigmaError(
-            f"sigma = {sigma} too large at t_prev = {t_prev}: 1 - alpha_bar - sigma^2 < 0"
-        )
     x0_hat = predict_x0(x_t, eps_pred, t, sched)
-    out = np.sqrt(ab_prev) * x0_hat.a + np.sqrt(radicand) * eps_pred.a
-    if sigma > 0:
-        _check_shapes(x_t, z, "ddim_step noise")
-        out = out + sigma * z.a
-    return Matrix(out)
+    return Matrix(np.sqrt(ab_prev) * x0_hat.a + np.sqrt(1.0 - ab_prev) * eps_pred.a)
 
 
 def _ladder(T: int, steps: int) -> list[int]:
@@ -202,7 +176,7 @@ def ddim_generate(
     trajectory = [LatentState(rungs[-1], x)]
     for t_from, t_to in zip(rungs[:0:-1], rungs[-2::-1]):
         eps = denoiser.predict(x, t_from)
-        x = ddim_step(x, eps, t_from, t_to, 0.0, None, sched)
+        x = ddim_step(x, eps, t_from, t_to, sched)
         trajectory.append(LatentState(t_to, x))
     return trajectory
 

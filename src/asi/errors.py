@@ -25,9 +25,5 @@ class ScheduleError(AsiError, ValueError):
     """The noise schedule is singular at the requested point."""
 
 
-class SigmaError(AsiError, ValueError):
-    """The stochasticity parameter is inconsistent with the requested step."""
-
-
 class NonFiniteError(AsiError, ValueError):
     """A matrix or feature block would hold NaN or Inf (e.g. after overflow)."""

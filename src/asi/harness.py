@@ -19,6 +19,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, get_type_hints
 
 import numpy as np
 
@@ -26,18 +27,12 @@ from .adablending import AsiLayerResult, BlendConfig, asi_layer, head_distances
 from .ddim import OracleDenoiser, ddim_invert, ddim_step, make_schedule
 from .errors import ConfigError
 from .numeric import Matrix, Rng, randn_matrix
-from .sica import (
-    AttentionParams,
-    FeatureMap,
-    PromptEmbedding,
-    project_kv,
-    project_q,
-    siamese_attend,
-)
+from .sica import AttentionParams, FeatureMap, project_kv, project_q, siamese_attend
 from .tensorio import save_tensor
 
 __all__ = [
     "ExperimentConfig",
+    "configure",
     "SynthInputs",
     "RunReport",
     "SWEEPABLE_PARAMS",
@@ -89,13 +84,51 @@ class ExperimentConfig:
         return self.heads * self.head_dim
 
 
+def _parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("true", "1", "yes", "on"):
+        return True
+    if lowered in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+# Config keys and their types, read from the two dataclasses: every
+# ExperimentConfig field but the nested blend, plus every BlendConfig field.
+_BLEND_KEYS = get_type_hints(BlendConfig)
+_KEYS = {**get_type_hints(ExperimentConfig), **_BLEND_KEYS}
+del _KEYS["blend"]
+
+
+def configure(cfg: ExperimentConfig, settings: Iterable[tuple[str, object]]) -> ExperimentConfig:
+    """Apply (key, value) settings to cfg, left to right; later keys win.
+
+    Each value is parsed from its text by the field's declared type (booleans
+    accept true/false, 1/0, yes/no, on/off), and BlendConfig keys land in
+    cfg.blend. Unknown keys, unparseable values and a result that fails
+    validation are a ConfigError naming the key.
+    """
+    plain: dict = {}
+    blend: dict = {}
+    for key, raw in settings:
+        if key not in _KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        kind = _KEYS[key]
+        try:
+            value = (_parse_bool if kind is bool else kind)(str(raw))
+        except ValueError as exc:
+            raise ConfigError(f"invalid value for {key!r}: {raw!r} ({exc})") from exc
+        (blend if key in _BLEND_KEYS else plain)[key] = value
+    return dataclasses.replace(cfg, blend=dataclasses.replace(cfg.blend, **blend), **plain)
+
+
 @dataclass(frozen=True)
 class SynthInputs:
     """Seeded tensors for one run; see :func:`synth_inputs` for the draw order."""
 
     spatial: Matrix
-    content_prompt: PromptEmbedding
-    style_prompt: PromptEmbedding
+    content_prompt: Matrix
+    style_prompt: Matrix
     params: AttentionParams
     latent_noise: Matrix
 
@@ -126,8 +159,8 @@ def synth_inputs(cfg: ExperimentConfig) -> SynthInputs:
     latent_noise = randn_matrix(rng, cfg.positions, md)
     return SynthInputs(
         spatial=spatial,
-        content_prompt=PromptEmbedding(content),
-        style_prompt=PromptEmbedding(style),
+        content_prompt=content,
+        style_prompt=style,
         params=params,
         latent_noise=latent_noise,
     )
@@ -206,7 +239,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     last_result = None
     features = None
     for t in range(cfg.timesteps, 0, -1):
-        x = ddim_step(x, denoiser.predict(x, t), t, t - 1, 0.0, None, sched)
+        x = ddim_step(x, denoiser.predict(x, t), t, t - 1, sched)
         features = x
         step_ell: np.ndarray | None = None
         step_blended = 0.0
@@ -273,36 +306,30 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
 SWEEPABLE_PARAMS = ("n", "alpha", "seed", "perturbation")
 
 
-def _sweep_value_type(param: str) -> type:
-    """int or float: the type of sweep parameter `param`; unknown names are a ConfigError."""
-    if param not in SWEEPABLE_PARAMS:
-        raise ConfigError(f"unknown sweep parameter {param!r}; choose from {SWEEPABLE_PARAMS}")
-    return int if param in ("n", "seed") else float
-
-
-def _with_param(cfg: ExperimentConfig, param: str, value) -> ExperimentConfig:
-    if param in ("n", "alpha"):
-        return dataclasses.replace(cfg, blend=dataclasses.replace(cfg.blend, **{param: value}))
-    return dataclasses.replace(cfg, **{param: value})
-
-
 def sweep(cfg: ExperimentConfig, param: str, values: list) -> list[RunReport]:
     """One run per value, each in its own subdirectory, plus a combined CSV.
 
-    All runs share cfg.seed unless the sweep parameter is the seed itself.
-    Reports come back in input order.
+    Values are parsed like any other setting (see :func:`configure`), and
+    every run config is built before the first run starts. Subdirectories
+    and CSV rows carry the parsed value. All runs share cfg.seed unless the
+    sweep parameter is the seed itself. Reports come back in input order.
     """
-    value_type = _sweep_value_type(param)
-    reports = []
-    for value in values:
-        run_cfg = _with_param(cfg, param, value_type(value))
-        run_cfg = dataclasses.replace(run_cfg, dump_dir=cfg.dump_dir / f"{param}_{value}")
-        reports.append(run_pipeline(run_cfg))
+    if param not in SWEEPABLE_PARAMS:
+        raise ConfigError(f"unknown sweep parameter {param!r}; choose from {SWEEPABLE_PARAMS}")
+    if not values:
+        raise ConfigError("sweep needs at least one value")
+    runs = []
+    for raw in values:
+        run_cfg = configure(cfg, [(param, raw)])
+        value = getattr(run_cfg.blend if param in _BLEND_KEYS else run_cfg, param)
+        run_dir = cfg.dump_dir / f"{param}_{value}"
+        runs.append((value, dataclasses.replace(run_cfg, dump_dir=run_dir)))
+    reports = [run_pipeline(run_cfg) for _, run_cfg in runs]
     cfg.dump_dir.mkdir(parents=True, exist_ok=True)
     with (cfg.dump_dir / "sweep.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["param", "value", "blended_fraction", "preserved_mse"])
-        for value, report in zip(values, reports):
+        for (value, _), report in zip(runs, reports):
             writer.writerow(
                 [param, value, _fmt(report.blended_fraction), _fmt(report.preserved_mse)]
             )

@@ -123,6 +123,7 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
 _INV_2_53 = 1.0 / (1 << 53)
+_MAX_WORDS = np.iinfo(np.intp).max // 8  # uint64 words in the largest indexable array
 
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
@@ -160,6 +161,8 @@ class Rng:
         self._counter = 0
 
     def _raw(self, count: int) -> np.ndarray:
+        if count > _MAX_WORDS:
+            raise MemoryError(f"cannot draw {count} words: no array can hold them")
         start = self._counter
         self._counter += count
         idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)

@@ -23,7 +23,6 @@ from .numeric import Matrix, _validated_block, matmul, softmax_rows
 __all__ = [
     "AttentionParams",
     "FeatureMap",
-    "PromptEmbedding",
     "project_q",
     "project_kv",
     "siamese_attend",
@@ -108,21 +107,6 @@ class AttentionParams:
         return self.heads * self.head_dim
 
 
-@dataclass(frozen=True)
-class PromptEmbedding:
-    """Token-sequence embedding standing in for encoded text, tokens x model_dim."""
-
-    data: Matrix
-
-    @property
-    def tokens(self) -> int:
-        return self.data.rows
-
-    @property
-    def model_dim(self) -> int:
-        return self.data.cols
-
-
 def project_q(spatial: Matrix, params: AttentionParams) -> FeatureMap:
     """Project spatial features to per-head queries: Q = spatial @ w_q, then split.
 
@@ -136,14 +120,12 @@ def project_q(spatial: Matrix, params: AttentionParams) -> FeatureMap:
     return FeatureMap.from_matrix(matmul(spatial, params.w_q), params.heads)
 
 
-def project_kv(prompt: PromptEmbedding, params: AttentionParams) -> tuple[FeatureMap, FeatureMap]:
-    """Project a prompt embedding to per-head keys and values."""
-    if prompt.model_dim != params.model_dim:
-        raise ShapeError(
-            f"prompt embedding has {prompt.model_dim} channels, expected {params.model_dim}"
-        )
-    k = FeatureMap.from_matrix(matmul(prompt.data, params.w_k), params.heads)
-    v = FeatureMap.from_matrix(matmul(prompt.data, params.w_v), params.heads)
+def project_kv(prompt: Matrix, params: AttentionParams) -> tuple[FeatureMap, FeatureMap]:
+    """Project a tokens x model_dim prompt embedding to per-head keys and values."""
+    if prompt.cols != params.model_dim:
+        raise ShapeError(f"prompt has {prompt.cols} channels, expected {params.model_dim}")
+    k = FeatureMap.from_matrix(matmul(prompt, params.w_k), params.heads)
+    v = FeatureMap.from_matrix(matmul(prompt, params.w_v), params.heads)
     return k, v
 
 

@@ -63,4 +63,7 @@ def load_tensor(path: str | Path) -> np.ndarray:
     if len(blob) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(blob)}")
     flat = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-    return flat.astype(np.float64).reshape(dims)
+    try:
+        return flat.astype(np.float64).reshape(dims)
+    except ValueError as exc:  # e.g. dims (0, 2**30, 2**30), or more dims than numpy allows
+        raise ValueError(f"{path}: cannot shape {count} values as {dims} ({exc})") from exc

@@ -1,15 +1,40 @@
+import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from asi.adablending import BlendConfig
 from asi.cli import main, parse_config
 from asi.errors import ConfigError
+from asi.harness import ExperimentConfig, configure
 from asi.numeric import Matrix
 from asi.tensorio import load_tensor
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# One non-default value per config key.
+SAMPLE_SETTINGS = {
+    "seed": "9",
+    "heads": "12",
+    "head_dim": "4",
+    "positions": "3",
+    "tokens": "2",
+    "timesteps": "3",
+    "layers_per_step": "2",
+    "perturbation": "0.5",
+    "apply_asi": "off",
+    "dump_dir": "elsewhere",
+    "n": "3",
+    "alpha": "0.5",
+    "eps": "0.001",
+    "fusion": "and",
+}
 
 
 class TestParseConfig:
@@ -83,6 +108,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(None, ["heads=4"])  # default n=6 no longer fits
 
+    def test_sample_settings_cover_every_config_key(self):
+        keys = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"blend"}
+        keys |= {f.name for f in dataclasses.fields(BlendConfig)}
+        assert set(SAMPLE_SETTINGS) == keys
+
+    @pytest.mark.parametrize("key, value", sorted(SAMPLE_SETTINGS.items()))
+    def test_set_parses_like_configure(self, key, value):
+        cfg = parse_config(None, [f"{key}={value}"])
+        assert cfg == configure(ExperimentConfig(), [(key, value)])
+        assert cfg != ExperimentConfig()
+
 
 class TestMainExitCodes:
     def test_run_ok(self, tmp_path, capsys):
@@ -126,6 +162,38 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["positions=4000000000"],
+            ["tokens=3000000000"],
+            ["timesteps=100000000000"],
+            ["heads=100000", "head_dim=100000"],
+        ],
+    )
+    def test_config_too_large_to_allocate_is_1(self, tmp_path, overrides):
+        resource = pytest.importorskip("resource")
+        cap = 3 * 2**30  # bytes of address space, so no allocation depends on overcommit
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        argv = [sys.executable, "-m", "asi.cli", "run", "--set", f"dump_dir={tmp_path / 'out'}"]
+        for override in overrides:
+            argv += ["--set", override]
+        pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            argv,
+            env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=limit_address_space,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr[-2000:]
+        assert len(proc.stderr.splitlines()) == 1
+        assert "too large" in proc.stderr
 
 
 class TestRunCommand:

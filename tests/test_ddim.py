@@ -14,7 +14,7 @@ from asi.ddim import (
     make_schedule,
     predict_x0,
 )
-from asi.errors import ConfigError, ShapeError, SigmaError, TimestepError
+from asi.errors import ConfigError, ShapeError, TimestepError
 from asi.numeric import Matrix, Rng, randn_matrix
 from asi.tensorio import load_tensor
 
@@ -123,7 +123,7 @@ class TestDdimStep:
         sched = make_schedule(30)
         for t in range(2, 31, 7):
             x_t = forward_noise(x0, t, eps, sched)
-            stepped = ddim_step(x_t, eps, t, t - 1, 0.0, None, sched)
+            stepped = ddim_step(x_t, eps, t, t - 1, sched)
             target = forward_noise(x0, t - 1, eps, sched)
             assert np.abs(stepped.a - target.a).max() < 1e-10
 
@@ -132,47 +132,25 @@ class TestDdimStep:
         x0, eps = randn_matrix(rng, 2, 4), randn_matrix(rng, 2, 4)
         sched = make_schedule(5)
         x_t = forward_noise(x0, 5, eps, sched)
-        out = ddim_step(x_t, eps, 5, 0, 0.0, None, sched)
+        out = ddim_step(x_t, eps, 5, 0, sched)
         assert np.array_equal(out.a, predict_x0(x_t, eps, 5, sched).a)
 
-    def test_stochastic_scalar_case_matches_high_precision(self):
+    def test_scalar_case_matches_high_precision(self):
         sched = make_schedule(2, 0.19, 0.19)
-        x_t, eps, z = Matrix([[1.5]]), Matrix([[-0.25]]), Matrix([[0.75]])
-        sigma = 0.3
-        out = ddim_step(x_t, eps, 2, 1, sigma, z, sched)
+        x_t, eps = Matrix([[1.5]]), Matrix([[-0.25]])
+        out = ddim_step(x_t, eps, 2, 1, sched)
         ab_t = mpmath.mpf("0.81") * mpmath.mpf("0.81")
         ab_prev = mpmath.mpf("0.81")
         x0_hat = (mpmath.mpf("1.5") - mpmath.sqrt(1 - ab_t) * mpmath.mpf("-0.25")) / mpmath.sqrt(ab_t)
-        expected = (
-            mpmath.sqrt(ab_prev) * x0_hat
-            + mpmath.sqrt(1 - ab_prev - mpmath.mpf("0.3") ** 2) * mpmath.mpf("-0.25")
-            + mpmath.mpf("0.3") * mpmath.mpf("0.75")
-        )
+        expected = mpmath.sqrt(ab_prev) * x0_hat + mpmath.sqrt(1 - ab_prev) * mpmath.mpf("-0.25")
         assert abs(out.a[0, 0] - float(expected)) < 1e-14
-
-    def test_sigma_validation(self):
-        sched = make_schedule(5)
-        x = Matrix.zeros(2, 2)
-        with pytest.raises(SigmaError):
-            ddim_step(x, x, 3, 2, -0.1, None, sched)
-        with pytest.raises(SigmaError):
-            ddim_step(x, x, 3, 2, 0.0, Matrix.zeros(2, 2), sched)
-        with pytest.raises(SigmaError):
-            ddim_step(x, x, 3, 2, 0.5, None, sched)
-
-    def test_sigma_too_large_for_target(self):
-        sched = make_schedule(5)
-        x = Matrix.zeros(2, 2)
-        # at t_prev = 0, alpha_bar = 1 and no sigma > 0 fits
-        with pytest.raises(SigmaError):
-            ddim_step(x, x, 1, 0, 0.5, Matrix.zeros(2, 2), sched)
 
     def test_timestep_ordering_enforced(self):
         sched = make_schedule(5)
         x = Matrix.zeros(1, 1)
         for t, t_prev in [(3, 3), (2, 4), (6, 1), (0, -1)]:
             with pytest.raises(TimestepError):
-                ddim_step(x, x, t, t_prev, 0.0, None, sched)
+                ddim_step(x, x, t, t_prev, sched)
 
 
 def make_oracle(seed=46, rows=4, cols=6):

@@ -11,6 +11,7 @@ from asi.ddim import OracleDenoiser, ddim_invert, ddim_step, make_schedule
 from asi.errors import ConfigError
 from asi.harness import (
     ExperimentConfig,
+    configure,
     render_mask_pgm,
     run_pipeline,
     sweep,
@@ -62,18 +63,18 @@ class TestSynthInputs:
         b = synth_inputs(cfg)
         assert np.array_equal(a.spatial.a, b.spatial.a)
         assert np.array_equal(a.params.w_q.a, b.params.w_q.a)
-        assert np.array_equal(a.style_prompt.data.a, b.style_prompt.data.a)
+        assert np.array_equal(a.style_prompt.a, b.style_prompt.a)
         assert np.array_equal(a.latent_noise.a, b.latent_noise.a)
 
     def test_zero_perturbation_copies_prompt(self):
         inputs = synth_inputs(ExperimentConfig(perturbation=0.0))
-        assert np.array_equal(inputs.style_prompt.data.a, inputs.content_prompt.data.a)
+        assert np.array_equal(inputs.style_prompt.a, inputs.content_prompt.a)
 
     def test_perturbation_scales_offset(self):
         base = synth_inputs(ExperimentConfig(perturbation=1.0))
         doubled = synth_inputs(ExperimentConfig(perturbation=2.0))
-        offset = base.style_prompt.data.a - base.content_prompt.data.a
-        offset2 = doubled.style_prompt.data.a - doubled.content_prompt.data.a
+        offset = base.style_prompt.a - base.content_prompt.a
+        offset2 = doubled.style_prompt.a - doubled.content_prompt.a
         assert np.abs(offset2 - 2.0 * offset).max() < 1e-15
 
     def test_shapes_follow_config(self):
@@ -82,7 +83,7 @@ class TestSynthInputs:
         )
         inputs = synth_inputs(cfg)
         assert (inputs.spatial.rows, inputs.spatial.cols) == (16, 32)
-        assert (inputs.content_prompt.tokens, inputs.content_prompt.model_dim) == (4, 32)
+        assert (inputs.content_prompt.rows, inputs.content_prompt.cols) == (4, 32)
         assert inputs.params.heads == 4 and inputs.params.head_dim == 8
         assert (inputs.latent_noise.rows, inputs.latent_noise.cols) == (16, 32)
 
@@ -98,8 +99,8 @@ class TestSynthInputs:
             inputs.params.w_k.a,
             inputs.params.w_v.a,
             inputs.spatial.a,
-            inputs.content_prompt.data.a,
-            inputs.style_prompt.data.a,
+            inputs.content_prompt.a,
+            inputs.style_prompt.a,
             inputs.latent_noise.a,
         ):
             digest.update(block.tobytes())
@@ -117,7 +118,7 @@ def replay_content_branch(cfg: ExperimentConfig) -> np.ndarray:
     x = ddim_invert(inputs.spatial, denoiser, sched, cfg.timesteps)[-1].x
     features = None
     for t in range(cfg.timesteps, 0, -1):
-        x = ddim_step(x, denoiser.predict(x, t), t, t - 1, 0.0, None, sched)
+        x = ddim_step(x, denoiser.predict(x, t), t, t - 1, sched)
         features = x
         for _ in range(cfg.layers_per_step):
             q = project_q(features, inputs.params)
@@ -282,3 +283,38 @@ class TestSweep:
     def test_unknown_param_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             sweep(small_cfg(tmp_path), "heads", [2, 4])
+
+    @pytest.mark.parametrize("values", [[0.5], [0, 0.5]])
+    def test_value_of_wrong_type_rejected_before_any_run(self, tmp_path, values):
+        cfg = small_cfg(tmp_path, timesteps=2)
+        with pytest.raises(ConfigError, match="'n'"):
+            sweep(cfg, "n", values)
+        assert not cfg.dump_dir.exists()
+
+    def test_empty_value_list_rejected(self, tmp_path):
+        with pytest.raises(ConfigError):
+            sweep(small_cfg(tmp_path), "n", [])
+
+    def test_directories_and_rows_carry_the_value_that_ran(self, tmp_path):
+        cfg = small_cfg(tmp_path, timesteps=2)
+        sweep(cfg, "alpha", ["0.70", 1])
+        dirs = sorted(p.name for p in cfg.dump_dir.iterdir() if p.is_dir())
+        assert dirs == ["alpha_0.7", "alpha_1.0"]
+        with (cfg.dump_dir / "sweep.csv").open() as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[:2] for row in rows] == [["alpha", "0.7"], ["alpha", "1.0"]]
+
+
+class TestConfigure:
+    def test_keeps_settings_not_named(self):
+        base = ExperimentConfig(seed=5, blend=BlendConfig(fusion="and"))
+        cfg = configure(base, [("alpha", 1)])
+        assert (cfg.seed, cfg.blend.fusion, cfg.blend.alpha) == (5, "and", 1.0)
+
+    @pytest.mark.parametrize(
+        "key, value", [("bogus", "1"), ("blend", "x"), ("heads", "four"), ("n", 0.5),
+                       ("apply_asi", "maybe"), ("seed", True)]
+    )
+    def test_bad_setting_names_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=repr(key)):
+            configure(ExperimentConfig(), [(key, value)])

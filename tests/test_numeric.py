@@ -161,6 +161,12 @@ class TestRng:
         b = randn_matrix(Rng(43), 4, 4)
         assert not np.array_equal(a.a, b.a)
 
+    def test_unindexable_draw_count_is_memory_error(self):
+        rng = Rng(42)
+        with pytest.raises(MemoryError):
+            rng.normals(2**62)
+        assert rng.normal() == Rng(42).normal()  # the failed draw consumed nothing
+
     def test_moments_at_scale(self):
         m = randn_matrix(Rng(7), 256, 256)
         assert abs(m.a.mean()) < 0.02

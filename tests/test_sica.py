@@ -6,7 +6,6 @@ from asi.numeric import Matrix, Rng, randn_matrix
 from asi.sica import (
     AttentionParams,
     FeatureMap,
-    PromptEmbedding,
     project_kv,
     project_q,
     siamese_attend,
@@ -92,33 +91,33 @@ class TestProjections:
         assert np.abs(q.a - expected).max() < 1e-12
 
     def test_kv_identity(self):
-        prompt = PromptEmbedding(randn_matrix(Rng(5), 3, 4))
+        prompt = randn_matrix(Rng(5), 3, 4)
         k, v = project_kv(prompt, identity_params(1, 4))
-        assert np.array_equal(k.head(0).a, prompt.data.a)
-        assert np.array_equal(v.head(0).a, prompt.data.a)
+        assert np.array_equal(k.head(0).a, prompt.a)
+        assert np.array_equal(v.head(0).a, prompt.a)
 
     def test_equal_prompts_give_equal_kv(self):
         rng = Rng(6)
         params = random_params(rng, 2, 3)
-        prompt = PromptEmbedding(randn_matrix(rng, 4, 6))
+        prompt = randn_matrix(rng, 4, 6)
         k1, v1 = project_kv(prompt, params)
-        k2, v2 = project_kv(PromptEmbedding(Matrix(prompt.data.a.copy())), params)
+        k2, v2 = project_kv(Matrix(prompt.a.copy()), params)
         assert np.array_equal(k1.a, k2.a)
         assert np.array_equal(v1.a, v2.a)
 
     def test_kv_matches_loop_oracle(self):
         rng = Rng(7)
         params = random_params(rng, 2, 3)
-        prompt = PromptEmbedding(randn_matrix(rng, 5, 6))
+        prompt = randn_matrix(rng, 5, 6)
         k, v = project_kv(prompt, params)
-        assert np.abs(k.a - project_and_split(prompt.data.a, params.w_k.a, 2)).max() < 1e-12
-        assert np.abs(v.a - project_and_split(prompt.data.a, params.w_v.a, 2)).max() < 1e-12
+        assert np.abs(k.a - project_and_split(prompt.a, params.w_k.a, 2)).max() < 1e-12
+        assert np.abs(v.a - project_and_split(prompt.a, params.w_v.a, 2)).max() < 1e-12
 
     def test_wrong_channel_count_raises(self):
         with pytest.raises(ShapeError):
             project_q(Matrix.zeros(2, 5), identity_params(2, 2))
         with pytest.raises(ShapeError):
-            project_kv(PromptEmbedding(Matrix.zeros(2, 5)), identity_params(2, 2))
+            project_kv(Matrix.zeros(2, 5), identity_params(2, 2))
 
 
 def random_tracks(seed, heads=2, m=3, d=2, tokens_style=2, tokens_content=4):

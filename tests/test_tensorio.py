@@ -91,6 +91,8 @@ def headers(draw):
 @example(tail=bytes([4]) + struct.pack("<4I", *[65536] * 4))  # prod wraps to 0 in int64
 @example(tail=bytes([2]) + struct.pack("<2I", 2**32 - 1, 2**32 - 1))
 @example(tail=bytes([0]))
+@example(tail=bytes([3]) + struct.pack("<3I", 0, 2**30, 2**30))  # 0 values, shape too big
+@example(tail=bytes([65]) + struct.pack("<65I", *[1] * 65) + bytes(4))  # too many dims
 @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_malformed_bytes_load_or_raise_naming_the_path(tmp_path, tail):
     path = tmp_path / "fuzz.asit"
