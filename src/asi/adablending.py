@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeError
-from .numeric import Matrix, _validated_block
+from .numeric import Matrix, _contract, _validated_block
 from .sica import FeatureMap, siamese_attend
 
 __all__ = [
@@ -142,7 +142,7 @@ def _covariance(f: np.ndarray) -> np.ndarray:
     if m < 2:
         raise DegenerateInputError(f"covariance needs at least 2 rows, got {m}")
     # Contracting a contiguous F^T keeps the per-head summation order.
-    gram = np.einsum("...ik,...kj->...ij", np.ascontiguousarray(np.swapaxes(f, -1, -2)), f)
+    gram = _contract(np.ascontiguousarray(np.swapaxes(f, -1, -2)), f)
     colsum = f.sum(axis=-2)
     return (gram - colsum[..., :, None] * colsum[..., None, :] / m) / (m - 1)
 

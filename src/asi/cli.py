@@ -7,13 +7,13 @@ Subcommands:
     ddim-roundtrip  invert-then-generate consistency check
     dump-masks      single layer application, masks and renders only
 
-Configs are flat ``key = value`` text files (UTF-8, ``#`` comments, blank
-lines ignored); ``--set key=value`` overrides apply after the file, left to
-right, and ``sweep --values`` entries are parsed the same way (see
-``harness.configure``). Unknown keys are rejected. Exit codes: 0 success,
-1 invalid configuration (including one too large to allocate) or I/O
-failure, 2 an internal invariant failed (including values that overflow to
-NaN/Inf mid-run).
+Configs are flat ``key = value`` text files (UTF-8, an optional byte-order
+mark, ``#`` comments, blank lines ignored); ``--set key=value`` overrides
+apply after the file, left to right, and ``sweep --values`` entries are
+parsed the same way (see ``harness.configure``). Unknown keys and empty
+values are rejected. Exit codes: 0 success, 1 invalid configuration
+(including one too large to allocate) or I/O failure, 2 an internal
+invariant failed (including values that overflow to NaN/Inf mid-run).
 """
 
 from __future__ import annotations
@@ -26,12 +26,13 @@ from typing import Sequence
 import numpy as np
 
 from .adablending import asi_layer
-from .ddim import OracleDenoiser, ddim_generate, ddim_invert, dump_trajectory, make_schedule
+from .ddim import OracleDenoiser, ddim_generate, ddim_invert, make_schedule
 from .errors import AsiError, ConfigError
 from .harness import (
     SWEEPABLE_PARAMS,
     ExperimentConfig,
     configure,
+    dump_trajectory,
     run_pipeline,
     sweep,
     synth_inputs,
@@ -63,7 +64,7 @@ def parse_config(path: str | Path | None, overrides: Sequence[str] = ()) -> Expe
     """
     pairs: list[tuple[str, str]] = []
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
         for lineno, line in enumerate(text.splitlines(), start=1):
             parsed = _parse_kv_line(line, f"{path}:{lineno}")
             if parsed:
@@ -76,20 +77,7 @@ def parse_config(path: str | Path | None, overrides: Sequence[str] = ()) -> Expe
     return configure(ExperimentConfig(), pairs)
 
 
-def _add_config_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, default=None, help="flat key=value config file")
-    parser.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override one config key (repeatable, applied left to right)",
-    )
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = parse_config(args.config, args.overrides)
+def _cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     report = run_pipeline(cfg)
     print(f"run complete: {cfg.timesteps} steps into {cfg.dump_dir}")
     print(f"blended_fraction = {report.blended_fraction!r}")
@@ -98,8 +86,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = parse_config(args.config, args.overrides)
+def _cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     values = [v for v in args.values.split(",") if v]
     reports = sweep(cfg, args.param, values)
     for value, report in zip(values, reports):
@@ -108,8 +95,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_ddim_roundtrip(args: argparse.Namespace) -> int:
-    cfg = parse_config(args.config, args.overrides)
+def _cmd_ddim_roundtrip(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     rng = Rng(cfg.seed)
     x0 = randn_matrix(rng, cfg.positions, cfg.model_dim)
     noise = randn_matrix(rng, cfg.positions, cfg.model_dim)
@@ -128,8 +114,7 @@ def _cmd_ddim_roundtrip(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_dump_masks(args: argparse.Namespace) -> int:
-    cfg = parse_config(args.config, args.overrides)
+def _cmd_dump_masks(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     inputs = synth_inputs(cfg)
     q = project_q(inputs.spatial, inputs.params)
     k_s, v_s = project_kv(inputs.style_prompt, inputs.params)
@@ -146,25 +131,37 @@ def main(argv: Sequence[str] | None = None) -> int:
         prog="asi",
         description="dual-track attention with mask-guided content-style blending",
     )
+    config_args = argparse.ArgumentParser(add_help=False)
+    config_args.add_argument("--config", type=Path, default=None, help="flat key=value config file")
+    config_args.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="override one config key (repeatable, applied left to right)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run the full pipeline")
-    _add_config_args(p_run)
+    p_run = sub.add_parser("run", parents=[config_args], help="run the full pipeline")
     p_run.set_defaults(func=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run once per value of one parameter")
-    _add_config_args(p_sweep)
+    p_sweep = sub.add_parser(
+        "sweep", parents=[config_args], help="run once per value of one parameter"
+    )
     p_sweep.add_argument("--param", required=True, help=f"one of {', '.join(SWEEPABLE_PARAMS)}")
     p_sweep.add_argument("--values", required=True, help="comma-separated value list")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_rt = sub.add_parser("ddim-roundtrip", help="check invert-then-generate consistency")
-    _add_config_args(p_rt)
+    p_rt = sub.add_parser(
+        "ddim-roundtrip", parents=[config_args], help="check invert-then-generate consistency"
+    )
     p_rt.add_argument("--dump", action="store_true", help="also dump the latent trajectory")
     p_rt.set_defaults(func=_cmd_ddim_roundtrip)
 
-    p_masks = sub.add_parser("dump-masks", help="render masks for one layer application")
-    _add_config_args(p_masks)
+    p_masks = sub.add_parser(
+        "dump-masks", parents=[config_args], help="render masks for one layer application"
+    )
     p_masks.set_defaults(func=_cmd_dump_masks)
 
     args = parser.parse_args(argv)
@@ -172,7 +169,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Overflow already ends in NonFiniteError at the next finite check;
         # numpy's warnings would only repeat it as extra stderr lines.
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            return args.func(parse_config(args.config, args.overrides), args)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

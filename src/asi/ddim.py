@@ -13,15 +13,12 @@ clean-image boundary.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, ScheduleError, ShapeError, TimestepError
 from .numeric import Matrix
-from .tensorio import save_tensor
 
 __all__ = [
     "NoiseSchedule",
@@ -33,7 +30,6 @@ __all__ = [
     "ddim_step",
     "ddim_invert",
     "ddim_generate",
-    "dump_trajectory",
 ]
 
 
@@ -119,6 +115,11 @@ def predict_x0(x_t: Matrix, eps_pred: Matrix, t: int, sched: NoiseSchedule) -> M
     return Matrix((x_t.a - np.sqrt(1.0 - ab) * eps_pred.a) / np.sqrt(ab))
 
 
+def _jump(x_t: Matrix, eps: Matrix, t: int, t_to: int, sched: NoiseSchedule) -> Matrix:
+    # Re-estimate the clean input at t, then renoise it to t_to with the same noise.
+    return forward_noise(predict_x0(x_t, eps, t, sched), t_to, eps, sched)
+
+
 def ddim_step(x_t: Matrix, eps_pred: Matrix, t: int, t_prev: int, sched: NoiseSchedule) -> Matrix:
     """One deterministic sampler update from t down to t_prev, exactly invertible.
 
@@ -126,14 +127,23 @@ def ddim_step(x_t: Matrix, eps_pred: Matrix, t: int, t_prev: int, sched: NoiseSc
     """
     if not 0 <= t_prev < t <= sched.steps:
         raise TimestepError(f"need 0 <= t_prev < t <= {sched.steps}, got t={t}, t_prev={t_prev}")
-    ab_prev = sched.bar(t_prev)
-    x0_hat = predict_x0(x_t, eps_pred, t, sched)
-    return Matrix(np.sqrt(ab_prev) * x0_hat.a + np.sqrt(1.0 - ab_prev) * eps_pred.a)
+    return _jump(x_t, eps_pred, t, t_prev, sched)
 
 
-def _ladder(T: int, steps: int) -> list[int]:
-    # Evenly spaced, strictly increasing timesteps from 0 to T inclusive.
-    return [round(i * T / steps) for i in range(steps + 1)]
+def _walk(
+    x: Matrix, denoiser: OracleDenoiser, sched: NoiseSchedule, steps: int, upward: bool
+) -> list[LatentState]:
+    # Evenly spaced rungs from 0 to T inclusive, climbed or descended one jump at a time.
+    if not 0 <= steps <= sched.steps:
+        raise ConfigError(f"steps must lie in [0, {sched.steps}], got {steps}")
+    rungs = [round(i * sched.steps / steps) for i in range(steps + 1)] if steps else [0]
+    if not upward:
+        rungs.reverse()
+    trajectory = [LatentState(rungs[0], x)]
+    for t_from, t_to in zip(rungs[:-1], rungs[1:]):
+        x = _jump(x, denoiser.predict(x, t_from), t_from, t_to, sched)
+        trajectory.append(LatentState(t_to, x))
+    return trajectory
 
 
 def ddim_invert(
@@ -145,18 +155,7 @@ def ddim_invert(
     jump re-estimates the clean input from the current state and the
     denoiser's noise prediction, then renoises to the next rung.
     """
-    if not 0 <= steps <= sched.steps:
-        raise ConfigError(f"steps must lie in [0, {sched.steps}], got {steps}")
-    trajectory = [LatentState(0, x0)]
-    if steps == 0:
-        return trajectory
-    rungs = _ladder(sched.steps, steps)
-    x = x0
-    for t_from, t_to in zip(rungs[:-1], rungs[1:]):
-        eps = denoiser.predict(x, t_from)
-        x = forward_noise(predict_x0(x, eps, t_from, sched), t_to, eps, sched)
-        trajectory.append(LatentState(t_to, x))
-    return trajectory
+    return _walk(x0, denoiser, sched, steps, upward=True)
 
 
 def ddim_generate(
@@ -167,32 +166,4 @@ def ddim_generate(
     The exact functional inverse of :func:`ddim_invert` over the same rungs;
     returns steps + 1 states ending at t = 0.
     """
-    if not 0 <= steps <= sched.steps:
-        raise ConfigError(f"steps must lie in [0, {sched.steps}], got {steps}")
-    if steps == 0:
-        return [LatentState(0, x_start)]
-    rungs = _ladder(sched.steps, steps)
-    x = x_start
-    trajectory = [LatentState(rungs[-1], x)]
-    for t_from, t_to in zip(rungs[:0:-1], rungs[-2::-1]):
-        eps = denoiser.predict(x, t_from)
-        x = ddim_step(x, eps, t_from, t_to, sched)
-        trajectory.append(LatentState(t_to, x))
-    return trajectory
-
-
-def dump_trajectory(
-    trajectory: list[LatentState], sched: NoiseSchedule, out_dir: str | Path
-) -> Path:
-    """Write one tensor dump per state plus a manifest CSV (t, alpha_bar, file)."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = out_dir / "trajectory.csv"
-    with manifest.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "alpha_bar", "file"])
-        for state in trajectory:
-            name = f"step_{state.t}.asit"
-            save_tensor(out_dir / name, state.x.a)
-            writer.writerow([state.t, repr(sched.bar(state.t)), name])
-    return manifest
+    return _walk(x_start, denoiser, sched, steps, upward=False)

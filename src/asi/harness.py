@@ -7,8 +7,9 @@ step. The blending output never feeds back into the latent: the latent
 trajectory is pure sampler bookkeeping, which keeps every run exactly
 reproducible and every metric attributable to the blending stage alone.
 
-All run artifacts (report.csv, per-head distance CSV, mask and feature
-dumps, per-head mask renders) are written with overwrite semantics, so a
+Every artifact is written here: the run's report.csv, per-head distance
+CSV, mask and feature dumps and per-head mask renders, the sweep CSV, and
+the sampler trajectory dump. All are written with overwrite semantics, so a
 repeated run with the same config produces byte-identical files.
 """
 
@@ -19,12 +20,19 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, get_type_hints
+from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
 from .adablending import AsiLayerResult, BlendConfig, asi_layer, head_distances
-from .ddim import OracleDenoiser, ddim_invert, ddim_step, make_schedule
+from .ddim import (
+    LatentState,
+    NoiseSchedule,
+    OracleDenoiser,
+    ddim_invert,
+    ddim_step,
+    make_schedule,
+)
 from .errors import ConfigError
 from .numeric import Matrix, Rng, randn_matrix
 from .sica import AttentionParams, FeatureMap, project_kv, project_q, siamese_attend
@@ -41,6 +49,7 @@ __all__ = [
     "sweep",
     "render_mask_pgm",
     "write_mask_artifacts",
+    "dump_trajectory",
 ]
 
 _MAX_SEED = (1 << 64) - 1
@@ -105,8 +114,8 @@ def configure(cfg: ExperimentConfig, settings: Iterable[tuple[str, object]]) -> 
 
     Each value is parsed from its text by the field's declared type (booleans
     accept true/false, 1/0, yes/no, on/off), and BlendConfig keys land in
-    cfg.blend. Unknown keys, unparseable values and a result that fails
-    validation are a ConfigError naming the key.
+    cfg.blend. Unknown keys, empty or blank values, unparseable values and a
+    result that fails validation are a ConfigError naming the key.
     """
     plain: dict = {}
     blend: dict = {}
@@ -114,6 +123,8 @@ def configure(cfg: ExperimentConfig, settings: Iterable[tuple[str, object]]) -> 
         if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         kind = _KEYS[key]
+        if not str(raw).strip():
+            raise ConfigError(f"empty value for {key!r}")
         try:
             value = (_parse_bool if kind is bool else kind)(str(raw))
         except ValueError as exc:
@@ -212,8 +223,38 @@ def write_mask_artifacts(out_dir: Path, result: AsiLayerResult) -> None:
         render_mask_pgm(out_dir / f"mask_head_{i}.pgm", fused_head)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    # Floats are written as repr(float(x)), the shortest text that reads back exactly.
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
+    return path
+
+
+def dump_trajectory(
+    trajectory: list[LatentState], sched: NoiseSchedule, out_dir: str | Path
+) -> Path:
+    """Write one tensor dump per state plus a manifest CSV (t, alpha_bar, file)."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for state in trajectory:
+        name = f"step_{state.t}.asit"
+        save_tensor(out_dir / name, state.x.a)
+        rows.append((state.t, sched.bar(state.t), name))
+    return _write_csv(out_dir / "trajectory.csv", ["t", "alpha_bar", "file"], rows)
+
+
+def _preserved_mse(result: AsiLayerResult) -> float:
+    # Mean squared deviation from the content features where the fused mask is 0.
+    preserved = result.fused_mask.data == 0.0
+    count = int(preserved.sum())
+    if not count:
+        return 0.0
+    diff = result.f_out.a - result.f_c.a
+    return float((diff[preserved] ** 2).sum() / count)
 
 
 def run_pipeline(cfg: ExperimentConfig) -> RunReport:
@@ -232,32 +273,21 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     k_s, v_s = project_kv(inputs.style_prompt, inputs.params)
     k_c, v_c = project_kv(inputs.content_prompt, inputs.params)
 
-    trajectory = ddim_invert(inputs.spatial, denoiser, sched, cfg.timesteps)
-    x = trajectory[-1].x
+    x = ddim_invert(inputs.spatial, denoiser, sched, cfg.timesteps)[-1].x
 
     rows: list[tuple] = []
-    last_result = None
-    features = None
+    result = None
     for t in range(cfg.timesteps, 0, -1):
         x = ddim_step(x, denoiser.predict(x, t), t, t - 1, sched)
         features = x
-        step_ell: np.ndarray | None = None
-        step_blended = 0.0
-        step_mse = 0.0
         for _ in range(cfg.layers_per_step):
             q = project_q(features, inputs.params)
+            result = None  # free the previous layer's blocks before the next are built
             if cfg.apply_asi:
                 result = asi_layer(q, k_s, v_s, k_c, v_c, cfg.blend)
                 step_ell = result.distances
                 step_blended = result.fused_mask.blended_fraction
-                preserved = result.fused_mask.data == 0.0
-                count = int(preserved.sum())
-                if count:
-                    diff = result.f_out.a - result.f_c.a
-                    step_mse = float((diff[preserved] ** 2).sum() / count)
-                else:
-                    step_mse = 0.0
-                last_result = result
+                step_mse = _preserved_mse(result)
                 features = result.f_out.merge_heads()
             else:
                 f_s, f_c = siamese_attend(q, k_s, v_s, k_c, v_c)
@@ -269,36 +299,19 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
 
     out_dir = cfg.dump_dir
     out_dir.mkdir(parents=True, exist_ok=True)
+    header = ["step", *(f"ell_{i}" for i in range(cfg.heads)), "blended_fraction", "preserved_mse"]
+    _write_csv(out_dir / "report.csv", header, [(t, *ell, b, mse) for t, ell, b, mse in rows])
+    _write_csv(out_dir / "ell.csv", ["head_index", "ell"], enumerate(rows[-1][1]))
+    if result is not None:
+        write_mask_artifacts(out_dir, result)
+    feature_path = save_tensor(
+        out_dir / "features_out.asit", FeatureMap.from_matrix(features, cfg.heads).a
+    )
 
-    report_path = out_dir / "report.csv"
-    with report_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["step"] + [f"ell_{i}" for i in range(cfg.heads)] + ["blended_fraction", "preserved_mse"]
-        )
-        for t, ell, blended, mse in rows:
-            writer.writerow([t] + [_fmt(e) for e in ell] + [_fmt(blended), _fmt(mse)])
-
-    final_ell = rows[-1][1]
-    with (out_dir / "ell.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["head_index", "ell"])
-        for i, e in enumerate(final_ell):
-            writer.writerow([i, _fmt(e)])
-
-    if cfg.apply_asi and last_result is not None:
-        features_block = last_result.f_out.a
-        write_mask_artifacts(out_dir, last_result)
-    else:
-        features_block = FeatureMap.from_matrix(features, cfg.heads).a
-    feature_path = save_tensor(out_dir / "features_out.asit", features_block)
-
-    blended_values = [r[2] for r in rows]
-    mse_values = [r[3] for r in rows]
     return RunReport(
         per_step_ell=tuple(r[1] for r in rows),
-        preserved_mse=max(mse_values),
-        blended_fraction=float(np.mean(blended_values)),
+        preserved_mse=max(r[3] for r in rows),
+        blended_fraction=float(np.mean([r[2] for r in rows])),
         output_feature_path=feature_path,
     )
 
@@ -326,11 +339,9 @@ def sweep(cfg: ExperimentConfig, param: str, values: list) -> list[RunReport]:
         runs.append((value, dataclasses.replace(run_cfg, dump_dir=run_dir)))
     reports = [run_pipeline(run_cfg) for _, run_cfg in runs]
     cfg.dump_dir.mkdir(parents=True, exist_ok=True)
-    with (cfg.dump_dir / "sweep.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["param", "value", "blended_fraction", "preserved_mse"])
-        for (value, _), report in zip(runs, reports):
-            writer.writerow(
-                [param, value, _fmt(report.blended_fraction), _fmt(report.preserved_mse)]
-            )
+    _write_csv(
+        cfg.dump_dir / "sweep.csv",
+        ["param", "value", "blended_fraction", "preserved_mse"],
+        [(param, v, r.blended_fraction, r.preserved_mse) for (v, _), r in zip(runs, reports)],
+    )
     return reports

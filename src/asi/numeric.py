@@ -90,6 +90,11 @@ class Matrix:
         return f"Matrix(<{self.rows}x{self.cols}>)"
 
 
+def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # The one fixed-order product, a @ b over the last two axes of 2-D or stacked blocks.
+    return np.einsum("...ik,...kj->...ij", a, b)
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     """Strict matrix product a @ b.
 
@@ -100,7 +105,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         raise ShapeError(
             f"matmul: inner dimensions differ for ({a.rows}x{a.cols}) @ ({b.rows}x{b.cols})"
         )
-    return Matrix(np.einsum("ik,kj->ij", a.a, b.a))
+    return Matrix(_contract(a.a, b.a))
 
 
 def softmax_rows(a: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .numeric import Matrix, _validated_block, matmul, softmax_rows
+from .numeric import Matrix, _contract, _validated_block, matmul, softmax_rows
 
 __all__ = [
     "AttentionParams",
@@ -147,11 +147,11 @@ def _check_kv_track(name: str, q: FeatureMap, k: FeatureMap, v: FeatureMap) -> N
 
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
-    # These contraction layouts reproduce the per-head 2-D matmul bit for
-    # bit; contracting against k directly ("hmd,htd->hmt") does not.
-    logits = np.einsum("hmd,hdt->hmt", q, np.ascontiguousarray(k.transpose(0, 2, 1)))
+    # Contracting against a contiguous k^T reproduces the per-head 2-D matmul
+    # bit for bit; contracting against k directly ("hmd,htd->hmt") does not.
+    logits = _contract(q, np.ascontiguousarray(k.transpose(0, 2, 1)))
     logits *= scale
-    return np.einsum("hmt,htd->hmd", softmax_rows(logits), v)
+    return _contract(softmax_rows(logits), v)
 
 
 def siamese_attend(

@@ -119,6 +119,18 @@ class TestParseConfig:
         assert cfg == configure(ExperimentConfig(), [(key, value)])
         assert cfg != ExperimentConfig()
 
+    @pytest.mark.parametrize("key", sorted(SAMPLE_SETTINGS))
+    def test_empty_value_names_the_key(self, key):
+        with pytest.raises(ConfigError, match=repr(key)):
+            parse_config(None, [f"{key}="])
+        with pytest.raises(ConfigError, match=repr(key)):
+            configure(ExperimentConfig(), [(key, " \t")])
+
+    def test_file_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_bytes("seed = 3\n".encode("utf-8-sig"))
+        assert parse_config(path).seed == 3
+
 
 class TestMainExitCodes:
     def test_run_ok(self, tmp_path, capsys):
@@ -135,6 +147,15 @@ class TestMainExitCodes:
     def test_missing_config_file_is_1(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "nope.cfg")])
         assert rc == 1
+
+    def test_empty_dump_dir_is_1_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["run", "--set", "dump_dir=", "--set", "timesteps=2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "'dump_dir'" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_sweep_param_is_1(self, tmp_path, capsys):
         rc = main(
@@ -269,6 +290,20 @@ class TestDumpMasksCommand:
             expected[name] = digest
         written = {
             p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / "m").iterdir()
+        }
+        assert written == expected
+
+
+    def test_seed0_trajectory_dump_matches_golden_digests(self, tmp_path):
+        assert main(["ddim-roundtrip", "--dump", "--set", "timesteps=8",
+                     "--set", f"dump_dir={tmp_path/'rt'}"]) == 0
+        expected = {}
+        for line in (GOLDEN / "roundtrip_dump.sha256").read_text().splitlines():
+            digest, name = line.split("  ")
+            expected[name] = digest
+        written = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in (tmp_path / "rt" / "trajectory").iterdir()
         }
         assert written == expected
 

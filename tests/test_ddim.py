@@ -9,12 +9,12 @@ from asi.ddim import (
     ddim_generate,
     ddim_invert,
     ddim_step,
-    dump_trajectory,
     forward_noise,
     make_schedule,
     predict_x0,
 )
 from asi.errors import ConfigError, ShapeError, TimestepError
+from asi.harness import dump_trajectory
 from asi.numeric import Matrix, Rng, randn_matrix
 from asi.tensorio import load_tensor
 

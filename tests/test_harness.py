@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,20 @@ class TestRunPipeline:
         run_pipeline(cfg_b)
         for name in ("report.csv", "ell.csv", "features_out.asit", "fused_mask.asit"):
             assert (cfg_a.dump_dir / name).read_bytes() == (cfg_b.dump_dir / name).read_bytes()
+
+    def test_peak_memory_does_not_grow_with_timesteps(self, tmp_path):
+        peaks = []
+        for timesteps in (2, 8):
+            cfg = ExperimentConfig(heads=8, head_dim=8, positions=256, tokens=8,
+                                   timesteps=timesteps, dump_dir=tmp_path / f"t{timesteps}")
+            tracemalloc.start()
+            try:
+                run_pipeline(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        latent_bytes = cfg.positions * cfg.model_dim * 8
+        assert abs(peaks[1] - peaks[0]) <= latent_bytes
 
     def test_layers_per_step_chains_features(self, tmp_path):
         cfg1 = small_cfg(tmp_path, timesteps=2)
