@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInputError, ShapeError
+from .errors import ConfigError, DegenerateInputError, NonFiniteError, ShapeError
 from .numeric import Matrix, _contract, _validated_block
 from .sica import FeatureMap, siamese_attend
 
@@ -150,7 +150,10 @@ def _covariance(f: np.ndarray) -> np.ndarray:
 def _distance(f_s: np.ndarray, f_c: np.ndarray) -> np.ndarray:
     d = f_s.shape[-1]
     diff = _covariance(f_s) - _covariance(f_c)
-    return np.einsum("...ij,...ij->...", diff, diff) / (4.0 * d * d)
+    dist = np.einsum("...ij,...ij->...", diff, diff) / (4.0 * d * d)
+    if not np.isfinite(dist).all():  # head selection would fall to the tie-break alone
+        raise NonFiniteError("head distance is not finite (covariance difference overflowed)")
+    return dist
 
 
 def _adain(f_c: np.ndarray, f_s: np.ndarray, eps: float) -> np.ndarray:

@@ -59,12 +59,15 @@ def _parse_kv_line(line: str, origin: str) -> tuple[str, str] | None:
 def parse_config(path: str | Path | None, overrides: Sequence[str] = ()) -> ExperimentConfig:
     """Build a validated config from an optional file plus override strings.
 
-    Raises FileNotFoundError for a missing file and ConfigError, naming the
-    offending key, for unknown keys or unparseable values.
+    Raises FileNotFoundError for a missing file, and ConfigError naming the
+    file if it is not UTF-8 or the offending key for unknown or bad values.
     """
     pairs: list[tuple[str, str]] = []
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        try:
+            text = Path(path).read_text(encoding="utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
         for lineno, line in enumerate(text.splitlines(), start=1):
             parsed = _parse_kv_line(line, f"{path}:{lineno}")
             if parsed:

@@ -35,11 +35,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-step noise rates: beta[t-1] and alpha[t-1] for t in [1, T];
-    alpha_bar[t] is the cumulative retention product with alpha_bar[0] = 1."""
+    """Per-step noise rates: beta[t-1] for t in [1, T]; alpha_bar[t] is the
+    cumulative retention product of 1 - beta with alpha_bar[0] = 1."""
 
     beta: np.ndarray
-    alpha: np.ndarray
     alpha_bar: np.ndarray
 
     @property
@@ -64,7 +63,7 @@ def make_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> N
     beta = np.linspace(beta_start, beta_end, T)
     alpha = 1.0 - beta
     alpha_bar = np.concatenate(([1.0], np.cumprod(alpha)))
-    return NoiseSchedule(beta=beta, alpha=alpha, alpha_bar=alpha_bar)
+    return NoiseSchedule(beta=beta, alpha_bar=alpha_bar)
 
 
 @dataclass(frozen=True)

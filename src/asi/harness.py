@@ -86,6 +86,8 @@ class ExperimentConfig:
             raise ConfigError(f"perturbation must be finite and >= 0, got {self.perturbation}")
         if self.blend.n > self.heads:
             raise ConfigError(f"n={self.blend.n} exceeds heads={self.heads}")
+        if "\0" in str(self.dump_dir):
+            raise ConfigError(f"dump_dir must not contain a NUL byte, got {str(self.dump_dir)!r}")
         object.__setattr__(self, "dump_dir", Path(self.dump_dir))
 
     @property

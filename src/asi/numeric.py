@@ -44,23 +44,6 @@ class Matrix:
     def __init__(self, values) -> None:
         self._a = _validated_block("Matrix", values, 2)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(np.zeros((rows, cols)))
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(np.eye(n))
-
-    @classmethod
-    def from_flat(cls, rows: int, cols: int, flat) -> "Matrix":
-        data = np.asarray(flat, dtype=np.float64)
-        if data.ndim != 1 or data.size != rows * cols:
-            raise ShapeError(
-                f"flat data of length {data.size} cannot fill a {rows}x{cols} matrix"
-            )
-        return cls(data.reshape(rows, cols))
-
     @property
     def rows(self) -> int:
         return self._a.shape[0]
@@ -73,11 +56,6 @@ class Matrix:
     def a(self) -> np.ndarray:
         """Read-only 2-D view of the entries."""
         return self._a
-
-    @property
-    def data(self) -> np.ndarray:
-        """Read-only row-major flat view of the entries."""
-        return self._a.reshape(-1)
 
     def transpose(self) -> "Matrix":
         return Matrix(self._a.T)
@@ -188,9 +166,6 @@ class Rng:
         u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
         u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * _INV_2_53
         return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
-
-    def normal(self) -> float:
-        return float(self.normals(1)[0])
 
 
 def randn_matrix(rng: Rng, rows: int, cols: int) -> Matrix:

@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import NonFiniteError
+
 MAGIC = b"ASIT"
 VERSION = 1
 
@@ -27,17 +29,20 @@ __all__ = ["MAGIC", "VERSION", "save_tensor", "load_tensor"]
 
 
 def save_tensor(path: str | Path, array: np.ndarray) -> Path:
-    """Write `array` (any rank from 1 to 255) to `path`; returns the path."""
+    """Write `array` (rank 1 to 255, finite as float32) to `path`; returns the path."""
     a = np.ascontiguousarray(array, dtype=np.float64)
     if a.ndim < 1 or a.ndim > 255:
         raise ValueError(f"tensor rank must be in [1, 255], got {a.ndim}")
     if any(dim > 0xFFFFFFFF for dim in a.shape):
         raise ValueError(f"dimension too large for uint32 header: {a.shape}")
+    with np.errstate(over="ignore"):
+        values = a.astype("<f4")
+    if not np.isfinite(values).all():
+        raise NonFiniteError(f"{path}: values must be finite as float32 (NaN, Inf or overflow)")
     path = Path(path)
     header = MAGIC + struct.pack("<BB", VERSION, a.ndim)
     header += struct.pack(f"<{a.ndim}I", *a.shape)
-    payload = a.astype("<f4").tobytes(order="C")
-    path.write_bytes(header + payload)
+    path.write_bytes(header + values.tobytes(order="C"))
     return path
 
 

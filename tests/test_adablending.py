@@ -20,7 +20,7 @@ from asi.adablending import (
     head_distance,
     head_distances,
 )
-from asi.errors import ConfigError, DegenerateInputError, ShapeError
+from asi.errors import ConfigError, DegenerateInputError, NonFiniteError, ShapeError
 from asi.numeric import Matrix, Rng, matmul, randn_matrix, softmax_rows
 from asi.sica import FeatureMap, siamese_attend
 
@@ -120,7 +120,15 @@ class TestHeadDistance:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            head_distance(Matrix.zeros(3, 2), Matrix.zeros(3, 3))
+            head_distance(Matrix(np.zeros((3, 2))), Matrix(np.zeros((3, 3))))
+
+    def test_overflow_is_an_error_not_inf(self):
+        # Finite blocks whose covariance gap squares past float64 range.
+        big, unit = np.array([[1e80], [-1e80]]), np.array([[1.0], [-1.0]])
+        with pytest.raises(NonFiniteError, match="finite"):
+            head_distance(Matrix(big), Matrix(unit))
+        with pytest.raises(NonFiniteError, match="finite"):
+            head_distances(FeatureMap(np.stack([unit, big])), FeatureMap(np.stack([unit, unit])))
 
 
 class TestHeadMaskExtraction:
@@ -291,7 +299,7 @@ class TestAdain:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            adain(Matrix.zeros(3, 2), Matrix.zeros(2, 2), eps=1e-5)
+            adain(Matrix(np.zeros((3, 2))), Matrix(np.zeros((2, 2))), eps=1e-5)
 
 
 class TestBlend:

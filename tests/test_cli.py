@@ -157,6 +157,27 @@ class TestMainExitCodes:
         assert "'dump_dir'" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            (b"timesteps = 2  # caf\xe9\n", "c.cfg"),
+            (b"timesteps = 2\ndump_dir = a\x00b\n", "dump_dir"),
+        ],
+        ids=["not_utf8", "nul_in_dump_dir"],
+    )
+    def test_unusable_config_file_is_1_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys, text, named
+    ):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "c.cfg"
+        path.write_bytes(text)
+        rc = main(["run", "--config", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert named in err
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_unknown_sweep_param_is_1(self, tmp_path, capsys):
         rc = main(
             ["sweep", "--param", "heads", "--values", "1,2",
@@ -174,6 +195,10 @@ class TestMainExitCodes:
             ("alpha=inf", 1),
             # finite, but the style features overflow mid-run
             ("perturbation=1e300", 2),
+            # finite float64 features, but beyond float32 range in features_out.asit
+            ("perturbation=1e40", 2),
+            # finite features, but the head distances overflow
+            ("perturbation=1e80", 2),
         ],
     )
     def test_non_finite_values_end_in_one_line_error(self, tmp_path, capsys, override, expected_rc):

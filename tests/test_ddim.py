@@ -74,12 +74,12 @@ class TestForwardNoise:
         rng = Rng(41)
         x0 = randn_matrix(rng, 2, 2)
         sched = make_schedule(4)
-        out = forward_noise(x0, 3, Matrix.zeros(2, 2), sched)
+        out = forward_noise(x0, 3, Matrix(np.zeros((2, 2))), sched)
         assert np.array_equal(out.a, np.sqrt(sched.bar(3)) * x0.a)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            forward_noise(Matrix.zeros(2, 2), 1, Matrix.zeros(3, 2), make_schedule(2))
+            forward_noise(Matrix(np.zeros((2, 2))), 1, Matrix(np.zeros((3, 2))), make_schedule(2))
 
     def test_variance_preservation(self):
         rng = Rng(42)
@@ -106,7 +106,7 @@ class TestPredictX0:
     def test_zero_eps_prediction(self):
         sched = make_schedule(3)
         x_t = Matrix([[2.0, -1.0]])
-        out = predict_x0(x_t, Matrix.zeros(1, 2), 2, sched)
+        out = predict_x0(x_t, Matrix(np.zeros((1, 2))), 2, sched)
         assert np.array_equal(out.a, x_t.a / np.sqrt(sched.bar(2)))
 
     def test_scalar_case(self):
@@ -147,7 +147,7 @@ class TestDdimStep:
 
     def test_timestep_ordering_enforced(self):
         sched = make_schedule(5)
-        x = Matrix.zeros(1, 1)
+        x = Matrix(np.zeros((1, 1)))
         for t, t_prev in [(3, 3), (2, 4), (6, 1), (0, -1)]:
             with pytest.raises(TimestepError):
                 ddim_step(x, x, t, t_prev, sched)
@@ -211,7 +211,7 @@ class TestInversion:
 
     def test_oracle_shape_check(self):
         with pytest.raises(ShapeError):
-            OracleDenoiser(true_noise=Matrix.zeros(2, 2), true_x0=Matrix.zeros(3, 2))
+            OracleDenoiser(true_noise=Matrix(np.zeros((2, 2))), true_x0=Matrix(np.zeros((3, 2))))
 
 
 class TestTrajectoryDump:
@@ -239,6 +239,6 @@ class TestTrajectoryDump:
 
 
 def test_latent_state_is_frozen():
-    state = LatentState(3, Matrix.zeros(1, 1))
+    state = LatentState(3, Matrix(np.zeros((1, 1))))
     with pytest.raises(AttributeError):
         state.t = 4

@@ -36,11 +36,6 @@ class TestMatrix:
         with pytest.raises(ValueError):
             Matrix([[float("inf"), 0.0]])
 
-    def test_data_is_row_major(self):
-        m = Matrix([[1.0, 2.0], [3.0, 4.0]])
-        assert list(m.data) == [1.0, 2.0, 3.0, 4.0]
-        assert m.data.size == m.rows * m.cols
-
     def test_immutable(self):
         m = Matrix([[1.0, 2.0]])
         with pytest.raises(ValueError):
@@ -53,14 +48,10 @@ class TestMatrix:
         assert "9x9" in big
         assert "0." not in big
 
-    def test_from_flat_checks_length(self):
-        with pytest.raises(ShapeError):
-            Matrix.from_flat(2, 2, [1.0, 2.0, 3.0])
-
 
 class TestMatmul:
     def test_identity(self):
-        out = matmul(Matrix.identity(2), Matrix([[5.0, 6.0], [7.0, 8.0]]))
+        out = matmul(Matrix(np.eye(2)), Matrix([[5.0, 6.0], [7.0, 8.0]]))
         assert np.array_equal(out.a, [[5.0, 6.0], [7.0, 8.0]])
 
     def test_row_times_column(self):
@@ -71,13 +62,13 @@ class TestMatmul:
         assert out.a[0, 0] == 11.0
 
     def test_zero_row_annihilates(self):
-        zero = Matrix.zeros(1, 3)
+        zero = Matrix(np.zeros((1, 3)))
         other = Matrix(np.arange(12, dtype=float).reshape(3, 4))
         assert np.array_equal(matmul(zero, other).a, np.zeros((1, 4)))
 
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"2x3.*4x5"):
-            matmul(Matrix.zeros(2, 3), Matrix.zeros(4, 5))
+            matmul(Matrix(np.zeros((2, 3))), Matrix(np.zeros((4, 5))))
 
     def test_overflow_is_an_error_not_inf(self):
         huge = Matrix([[1e300, 1e300]])
@@ -165,7 +156,7 @@ class TestRng:
         rng = Rng(42)
         with pytest.raises(MemoryError):
             rng.normals(2**62)
-        assert rng.normal() == Rng(42).normal()  # the failed draw consumed nothing
+        assert rng.normals(1)[0] == Rng(42).normals(1)[0]  # the failed draw consumed nothing
 
     def test_moments_at_scale(self):
         m = randn_matrix(Rng(7), 256, 256)
@@ -179,7 +170,7 @@ class TestRng:
     def test_scalar_draws_match_block_draws(self):
         block = Rng(9).normals(5)
         rng = Rng(9)
-        singles = [rng.normal() for _ in range(5)]
+        singles = [rng.normals(1)[0] for _ in range(5)]
         assert np.array_equal(block, np.array(singles))
 
     def test_uniform_range(self):

@@ -15,7 +15,7 @@ from oracles import project_and_split, reference_attention
 
 
 def identity_params(heads: int, head_dim: int) -> AttentionParams:
-    eye = Matrix.identity(heads * head_dim)
+    eye = Matrix(np.eye(heads * head_dim))
     return AttentionParams(w_q=eye, w_k=eye, w_v=eye, heads=heads, head_dim=head_dim)
 
 
@@ -48,7 +48,7 @@ class TestFeatureMap:
 
     def test_split_requires_divisible_channels(self):
         with pytest.raises(ShapeError):
-            FeatureMap.from_matrix(Matrix.zeros(2, 5), heads=2)
+            FeatureMap.from_matrix(Matrix(np.zeros((2, 5))), heads=2)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -63,9 +63,9 @@ class TestFeatureMap:
 
 class TestAttentionParams:
     def test_rejects_mismatched_projection(self):
-        eye = Matrix.identity(4)
+        eye = Matrix(np.eye(4))
         with pytest.raises(ShapeError, match="w_k"):
-            AttentionParams(w_q=eye, w_k=Matrix.identity(3), w_v=eye, heads=2, head_dim=2)
+            AttentionParams(w_q=eye, w_k=Matrix(np.eye(3)), w_v=eye, heads=2, head_dim=2)
 
     def test_model_dim(self):
         assert identity_params(2, 3).model_dim == 6
@@ -115,9 +115,9 @@ class TestProjections:
 
     def test_wrong_channel_count_raises(self):
         with pytest.raises(ShapeError):
-            project_q(Matrix.zeros(2, 5), identity_params(2, 2))
+            project_q(Matrix(np.zeros((2, 5))), identity_params(2, 2))
         with pytest.raises(ShapeError):
-            project_kv(Matrix.zeros(2, 5), identity_params(2, 2))
+            project_kv(Matrix(np.zeros((2, 5))), identity_params(2, 2))
 
 
 def random_tracks(seed, heads=2, m=3, d=2, tokens_style=2, tokens_content=4):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from asi.errors import NonFiniteError
 from asi.tensorio import MAGIC, load_tensor, save_tensor
 
 
@@ -69,6 +70,17 @@ def test_truncated_header(tmp_path, size):
     with pytest.raises(ValueError, match="truncated") as info:
         load_tensor(path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "values", [[1e39], [0.0, -1e39], [float("nan")]], ids=["above", "below", "nan"]
+)
+def test_values_not_finite_as_float32_raise_and_write_nothing(tmp_path, values):
+    path = tmp_path / "t.asit"
+    with pytest.raises(NonFiniteError, match="finite") as info:
+        save_tensor(path, np.array(values))
+    assert str(path) in str(info.value)
+    assert not path.exists()
 
 
 def test_mask_values_survive_exactly(tmp_path):
