@@ -10,7 +10,8 @@ features, and adaptive instance normalization decides what gets written:
   strictly exceeds alpha times the channel's spatial maximum are treated as
   load-bearing structure and preserved (mask 0 means preserve).
 
-The two masks are fused elementwise (OR by default) and the blend copies the
+The two masks are fused elementwise by OR (a coordinate blends when its head
+is selected or its position is not preserved), and the blend copies the
 content value where the fused mask is 0 and the style-normalized value where
 it is 1. Masks are materialized as dense {0, 1} blocks of the full
 heads x positions x head_dim shape so fusion and blending stay shape-uniform.
@@ -30,8 +31,7 @@ from .sica import FeatureMap, siamese_attend
 __all__ = [
     "BlendConfig",
     "HeadMask",
-    "SpatialMask",
-    "FusedMask",
+    "BlendMask",
     "AsiLayerResult",
     "covariance",
     "head_distance",
@@ -53,15 +53,11 @@ class BlendConfig:
     alpha: spatial threshold coefficient; positions above alpha * channel max
         are preserved.
     eps: guard added to the normalizing standard deviation's denominator.
-    fusion: "or" combines the masks permissively (a selected head blends at
-        every position); "and" is the conservative variant requiring both
-        masks to agree.
     """
 
     n: int = 6
     alpha: float = 0.7
     eps: float = 1e-5
-    fusion: str = "or"
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -70,8 +66,6 @@ class BlendConfig:
             raise ConfigError(f"alpha must be finite and > 0, got {self.alpha}")
         if not (self.eps > 0 and math.isfinite(self.eps)):
             raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
-        if self.fusion not in ("or", "and"):
-            raise ConfigError(f"fusion must be 'or' or 'and', got {self.fusion!r}")
 
 
 @dataclass(frozen=True)
@@ -96,31 +90,17 @@ class HeadMask:
         )
 
 
-def _validate_binary_block(name: str, data: np.ndarray) -> np.ndarray:
-    a = _validated_block(name, data, 3)
-    if not np.isin(a, (0.0, 1.0)).all():
-        raise ValueError(f"{name} entries must be exactly 0.0 or 1.0")
-    return a
-
-
 @dataclass(frozen=True)
-class SpatialMask:
-    """Dense {0, 1} block; 0 marks positions preserved as crucial structure."""
-
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "data", _validate_binary_block("SpatialMask", self.data))
-
-
-@dataclass(frozen=True)
-class FusedMask:
+class BlendMask:
     """Dense {0, 1} block; 1 means blend style in, 0 means keep content."""
 
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "data", _validate_binary_block("FusedMask", self.data))
+        a = _validated_block("BlendMask", self.data, 3)
+        if not np.isin(a, (0.0, 1.0)).all():
+            raise ValueError("BlendMask entries must be exactly 0.0 or 1.0")
+        object.__setattr__(self, "data", a)
 
     @property
     def blended_fraction(self) -> float:
@@ -206,7 +186,7 @@ def extract_head_mask(f_s: FeatureMap, f_c: FeatureMap, cfg: BlendConfig) -> Hea
     return _select_top_heads(head_distances(f_s, f_c), cfg.n)
 
 
-def extract_spatial_mask(f_c: FeatureMap, cfg: BlendConfig) -> SpatialMask:
+def extract_spatial_mask(f_c: FeatureMap, cfg: BlendConfig) -> BlendMask:
     """Zero out (preserve) positions strictly above alpha times the channel max.
 
     The criteria point per head and channel is the max over positions of the
@@ -218,25 +198,20 @@ def extract_spatial_mask(f_c: FeatureMap, cfg: BlendConfig) -> SpatialMask:
     """
     peaks = f_c.a.max(axis=1, keepdims=True)
     tau = cfg.alpha * peaks
-    return SpatialMask(np.where(f_c.a > tau, 0.0, 1.0))
+    return BlendMask(np.where(f_c.a > tau, 0.0, 1.0))
 
 
-def fuse_masks(head: HeadMask, spatial: SpatialMask, fusion: str = "or") -> FusedMask:
-    """Combine the two masks elementwise.
+def fuse_masks(head: HeadMask, spatial: BlendMask) -> BlendMask:
+    """Combine the two masks elementwise by OR.
 
-    With "or" (the default), selected heads blend at every position and
-    unselected heads blend only where the spatial mask permits. "and" is the
-    conservative variant: only coordinates both masks agree on are blended.
+    Selected heads blend at every position; unselected heads blend only where
+    the spatial mask permits.
     """
     h = spatial.data.shape[0]
     if head.heads != h:
         raise ShapeError(f"head mask has {head.heads} heads, spatial mask has {h}")
     flags = np.asarray(head.selected, dtype=np.float64)[:, None, None]
-    if fusion == "or":
-        return FusedMask(np.maximum(flags, spatial.data))
-    if fusion == "and":
-        return FusedMask(np.minimum(flags, spatial.data))
-    raise ConfigError(f"fusion must be 'or' or 'and', got {fusion!r}")
+    return BlendMask(np.maximum(flags, spatial.data))
 
 
 def adain(f_c_head: Matrix, f_s_head: Matrix, eps: float) -> Matrix:
@@ -252,7 +227,7 @@ def adain(f_c_head: Matrix, f_s_head: Matrix, eps: float) -> Matrix:
     return Matrix(_adain(f_c_head.a, f_s_head.a, eps))
 
 
-def blend(f_c: FeatureMap, f_s: FeatureMap, mask: FusedMask, cfg: BlendConfig) -> FeatureMap:
+def blend(f_c: FeatureMap, f_s: FeatureMap, mask: BlendMask, cfg: BlendConfig) -> FeatureMap:
     """Mask-guided interpolation between content and style-normalized features.
 
     Because the mask is binary, the blend is implemented as coordinate
@@ -275,8 +250,8 @@ class AsiLayerResult:
     f_c: FeatureMap
     distances: np.ndarray
     head_mask: HeadMask
-    spatial_mask: SpatialMask
-    fused_mask: FusedMask
+    spatial_mask: BlendMask
+    fused_mask: BlendMask
 
 
 def asi_layer(
@@ -292,7 +267,7 @@ def asi_layer(
     distances = head_distances(f_s, f_c)
     head_mask = _select_top_heads(distances, cfg.n)
     spatial_mask = extract_spatial_mask(f_c, cfg)
-    fused = fuse_masks(head_mask, spatial_mask, cfg.fusion)
+    fused = fuse_masks(head_mask, spatial_mask)
     f_out = blend(f_c, f_s, fused, cfg)
     return AsiLayerResult(
         f_out=f_out,

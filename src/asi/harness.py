@@ -35,7 +35,7 @@ from .ddim import (
 )
 from .errors import ConfigError
 from .numeric import Matrix, Rng, randn_matrix
-from .sica import AttentionParams, FeatureMap, project_kv, project_q, siamese_attend
+from .sica import AttentionParams, project_kv, project_q, siamese_attend
 from .tensorio import save_tensor
 
 __all__ = [
@@ -284,31 +284,32 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
         features = x
         for _ in range(cfg.layers_per_step):
             q = project_q(features, inputs.params)
-            result = None  # free the previous layer's blocks before the next are built
+            result = block = None  # free the previous layer's blocks before the next are built
             if cfg.apply_asi:
                 result = asi_layer(q, k_s, v_s, k_c, v_c, cfg.blend)
                 step_ell = result.distances
                 step_blended = result.fused_mask.blended_fraction
                 step_mse = _preserved_mse(result)
-                features = result.f_out.merge_heads()
+                block = result.f_out
             else:
                 f_s, f_c = siamese_attend(q, k_s, v_s, k_c, v_c)
                 step_ell = head_distances(f_s, f_c)
                 step_blended = 0.0
                 step_mse = 0.0
-                features = f_c.merge_heads()
+                block = f_c
+            features = block.merge_heads()
         rows.append((t, tuple(float(e) for e in step_ell), step_blended, step_mse))
 
     out_dir = cfg.dump_dir
     out_dir.mkdir(parents=True, exist_ok=True)
+    # Written first: save_tensor rejects a non-finite block before it opens the
+    # file, so a failed run leaves the directory as it was.
+    feature_path = save_tensor(out_dir / "features_out.asit", block.a)
     header = ["step", *(f"ell_{i}" for i in range(cfg.heads)), "blended_fraction", "preserved_mse"]
     _write_csv(out_dir / "report.csv", header, [(t, *ell, b, mse) for t, ell, b, mse in rows])
     _write_csv(out_dir / "ell.csv", ["head_index", "ell"], enumerate(rows[-1][1]))
     if result is not None:
         write_mask_artifacts(out_dir, result)
-    feature_path = save_tensor(
-        out_dir / "features_out.asit", FeatureMap.from_matrix(features, cfg.heads).a
-    )
 
     return RunReport(
         per_step_ell=tuple(r[1] for r in rows),

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from asi.adablending import (
     BlendConfig,
-    FusedMask,
+    BlendMask,
     HeadMask,
-    SpatialMask,
     adain,
     asi_layer,
     blend,
@@ -225,19 +224,19 @@ class TestSpatialMaskExtraction:
 
 class TestMaskFusion:
     def test_selected_head_absorbs_spatial(self):
-        spatial = SpatialMask(np.array([[[0.0, 1.0], [1.0, 0.0]]]))
+        spatial = BlendMask(np.array([[[0.0, 1.0], [1.0, 0.0]]]))
         fused = fuse_masks(HeadMask(selected=(True,)), spatial)
         assert np.array_equal(fused.data, np.ones((1, 2, 2)))
 
     def test_unselected_head_passes_spatial_through(self):
-        spatial = SpatialMask(np.array([[[0.0, 1.0], [1.0, 0.0]]]))
+        spatial = BlendMask(np.array([[[0.0, 1.0], [1.0, 0.0]]]))
         fused = fuse_masks(HeadMask(selected=(False,)), spatial)
         assert np.array_equal(fused.data, spatial.data)
 
     def test_matches_boolean_oracle(self):
         rng = Rng(29)
         head = HeadMask(selected=tuple(u < 0.5 for u in rng.uniforms(4)))
-        spatial = SpatialMask((rng.uniforms(4 * 5 * 3) < 0.5).astype(float).reshape(4, 5, 3))
+        spatial = BlendMask((rng.uniforms(4 * 5 * 3) < 0.5).astype(float).reshape(4, 5, 3))
         fused = fuse_masks(head, spatial)
         for i in range(4):
             for p in range(5):
@@ -245,23 +244,16 @@ class TestMaskFusion:
                     expected = 1.0 if (head.selected[i] or spatial.data[i, p, c] == 1.0) else 0.0
                     assert fused.data[i, p, c] == expected
 
-    def test_and_mode(self):
-        spatial = SpatialMask(np.array([[[0.0, 1.0], [1.0, 0.0]]]))
-        fused = fuse_masks(HeadMask(selected=(True,)), spatial, fusion="and")
-        assert np.array_equal(fused.data, spatial.data)
-        fused_off = fuse_masks(HeadMask(selected=(False,)), spatial, fusion="and")
-        assert np.array_equal(fused_off.data, np.zeros((1, 2, 2)))
-
     def test_head_count_mismatch(self):
-        spatial = SpatialMask(np.zeros((2, 2, 2)))
+        spatial = BlendMask(np.zeros((2, 2, 2)))
         with pytest.raises(ShapeError):
             fuse_masks(HeadMask(selected=(True,)), spatial)
 
     def test_masks_must_be_binary(self):
         with pytest.raises(ValueError):
-            SpatialMask(np.full((1, 2, 2), 0.5))
+            BlendMask(np.full((1, 2, 2), 0.5))
         with pytest.raises(ValueError):
-            FusedMask(np.full((1, 2, 2), 2.0))
+            BlendMask(np.full((1, 2, 2), 2.0))
 
 
 class TestAdain:
@@ -311,14 +303,14 @@ class TestBlend:
 
     def test_zero_mask_preserves_content_bitwise(self):
         f_c, f_s = self._setup()
-        mask = FusedMask(np.zeros(f_c.a.shape))
+        mask = BlendMask(np.zeros(f_c.a.shape))
         out = blend(f_c, f_s, mask, BlendConfig())
         assert np.array_equal(out.a, f_c.a)
 
     def test_ones_mask_is_pure_adain(self):
         f_c, f_s = self._setup()
         cfg = BlendConfig()
-        mask = FusedMask(np.ones(f_c.a.shape))
+        mask = BlendMask(np.ones(f_c.a.shape))
         out = blend(f_c, f_s, mask, cfg)
         for i in range(f_c.heads):
             assert np.array_equal(out.a[i], adain(f_c.head(i), f_s.head(i), cfg.eps).a)
@@ -340,18 +332,20 @@ class TestBlend:
     def test_style_equals_content_is_noop(self):
         f_c, _ = self._setup(seed=34)
         cfg = BlendConfig(eps=1e-9)
-        mask = FusedMask((Rng(1).uniforms(f_c.a.size) < 0.5).astype(float).reshape(f_c.a.shape))
+        mask = BlendMask((Rng(1).uniforms(f_c.a.size) < 0.5).astype(float).reshape(f_c.a.shape))
         out = blend(f_c, f_c, mask, cfg)
         assert np.abs(out.a - f_c.a).max() < 1e-6
 
     def test_mask_shape_mismatch(self):
         f_c, f_s = self._setup()
         with pytest.raises(ShapeError):
-            blend(f_c, f_s, FusedMask(np.zeros((1, 2, 2))), BlendConfig())
+            blend(f_c, f_s, BlendMask(np.zeros((1, 2, 2))), BlendConfig())
 
 
 class TestWholeBlock:
-    @pytest.mark.parametrize("h, m, d, t", [(1, 2, 1, 1), (3, 17, 5, 7), (8, 1024, 40, 77)])
+    @pytest.mark.parametrize(
+        "h, m, d, t", [(1, 2, 1, 1), (3, 17, 5, 7), (8, 1024, 40, 77), (16, 256, 16, 16)]
+    )
     def test_equals_per_head_bitwise(self, h, m, d, t):
         rng = Rng(35)
         q = random_feature_map(rng, h, m, d)
@@ -359,7 +353,7 @@ class TestWholeBlock:
         f_s, f_c = siamese_attend(q, k_s, v_s, k_c, v_c)
         distances = head_distances(f_s, f_c)
         cfg = BlendConfig()
-        out = blend(f_c, f_s, FusedMask(np.ones(f_c.a.shape)), cfg)
+        out = blend(f_c, f_s, BlendMask(np.ones(f_c.a.shape)), cfg)
         scale = 1.0 / math.sqrt(d)
         for i in range(h):
             for f, k, v in ((f_s, k_s, v_s), (f_c, k_c, v_c)):
@@ -388,7 +382,7 @@ class TestAsiLayer:
         f_s, f_c = siamese_attend(q, k_s, v_s, k_c, v_c)
         head = extract_head_mask(f_s, f_c, cfg)
         spatial = extract_spatial_mask(f_c, cfg)
-        fused = fuse_masks(head, spatial, cfg.fusion)
+        fused = fuse_masks(head, spatial)
         expected = blend(f_c, f_s, fused, cfg)
 
         assert np.array_equal(result.f_s.a, f_s.a)
@@ -445,16 +439,12 @@ def edge_layer_inputs(draw):
 
 
 class TestAsiLayerShapeEdges:
-    @given(
-        operands=edge_layer_inputs(),
-        select_all=st.booleans(),
-        fusion=st.sampled_from(["or", "and"]),
-    )
+    @given(operands=edge_layer_inputs(), select_all=st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_layer_invariants(self, operands, select_all, fusion):
+    def test_layer_invariants(self, operands, select_all):
         q = operands[0]
         n = q.heads if select_all else 0
-        cfg = BlendConfig(n=n, fusion=fusion)
+        cfg = BlendConfig(n=n)
         result = asi_layer(*operands, cfg)
         preserved = result.fused_mask.data == 0.0
         assert np.array_equal(result.f_out.a[preserved], result.f_c.a[preserved])
@@ -463,18 +453,18 @@ class TestAsiLayerShapeEdges:
             blended = ~preserved[i]
             assert np.array_equal(result.f_out.a[i][blended], styled[blended])
         assert result.head_mask.selected_count == n
-        if fusion == "or" and select_all:
+        if select_all:
             assert result.fused_mask.blended_fraction == 1.0
 
 
 class TestBlendConfig:
     def test_defaults(self):
         cfg = BlendConfig()
-        assert (cfg.n, cfg.alpha, cfg.eps, cfg.fusion) == (6, 0.7, 1e-5, "or")
+        assert (cfg.n, cfg.alpha, cfg.eps) == (6, 0.7, 1e-5)
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(n=-1), dict(alpha=0.0), dict(alpha=-1.0), dict(eps=0.0), dict(fusion="xor")],
+        [dict(n=-1), dict(alpha=0.0), dict(alpha=-1.0), dict(eps=0.0)],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ConfigError):

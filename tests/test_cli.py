@@ -33,7 +33,6 @@ SAMPLE_SETTINGS = {
     "n": "3",
     "alpha": "0.5",
     "eps": "0.001",
-    "fusion": "and",
 }
 
 
@@ -61,7 +60,7 @@ class TestParseConfig:
             "\n"
             "alpha = 0.5\n"
             "apply_asi = false\n"
-            "fusion = and\n"
+            "eps = 0.001\n"
         )
         cfg = parse_config(path)
         assert cfg.seed == 9
@@ -69,7 +68,7 @@ class TestParseConfig:
         assert cfg.blend.n == 2
         assert cfg.blend.alpha == 0.5
         assert cfg.apply_asi is False
-        assert cfg.blend.fusion == "and"
+        assert cfg.blend.eps == 0.001
 
     def test_overrides_win_over_file(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -208,6 +207,19 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "finite" in err
+
+    def test_failed_run_leaves_earlier_output_unchanged(self, tmp_path, capsys):
+        out = tmp_path / "out"
+
+        def digests():
+            return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+        assert main(["run", "--set", "timesteps=2", "--set", f"dump_dir={out}"]) == 0
+        before = digests()
+        rc = main(["run", "--set", "timesteps=2", "--set", "perturbation=1e40",
+                   "--set", f"dump_dir={out}"])
+        assert rc == 2
+        assert digests() == before
 
     @pytest.mark.parametrize(
         "overrides",

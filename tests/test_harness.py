@@ -322,13 +322,13 @@ class TestSweep:
 
 class TestConfigure:
     def test_keeps_settings_not_named(self):
-        base = ExperimentConfig(seed=5, blend=BlendConfig(fusion="and"))
+        base = ExperimentConfig(seed=5, blend=BlendConfig(eps=0.001))
         cfg = configure(base, [("alpha", 1)])
-        assert (cfg.seed, cfg.blend.fusion, cfg.blend.alpha) == (5, "and", 1.0)
+        assert (cfg.seed, cfg.blend.eps, cfg.blend.alpha) == (5, 0.001, 1.0)
 
     @pytest.mark.parametrize(
         "key, value", [("bogus", "1"), ("blend", "x"), ("heads", "four"), ("n", 0.5),
-                       ("apply_asi", "maybe"), ("seed", True)]
+                       ("apply_asi", "maybe"), ("seed", True), ("fusion", "or")]
     )
     def test_bad_setting_names_the_key(self, key, value):
         with pytest.raises(ConfigError, match=repr(key)):
