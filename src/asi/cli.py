@@ -123,7 +123,6 @@ def _cmd_dump_masks(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     k_s, v_s = project_kv(inputs.style_prompt, inputs.params)
     k_c, v_c = project_kv(inputs.content_prompt, inputs.params)
     result = asi_layer(q, k_s, v_s, k_c, v_c, cfg.blend)
-    cfg.dump_dir.mkdir(parents=True, exist_ok=True)
     write_mask_artifacts(cfg.dump_dir, result)
     print(f"masks written to {cfg.dump_dir} (heads selected: {result.head_mask.selected_count})")
     return 0

@@ -35,7 +35,7 @@ from .ddim import (
 )
 from .errors import ConfigError
 from .numeric import Matrix, Rng, randn_matrix
-from .sica import AttentionParams, project_kv, project_q, siamese_attend
+from .sica import AttentionParams, attend, project_kv, project_q, siamese_attend
 from .tensorio import save_tensor
 
 __all__ = [
@@ -215,7 +215,7 @@ def write_mask_artifacts(out_dir: Path, result: AsiLayerResult) -> None:
 
     Writes head_mask.asit, spatial_mask.asit and fused_mask.asit (each of
     shape heads x positions x head_dim) and mask_head_<i>.pgm for every
-    head i into the existing directory out_dir.
+    head i into out_dir, which is created if missing.
     """
     _, positions, head_dim = result.f_c.a.shape
     save_tensor(out_dir / "head_mask.asit", result.head_mask.dense(positions, head_dim))
@@ -282,7 +282,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     for t in range(cfg.timesteps, 0, -1):
         x = ddim_step(x, denoiser.predict(x, t), t, t - 1, sched)
         features = x
-        for _ in range(cfg.layers_per_step):
+        for layer in range(cfg.layers_per_step):
             q = project_q(features, inputs.params)
             result = block = None  # free the previous layer's blocks before the next are built
             if cfg.apply_asi:
@@ -291,19 +291,21 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
                 step_blended = result.fused_mask.blended_fraction
                 step_mse = _preserved_mse(result)
                 block = result.f_out
+            elif layer < cfg.layers_per_step - 1:
+                # Only the content track feeds the next layer; the style track
+                # and the distances are recorded for a step's final layer alone.
+                block = attend(q, k_c, v_c)
             else:
-                f_s, f_c = siamese_attend(q, k_s, v_s, k_c, v_c)
-                step_ell = head_distances(f_s, f_c)
+                f_s, block = siamese_attend(q, k_s, v_s, k_c, v_c)
+                step_ell = head_distances(f_s, block)
                 step_blended = 0.0
                 step_mse = 0.0
-                block = f_c
             features = block.merge_heads()
         rows.append((t, tuple(float(e) for e in step_ell), step_blended, step_mse))
 
     out_dir = cfg.dump_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # Written first: save_tensor rejects a non-finite block before it opens the
-    # file, so a failed run leaves the directory as it was.
+    # Written first: save_tensor rejects a non-finite block before it creates the
+    # directory or opens the file, so a failed run creates and changes nothing.
     feature_path = save_tensor(out_dir / "features_out.asit", block.a)
     header = ["step", *(f"ell_{i}" for i in range(cfg.heads)), "blended_fraction", "preserved_mse"]
     _write_csv(out_dir / "report.csv", header, [(t, *ell, b, mse) for t, ell, b, mse in rows])

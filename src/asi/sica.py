@@ -8,6 +8,13 @@ prompt and the content prompt respectively. Per head i:
     f^i = softmax(Q^i (K^i)^T / sqrt(d)) V^i
 
 with d the per-head channel dimension.
+
+Both products run with the m query positions as the innermost loop: the
+logits as K Q^T over a contiguous Q^T, the output as V^T P^T, each then
+turned back to (positions, ...) order. NumPy's einsum adds the products of
+each output element in order of the reduction index, multiply then add,
+whenever that index is not the innermost axis of both operands. So these
+layouts give the same bits as the per-head 2-D product Q K^T, then P V.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ __all__ = [
     "FeatureMap",
     "project_q",
     "project_kv",
+    "attend",
     "siamese_attend",
 ]
 
@@ -129,29 +137,29 @@ def project_kv(prompt: Matrix, params: AttentionParams) -> tuple[FeatureMap, Fea
     return k, v
 
 
-def _check_kv_track(name: str, q: FeatureMap, k: FeatureMap, v: FeatureMap) -> None:
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
+    # Logits as K Q^T, output as V^T P^T: einsum's inner loop runs over the m
+    # positions, and the reduced axis (d, then t) is never innermost in both
+    # operands, so each entry is summed in index order, bit for bit as the
+    # per-head 2-D Q K^T and P V. Q^T is copied contiguous because as a view,
+    # d would be innermost in both and einsum would sum it in another order.
+    # Softmax gets C-ordered logits: a row sum over a strided axis also would.
+    logits = _contract(k, np.ascontiguousarray(q.transpose(0, 2, 1))).transpose(0, 2, 1)
+    p = softmax_rows(np.multiply(logits, scale, order="C"))
+    return _contract(v.transpose(0, 2, 1), p.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+def attend(q: FeatureMap, k: FeatureMap, v: FeatureMap) -> FeatureMap:
+    """One attention track, softmax(Q K^T / sqrt(d)) V, for all heads at once."""
     if k.heads != q.heads or v.heads != q.heads:
-        raise ShapeError(
-            f"{name} branch head count mismatch: q has {q.heads}, "
-            f"k has {k.heads}, v has {v.heads}"
-        )
+        raise ShapeError(f"head count mismatch: q has {q.heads}, k has {k.heads}, v has {v.heads}")
     if k.head_dim != q.head_dim or v.head_dim != q.head_dim:
         raise ShapeError(
-            f"{name} branch head_dim mismatch: q has {q.head_dim}, "
-            f"k has {k.head_dim}, v has {v.head_dim}"
+            f"head_dim mismatch: q has {q.head_dim}, k has {k.head_dim}, v has {v.head_dim}"
         )
     if k.positions != v.positions:
-        raise ShapeError(
-            f"{name} branch token count mismatch: k has {k.positions}, v has {v.positions}"
-        )
-
-
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
-    # Contracting against a contiguous k^T reproduces the per-head 2-D matmul
-    # bit for bit; contracting against k directly ("hmd,htd->hmt") does not.
-    logits = _contract(q, np.ascontiguousarray(k.transpose(0, 2, 1)))
-    logits *= scale
-    return _contract(softmax_rows(logits), v)
+        raise ShapeError(f"token count mismatch: k has {k.positions}, v has {v.positions}")
+    return FeatureMap(_attend(q.a, k.a, v.a, 1.0 / math.sqrt(q.head_dim)))
 
 
 def siamese_attend(
@@ -165,12 +173,6 @@ def siamese_attend(
 
     Returns (style features, content features). The branches are fully
     independent apart from Q: the style and content prompts may have
-    different token counts, and each branch is the plain attention formula
-    softmax(Q K^T / sqrt(d)) V evaluated for all heads at once.
+    different token counts, and each branch is one :func:`attend` call.
     """
-    _check_kv_track("style", q, k_s, v_s)
-    _check_kv_track("content", q, k_c, v_c)
-    scale = 1.0 / math.sqrt(q.head_dim)
-    f_s = _attend(q.a, k_s.a, v_s.a, scale)
-    f_c = _attend(q.a, k_c.a, v_c.a, scale)
-    return FeatureMap(f_s), FeatureMap(f_c)
+    return attend(q, k_s, v_s), attend(q, k_c, v_c)

@@ -29,7 +29,11 @@ __all__ = ["MAGIC", "VERSION", "save_tensor", "load_tensor"]
 
 
 def save_tensor(path: str | Path, array: np.ndarray) -> Path:
-    """Write `array` (rank 1 to 255, finite as float32) to `path`; returns the path."""
+    """Write `array` (rank 1 to 255, finite as float32) to `path`; returns the path.
+
+    The payload is encoded and checked first, and `path`'s directory is created
+    only then, so a rejected array leaves the filesystem untouched.
+    """
     a = np.ascontiguousarray(array, dtype=np.float64)
     if a.ndim < 1 or a.ndim > 255:
         raise ValueError(f"tensor rank must be in [1, 255], got {a.ndim}")
@@ -39,9 +43,10 @@ def save_tensor(path: str | Path, array: np.ndarray) -> Path:
         values = a.astype("<f4")
     if not np.isfinite(values).all():
         raise NonFiniteError(f"{path}: values must be finite as float32 (NaN, Inf or overflow)")
-    path = Path(path)
     header = MAGIC + struct.pack("<BB", VERSION, a.ndim)
     header += struct.pack(f"<{a.ndim}I", *a.shape)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(header + values.tobytes(order="C"))
     return path
 

@@ -21,7 +21,7 @@ from asi.adablending import (
 )
 from asi.errors import ConfigError, DegenerateInputError, NonFiniteError, ShapeError
 from asi.numeric import Matrix, Rng, matmul, randn_matrix, softmax_rows
-from asi.sica import FeatureMap, siamese_attend
+from asi.sica import FeatureMap, attend, siamese_attend
 
 from oracles import frobenius_sq, reference_attention, two_pass_covariance
 
@@ -344,13 +344,23 @@ class TestBlend:
 
 class TestWholeBlock:
     @pytest.mark.parametrize(
-        "h, m, d, t", [(1, 2, 1, 1), (3, 17, 5, 7), (8, 1024, 40, 77), (16, 256, 16, 16)]
+        "h, m, d, t_s, t_c",
+        [
+            pytest.param(1, 2, 1, 1, 1, id="1-2-1-1"),
+            pytest.param(3, 17, 5, 7, 7, id="3-17-5-7"),
+            pytest.param(8, 1024, 40, 77, 77, id="8-1024-40-77"),
+            pytest.param(16, 256, 16, 16, 16, id="16-256-16-16"),
+            pytest.param(3, 17, 5, 2, 9, id="3-17-5-ragged-2-9"),
+        ],
     )
-    def test_equals_per_head_bitwise(self, h, m, d, t):
+    def test_equals_per_head_bitwise(self, h, m, d, t_s, t_c):
         rng = Rng(35)
         q = random_feature_map(rng, h, m, d)
-        k_s, v_s, k_c, v_c = (random_feature_map(rng, h, t, d) for _ in range(4))
+        k_s, v_s = (random_feature_map(rng, h, t_s, d) for _ in range(2))
+        k_c, v_c = (random_feature_map(rng, h, t_c, d) for _ in range(2))
         f_s, f_c = siamese_attend(q, k_s, v_s, k_c, v_c)
+        assert np.array_equal(attend(q, k_s, v_s).a, f_s.a)
+        assert np.array_equal(attend(q, k_c, v_c).a, f_c.a)
         distances = head_distances(f_s, f_c)
         cfg = BlendConfig()
         out = blend(f_c, f_s, BlendMask(np.ones(f_c.a.shape)), cfg)

@@ -221,6 +221,14 @@ class TestMainExitCodes:
         assert rc == 2
         assert digests() == before
 
+    def test_failed_run_creates_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["run", "--set", "timesteps=2", "--set", "perturbation=1e40",
+                   "--set", "dump_dir=fresh/out"])
+        assert rc == 2
+        assert not (tmp_path / "fresh" / "out").exists()
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "overrides",
         [

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asi.adablending import BlendConfig
+from asi.adablending import BlendConfig, head_distances
 from asi.ddim import OracleDenoiser, ddim_invert, ddim_step, make_schedule
 from asi.errors import ConfigError
 from asi.harness import (
@@ -109,36 +109,44 @@ class TestSynthInputs:
         assert digest.hexdigest() == expected
 
 
-def replay_content_branch(cfg: ExperimentConfig) -> np.ndarray:
-    """Recompose the pipeline's latent loop, keeping only the content track."""
+def replay_content_branch(cfg: ExperimentConfig) -> tuple[np.ndarray, list[tuple[float, ...]]]:
+    """Recompose the pipeline's latent loop with both tracks and the distances on every layer.
+
+    Returns the final content features as (heads, positions, head_dim) and
+    the distances of each step's final layer, in step order.
+    """
     inputs = synth_inputs(cfg)
     sched = make_schedule(cfg.timesteps)
     denoiser = OracleDenoiser(true_noise=inputs.latent_noise, true_x0=inputs.spatial)
     k_s, v_s = project_kv(inputs.style_prompt, inputs.params)
     k_c, v_c = project_kv(inputs.content_prompt, inputs.params)
     x = ddim_invert(inputs.spatial, denoiser, sched, cfg.timesteps)[-1].x
-    features = None
+    ells = []
     for t in range(cfg.timesteps, 0, -1):
         x = ddim_step(x, denoiser.predict(x, t), t, t - 1, sched)
         features = x
         for _ in range(cfg.layers_per_step):
             q = project_q(features, inputs.params)
-            _, f_c = siamese_attend(q, k_s, v_s, k_c, v_c)
+            f_s, f_c = siamese_attend(q, k_s, v_s, k_c, v_c)
+            ell = head_distances(f_s, f_c)
             features = f_c.merge_heads()
-    from asi.sica import FeatureMap
-
-    return FeatureMap.from_matrix(features, cfg.heads).a
+        ells.append(tuple(float(e) for e in ell))
+    return f_c.a, ells
 
 
 class TestRunPipeline:
-    def test_bypass_equals_content_branch(self, tmp_path):
-        cfg = small_cfg(tmp_path, apply_asi=False)
+    @pytest.mark.parametrize("layers_per_step", [1, 3])
+    def test_bypass_equals_content_branch(self, tmp_path, layers_per_step):
+        cfg = small_cfg(tmp_path, apply_asi=False, layers_per_step=layers_per_step)
         report = run_pipeline(cfg)
         assert report.blended_fraction == 0.0
         assert report.preserved_mse == 0.0
-        expected = replay_content_branch(cfg).astype(np.float32).astype(np.float64)
+        features, ells = replay_content_branch(cfg)
         dumped = load_tensor(cfg.dump_dir / "features_out.asit")
-        assert np.array_equal(dumped, expected)
+        assert np.array_equal(dumped, features.astype(np.float32).astype(np.float64))
+        with (cfg.dump_dir / "report.csv").open() as fh:
+            body = list(csv.reader(fh))[1:]
+        assert [tuple(float(v) for v in row[1:1 + cfg.heads]) for row in body] == ells
 
     def test_degenerate_style_stays_near_content(self, tmp_path):
         cfg = small_cfg(

@@ -6,6 +6,7 @@ from asi.numeric import Matrix, Rng, randn_matrix
 from asi.sica import (
     AttentionParams,
     FeatureMap,
+    attend,
     project_kv,
     project_q,
     siamese_attend,
@@ -188,14 +189,20 @@ class TestSiameseAttend:
         bad = FeatureMap(np.zeros((3, 2, 2)))
         with pytest.raises(ShapeError):
             siamese_attend(q, bad, v_s, k_c, v_c)
+        with pytest.raises(ShapeError):
+            attend(q, bad, v_s)
 
     def test_kv_token_mismatch_raises(self):
         q, k_s, v_s, k_c, v_c = random_tracks(7)
         with pytest.raises(ShapeError):
             siamese_attend(q, k_s, FeatureMap(v_s.a[:, :1, :]), k_c, v_c)
+        with pytest.raises(ShapeError):
+            attend(q, k_s, FeatureMap(v_s.a[:, :1, :]))
 
     def test_head_dim_mismatch_raises(self):
         q, k_s, v_s, k_c, v_c = random_tracks(8)
         wide = FeatureMap(np.zeros((2, 2, 3)))
         with pytest.raises(ShapeError):
             siamese_attend(q, k_s, v_s, wide, wide)
+        with pytest.raises(ShapeError):
+            attend(q, wide, wide)
