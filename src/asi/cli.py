@@ -9,11 +9,12 @@ Subcommands:
 
 Configs are flat ``key = value`` text files (UTF-8, an optional byte-order
 mark, ``#`` comments, blank lines ignored); ``--set key=value`` overrides
-apply after the file, left to right, and ``sweep --values`` entries are
-parsed the same way (see ``harness.configure``). Unknown keys and empty
-values are rejected. Exit codes: 0 success, 1 invalid configuration
-(including one too large to allocate) or I/O failure, 2 an internal
-invariant failed (including values that overflow to NaN/Inf mid-run).
+apply after the file, left to right. An override splits at its first ``=``
+and keeps its value literally, ``#`` included. Override values and ``sweep
+--values`` entries are parsed like file values (see ``harness.configure``).
+Unknown keys and empty values are rejected. Exit codes: 0 success, 1 invalid
+configuration (including one too large to allocate) or I/O failure, 2 an
+internal invariant failed (including values that overflow to NaN/Inf mid-run).
 """
 
 from __future__ import annotations
@@ -73,10 +74,10 @@ def parse_config(path: str | Path | None, overrides: Sequence[str] = ()) -> Expe
             if parsed:
                 pairs.append(parsed)
     for item in overrides:
-        parsed = _parse_kv_line(item, f"--set {item!r}")
-        if parsed is None:
+        key, sep, value = item.partition("=")
+        if not sep:
             raise ConfigError(f"--set {item!r}: expected 'key=value'")
-        pairs.append(parsed)
+        pairs.append((key.strip(), value))
     return configure(ExperimentConfig(), pairs)
 
 

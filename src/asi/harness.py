@@ -35,6 +35,7 @@ from .ddim import (
 )
 from .errors import ConfigError
 from .numeric import Matrix, Rng, randn_matrix
+# siamese_attend is unused here, but the benchmark tracer wraps harness.siamese_attend.
 from .sica import AttentionParams, attend, project_kv, project_q, siamese_attend
 from .tensorio import save_tensor
 
@@ -210,13 +211,21 @@ def render_mask_pgm(path: str | Path, mask_slice: np.ndarray) -> Path:
     return path
 
 
-def write_mask_artifacts(out_dir: Path, result: AsiLayerResult) -> None:
-    """Dump one layer application's three masks and render one PGM per head.
+def write_mask_artifacts(out_dir: Path, result: AsiLayerResult | None) -> None:
+    """Replace the mask artifacts in out_dir with one layer application's.
 
-    Writes head_mask.asit, spatial_mask.asit and fused_mask.asit (each of
-    shape heads x positions x head_dim) and mask_head_<i>.pgm for every
+    First removes head_mask.asit, spatial_mask.asit, fused_mask.asit and every
+    mask_head_*.pgm already in out_dir, so none is left from an earlier run.
+    Then, unless result is None (blending off), writes the three masks (each
+    of shape heads x positions x head_dim) and mask_head_<i>.pgm for every
     head i into out_dir, which is created if missing.
     """
+    for name in ("head_mask.asit", "spatial_mask.asit", "fused_mask.asit"):
+        (out_dir / name).unlink(missing_ok=True)
+    for stale in out_dir.glob("mask_head_*.pgm"):
+        stale.unlink()
+    if result is None:
+        return
     _, positions, head_dim = result.f_c.a.shape
     save_tensor(out_dir / "head_mask.asit", result.head_mask.dense(positions, head_dim))
     save_tensor(out_dir / "spatial_mask.asit", result.spatial_mask.data)
@@ -282,41 +291,34 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     for t in range(cfg.timesteps, 0, -1):
         x = ddim_step(x, denoiser.predict(x, t), t, t - 1, sched)
         features = x
-        for layer in range(cfg.layers_per_step):
+        for _ in range(cfg.layers_per_step):
             q = project_q(features, inputs.params)
             result = block = None  # free the previous layer's blocks before the next are built
             if cfg.apply_asi:
                 result = asi_layer(q, k_s, v_s, k_c, v_c, cfg.blend)
-                step_ell = result.distances
-                step_blended = result.fused_mask.blended_fraction
-                step_mse = _preserved_mse(result)
                 block = result.f_out
-            elif layer < cfg.layers_per_step - 1:
-                # Only the content track feeds the next layer; the style track
-                # and the distances are recorded for a step's final layer alone.
-                block = attend(q, k_c, v_c)
             else:
-                f_s, block = siamese_attend(q, k_s, v_s, k_c, v_c)
-                step_ell = head_distances(f_s, block)
-                step_blended = 0.0
-                step_mse = 0.0
+                block = attend(q, k_c, v_c)
             features = block.merge_heads()
-        rows.append((t, tuple(float(e) for e in step_ell), step_blended, step_mse))
+        if cfg.apply_asi:
+            step = (*result.distances, result.fused_mask.blended_fraction, _preserved_mse(result))
+        else:  # only the content track moves the features; the style track runs once a step
+            step = (*head_distances(attend(q, k_s, v_s), block), 0.0, 0.0)
+        rows.append((t, *map(float, step)))
 
     out_dir = cfg.dump_dir
     # Written first: save_tensor rejects a non-finite block before it creates the
     # directory or opens the file, so a failed run creates and changes nothing.
     feature_path = save_tensor(out_dir / "features_out.asit", block.a)
     header = ["step", *(f"ell_{i}" for i in range(cfg.heads)), "blended_fraction", "preserved_mse"]
-    _write_csv(out_dir / "report.csv", header, [(t, *ell, b, mse) for t, ell, b, mse in rows])
-    _write_csv(out_dir / "ell.csv", ["head_index", "ell"], enumerate(rows[-1][1]))
-    if result is not None:
-        write_mask_artifacts(out_dir, result)
+    _write_csv(out_dir / "report.csv", header, rows)
+    _write_csv(out_dir / "ell.csv", ["head_index", "ell"], enumerate(rows[-1][1:-2]))
+    write_mask_artifacts(out_dir, result)
 
     return RunReport(
-        per_step_ell=tuple(r[1] for r in rows),
-        preserved_mse=max(r[3] for r in rows),
-        blended_fraction=float(np.mean([r[2] for r in rows])),
+        per_step_ell=tuple(r[1:-2] for r in rows),
+        preserved_mse=max(r[-1] for r in rows),
+        blended_fraction=float(np.mean([r[-2] for r in rows])),
         output_feature_path=feature_path,
     )
 
@@ -343,7 +345,6 @@ def sweep(cfg: ExperimentConfig, param: str, values: list) -> list[RunReport]:
         run_dir = cfg.dump_dir / f"{param}_{value}"
         runs.append((value, dataclasses.replace(run_cfg, dump_dir=run_dir)))
     reports = [run_pipeline(run_cfg) for _, run_cfg in runs]
-    cfg.dump_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         cfg.dump_dir / "sweep.csv",
         ["param", "value", "blended_fraction", "preserved_mse"],

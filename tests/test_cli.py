@@ -93,6 +93,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="seed"):
             parse_config(None, ["seed=abc"])
 
+    def test_set_value_is_literal(self):
+        assert parse_config(None, ["dump_dir=out#1"]).dump_dir == Path("out#1")
+        assert parse_config(None, ["dump_dir=a=b"]).dump_dir == Path("a=b")
+        with pytest.raises(ConfigError, match="alpha"):
+            parse_config(None, ["alpha=0.5#x"])
+
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             parse_config(tmp_path / "nope.cfg")
@@ -275,6 +281,19 @@ class TestRunCommand:
         for name in names:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_rerun_leaves_no_earlier_mask_artifacts(self, tmp_path):
+        def files(out, *overrides):
+            assert main(["run", "--set", "timesteps=2", *overrides, "--set", f"dump_dir={out}"]) == 0
+            return sorted(p.name for p in out.iterdir())
+
+        shared = tmp_path / "shared"
+        runs = [[], ["--set", "heads=4", "--set", "n=2"],
+                ["--set", "heads=4", "--set", "n=2", "--set", "apply_asi=false"]]
+        for i, overrides in enumerate(runs):
+            names = files(shared, *overrides)
+            assert names == files(tmp_path / f"fresh{i}", *overrides)
+        assert not any("mask" in name for name in names)
+
     def test_rerun_overwrites_instead_of_appending(self, tmp_path):
         target = tmp_path / "out"
         for _ in range(2):
@@ -326,6 +345,15 @@ class TestDumpMasksCommand:
         for i in range(8):
             assert (tmp_path / "m" / f"mask_head_{i}.pgm").exists()
         assert "heads selected: 6" in capsys.readouterr().out
+
+    def test_rerun_leaves_no_earlier_renders(self, tmp_path):
+        out = tmp_path / "m"
+        assert main(["dump-masks", "--set", f"dump_dir={out}"]) == 0
+        assert main(["dump-masks", "--set", "heads=4", "--set", "n=2", "--set", f"dump_dir={out}"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["head_mask.asit", "spatial_mask.asit", "fused_mask.asit",
+             *(f"mask_head_{i}.pgm" for i in range(4))]
+        )
 
     def test_seed0_output_matches_golden_digests(self, tmp_path):
         assert main(["dump-masks", "--set", f"dump_dir={tmp_path/'m'}"]) == 0

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asi.adablending import BlendConfig, head_distances
+from asi.adablending import BlendConfig, asi_layer, head_distances
 from asi.ddim import OracleDenoiser, ddim_invert, ddim_step, make_schedule
 from asi.errors import ConfigError
 from asi.harness import (
@@ -109,11 +109,14 @@ class TestSynthInputs:
         assert digest.hexdigest() == expected
 
 
-def replay_content_branch(cfg: ExperimentConfig) -> tuple[np.ndarray, list[tuple[float, ...]]]:
-    """Recompose the pipeline's latent loop with both tracks and the distances on every layer.
+def replay_run(cfg: ExperimentConfig) -> tuple[np.ndarray, list[tuple]]:
+    """Recompose the pipeline's latent loop with both tracks on every layer.
 
-    Returns the final content features as (heads, positions, head_dim) and
-    the distances of each step's final layer, in step order.
+    With blending on, every layer is one asi_layer call; with it off, the
+    content track feeds the next layer and nothing is blended. Returns the
+    final layer's output as (heads, positions, head_dim) and, in step order,
+    the report.csv row of each step: (t, *ell, blended_fraction, preserved_mse)
+    of the step's final layer.
     """
     inputs = synth_inputs(cfg)
     sched = make_schedule(cfg.timesteps)
@@ -121,32 +124,40 @@ def replay_content_branch(cfg: ExperimentConfig) -> tuple[np.ndarray, list[tuple
     k_s, v_s = project_kv(inputs.style_prompt, inputs.params)
     k_c, v_c = project_kv(inputs.content_prompt, inputs.params)
     x = ddim_invert(inputs.spatial, denoiser, sched, cfg.timesteps)[-1].x
-    ells = []
+    rows = []
     for t in range(cfg.timesteps, 0, -1):
         x = ddim_step(x, denoiser.predict(x, t), t, t - 1, sched)
         features = x
         for _ in range(cfg.layers_per_step):
             q = project_q(features, inputs.params)
-            f_s, f_c = siamese_attend(q, k_s, v_s, k_c, v_c)
-            ell = head_distances(f_s, f_c)
-            features = f_c.merge_heads()
-        ells.append(tuple(float(e) for e in ell))
-    return f_c.a, ells
+            if cfg.apply_asi:
+                result = asi_layer(q, k_s, v_s, k_c, v_c, cfg.blend)
+                f_s, f_c, out, fused = result.f_s, result.f_c, result.f_out, result.fused_mask.data
+            else:
+                f_s, f_c = siamese_attend(q, k_s, v_s, k_c, v_c)
+                out, fused = f_c, np.zeros(f_c.a.shape)
+            features = out.merge_heads()
+        preserved = fused == 0.0
+        mse = float(((out.a - f_c.a)[preserved] ** 2).mean()) if preserved.any() else 0.0
+        rows.append((t, *(float(e) for e in head_distances(f_s, f_c)), float(fused.mean()), mse))
+    return out.a, rows
 
 
 class TestRunPipeline:
     @pytest.mark.parametrize("layers_per_step", [1, 3])
-    def test_bypass_equals_content_branch(self, tmp_path, layers_per_step):
-        cfg = small_cfg(tmp_path, apply_asi=False, layers_per_step=layers_per_step)
+    @pytest.mark.parametrize("apply_asi", [False, True])
+    def test_run_equals_replay(self, tmp_path, apply_asi, layers_per_step):
+        cfg = small_cfg(tmp_path, apply_asi=apply_asi, layers_per_step=layers_per_step)
         report = run_pipeline(cfg)
-        assert report.blended_fraction == 0.0
-        assert report.preserved_mse == 0.0
-        features, ells = replay_content_branch(cfg)
+        features, rows = replay_run(cfg)
         dumped = load_tensor(cfg.dump_dir / "features_out.asit")
         assert np.array_equal(dumped, features.astype(np.float32).astype(np.float64))
         with (cfg.dump_dir / "report.csv").open() as fh:
             body = list(csv.reader(fh))[1:]
-        assert [tuple(float(v) for v in row[1:1 + cfg.heads]) for row in body] == ells
+        assert [(int(row[0]), *(float(v) for v in row[1:])) for row in body] == rows
+        assert report.per_step_ell == tuple(row[1:-2] for row in rows)
+        if not apply_asi:
+            assert report.blended_fraction == report.preserved_mse == 0.0
 
     def test_degenerate_style_stays_near_content(self, tmp_path):
         cfg = small_cfg(
