@@ -13,8 +13,15 @@ features, and adaptive instance normalization decides what gets written:
 The two masks are fused elementwise by OR (a coordinate blends when its head
 is selected or its position is not preserved), and the blend copies the
 content value where the fused mask is 0 and the style-normalized value where
-it is 1. Masks are materialized as dense {0, 1} blocks of the full
-heads x positions x head_dim shape so fusion and blending stay shape-uniform.
+it is 1. The head mask is a read-only length-h bool array; the spatial and
+fused masks are dense {0, 1} :class:`BlendMask` blocks of the full
+heads x positions x head_dim shape, so blending stays shape-uniform.
+
+Feature blocks are the read-only, C-contiguous float64 (h, m, d) arrays that
+:mod:`asi.sica` returns, and every block returned here is one too. They are
+not scanned for NaN/Inf again: the head distances are checked, and a
+non-finite block fails there or when the layer output is merged back into a
+:class:`~asi.numeric.Matrix`.
 """
 
 from __future__ import annotations
@@ -25,12 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, NonFiniteError, ShapeError
-from .numeric import Matrix, _contract, _validated_block
-from .sica import FeatureMap, siamese_attend
+from .numeric import Matrix, _contract, _readonly, _validated_block
+from .sica import siamese_attend
 
 __all__ = [
     "BlendConfig",
-    "HeadMask",
     "BlendMask",
     "AsiLayerResult",
     "covariance",
@@ -66,28 +72,6 @@ class BlendConfig:
             raise ConfigError(f"alpha must be finite and > 0, got {self.alpha}")
         if not (self.eps > 0 and math.isfinite(self.eps)):
             raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
-
-
-@dataclass(frozen=True)
-class HeadMask:
-    """Per-head selection flags; constant across each selected head's slice."""
-
-    selected: tuple[bool, ...]
-
-    @property
-    def heads(self) -> int:
-        return len(self.selected)
-
-    @property
-    def selected_count(self) -> int:
-        return sum(self.selected)
-
-    def dense(self, positions: int, head_dim: int) -> np.ndarray:
-        """Materialize as a {0, 1} float block of shape (heads, positions, head_dim)."""
-        flags = np.asarray(self.selected, dtype=np.float64)
-        return np.ascontiguousarray(
-            np.broadcast_to(flags[:, None, None], (self.heads, positions, head_dim))
-        )
 
 
 @dataclass(frozen=True)
@@ -166,27 +150,35 @@ def head_distance(f_s_head: Matrix, f_c_head: Matrix) -> float:
     return float(_distance(f_s_head.a, f_c_head.a))
 
 
-def head_distances(f_s: FeatureMap, f_c: FeatureMap) -> np.ndarray:
-    """Covariance distance per head, as a length-h float array."""
-    _check_same_shape("head_distances", f_s.a, f_c.a)
-    return _distance(f_s.a, f_c.a)
+def head_distances(f_s: np.ndarray, f_c: np.ndarray) -> np.ndarray:
+    """Covariance distance per head, as a length-h float array.
+
+    Raises NonFiniteError when a distance is not finite, as it is for a block
+    holding NaN or Inf.
+    """
+    _check_same_shape("head_distances", f_s, f_c)
+    return _distance(f_s, f_c)
 
 
-def _select_top_heads(distances: np.ndarray, n: int) -> HeadMask:
+def _select_top_heads(distances: np.ndarray, n: int) -> np.ndarray:
     if n > len(distances):
         raise ConfigError(f"n={n} exceeds head count {len(distances)}")
     # Descending distance, ties broken toward the lower head index.
     order = sorted(range(len(distances)), key=lambda i: (-distances[i], i))
-    chosen = set(order[:n])
-    return HeadMask(tuple(i in chosen for i in range(len(distances))))
+    selected = np.zeros(len(distances), dtype=bool)
+    selected[order[:n]] = True
+    return _readonly(selected)
 
 
-def extract_head_mask(f_s: FeatureMap, f_c: FeatureMap, cfg: BlendConfig) -> HeadMask:
-    """Select the cfg.n heads whose style/content covariances differ most."""
+def extract_head_mask(f_s: np.ndarray, f_c: np.ndarray, cfg: BlendConfig) -> np.ndarray:
+    """Select the cfg.n heads whose style/content covariances differ most.
+
+    Returns a read-only length-h bool array, True for each selected head.
+    """
     return _select_top_heads(head_distances(f_s, f_c), cfg.n)
 
 
-def extract_spatial_mask(f_c: FeatureMap, cfg: BlendConfig) -> BlendMask:
+def extract_spatial_mask(f_c: np.ndarray, cfg: BlendConfig) -> BlendMask:
     """Zero out (preserve) positions strictly above alpha times the channel max.
 
     The criteria point per head and channel is the max over positions of the
@@ -196,22 +188,22 @@ def extract_spatial_mask(f_c: FeatureMap, cfg: BlendConfig) -> BlendMask:
     qualifies, and that channel's mask is all ones; the formula is applied as
     written rather than special-cased.
     """
-    peaks = f_c.a.max(axis=1, keepdims=True)
+    peaks = f_c.max(axis=1, keepdims=True)
     tau = cfg.alpha * peaks
-    return BlendMask(np.where(f_c.a > tau, 0.0, 1.0))
+    return BlendMask(np.where(f_c > tau, 0.0, 1.0))
 
 
-def fuse_masks(head: HeadMask, spatial: BlendMask) -> BlendMask:
+def fuse_masks(head: np.ndarray, spatial: BlendMask) -> BlendMask:
     """Combine the two masks elementwise by OR.
 
+    `head` is the length-h bool selection of :func:`extract_head_mask`.
     Selected heads blend at every position; unselected heads blend only where
     the spatial mask permits.
     """
     h = spatial.data.shape[0]
-    if head.heads != h:
-        raise ShapeError(f"head mask has {head.heads} heads, spatial mask has {h}")
-    flags = np.asarray(head.selected, dtype=np.float64)[:, None, None]
-    return BlendMask(np.maximum(flags, spatial.data))
+    if len(head) != h:
+        raise ShapeError(f"head mask has {len(head)} heads, spatial mask has {h}")
+    return BlendMask(np.maximum(head.astype(np.float64)[:, None, None], spatial.data))
 
 
 def adain(f_c_head: Matrix, f_s_head: Matrix, eps: float) -> Matrix:
@@ -227,7 +219,7 @@ def adain(f_c_head: Matrix, f_s_head: Matrix, eps: float) -> Matrix:
     return Matrix(_adain(f_c_head.a, f_s_head.a, eps))
 
 
-def blend(f_c: FeatureMap, f_s: FeatureMap, mask: BlendMask, cfg: BlendConfig) -> FeatureMap:
+def blend(f_c: np.ndarray, f_s: np.ndarray, mask: BlendMask, cfg: BlendConfig) -> np.ndarray:
     """Mask-guided interpolation between content and style-normalized features.
 
     Because the mask is binary, the blend is implemented as coordinate
@@ -235,31 +227,31 @@ def blend(f_c: FeatureMap, f_s: FeatureMap, mask: BlendMask, cfg: BlendConfig) -
     entry (mask 0) or the style-normalized entry (mask 1); no third value
     can appear.
     """
-    _check_same_shape("blend", f_c.a, f_s.a)
-    _check_same_shape("blend mask", mask.data, f_c.a)
-    styled = _adain(f_c.a, f_s.a, cfg.eps)
-    return FeatureMap(np.where(mask.data == 1.0, styled, f_c.a))
+    _check_same_shape("blend", f_c, f_s)
+    _check_same_shape("blend mask", mask.data, f_c)
+    styled = _adain(f_c, f_s, cfg.eps)
+    return _readonly(np.where(mask.data == 1.0, styled, f_c))
 
 
 @dataclass(frozen=True)
 class AsiLayerResult:
     """Output of one full layer application, with intermediates for inspection."""
 
-    f_out: FeatureMap
-    f_s: FeatureMap
-    f_c: FeatureMap
+    f_out: np.ndarray
+    f_s: np.ndarray
+    f_c: np.ndarray
     distances: np.ndarray
-    head_mask: HeadMask
+    head_mask: np.ndarray
     spatial_mask: BlendMask
     fused_mask: BlendMask
 
 
 def asi_layer(
-    q: FeatureMap,
-    k_s: FeatureMap,
-    v_s: FeatureMap,
-    k_c: FeatureMap,
-    v_c: FeatureMap,
+    q: np.ndarray,
+    k_s: np.ndarray,
+    v_s: np.ndarray,
+    k_c: np.ndarray,
+    v_c: np.ndarray,
     cfg: BlendConfig,
 ) -> AsiLayerResult:
     """Dual-track attention, mask extraction, fusion, and blending in sequence."""

@@ -104,7 +104,7 @@ def _cmd_ddim_roundtrip(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     x0 = randn_matrix(rng, cfg.positions, cfg.model_dim)
     noise = randn_matrix(rng, cfg.positions, cfg.model_dim)
     sched = make_schedule(cfg.timesteps)
-    denoiser = OracleDenoiser(true_noise=noise, true_x0=x0)
+    denoiser = OracleDenoiser(true_noise=noise)
     upward = ddim_invert(x0, denoiser, sched, cfg.timesteps)
     downward = ddim_generate(upward[-1].x, denoiser, sched, cfg.timesteps)
     if args.dump:
@@ -125,7 +125,7 @@ def _cmd_dump_masks(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     k_c, v_c = project_kv(inputs.content_prompt, inputs.params)
     result = asi_layer(q, k_s, v_s, k_c, v_c, cfg.blend)
     write_mask_artifacts(cfg.dump_dir, result)
-    print(f"masks written to {cfg.dump_dir} (heads selected: {result.head_mask.selected_count})")
+    print(f"masks written to {cfg.dump_dir} (heads selected: {int(result.head_mask.sum())})")
     return 0
 
 

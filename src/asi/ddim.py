@@ -83,10 +83,6 @@ class OracleDenoiser:
     """
 
     true_noise: Matrix
-    true_x0: Matrix
-
-    def __post_init__(self) -> None:
-        _check_shapes(self.true_noise, self.true_x0, "oracle noise vs x0")
 
     def predict(self, x_t: Matrix, t: int) -> Matrix:
         _check_shapes(x_t, self.true_noise, "latent vs oracle noise")

@@ -36,7 +36,7 @@ from .ddim import (
 from .errors import ConfigError
 from .numeric import Matrix, Rng, randn_matrix
 # siamese_attend is unused here, but the benchmark tracer wraps harness.siamese_attend.
-from .sica import AttentionParams, attend, project_kv, project_q, siamese_attend
+from .sica import AttentionParams, attend, merge_heads, project_kv, project_q, siamese_attend
 from .tensorio import save_tensor
 
 __all__ = [
@@ -226,8 +226,8 @@ def write_mask_artifacts(out_dir: Path, result: AsiLayerResult | None) -> None:
         stale.unlink()
     if result is None:
         return
-    _, positions, head_dim = result.f_c.a.shape
-    save_tensor(out_dir / "head_mask.asit", result.head_mask.dense(positions, head_dim))
+    head_mask = np.broadcast_to(result.head_mask[:, None, None], result.f_c.shape)
+    save_tensor(out_dir / "head_mask.asit", head_mask)
     save_tensor(out_dir / "spatial_mask.asit", result.spatial_mask.data)
     save_tensor(out_dir / "fused_mask.asit", result.fused_mask.data)
     for i, fused_head in enumerate(result.fused_mask.data):
@@ -264,7 +264,7 @@ def _preserved_mse(result: AsiLayerResult) -> float:
     count = int(preserved.sum())
     if not count:
         return 0.0
-    diff = result.f_out.a - result.f_c.a
+    diff = result.f_out - result.f_c
     return float((diff[preserved] ** 2).sum() / count)
 
 
@@ -280,7 +280,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     """
     inputs = synth_inputs(cfg)
     sched = make_schedule(cfg.timesteps)
-    denoiser = OracleDenoiser(true_noise=inputs.latent_noise, true_x0=inputs.spatial)
+    denoiser = OracleDenoiser(true_noise=inputs.latent_noise)
     k_s, v_s = project_kv(inputs.style_prompt, inputs.params)
     k_c, v_c = project_kv(inputs.content_prompt, inputs.params)
 
@@ -299,7 +299,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
                 block = result.f_out
             else:
                 block = attend(q, k_c, v_c)
-            features = block.merge_heads()
+            features = merge_heads(block)
         if cfg.apply_asi:
             step = (*result.distances, result.fused_mask.blended_fraction, _preserved_mse(result))
         else:  # only the content track moves the features; the style track runs once a step
@@ -309,7 +309,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     out_dir = cfg.dump_dir
     # Written first: save_tensor rejects a non-finite block before it creates the
     # directory or opens the file, so a failed run creates and changes nothing.
-    feature_path = save_tensor(out_dir / "features_out.asit", block.a)
+    feature_path = save_tensor(out_dir / "features_out.asit", block)
     header = ["step", *(f"ell_{i}" for i in range(cfg.heads)), "blended_fraction", "preserved_mse"]
     _write_csv(out_dir / "report.csv", header, rows)
     _write_csv(out_dir / "ell.csv", ["head_index", "ell"], enumerate(rows[-1][1:-2]))

@@ -3,8 +3,9 @@
 All arithmetic is 64-bit and uses fixed, single-threaded summation order
 (``np.einsum`` rather than BLAS), so identical inputs produce bit-identical
 outputs regardless of thread count or BLAS backend. :class:`Matrix` is the
-validated 2-D type at the edges (inputs, weights, latents); the layer kernels
-work on plain arrays, whole feature blocks at a time.
+validated 2-D type at the edges (inputs, weights, latents, projections and
+merged layer outputs); the layer kernels work on plain read-only arrays,
+whole feature blocks at a time.
 """
 
 from __future__ import annotations
@@ -18,6 +19,12 @@ from .errors import NonFiniteError, ShapeError
 __all__ = ["Matrix", "Rng", "matmul", "softmax_rows", "randn_matrix"]
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """Flag `a` read-only and return it: no feature block is written after it is built."""
+    a.flags.writeable = False
+    return a
+
+
 def _validated_block(name: str, values, ndim: int) -> np.ndarray:
     """Read-only C-ordered float64 copy of `values`, checked for rank, size and finiteness."""
     a = np.array(values, dtype=np.float64, order="C", copy=True)
@@ -27,8 +34,7 @@ def _validated_block(name: str, values, ndim: int) -> np.ndarray:
         raise ShapeError(f"{name} dimensions must be >= 1, got {'x'.join(map(str, a.shape))}")
     if not np.isfinite(a).all():
         raise NonFiniteError(f"{name} entries must be finite (no NaN/Inf)")
-    a.flags.writeable = False
-    return a
+    return _readonly(a)
 
 
 class Matrix:
@@ -56,9 +62,6 @@ class Matrix:
     def a(self) -> np.ndarray:
         """Read-only 2-D view of the entries."""
         return self._a
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self._a.T)
 
     def __repr__(self) -> str:
         # Diagnostics stay small: entries are shown only for tiny matrices.

@@ -9,6 +9,14 @@ prompt and the content prompt respectively. Per head i:
 
 with d the per-head channel dimension.
 
+Feature blocks are plain NumPy arrays of shape (heads, positions, head_dim):
+float64, C-contiguous and read-only. Every function here returns blocks of
+that kind and does not scan its block arguments for NaN/Inf again; the
+finiteness checks run where data becomes a :class:`Matrix` (the inputs,
+every projection, and each layer's merged output). Head i owns channels
+[i*d, (i+1)*d) of the flat model dimension; this split convention is part
+of the dump format contract and must not change.
+
 Both products run with the m query positions as the innermost loop: the
 logits as K Q^T over a contiguous Q^T, the output as V^T P^T, each then
 turned back to (positions, ...) order. NumPy's einsum adds the products of
@@ -25,69 +33,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .numeric import Matrix, _contract, _validated_block, matmul, softmax_rows
+from .numeric import Matrix, _contract, _readonly, matmul, softmax_rows
 
 __all__ = [
     "AttentionParams",
-    "FeatureMap",
+    "merge_heads",
     "project_q",
     "project_kv",
     "attend",
     "siamese_attend",
 ]
-
-
-class FeatureMap:
-    """A heads x positions x head_dim block of finite float64 activations.
-
-    Head slices are contiguous channel blocks of the flat model dimension:
-    head i owns channels [i*d, (i+1)*d). This split convention is part of
-    the dump format contract and must not change.
-    """
-
-    __slots__ = ("_a",)
-
-    def __init__(self, values) -> None:
-        self._a = _validated_block("FeatureMap", values, 3)
-
-    @classmethod
-    def from_matrix(cls, flat: Matrix, heads: int) -> "FeatureMap":
-        """Split an m x (h*d) matrix into h heads of m x d each."""
-        if flat.cols % heads != 0:
-            raise ShapeError(
-                f"cannot split {flat.rows}x{flat.cols} into {heads} heads: "
-                f"{flat.cols} channels not divisible by {heads}"
-            )
-        d = flat.cols // heads
-        return cls(flat.a.reshape(flat.rows, heads, d).transpose(1, 0, 2))
-
-    @property
-    def heads(self) -> int:
-        return self._a.shape[0]
-
-    @property
-    def positions(self) -> int:
-        return self._a.shape[1]
-
-    @property
-    def head_dim(self) -> int:
-        return self._a.shape[2]
-
-    @property
-    def a(self) -> np.ndarray:
-        """Read-only (heads, positions, head_dim) view."""
-        return self._a
-
-    def head(self, i: int) -> Matrix:
-        return Matrix(self._a[i])
-
-    def merge_heads(self) -> Matrix:
-        """Inverse of :meth:`from_matrix`: back to an m x (h*d) matrix."""
-        h, m, d = self._a.shape
-        return Matrix(self._a.transpose(1, 0, 2).reshape(m, h * d))
-
-    def __repr__(self) -> str:
-        return f"FeatureMap(<{self.heads}x{self.positions}x{self.head_dim}>)"
 
 
 @dataclass(frozen=True)
@@ -115,7 +70,19 @@ class AttentionParams:
         return self.heads * self.head_dim
 
 
-def project_q(spatial: Matrix, params: AttentionParams) -> FeatureMap:
+def _split_heads(flat: Matrix, heads: int) -> np.ndarray:
+    # m x (h*d) -> (h, m, d); AttentionParams makes the channel count h*d.
+    m, md = flat.a.shape
+    return _readonly(np.ascontiguousarray(flat.a.reshape(m, heads, md // heads).transpose(1, 0, 2)))
+
+
+def merge_heads(block: np.ndarray) -> Matrix:
+    """Inverse of the head split: an (h, m, d) block back to an m x (h*d) matrix."""
+    h, m, d = block.shape
+    return Matrix(block.transpose(1, 0, 2).reshape(m, h * d))
+
+
+def project_q(spatial: Matrix, params: AttentionParams) -> np.ndarray:
     """Project spatial features to per-head queries: Q = spatial @ w_q, then split.
 
     Q is computed once and shared by both branches.
@@ -125,15 +92,15 @@ def project_q(spatial: Matrix, params: AttentionParams) -> FeatureMap:
             f"spatial features are {spatial.rows}x{spatial.cols}, "
             f"expected {params.model_dim} channels"
         )
-    return FeatureMap.from_matrix(matmul(spatial, params.w_q), params.heads)
+    return _split_heads(matmul(spatial, params.w_q), params.heads)
 
 
-def project_kv(prompt: Matrix, params: AttentionParams) -> tuple[FeatureMap, FeatureMap]:
+def project_kv(prompt: Matrix, params: AttentionParams) -> tuple[np.ndarray, np.ndarray]:
     """Project a tokens x model_dim prompt embedding to per-head keys and values."""
     if prompt.cols != params.model_dim:
         raise ShapeError(f"prompt has {prompt.cols} channels, expected {params.model_dim}")
-    k = FeatureMap.from_matrix(matmul(prompt, params.w_k), params.heads)
-    v = FeatureMap.from_matrix(matmul(prompt, params.w_v), params.heads)
+    k = _split_heads(matmul(prompt, params.w_k), params.heads)
+    v = _split_heads(matmul(prompt, params.w_v), params.heads)
     return k, v
 
 
@@ -144,31 +111,35 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.nda
     # per-head 2-D Q K^T and P V. Q^T is copied contiguous because as a view,
     # d would be innermost in both and einsum would sum it in another order.
     # Softmax gets C-ordered logits: a row sum over a strided axis also would.
+    # The result must be C-ordered, or the contractions that read it would sum
+    # in another order. einsum lays V^T P^T out after its operands, so the view
+    # turned back is C-ordered already and ascontiguousarray copies nothing; it
+    # makes the layout a guarantee rather than einsum's choice.
     logits = _contract(k, np.ascontiguousarray(q.transpose(0, 2, 1))).transpose(0, 2, 1)
     p = softmax_rows(np.multiply(logits, scale, order="C"))
-    return _contract(v.transpose(0, 2, 1), p.transpose(0, 2, 1)).transpose(0, 2, 1)
+    out = _contract(v.transpose(0, 2, 1), p.transpose(0, 2, 1)).transpose(0, 2, 1)
+    return _readonly(np.ascontiguousarray(out))
 
 
-def attend(q: FeatureMap, k: FeatureMap, v: FeatureMap) -> FeatureMap:
+def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     """One attention track, softmax(Q K^T / sqrt(d)) V, for all heads at once."""
-    if k.heads != q.heads or v.heads != q.heads:
-        raise ShapeError(f"head count mismatch: q has {q.heads}, k has {k.heads}, v has {v.heads}")
-    if k.head_dim != q.head_dim or v.head_dim != q.head_dim:
-        raise ShapeError(
-            f"head_dim mismatch: q has {q.head_dim}, k has {k.head_dim}, v has {v.head_dim}"
-        )
-    if k.positions != v.positions:
-        raise ShapeError(f"token count mismatch: k has {k.positions}, v has {v.positions}")
-    return FeatureMap(_attend(q.a, k.a, v.a, 1.0 / math.sqrt(q.head_dim)))
+    (hq, _, dq), (hk, tk, dk), (hv, tv, dv) = q.shape, k.shape, v.shape
+    if hk != hq or hv != hq:
+        raise ShapeError(f"head count mismatch: q has {hq}, k has {hk}, v has {hv}")
+    if dk != dq or dv != dq:
+        raise ShapeError(f"head_dim mismatch: q has {dq}, k has {dk}, v has {dv}")
+    if tk != tv:
+        raise ShapeError(f"token count mismatch: k has {tk}, v has {tv}")
+    return _attend(q, k, v, 1.0 / math.sqrt(dq))
 
 
 def siamese_attend(
-    q: FeatureMap,
-    k_s: FeatureMap,
-    v_s: FeatureMap,
-    k_c: FeatureMap,
-    v_c: FeatureMap,
-) -> tuple[FeatureMap, FeatureMap]:
+    q: np.ndarray,
+    k_s: np.ndarray,
+    v_s: np.ndarray,
+    k_c: np.ndarray,
+    v_c: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """Run both attention branches over the shared queries.
 
     Returns (style features, content features). The branches are fully

@@ -157,7 +157,7 @@ def make_oracle(seed=46, rows=4, cols=6):
     rng = Rng(seed)
     x0 = randn_matrix(rng, rows, cols)
     noise = randn_matrix(rng, rows, cols)
-    return x0, OracleDenoiser(true_noise=noise, true_x0=x0)
+    return x0, OracleDenoiser(true_noise=noise)
 
 
 class TestInversion:
@@ -210,8 +210,9 @@ class TestInversion:
             ddim_invert(x0, denoiser, sched, -1)
 
     def test_oracle_shape_check(self):
-        with pytest.raises(ShapeError):
-            OracleDenoiser(true_noise=Matrix(np.zeros((2, 2))), true_x0=Matrix(np.zeros((3, 2))))
+        _, denoiser = make_oracle(rows=2, cols=2)
+        with pytest.raises(ShapeError, match="latent vs oracle noise"):
+            denoiser.predict(Matrix(np.zeros((3, 2))), 1)
 
 
 class TestTrajectoryDump:

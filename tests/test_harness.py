@@ -18,7 +18,7 @@ from asi.harness import (
     sweep,
     synth_inputs,
 )
-from asi.sica import project_kv, project_q, siamese_attend
+from asi.sica import merge_heads, project_kv, project_q, siamese_attend
 from asi.tensorio import load_tensor
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -120,7 +120,7 @@ def replay_run(cfg: ExperimentConfig) -> tuple[np.ndarray, list[tuple]]:
     """
     inputs = synth_inputs(cfg)
     sched = make_schedule(cfg.timesteps)
-    denoiser = OracleDenoiser(true_noise=inputs.latent_noise, true_x0=inputs.spatial)
+    denoiser = OracleDenoiser(true_noise=inputs.latent_noise)
     k_s, v_s = project_kv(inputs.style_prompt, inputs.params)
     k_c, v_c = project_kv(inputs.content_prompt, inputs.params)
     x = ddim_invert(inputs.spatial, denoiser, sched, cfg.timesteps)[-1].x
@@ -135,12 +135,12 @@ def replay_run(cfg: ExperimentConfig) -> tuple[np.ndarray, list[tuple]]:
                 f_s, f_c, out, fused = result.f_s, result.f_c, result.f_out, result.fused_mask.data
             else:
                 f_s, f_c = siamese_attend(q, k_s, v_s, k_c, v_c)
-                out, fused = f_c, np.zeros(f_c.a.shape)
-            features = out.merge_heads()
+                out, fused = f_c, np.zeros(f_c.shape)
+            features = merge_heads(out)
         preserved = fused == 0.0
-        mse = float(((out.a - f_c.a)[preserved] ** 2).mean()) if preserved.any() else 0.0
+        mse = float(((out - f_c)[preserved] ** 2).mean()) if preserved.any() else 0.0
         rows.append((t, *(float(e) for e in head_distances(f_s, f_c)), float(fused.mean()), mse))
-    return out.a, rows
+    return out, rows
 
 
 class TestRunPipeline:

@@ -5,8 +5,8 @@ from asi.errors import ShapeError
 from asi.numeric import Matrix, Rng, randn_matrix
 from asi.sica import (
     AttentionParams,
-    FeatureMap,
     attend,
+    merge_heads,
     project_kv,
     project_q,
     siamese_attend,
@@ -31,35 +31,8 @@ def random_params(rng: Rng, heads: int, head_dim: int) -> AttentionParams:
     )
 
 
-def random_feature_map(rng: Rng, heads: int, positions: int, head_dim: int) -> FeatureMap:
-    return FeatureMap(rng.normals(heads * positions * head_dim).reshape(heads, positions, head_dim))
-
-
-class TestFeatureMap:
-    def test_head_split_is_contiguous_channel_blocks(self):
-        fm = FeatureMap.from_matrix(Matrix([[1.0, 2.0, 3.0, 4.0]]), heads=2)
-        assert np.array_equal(fm.head(0).a, [[1.0, 2.0]])
-        assert np.array_equal(fm.head(1).a, [[3.0, 4.0]])
-
-    def test_merge_heads_inverts_split(self):
-        rng = Rng(1)
-        flat = randn_matrix(rng, 5, 12)
-        fm = FeatureMap.from_matrix(flat, heads=3)
-        assert np.array_equal(fm.merge_heads().a, flat.a)
-
-    def test_split_requires_divisible_channels(self):
-        with pytest.raises(ShapeError):
-            FeatureMap.from_matrix(Matrix(np.zeros((2, 5))), heads=2)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            FeatureMap(np.full((1, 1, 1), np.nan))
-
-    def test_head_slice_is_matrix(self):
-        fm = random_feature_map(Rng(2), 2, 4, 3)
-        head = fm.head(1)
-        assert (head.rows, head.cols) == (4, 3)
-        assert np.array_equal(head.a, fm.a[1])
+def random_feature_map(rng: Rng, heads: int, positions: int, head_dim: int) -> np.ndarray:
+    return rng.normals(heads * positions * head_dim).reshape(heads, positions, head_dim)
 
 
 class TestAttentionParams:
@@ -76,12 +49,18 @@ class TestProjections:
     def test_identity_projection_single_head(self):
         spatial = randn_matrix(Rng(3), 4, 3)
         q = project_q(spatial, identity_params(1, 3))
-        assert np.array_equal(q.head(0).a, spatial.a)
+        assert np.array_equal(q[0], spatial.a)
 
     def test_identity_projection_splits_heads(self):
         q = project_q(Matrix([[1.0, 2.0, 3.0, 4.0]]), identity_params(2, 2))
-        assert np.array_equal(q.head(0).a, [[1.0, 2.0]])
-        assert np.array_equal(q.head(1).a, [[3.0, 4.0]])
+        assert np.array_equal(q[0], [[1.0, 2.0]])
+        assert np.array_equal(q[1], [[3.0, 4.0]])
+
+    def test_merge_heads_inverts_split(self):
+        rng = Rng(1)
+        flat = randn_matrix(rng, 5, 12)
+        q = project_q(flat, identity_params(3, 4))
+        assert np.array_equal(merge_heads(q).a, flat.a)
 
     def test_projection_matches_loop_oracle(self):
         rng = Rng(4)
@@ -89,13 +68,13 @@ class TestProjections:
         spatial = randn_matrix(rng, 3, 4)
         q = project_q(spatial, params)
         expected = project_and_split(spatial.a, params.w_q.a, heads=2)
-        assert np.abs(q.a - expected).max() < 1e-12
+        assert np.abs(q - expected).max() < 1e-12
 
     def test_kv_identity(self):
         prompt = randn_matrix(Rng(5), 3, 4)
         k, v = project_kv(prompt, identity_params(1, 4))
-        assert np.array_equal(k.head(0).a, prompt.a)
-        assert np.array_equal(v.head(0).a, prompt.a)
+        assert np.array_equal(k[0], prompt.a)
+        assert np.array_equal(v[0], prompt.a)
 
     def test_equal_prompts_give_equal_kv(self):
         rng = Rng(6)
@@ -103,16 +82,16 @@ class TestProjections:
         prompt = randn_matrix(rng, 4, 6)
         k1, v1 = project_kv(prompt, params)
         k2, v2 = project_kv(Matrix(prompt.a.copy()), params)
-        assert np.array_equal(k1.a, k2.a)
-        assert np.array_equal(v1.a, v2.a)
+        assert np.array_equal(k1, k2)
+        assert np.array_equal(v1, v2)
 
     def test_kv_matches_loop_oracle(self):
         rng = Rng(7)
         params = random_params(rng, 2, 3)
         prompt = randn_matrix(rng, 5, 6)
         k, v = project_kv(prompt, params)
-        assert np.abs(k.a - project_and_split(prompt.a, params.w_k.a, 2)).max() < 1e-12
-        assert np.abs(v.a - project_and_split(prompt.a, params.w_v.a, 2)).max() < 1e-12
+        assert np.abs(k - project_and_split(prompt.a, params.w_k.a, 2)).max() < 1e-12
+        assert np.abs(v - project_and_split(prompt.a, params.w_v.a, 2)).max() < 1e-12
 
     def test_wrong_channel_count_raises(self):
         with pytest.raises(ShapeError):
@@ -135,58 +114,56 @@ class TestSiameseAttend:
     def test_identical_kv_collapses_tracks(self):
         q, k_s, v_s, _, _ = random_tracks(0)
         f_s, f_c = siamese_attend(q, k_s, v_s, k_s, v_s)
-        assert np.array_equal(f_s.a, f_c.a)
+        assert np.array_equal(f_s, f_c)
 
     def test_zero_queries_average_values(self):
         _, k_s, v_s, k_c, v_c = random_tracks(1)
-        q = FeatureMap(np.zeros((2, 3, 2)))
+        q = np.zeros((2, 3, 2))
         f_s, f_c = siamese_attend(q, k_s, v_s, k_c, v_c)
         for i in range(2):
-            assert np.abs(f_s.a[i] - v_s.a[i].mean(axis=0)).max() < 1e-12
-            assert np.abs(f_c.a[i] - v_c.a[i].mean(axis=0)).max() < 1e-12
+            assert np.abs(f_s[i] - v_s[i].mean(axis=0)).max() < 1e-12
+            assert np.abs(f_c[i] - v_c[i].mean(axis=0)).max() < 1e-12
 
     def test_matches_reference_single_track_per_branch(self):
         q, k_s, v_s, k_c, v_c = random_tracks(0)
         f_s, f_c = siamese_attend(q, k_s, v_s, k_c, v_c)
-        for i in range(q.heads):
-            assert np.abs(f_s.a[i] - reference_attention(q.a[i], k_s.a[i], v_s.a[i])).max() < 1e-12
-            assert np.abs(f_c.a[i] - reference_attention(q.a[i], k_c.a[i], v_c.a[i])).max() < 1e-12
+        for i in range(len(q)):
+            assert np.abs(f_s[i] - reference_attention(q[i], k_s[i], v_s[i])).max() < 1e-12
+            assert np.abs(f_c[i] - reference_attention(q[i], k_c[i], v_c[i])).max() < 1e-12
 
     def test_ragged_token_counts_are_fine(self):
         q, k_s, v_s, k_c, v_c = random_tracks(2, tokens_style=1, tokens_content=5)
         f_s, f_c = siamese_attend(q, k_s, v_s, k_c, v_c)
-        assert f_s.a.shape == f_c.a.shape == (2, 3, 2)
+        assert f_s.shape == f_c.shape == (2, 3, 2)
         # a single style token gets weight 1: output rows equal the value row
         for i in range(2):
-            assert np.abs(f_s.a[i] - v_s.a[i][0]).max() < 1e-12
+            assert np.abs(f_s[i] - v_s[i][0]).max() < 1e-12
 
     def test_value_linearity_and_track_isolation(self):
         q, k_s, v_s, k_c, v_c = random_tracks(3)
         f_s, f_c = siamese_attend(q, k_s, v_s, k_c, v_c)
-        f_s3, f_c3 = siamese_attend(q, k_s, FeatureMap(3.0 * v_s.a), k_c, v_c)
-        assert np.abs(f_s3.a - 3.0 * f_s.a).max() < 1e-12
-        assert np.array_equal(f_c3.a, f_c.a)
+        f_s3, f_c3 = siamese_attend(q, k_s, 3.0 * v_s, k_c, v_c)
+        assert np.abs(f_s3 - 3.0 * f_s).max() < 1e-12
+        assert np.array_equal(f_c3, f_c)
 
     def test_token_permutation_invariance(self):
         q, k_s, v_s, k_c, v_c = random_tracks(4, tokens_style=5)
         perm = [4, 2, 0, 3, 1]
         f_s, f_c = siamese_attend(q, k_s, v_s, k_c, v_c)
-        g_s, g_c = siamese_attend(
-            q, FeatureMap(k_s.a[:, perm, :]), FeatureMap(v_s.a[:, perm, :]), k_c, v_c
-        )
-        assert np.abs(g_s.a - f_s.a).max() < 1e-12
-        assert np.array_equal(g_c.a, f_c.a)
+        g_s, g_c = siamese_attend(q, k_s[:, perm, :], v_s[:, perm, :], k_c, v_c)
+        assert np.abs(g_s - f_s).max() < 1e-12
+        assert np.array_equal(g_c, f_c)
 
     def test_swapping_pairs_swaps_outputs(self):
         q, k_s, v_s, k_c, v_c = random_tracks(5)
         f_s, f_c = siamese_attend(q, k_s, v_s, k_c, v_c)
         g_s, g_c = siamese_attend(q, k_c, v_c, k_s, v_s)
-        assert np.array_equal(g_s.a, f_c.a)
-        assert np.array_equal(g_c.a, f_s.a)
+        assert np.array_equal(g_s, f_c)
+        assert np.array_equal(g_c, f_s)
 
     def test_head_count_mismatch_raises(self):
         q, k_s, v_s, k_c, v_c = random_tracks(6)
-        bad = FeatureMap(np.zeros((3, 2, 2)))
+        bad = np.zeros((3, 2, 2))
         with pytest.raises(ShapeError):
             siamese_attend(q, bad, v_s, k_c, v_c)
         with pytest.raises(ShapeError):
@@ -195,13 +172,13 @@ class TestSiameseAttend:
     def test_kv_token_mismatch_raises(self):
         q, k_s, v_s, k_c, v_c = random_tracks(7)
         with pytest.raises(ShapeError):
-            siamese_attend(q, k_s, FeatureMap(v_s.a[:, :1, :]), k_c, v_c)
+            siamese_attend(q, k_s, v_s[:, :1, :], k_c, v_c)
         with pytest.raises(ShapeError):
-            attend(q, k_s, FeatureMap(v_s.a[:, :1, :]))
+            attend(q, k_s, v_s[:, :1, :])
 
     def test_head_dim_mismatch_raises(self):
         q, k_s, v_s, k_c, v_c = random_tracks(8)
-        wide = FeatureMap(np.zeros((2, 2, 3)))
+        wide = np.zeros((2, 2, 3))
         with pytest.raises(ShapeError):
             siamese_attend(q, k_s, v_s, wide, wide)
         with pytest.raises(ShapeError):
