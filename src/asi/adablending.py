@@ -12,10 +12,10 @@ features, and adaptive instance normalization decides what gets written:
 
 The two masks are fused elementwise by OR (a coordinate blends when its head
 is selected or its position is not preserved), and the blend copies the
-content value where the fused mask is 0 and the style-normalized value where
-it is 1. The head mask is a read-only length-h bool array; the spatial and
-fused masks are dense {0, 1} :class:`BlendMask` blocks of the full
-heads x positions x head_dim shape, so blending stays shape-uniform.
+content value where the fused mask is False and the style-normalized value
+where it is True. The head mask is a read-only length-h bool array; the
+spatial and fused masks are :class:`BlendMask` wrappers of read-only (h, m, d)
+bool blocks, so blending stays shape-uniform and no mask is scanned for values.
 
 Feature blocks are the read-only, C-contiguous float64 (h, m, d) arrays that
 :mod:`asi.sica` returns, and every block returned here is one too. They are
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, NonFiniteError, ShapeError
-from .numeric import Matrix, _contract, _readonly, _validated_block
+from .numeric import Matrix, _contract, _readonly
 from .sica import siamese_attend
 
 __all__ = [
@@ -76,19 +76,23 @@ class BlendConfig:
 
 @dataclass(frozen=True)
 class BlendMask:
-    """Dense {0, 1} block; 1 means blend style in, 0 means keep content."""
+    """Read-only (h, m, d) bool block: True blends style in, False keeps content."""
 
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        a = _validated_block("BlendMask", self.data, 3)
-        if not np.isin(a, (0.0, 1.0)).all():
-            raise ValueError("BlendMask entries must be exactly 0.0 or 1.0")
-        object.__setattr__(self, "data", a)
+        a = np.asarray(self.data)
+        if a.dtype != np.bool_:
+            raise ValueError(f"BlendMask entries must be bool, got {a.dtype}")
+        if a.ndim != 3:
+            raise ShapeError(f"BlendMask requires 3-D data, got {a.ndim}-D")
+        # A read-only view: the caller's own array keeps its flags.
+        object.__setattr__(self, "data", _readonly(np.ascontiguousarray(a).view()))
 
     @property
     def blended_fraction(self) -> float:
-        return float(self.data.mean())
+        # A count over a size: equal to the float mean of the 0/1 mask, bit for bit.
+        return float(np.count_nonzero(self.data) / self.data.size)
 
 
 # The kernels below take one m x d block or a whole (h, m, d) block: every
@@ -120,12 +124,17 @@ def _distance(f_s: np.ndarray, f_c: np.ndarray) -> np.ndarray:
     return dist
 
 
+def _moments(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Mean, deviation and std over positions in NumPy's own std order: same bits as f.std.
+    mu = f.mean(axis=-2, keepdims=True)
+    dev = f - mu
+    return mu, dev, np.sqrt((dev * dev).sum(axis=-2, keepdims=True) / f.shape[-2])
+
+
 def _adain(f_c: np.ndarray, f_s: np.ndarray, eps: float) -> np.ndarray:
-    mu_c = f_c.mean(axis=-2, keepdims=True)
-    sd_c = f_c.std(axis=-2, keepdims=True)
-    mu_s = f_s.mean(axis=-2, keepdims=True)
-    sd_s = f_s.std(axis=-2, keepdims=True)
-    return sd_s * (f_c - mu_c) / (sd_c + eps) + mu_s
+    _, dev_c, sd_c = _moments(f_c)
+    mu_s, _, sd_s = _moments(f_s)
+    return sd_s * dev_c / (sd_c + eps) + mu_s
 
 
 def covariance(f_head: Matrix) -> Matrix:
@@ -179,18 +188,19 @@ def extract_head_mask(f_s: np.ndarray, f_c: np.ndarray, cfg: BlendConfig) -> np.
 
 
 def extract_spatial_mask(f_c: np.ndarray, cfg: BlendConfig) -> BlendMask:
-    """Zero out (preserve) positions strictly above alpha times the channel max.
+    """Mask out (False: preserve) positions strictly above alpha times the channel max.
 
     The criteria point per head and channel is the max over positions of the
     content features; the comparison is strict, so with alpha < 1 the argmax
     position itself is preserved whenever the channel max is positive. When a
     channel max is <= 0 and alpha < 1 the threshold exceeds the max, nothing
-    qualifies, and that channel's mask is all ones; the formula is applied as
+    qualifies, and that channel's mask is all True; the formula is applied as
     written rather than special-cased.
     """
     peaks = f_c.max(axis=1, keepdims=True)
     tau = cfg.alpha * peaks
-    return BlendMask(np.where(f_c > tau, 0.0, 1.0))
+    # Not f_c <= tau: a NaN entry compares False both ways and must blend (True).
+    return BlendMask(~(f_c > tau))
 
 
 def fuse_masks(head: np.ndarray, spatial: BlendMask) -> BlendMask:
@@ -203,7 +213,7 @@ def fuse_masks(head: np.ndarray, spatial: BlendMask) -> BlendMask:
     h = spatial.data.shape[0]
     if len(head) != h:
         raise ShapeError(f"head mask has {len(head)} heads, spatial mask has {h}")
-    return BlendMask(np.maximum(head.astype(np.float64)[:, None, None], spatial.data))
+    return BlendMask(head[:, None, None] | spatial.data)
 
 
 def adain(f_c_head: Matrix, f_s_head: Matrix, eps: float) -> Matrix:
@@ -224,13 +234,13 @@ def blend(f_c: np.ndarray, f_s: np.ndarray, mask: BlendMask, cfg: BlendConfig) -
 
     Because the mask is binary, the blend is implemented as coordinate
     selection: every output entry is bit-identical to either the content
-    entry (mask 0) or the style-normalized entry (mask 1); no third value
-    can appear.
+    entry (mask False) or the style-normalized entry (mask True); no third
+    value can appear.
     """
     _check_same_shape("blend", f_c, f_s)
     _check_same_shape("blend mask", mask.data, f_c)
     styled = _adain(f_c, f_s, cfg.eps)
-    return _readonly(np.where(mask.data == 1.0, styled, f_c))
+    return _readonly(np.where(mask.data, styled, f_c))
 
 
 @dataclass(frozen=True)

@@ -94,25 +94,40 @@ def _check_shapes(a: Matrix, b: Matrix, what: str) -> None:
         raise ShapeError(f"{what}: shapes differ, {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
 
 
+def _clean_estimate(x_t: Matrix, eps: Matrix, t: int, sched: NoiseSchedule) -> np.ndarray:
+    # (x_t - sqrt(1 - ab_t) eps) / sqrt(ab_t), as a fresh writable array.
+    _check_shapes(x_t, eps, "predict_x0")
+    ab = sched.bar(t)
+    if ab == 0.0:
+        raise ScheduleError(f"alpha_bar vanishes at t={t}; clean estimate undefined")
+    x = x_t.a - np.sqrt(1.0 - ab) * eps.a
+    x /= np.sqrt(ab)
+    return x
+
+
+def _renoise(x: np.ndarray, eps: Matrix, t: int, sched: NoiseSchedule) -> np.ndarray:
+    # In place: x <- sqrt(ab_t) x + sqrt(1 - ab_t) eps, the same bits as the fresh form.
+    ab = sched.bar(t)
+    x *= np.sqrt(ab)
+    x += np.sqrt(1.0 - ab) * eps.a
+    return x
+
+
 def forward_noise(x0: Matrix, t: int, eps: Matrix, sched: NoiseSchedule) -> Matrix:
     """Closed-form jump to timestep t: x_t = sqrt(ab_t) x0 + sqrt(1 - ab_t) eps."""
     _check_shapes(x0, eps, "forward_noise")
-    ab = sched.bar(t)
-    return Matrix(np.sqrt(ab) * x0.a + np.sqrt(1.0 - ab) * eps.a)
+    return Matrix(_renoise(np.array(x0.a), eps, t, sched))
 
 
 def predict_x0(x_t: Matrix, eps_pred: Matrix, t: int, sched: NoiseSchedule) -> Matrix:
     """Recover the clean estimate: (x_t - sqrt(1 - ab_t) eps) / sqrt(ab_t)."""
-    _check_shapes(x_t, eps_pred, "predict_x0")
-    ab = sched.bar(t)
-    if ab == 0.0:
-        raise ScheduleError(f"alpha_bar vanishes at t={t}; clean estimate undefined")
-    return Matrix((x_t.a - np.sqrt(1.0 - ab) * eps_pred.a) / np.sqrt(ab))
+    return Matrix(_clean_estimate(x_t, eps_pred, t, sched))
 
 
 def _jump(x_t: Matrix, eps: Matrix, t: int, t_to: int, sched: NoiseSchedule) -> Matrix:
-    # Re-estimate the clean input at t, then renoise it to t_to with the same noise.
-    return forward_noise(predict_x0(x_t, eps, t, sched), t_to, eps, sched)
+    # Re-estimate the clean input at t and renoise it to t_to in one buffer; the one
+    # Matrix also rejects an overflowed estimate, as sqrt(ab_to) * inf is never finite.
+    return Matrix(_renoise(_clean_estimate(x_t, eps, t, sched), eps, t_to, sched))
 
 
 def ddim_step(x_t: Matrix, eps_pred: Matrix, t: int, t_prev: int, sched: NoiseSchedule) -> Matrix:

@@ -259,8 +259,8 @@ def dump_trajectory(
 
 
 def _preserved_mse(result: AsiLayerResult) -> float:
-    # Mean squared deviation from the content features where the fused mask is 0.
-    preserved = result.fused_mask.data == 0.0
+    # Mean squared deviation from the content features where the fused mask is False.
+    preserved = ~result.fused_mask.data
     count = int(preserved.sum())
     if not count:
         return 0.0

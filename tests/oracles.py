@@ -85,3 +85,28 @@ def frobenius_sq(a) -> float:
     for value in a.reshape(-1):
         total += value * value
     return total
+
+
+# Earlier whole-array forms of rewritten kernels. Each rewrite must give the
+# same bits as its form here, so a NumPy change to a reduction or an operand
+# order fails a named test rather than only a golden digest.
+
+
+def mean_std_adain(f_c, f_s, eps) -> np.ndarray:
+    """AdaIN over positions (axis -2) from NumPy's own mean and population std."""
+    mu_c = f_c.mean(axis=-2, keepdims=True)
+    sd_c = f_c.std(axis=-2, keepdims=True)
+    mu_s = f_s.mean(axis=-2, keepdims=True)
+    sd_s = f_s.std(axis=-2, keepdims=True)
+    return sd_s * (f_c - mu_c) / (sd_c + eps) + mu_s
+
+
+def fresh_ddim_step(x_t, eps, ab, ab_prev) -> np.ndarray:
+    """Clean estimate at ab, renoised to ab_prev, each in fresh temporaries."""
+    x0 = (x_t - np.sqrt(1.0 - ab) * eps) / np.sqrt(ab)
+    return np.sqrt(ab_prev) * x0 + np.sqrt(1.0 - ab_prev) * eps
+
+
+def float_spatial_mask(f_c, alpha) -> np.ndarray:
+    """The spatial mask as a float {0, 1} block: 0 strictly above alpha times the channel max."""
+    return np.where(f_c > alpha * f_c.max(axis=1, keepdims=True), 0.0, 1.0)

@@ -22,7 +22,13 @@ from asi.errors import ConfigError, DegenerateInputError, NonFiniteError, ShapeE
 from asi.numeric import Matrix, Rng, matmul, randn_matrix, softmax_rows
 from asi.sica import AttentionParams, attend, project_kv, project_q, siamese_attend
 
-from oracles import frobenius_sq, reference_attention, two_pass_covariance
+from oracles import (
+    float_spatial_mask,
+    frobenius_sq,
+    mean_std_adain,
+    reference_attention,
+    two_pass_covariance,
+)
 
 bounded = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
 
@@ -186,7 +192,7 @@ class TestHeadMaskExtraction:
 
     def test_dense_materialization(self):
         mask = np.array([True, False])
-        dense = fuse_masks(mask, BlendMask(np.zeros((2, 3, 2)))).data
+        dense = fuse_masks(mask, BlendMask(np.zeros((2, 3, 2), dtype=bool))).data
         assert dense.shape == (2, 3, 2)
         assert np.array_equal(dense[0], np.ones((3, 2)))
         assert np.array_equal(dense[1], np.zeros((3, 2)))
@@ -229,19 +235,19 @@ class TestSpatialMaskExtraction:
 
 class TestMaskFusion:
     def test_selected_head_absorbs_spatial(self):
-        spatial = BlendMask(np.array([[[0.0, 1.0], [1.0, 0.0]]]))
+        spatial = BlendMask(np.array([[[False, True], [True, False]]]))
         fused = fuse_masks(np.array([True]), spatial)
         assert np.array_equal(fused.data, np.ones((1, 2, 2)))
 
     def test_unselected_head_passes_spatial_through(self):
-        spatial = BlendMask(np.array([[[0.0, 1.0], [1.0, 0.0]]]))
+        spatial = BlendMask(np.array([[[False, True], [True, False]]]))
         fused = fuse_masks(np.array([False]), spatial)
         assert np.array_equal(fused.data, spatial.data)
 
     def test_matches_boolean_oracle(self):
         rng = Rng(29)
         head = rng.uniforms(4) < 0.5
-        spatial = BlendMask((rng.uniforms(4 * 5 * 3) < 0.5).astype(float).reshape(4, 5, 3))
+        spatial = BlendMask((rng.uniforms(4 * 5 * 3) < 0.5).reshape(4, 5, 3))
         fused = fuse_masks(head, spatial)
         for i in range(4):
             for p in range(5):
@@ -250,7 +256,7 @@ class TestMaskFusion:
                     assert fused.data[i, p, c] == expected
 
     def test_head_count_mismatch(self):
-        spatial = BlendMask(np.zeros((2, 2, 2)))
+        spatial = BlendMask(np.zeros((2, 2, 2), dtype=bool))
         with pytest.raises(ShapeError):
             fuse_masks(np.array([True]), spatial)
 
@@ -259,6 +265,27 @@ class TestMaskFusion:
             BlendMask(np.full((1, 2, 2), 0.5))
         with pytest.raises(ValueError):
             BlendMask(np.full((1, 2, 2), 2.0))
+
+    @pytest.mark.parametrize("data", [np.zeros((1, 2, 2)), np.ones((1, 2, 2), dtype=np.int64)])
+    def test_masks_must_be_bool(self, data):
+        with pytest.raises(ValueError, match="bool"):
+            BlendMask(data)
+
+    def test_masks_must_be_three_dimensional(self):
+        with pytest.raises(ShapeError):
+            BlendMask(np.zeros((2, 2), dtype=bool))
+
+    def test_mask_is_read_only_and_leaves_caller_array_writable(self):
+        a = np.zeros((1, 2, 2), dtype=bool)
+        mask = BlendMask(a)
+        assert not mask.data.flags.writeable
+        assert a.flags.writeable
+
+    def test_head_count_mismatch_either_way(self):
+        spatial = BlendMask(np.zeros((2, 2, 2), dtype=bool))
+        for head in (np.array([True]), np.array([True, False, True])):
+            with pytest.raises(ShapeError, match="heads"):
+                fuse_masks(head, spatial)
 
 
 class TestAdain:
@@ -308,14 +335,14 @@ class TestBlend:
 
     def test_zero_mask_preserves_content_bitwise(self):
         f_c, f_s = self._setup()
-        mask = BlendMask(np.zeros(f_c.shape))
+        mask = BlendMask(np.zeros(f_c.shape, dtype=bool))
         out = blend(f_c, f_s, mask, BlendConfig())
         assert np.array_equal(out, f_c)
 
     def test_ones_mask_is_pure_adain(self):
         f_c, f_s = self._setup()
         cfg = BlendConfig()
-        mask = BlendMask(np.ones(f_c.shape))
+        mask = BlendMask(np.ones(f_c.shape, dtype=bool))
         out = blend(f_c, f_s, mask, cfg)
         for i in range(len(f_c)):
             assert np.array_equal(out[i], adain(Matrix(f_c[i]), Matrix(f_s[i]), cfg.eps).a)
@@ -337,14 +364,14 @@ class TestBlend:
     def test_style_equals_content_is_noop(self):
         f_c, _ = self._setup(seed=34)
         cfg = BlendConfig(eps=1e-9)
-        mask = BlendMask((Rng(1).uniforms(f_c.size) < 0.5).astype(float).reshape(f_c.shape))
+        mask = BlendMask((Rng(1).uniforms(f_c.size) < 0.5).reshape(f_c.shape))
         out = blend(f_c, f_c, mask, cfg)
         assert np.abs(out - f_c).max() < 1e-6
 
     def test_mask_shape_mismatch(self):
         f_c, f_s = self._setup()
         with pytest.raises(ShapeError):
-            blend(f_c, f_s, BlendMask(np.zeros((1, 2, 2))), BlendConfig())
+            blend(f_c, f_s, BlendMask(np.zeros((1, 2, 2), dtype=bool)), BlendConfig())
 
 
 class TestWholeBlock:
@@ -368,7 +395,7 @@ class TestWholeBlock:
         assert np.array_equal(attend(q, k_c, v_c), f_c)
         distances = head_distances(f_s, f_c)
         cfg = BlendConfig()
-        out = blend(f_c, f_s, BlendMask(np.ones(f_c.shape)), cfg)
+        out = blend(f_c, f_s, BlendMask(np.ones(f_c.shape, dtype=bool)), cfg)
         scale = 1.0 / math.sqrt(d)
         for i in range(h):
             for f, k, v in ((f_s, k_s, v_s), (f_c, k_c, v_c)):
@@ -517,3 +544,73 @@ class TestBlendConfig:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             BlendConfig(**kwargs)
+
+
+# The three benchmark workload shapes (small_sweep, sd_block, mid_bypass), a
+# ragged block and the smallest block that has a covariance.
+BITWISE_SHAPES = [
+    pytest.param(8, 16, 8, id="h8-m16-d8"),
+    pytest.param(8, 1024, 40, id="h8-m1024-d40"),
+    pytest.param(16, 256, 16, id="h16-m256-d16"),
+    pytest.param(3, 17, 5, id="h3-m17-d5"),
+    pytest.param(1, 2, 1, id="h1-m2-d1"),
+]
+
+
+def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("h, m, d", BITWISE_SHAPES)
+class TestBitwiseAgainstEarlierForms:
+    """Each rewritten kernel gives the bits of the form it replaced (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4, 1e8])
+    def test_adain_equals_mean_std_formula(self, h, m, d, scale):
+        rng = Rng(36)
+        f_c = random_feature_map(rng, h, m, d) * scale + 0.5 * scale
+        f_s = random_feature_map(rng, h, m, d) * (3.0 * scale) - scale
+        cfg = BlendConfig()
+        out = blend(f_c, f_s, BlendMask(np.ones(f_c.shape, dtype=bool)), cfg)
+        assert_same_bits(out, mean_std_adain(f_c, f_s, cfg.eps))
+
+    def _tied_block(self, h, m, d):
+        # Positive-peak channels get one entry exactly at the threshold alpha * max.
+        f_c = random_feature_map(Rng(37), h, m, d)
+        peaks = f_c.max(axis=1)
+        for i, c in zip(*np.nonzero(peaks > 0)):
+            f_c[i, (f_c[i, :, c].argmax() + 1) % m, c] = 0.5 * peaks[i, c]
+        assert (f_c == 0.5 * f_c.max(axis=1, keepdims=True)).any()
+        return f_c
+
+    def test_spatial_mask_equals_float_form_with_ties(self, h, m, d):
+        f_c = self._tied_block(h, m, d)
+        mask = extract_spatial_mask(f_c, BlendConfig(alpha=0.5))
+        assert_same_bits(mask.data, float_spatial_mask(f_c, 0.5) == 1.0)
+
+    def test_spatial_mask_equals_float_form_with_nan(self, h, m, d):
+        f_c = self._tied_block(h, m, d)
+        f_c.reshape(-1)[::7] = np.nan
+        mask = extract_spatial_mask(f_c, BlendConfig(alpha=0.5))
+        assert_same_bits(mask.data, float_spatial_mask(f_c, 0.5) == 1.0)
+
+    def test_blended_fraction_equals_float_mean(self, h, m, d):
+        f_c = self._tied_block(h, m, d)
+        spatial = extract_spatial_mask(f_c, BlendConfig(alpha=0.5))
+        float_spatial = float_spatial_mask(f_c, 0.5)
+        head = np.arange(h) % 2 == 1
+        fused = fuse_masks(head, spatial)
+        float_fused = np.maximum(head.astype(np.float64)[:, None, None], float_spatial)
+        assert_same_bits(fused.data, float_fused == 1.0)
+        for mask, float_mask in ((spatial, float_spatial), (fused, float_fused)):
+            assert type(mask.blended_fraction) is float
+            assert mask.blended_fraction == float(float_mask.mean())
+
+
+@pytest.mark.parametrize("h, m, d", [(3, 17, 5), (1, 2, 1)])
+def test_blended_fraction_equals_float_mean_at_every_count(h, m, d):
+    size = h * m * d
+    for count in range(size + 1):
+        float_mask = (np.arange(size) < count).astype(np.float64).reshape(h, m, d)
+        assert BlendMask(float_mask == 1.0).blended_fraction == float(float_mask.mean())

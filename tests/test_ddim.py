@@ -5,6 +5,7 @@ import pytest
 
 from asi.ddim import (
     LatentState,
+    NoiseSchedule,
     OracleDenoiser,
     ddim_generate,
     ddim_invert,
@@ -13,10 +14,12 @@ from asi.ddim import (
     make_schedule,
     predict_x0,
 )
-from asi.errors import ConfigError, ShapeError, TimestepError
+from asi.errors import ConfigError, NonFiniteError, ScheduleError, ShapeError, TimestepError
 from asi.harness import dump_trajectory
 from asi.numeric import Matrix, Rng, randn_matrix
 from asi.tensorio import load_tensor
+
+from oracles import fresh_ddim_step
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -151,6 +154,70 @@ class TestDdimStep:
         for t, t_prev in [(3, 3), (2, 4), (6, 1), (0, -1)]:
             with pytest.raises(TimestepError):
                 ddim_step(x, x, t, t_prev, sched)
+
+
+class TestStepErrors:
+    @staticmethod
+    def schedule(*alpha_bar):
+        return NoiseSchedule(beta=np.zeros(len(alpha_bar)), alpha_bar=np.array([1.0, *alpha_bar]))
+
+    @pytest.mark.parametrize("t_prev", [0, 1])
+    def test_overflowing_clean_estimate_is_non_finite_error(self, t_prev):
+        # sqrt(5e-301) is about 7e-151, so 1e200 / 7e-151 overflows float64.
+        sched = self.schedule(0.5, 5e-301)
+        x_t, eps = Matrix([[1e200, 1.0]]), Matrix(np.zeros((1, 2)))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            ddim_step(x_t, eps, 2, t_prev, sched)
+
+    def test_vanishing_alpha_bar_is_schedule_error(self):
+        sched = self.schedule(0.5, 0.0)
+        x = Matrix([[1.0, 2.0]])
+        with pytest.raises(ScheduleError):
+            ddim_step(x, x, 2, 1, sched)
+        with pytest.raises(ScheduleError):
+            predict_x0(x, x, 2, sched)
+
+
+# Latents of the three benchmark workloads (positions x heads * head_dim), a
+# ragged one and the smallest one.
+LATENT_SHAPES = [(16, 64), (1024, 320), (256, 256), (17, 15), (2, 1)]
+
+
+@pytest.mark.parametrize("rows, cols", LATENT_SHAPES)
+class TestBitwiseAgainstEarlierForms:
+    """The one-buffer sampler rung gives the bits of the two-Matrix form it replaced."""
+
+    def test_step_equals_fresh_temporaries(self, rows, cols):
+        rng = Rng(47)
+        x0, eps = randn_matrix(rng, rows, cols), randn_matrix(rng, rows, cols)
+        sched = make_schedule(50)
+        for t, t_prev in [(50, 49), (37, 12), (5, 0), (1, 0)]:
+            x_t = forward_noise(x0, t, eps, sched)
+            out = ddim_step(x_t, eps, t, t_prev, sched).a
+            expected = fresh_ddim_step(x_t.a, eps.a, sched.bar(t), sched.bar(t_prev))
+            assert out.tobytes() == expected.tobytes()
+            composed = forward_noise(predict_x0(x_t, eps, t, sched), t_prev, eps, sched)
+            assert out.tobytes() == composed.a.tobytes()
+
+    def test_forward_noise_equals_fresh_temporaries(self, rows, cols):
+        rng = Rng(48)
+        x0, eps = randn_matrix(rng, rows, cols), randn_matrix(rng, rows, cols)
+        sched = make_schedule(10)
+        for t in (0, 3, 10):
+            ab = sched.bar(t)
+            expected = np.sqrt(ab) * x0.a + np.sqrt(1.0 - ab) * eps.a
+            assert forward_noise(x0, t, eps, sched).a.tobytes() == expected.tobytes()
+
+    def test_walks_equal_fresh_temporaries(self, rows, cols):
+        x0, denoiser = make_oracle(seed=49, rows=rows, cols=cols)
+        sched = make_schedule(10)
+        eps = denoiser.true_noise.a
+        up = ddim_invert(x0, denoiser, sched, 10)
+        down = ddim_generate(up[-1].x, denoiser, sched, 10)
+        for walk in (up, down):
+            for prev, state in zip(walk[:-1], walk[1:]):
+                expected = fresh_ddim_step(prev.x.a, eps, sched.bar(prev.t), sched.bar(state.t))
+                assert state.x.a.tobytes() == expected.tobytes()
 
 
 def make_oracle(seed=46, rows=4, cols=6):
