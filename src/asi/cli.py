@@ -91,7 +91,7 @@ def _cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    values = [v for v in args.values.split(",") if v]
+    values = args.values.split(",")
     reports = sweep(cfg, args.param, values)
     for value, report in zip(values, reports):
         print(f"{args.param}={value}: blended_fraction={report.blended_fraction!r}")

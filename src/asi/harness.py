@@ -247,9 +247,15 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> P
 def dump_trajectory(
     trajectory: list[LatentState], sched: NoiseSchedule, out_dir: str | Path
 ) -> Path:
-    """Write one tensor dump per state plus a manifest CSV (t, alpha_bar, file)."""
+    """Replace out_dir's trajectory with one tensor dump per state and a manifest CSV.
+
+    First removes every step_*.asit already in out_dir, so none is left from an
+    earlier, longer trajectory. The manifest has columns t, alpha_bar, file.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for stale in out_dir.glob("step_*.asit"):
+        stale.unlink()
     rows = []
     for state in trajectory:
         name = f"step_{state.t}.asit"

@@ -25,18 +25,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _validated_block(name: str, values, ndim: int) -> np.ndarray:
-    """Read-only C-ordered float64 copy of `values`, checked for rank, size and finiteness."""
-    a = np.array(values, dtype=np.float64, order="C", copy=True)
-    if a.ndim != ndim:
-        raise ShapeError(f"{name} requires {ndim}-D data, got {a.ndim}-D")
-    if min(a.shape) < 1:
-        raise ShapeError(f"{name} dimensions must be >= 1, got {'x'.join(map(str, a.shape))}")
-    if not np.isfinite(a).all():
-        raise NonFiniteError(f"{name} entries must be finite (no NaN/Inf)")
-    return _readonly(a)
-
-
 class Matrix:
     """An immutable 2-D block of finite float64 values, row-major.
 
@@ -48,7 +36,14 @@ class Matrix:
     __slots__ = ("_a",)
 
     def __init__(self, values) -> None:
-        self._a = _validated_block("Matrix", values, 2)
+        a = np.array(values, dtype=np.float64, order="C", copy=True)
+        if a.ndim != 2:
+            raise ShapeError(f"Matrix requires 2-D data, got {a.ndim}-D")
+        if min(a.shape) < 1:
+            raise ShapeError(f"Matrix dimensions must be >= 1, got {'x'.join(map(str, a.shape))}")
+        if not np.isfinite(a).all():
+            raise NonFiniteError("Matrix entries must be finite (no NaN/Inf)")
+        self._a = _readonly(a)
 
     @property
     def rows(self) -> int:

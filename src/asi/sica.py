@@ -104,7 +104,15 @@ def project_kv(prompt: Matrix, params: AttentionParams) -> tuple[np.ndarray, np.
     return k, v
 
 
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
+def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """One attention track, softmax(Q K^T / sqrt(d)) V, for all heads at once."""
+    (hq, _, dq), (hk, tk, dk), (hv, tv, dv) = q.shape, k.shape, v.shape
+    if hk != hq or hv != hq:
+        raise ShapeError(f"head count mismatch: q has {hq}, k has {hk}, v has {hv}")
+    if dk != dq or dv != dq:
+        raise ShapeError(f"head_dim mismatch: q has {dq}, k has {dk}, v has {dv}")
+    if tk != tv:
+        raise ShapeError(f"token count mismatch: k has {tk}, v has {tv}")
     # Logits as K Q^T, output as V^T P^T: einsum's inner loop runs over the m
     # positions, and the reduced axis (d, then t) is never innermost in both
     # operands, so each entry is summed in index order, bit for bit as the
@@ -116,21 +124,9 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.nda
     # turned back is C-ordered already and ascontiguousarray copies nothing; it
     # makes the layout a guarantee rather than einsum's choice.
     logits = _contract(k, np.ascontiguousarray(q.transpose(0, 2, 1))).transpose(0, 2, 1)
-    p = softmax_rows(np.multiply(logits, scale, order="C"))
+    p = softmax_rows(np.multiply(logits, 1.0 / math.sqrt(dq), order="C"))
     out = _contract(v.transpose(0, 2, 1), p.transpose(0, 2, 1)).transpose(0, 2, 1)
     return _readonly(np.ascontiguousarray(out))
-
-
-def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """One attention track, softmax(Q K^T / sqrt(d)) V, for all heads at once."""
-    (hq, _, dq), (hk, tk, dk), (hv, tv, dv) = q.shape, k.shape, v.shape
-    if hk != hq or hv != hq:
-        raise ShapeError(f"head count mismatch: q has {hq}, k has {hk}, v has {hv}")
-    if dk != dq or dv != dq:
-        raise ShapeError(f"head_dim mismatch: q has {dq}, k has {dk}, v has {dv}")
-    if tk != tv:
-        raise ShapeError(f"token count mismatch: k has {tk}, v has {tv}")
-    return _attend(q, k, v, 1.0 / math.sqrt(dq))
 
 
 def siamese_attend(

@@ -255,11 +255,6 @@ class TestMaskFusion:
                     expected = 1.0 if (head[i] or spatial.data[i, p, c] == 1.0) else 0.0
                     assert fused.data[i, p, c] == expected
 
-    def test_head_count_mismatch(self):
-        spatial = BlendMask(np.zeros((2, 2, 2), dtype=bool))
-        with pytest.raises(ShapeError):
-            fuse_masks(np.array([True]), spatial)
-
     def test_masks_must_be_binary(self):
         with pytest.raises(ValueError):
             BlendMask(np.full((1, 2, 2), 0.5))

@@ -313,6 +313,17 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "n=0" in out and "n=4" in out
 
+    def test_empty_value_entry_is_1_and_writes_nothing(self, tmp_path, capsys):
+        rc = main(
+            ["sweep", "--param", "n", "--values", "0,,2,",
+             "--set", f"dump_dir={tmp_path/'s'}", "--set", "timesteps=2"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "'n'" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRoundtripCommand:
     def test_roundtrip_passes_and_reports_error(self, capsys):

@@ -305,6 +305,17 @@ class TestTrajectoryDump:
         second = dump_trajectory(traj, sched, tmp_path).read_bytes()
         assert first == second
 
+    def test_shorter_dump_leaves_no_earlier_steps(self, tmp_path):
+        x0, denoiser = make_oracle(seed=51, rows=2, cols=2)
+        for timesteps, sub in ((8, "shared"), (4, "shared"), (4, "fresh")):
+            sched = make_schedule(timesteps)
+            dump_trajectory(ddim_invert(x0, denoiser, sched, timesteps), sched, tmp_path / sub)
+
+        def files(sub):
+            return {p.name: p.read_bytes() for p in (tmp_path / sub).iterdir()}
+
+        assert files("shared") == files("fresh")
+
 
 def test_latent_state_is_frozen():
     state = LatentState(3, Matrix(np.zeros((1, 1))))
