@@ -169,14 +169,19 @@ def head_distances(f_s: np.ndarray, f_c: np.ndarray) -> np.ndarray:
     return _distance(f_s, f_c)
 
 
-def _select_top_heads(distances: np.ndarray, n: int) -> np.ndarray:
-    if n > len(distances):
-        raise ConfigError(f"n={n} exceeds head count {len(distances)}")
-    # Descending distance, ties broken toward the lower head index.
-    order = sorted(range(len(distances)), key=lambda i: (-distances[i], i))
-    selected = np.zeros(len(distances), dtype=bool)
-    selected[order[:n]] = True
-    return _readonly(selected)
+def _select_top_heads(distances: np.ndarray, n: int, groups: int = 1) -> np.ndarray:
+    # The top n of each of `groups` equal runs of heads, one run per sampler step.
+    if len(distances) % groups:
+        raise ShapeError(f"{len(distances)} heads do not split into {groups} steps")
+    per_group = distances.reshape(groups, -1)
+    if n > per_group.shape[1]:
+        raise ConfigError(f"n={n} exceeds head count {per_group.shape[1]}")
+    # Descending distance, ties broken toward the lower head index: a stable
+    # sort of the negated (finite) distances.
+    order = np.argsort(-per_group, axis=1, kind="stable")[:, :n]
+    selected = np.zeros(per_group.shape, dtype=bool)
+    selected[np.arange(groups)[:, None], order] = True
+    return _readonly(selected.reshape(-1))
 
 
 def extract_head_mask(f_s: np.ndarray, f_c: np.ndarray, cfg: BlendConfig) -> np.ndarray:
@@ -263,11 +268,18 @@ def asi_layer(
     k_c: np.ndarray,
     v_c: np.ndarray,
     cfg: BlendConfig,
+    steps: int = 1,
 ) -> AsiLayerResult:
-    """Dual-track attention, mask extraction, fusion, and blending in sequence."""
+    """Dual-track attention, mask extraction, fusion, and blending in sequence.
+
+    The blocks may hold `steps` independent layer applications folded into
+    the head axis (see :func:`asi.sica.project_q`), with k and v tiled to
+    match. Every stage but head selection works per head anyway; the cfg.n
+    heads are selected within each step's own run of heads.
+    """
     f_s, f_c = siamese_attend(q, k_s, v_s, k_c, v_c)
     distances = head_distances(f_s, f_c)
-    head_mask = _select_top_heads(distances, cfg.n)
+    head_mask = _select_top_heads(distances, cfg.n, steps)
     spatial_mask = extract_spatial_mask(f_c, cfg)
     fused = fuse_masks(head_mask, spatial_mask)
     f_out = blend(f_c, f_s, fused, cfg)

@@ -32,6 +32,7 @@ from .errors import AsiError, ConfigError
 from .harness import (
     SWEEPABLE_PARAMS,
     ExperimentConfig,
+    _sweep_run,
     configure,
     dump_trajectory,
     run_pipeline,
@@ -93,7 +94,8 @@ def _cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 def _cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     values = args.values.split(",")
     reports = sweep(cfg, args.param, values)
-    for value, report in zip(values, reports):
+    for raw, report in zip(values, reports):
+        value, _ = _sweep_run(cfg, args.param, raw)  # the value that ran, as in its directory
         print(f"{args.param}={value}: blended_fraction={report.blended_fraction!r}")
     print(f"combined csv: {cfg.dump_dir / 'sweep.csv'}")
     return 0

@@ -2,10 +2,20 @@
 
 Builds seeded prompt embeddings and spatial features, walks a toy denoising
 loop in which the latent doubles as the spatial feature matrix, and routes
-the features through the dual-track attention + blending layer at every
-step. The blending output never feeds back into the latent: the latent
+each step's features through the dual-track attention + blending layer.
+The blending output never feeds back into the latent: the latent
 trajectory is pure sampler bookkeeping, which keeps every run exactly
 reproducible and every metric attributable to the blending stage alone.
+It also leaves a run's layer applications independent of each other once
+the sampler has made their latents, so the layer runs once per chunk of
+steps, with each step's heads stacked after the last's. At the default
+sizes a layer application is a few hundred small NumPy calls whose cost is
+dispatch, not arithmetic, so one application over eight stacked steps costs
+about half as much as eight applications of one step each. A chunk
+holds as many steps as keep its per-step features (heads x positions x
+head_dim) or logits (heads x positions x tokens) within a fixed number of
+entries, so the run's peak memory does not grow with the step count; large
+blocks run one step at a time, as before.
 
 Every artifact is written here: the run's report.csv, per-head distance
 CSV, mask and feature dumps and per-head mask renders, the sweep CSV, and
@@ -24,7 +34,7 @@ from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
-from .adablending import AsiLayerResult, BlendConfig, asi_layer, head_distances
+from .adablending import AsiLayerResult, BlendConfig, BlendMask, asi_layer, head_distances
 from .ddim import (
     LatentState,
     NoiseSchedule,
@@ -34,7 +44,7 @@ from .ddim import (
     make_schedule,
 )
 from .errors import ConfigError
-from .numeric import Matrix, Rng, randn_matrix
+from .numeric import Matrix, Rng, _readonly, randn_matrix
 # siamese_attend is unused here, but the benchmark tracer wraps harness.siamese_attend.
 from .sica import AttentionParams, attend, merge_heads, project_kv, project_q, siamese_attend
 from .tensorio import save_tensor
@@ -264,62 +274,115 @@ def dump_trajectory(
     return _write_csv(out_dir / "trajectory.csv", ["t", "alpha_bar", "file"], rows)
 
 
-def _preserved_mse(result: AsiLayerResult) -> float:
+def _preserved_mse(fused: np.ndarray, f_out: np.ndarray, f_c: np.ndarray) -> float:
     # Mean squared deviation from the content features where the fused mask is False.
-    preserved = ~result.fused_mask.data
+    preserved = ~fused
     count = int(preserved.sum())
     if not count:
         return 0.0
-    diff = result.f_out - result.f_c
+    diff = f_out - f_c
     return float((diff[preserved] ** 2).sum() / count)
+
+
+# The layer runs once per chunk of sampler steps, each step's heads stacked
+# after the last's. A chunk's features (h, m, d per step) and its logits
+# (h, m, tokens per step) each hold at most this many entries, unless one step
+# alone holds more: small blocks are bound by Python dispatch, not arithmetic,
+# and the run's peak memory must not grow with the step count.
+_CHUNK_ENTRIES = 8192
+
+
+def _chunk_steps(cfg: ExperimentConfig) -> int:
+    per_step = cfg.heads * cfg.positions * max(cfg.head_dim, cfg.tokens)
+    return max(1, _CHUNK_ENTRIES // per_step)
+
+
+def _final_step(result: AsiLayerResult, heads: int) -> AsiLayerResult:
+    # The last step of a chunk's layer result: the final `heads` heads of each block.
+    last = slice(-heads, None)
+    return AsiLayerResult(
+        f_out=result.f_out[last],
+        f_s=result.f_s[last],
+        f_c=result.f_c[last],
+        distances=result.distances[last],
+        head_mask=result.head_mask[last],
+        spatial_mask=BlendMask(result.spatial_mask.data[last]),
+        fused_mask=BlendMask(result.fused_mask.data[last]),
+    )
 
 
 def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     """Run the full loop and write all artifacts into cfg.dump_dir.
 
-    Each step first advances the latent with the deterministic sampler and
-    the oracle denoiser, then treats the fresh latent as the spatial feature
-    matrix: it is projected to queries, attended against both prompts, and
-    blended cfg.layers_per_step times (each layer feeding the next). The
-    blended output of the final step's final layer is dumped along with that
-    step's masks and per-head distances.
+    The sampler walks down one step at a time with the deterministic update
+    and the oracle denoiser. Each fresh latent doubles as that step's spatial
+    feature matrix: it is projected to queries, attended against both
+    prompts, and blended cfg.layers_per_step times (each layer feeding the
+    next). As the blended output never feeds the latent, the layers run once
+    per chunk of steps: the chunk's latents are stacked and each step's heads
+    follow the last's, so every head computes what it would alone, bit for
+    bit, and the top n heads are selected per step. A chunk holds as many
+    steps as keep its features and its logits within _CHUNK_ENTRIES entries
+    each (one step at least). The blended output of the final step's final
+    layer is dumped along with that step's masks and per-head distances.
     """
     inputs = synth_inputs(cfg)
     sched = make_schedule(cfg.timesteps)
     denoiser = OracleDenoiser(true_noise=inputs.latent_noise)
-    k_s, v_s = project_kv(inputs.style_prompt, inputs.params)
-    k_c, v_c = project_kv(inputs.content_prompt, inputs.params)
+    h = cfg.heads
+    chunk = _chunk_steps(cfg)
+    # k_s, v_s, k_c, v_c: style keys and values, then content keys and values.
+    kv = (*project_kv(inputs.style_prompt, inputs.params),
+          *project_kv(inputs.content_prompt, inputs.params))
+    if chunk > 1:  # every step of a chunk attends the same prompts
+        kv = tuple(_readonly(np.tile(b, (chunk, 1, 1))) for b in kv)
 
     x = ddim_invert(inputs.spatial, denoiser, sched, cfg.timesteps)[-1].x
 
     rows: list[tuple] = []
     result = None
-    for t in range(cfg.timesteps, 0, -1):
-        x = ddim_step(x, denoiser.predict(x, t), t, t - 1, sched)
-        features = x
+    for top in range(cfg.timesteps, 0, -chunk):
+        ts = range(top, max(top - chunk, 0), -1)
+        latents = []
+        for t in ts:
+            x = ddim_step(x, denoiser.predict(x, t), t, t - 1, sched)
+            latents.append(x)
+        steps = len(ts)
+        features = x if steps == 1 else Matrix(np.concatenate([z.a for z in latents]))
+        if steps < chunk:  # the short final chunk
+            kv = tuple(b[: steps * h] for b in kv)
         for _ in range(cfg.layers_per_step):
-            q = project_q(features, inputs.params)
+            q = project_q(features, inputs.params, steps)
             result = block = None  # free the previous layer's blocks before the next are built
             if cfg.apply_asi:
-                result = asi_layer(q, k_s, v_s, k_c, v_c, cfg.blend)
+                result = asi_layer(q, *kv, cfg.blend, steps)
                 block = result.f_out
             else:
-                block = attend(q, k_c, v_c)
-            features = merge_heads(block)
+                block = attend(q, *kv[2:])
+            features = merge_heads(block, steps)
         if cfg.apply_asi:
-            step = (*result.distances, result.fused_mask.blended_fraction, _preserved_mse(result))
-        else:  # only the content track moves the features; the style track runs once a step
-            step = (*head_distances(attend(q, k_s, v_s), block), 0.0, 0.0)
-        rows.append((t, *map(float, step)))
+            distances = result.distances
+        else:  # only the content track moves the features; the style track runs once a chunk
+            distances = head_distances(attend(q, *kv[:2]), block)
+        for i, t in enumerate(ts):
+            s = slice(i * h, (i + 1) * h)
+            blended = 0.0, 0.0
+            if cfg.apply_asi:
+                fused = result.fused_mask.data[s]
+                blended = (
+                    np.count_nonzero(fused) / fused.size,
+                    _preserved_mse(fused, block[s], result.f_c[s]),
+                )
+            rows.append((t, *map(float, (*distances[s], *blended))))
 
     out_dir = cfg.dump_dir
     # Written first: save_tensor rejects a non-finite block before it creates the
     # directory or opens the file, so a failed run creates and changes nothing.
-    feature_path = save_tensor(out_dir / "features_out.asit", block)
+    feature_path = save_tensor(out_dir / "features_out.asit", block[-h:])
     header = ["step", *(f"ell_{i}" for i in range(cfg.heads)), "blended_fraction", "preserved_mse"]
     _write_csv(out_dir / "report.csv", header, rows)
     _write_csv(out_dir / "ell.csv", ["head_index", "ell"], enumerate(rows[-1][1:-2]))
-    write_mask_artifacts(out_dir, result)
+    write_mask_artifacts(out_dir, None if result is None else _final_step(result, h))
 
     return RunReport(
         per_step_ell=tuple(r[1:-2] for r in rows),
@@ -330,6 +393,13 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
 
 
 SWEEPABLE_PARAMS = ("n", "alpha", "seed", "perturbation")
+
+
+def _sweep_run(cfg: ExperimentConfig, param: str, raw) -> tuple[object, ExperimentConfig]:
+    # One sweep entry: the value it parses to and the config of its run.
+    run_cfg = configure(cfg, [(param, raw)])
+    value = getattr(run_cfg.blend if param in _BLEND_KEYS else run_cfg, param)
+    return value, dataclasses.replace(run_cfg, dump_dir=cfg.dump_dir / f"{param}_{value}")
 
 
 def sweep(cfg: ExperimentConfig, param: str, values: list) -> list[RunReport]:
@@ -344,12 +414,7 @@ def sweep(cfg: ExperimentConfig, param: str, values: list) -> list[RunReport]:
         raise ConfigError(f"unknown sweep parameter {param!r}; choose from {SWEEPABLE_PARAMS}")
     if not values:
         raise ConfigError("sweep needs at least one value")
-    runs = []
-    for raw in values:
-        run_cfg = configure(cfg, [(param, raw)])
-        value = getattr(run_cfg.blend if param in _BLEND_KEYS else run_cfg, param)
-        run_dir = cfg.dump_dir / f"{param}_{value}"
-        runs.append((value, dataclasses.replace(run_cfg, dump_dir=run_dir)))
+    runs = [_sweep_run(cfg, param, raw) for raw in values]
     reports = [run_pipeline(run_cfg) for _, run_cfg in runs]
     _write_csv(
         cfg.dump_dir / "sweep.csv",

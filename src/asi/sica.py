@@ -17,6 +17,11 @@ every projection, and each layer's merged output). Head i owns channels
 [i*d, (i+1)*d) of the flat model dimension; this split convention is part
 of the dump format contract and must not change.
 
+The pipeline may stack the features of several sampler steps into one
+block, each step's h heads after the last's (see :func:`project_q` and
+:func:`merge_heads`); every kernel here works per head, so each head gets
+the bits it would get alone.
+
 Both products run with the m query positions as the innermost loop: the
 logits as K Q^T over a contiguous Q^T, the output as V^T P^T, each then
 turned back to (positions, ...) order. NumPy's einsum adds the products of
@@ -70,29 +75,39 @@ class AttentionParams:
         return self.heads * self.head_dim
 
 
-def _split_heads(flat: Matrix, heads: int) -> np.ndarray:
-    # m x (h*d) -> (h, m, d); AttentionParams makes the channel count h*d.
-    m, md = flat.a.shape
-    return _readonly(np.ascontiguousarray(flat.a.reshape(m, heads, md // heads).transpose(1, 0, 2)))
+def _split_heads(flat: Matrix, heads: int, steps: int = 1) -> np.ndarray:
+    # (steps*m) x (h*d) -> (steps*h, m, d), step-major; AttentionParams makes the
+    # channel count h*d.
+    rows, md = flat.a.shape
+    m, d = rows // steps, md // heads
+    split = np.ascontiguousarray(flat.a.reshape(steps, m, heads, d).transpose(0, 2, 1, 3))
+    return _readonly(split.reshape(steps * heads, m, d))
 
 
-def merge_heads(block: np.ndarray) -> Matrix:
-    """Inverse of the head split: an (h, m, d) block back to an m x (h*d) matrix."""
-    h, m, d = block.shape
-    return Matrix(block.transpose(1, 0, 2).reshape(m, h * d))
+def merge_heads(block: np.ndarray, steps: int = 1) -> Matrix:
+    """Inverse of the head split: a (steps*h, m, d) block back to a (steps*m) x (h*d) matrix."""
+    sh, m, d = block.shape
+    if sh % steps:
+        raise ShapeError(f"{sh} heads do not split into {steps} steps")
+    h = sh // steps
+    return Matrix(block.reshape(steps, h, m, d).transpose(0, 2, 1, 3).reshape(steps * m, h * d))
 
 
-def project_q(spatial: Matrix, params: AttentionParams) -> np.ndarray:
+def project_q(spatial: Matrix, params: AttentionParams, steps: int = 1) -> np.ndarray:
     """Project spatial features to per-head queries: Q = spatial @ w_q, then split.
 
-    Q is computed once and shared by both branches.
+    Q is computed once and shared by both branches. spatial may stack the
+    features of `steps` sampler steps, m rows each; each step's queries then
+    become its own h heads, step after step, in a (steps*h, m, d) block.
     """
     if spatial.cols != params.model_dim:
         raise ShapeError(
             f"spatial features are {spatial.rows}x{spatial.cols}, "
             f"expected {params.model_dim} channels"
         )
-    return _split_heads(matmul(spatial, params.w_q), params.heads)
+    if spatial.rows % steps:
+        raise ShapeError(f"{spatial.rows} spatial rows do not split into {steps} steps")
+    return _split_heads(matmul(spatial, params.w_q), params.heads, steps)
 
 
 def project_kv(prompt: Matrix, params: AttentionParams) -> tuple[np.ndarray, np.ndarray]:

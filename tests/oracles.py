@@ -27,6 +27,20 @@ def naive_matmul(a, b) -> np.ndarray:
     return np.array(out)
 
 
+def k_ordered_contract(a, b) -> np.ndarray:
+    """a @ b over the last two axes, each entry summed in k order from +0.0.
+
+    Every step rounds the product, then rounds the sum: no fused multiply-add,
+    no pairwise or blocked reduction. Leading axes broadcast.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = np.zeros((*np.broadcast_shapes(a.shape[:-2], b.shape[:-2]), a.shape[-2], b.shape[-1]))
+    for k in range(a.shape[-1]):
+        out += a[..., :, k, None] * b[..., k, None, :]
+    return out
+
+
 def naive_softmax_row(row) -> list[float]:
     mx = max(row)
     exps = [math.exp(v - mx) for v in row]

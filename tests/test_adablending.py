@@ -17,6 +17,7 @@ from asi.adablending import (
     fuse_masks,
     head_distance,
     head_distances,
+    _select_top_heads,
 )
 from asi.errors import ConfigError, DegenerateInputError, NonFiniteError, ShapeError
 from asi.numeric import Matrix, Rng, matmul, randn_matrix, softmax_rows
@@ -196,6 +197,34 @@ class TestHeadMaskExtraction:
         assert dense.shape == (2, 3, 2)
         assert np.array_equal(dense[0], np.ones((3, 2)))
         assert np.array_equal(dense[1], np.zeros((3, 2)))
+
+
+class TestGroupedHeadSelection:
+    # Four groups of three heads, one group per sampler step: a tie inside
+    # group 0, group 1 all tied at group 0's maximum, a zero in group 2.
+    DISTANCES = np.array([0.5, 2.0, 0.5, 2.0, 2.0, 2.0, 0.0, 1.0, 0.5, 1.0, 0.5, 0.5])
+    EXPECTED = {
+        0: [[0, 0, 0]] * 4,
+        1: [[0, 1, 0], [1, 0, 0], [0, 1, 0], [1, 0, 0]],
+        2: [[1, 1, 0], [1, 1, 0], [0, 1, 1], [1, 1, 0]],
+        3: [[1, 1, 1]] * 4,
+    }
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_each_group_selects_its_own_top_n(self, n):
+        selected = _select_top_heads(self.DISTANCES, n, groups=4)
+        per_group = [_select_top_heads(group, n) for group in self.DISTANCES.reshape(4, 3)]
+        assert np.array_equal(selected, np.concatenate(per_group))
+        assert selected.reshape(4, 3).astype(int).tolist() == self.EXPECTED[n]
+        assert selected.dtype == bool and not selected.flags.writeable
+
+    def test_n_above_the_group_size_is_config_error(self):
+        with pytest.raises(ConfigError, match="exceeds head count 3"):
+            _select_top_heads(self.DISTANCES, 4, groups=4)
+
+    def test_groups_must_divide_the_heads(self):
+        with pytest.raises(ShapeError, match="12 heads do not split into 5"):
+            _select_top_heads(self.DISTANCES, 1, groups=5)
 
 
 class TestSpatialMaskExtraction:

@@ -313,6 +313,17 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "n=0" in out and "n=4" in out
 
+    def test_prints_the_value_that_ran(self, tmp_path, capsys):
+        rc = main(
+            ["sweep", "--param", "alpha", "--values", "0.70,1",
+             "--set", f"dump_dir={tmp_path/'s'}", "--set", "timesteps=2"]
+        )
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:2]] == ["alpha=0.7", "alpha=1.0"]
+        dirs = sorted(p.name for p in (tmp_path / "s").iterdir() if p.is_dir())
+        assert dirs == ["alpha_0.7", "alpha_1.0"]
+
     def test_empty_value_entry_is_1_and_writes_nothing(self, tmp_path, capsys):
         rc = main(
             ["sweep", "--param", "n", "--values", "0,,2,",

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from asi import harness
 from asi.adablending import BlendConfig, asi_layer, head_distances
 from asi.ddim import OracleDenoiser, ddim_invert, ddim_step, make_schedule
 from asi.errors import ConfigError
@@ -266,6 +267,47 @@ class TestRunPipeline:
         one = load_tensor(cfg1.dump_dir / "features_out.asit")
         two = load_tensor(cfg2.dump_dir / "features_out.asit")
         assert not np.array_equal(one, two)
+
+
+def artifacts(out_dir: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+class TestChunking:
+    # Chunks of several steps against one step at a time: the same bytes. The
+    # ragged shape runs 22-step chunks by default, so T=13 is one short chunk;
+    # the small_sweep shape runs 8-step chunks, 8 + 5. Four-step chunks leave
+    # a final chunk of one step.
+    @pytest.mark.parametrize("four_step_chunks", [False, True], ids=["default", "4-step"])
+    @pytest.mark.parametrize("select_all", [False, True], ids=["n=0", "n=h"])
+    @pytest.mark.parametrize("apply_asi", [False, True], ids=["bypass", "asi"])
+    @pytest.mark.parametrize("layers_per_step", [1, 3])
+    @pytest.mark.parametrize(
+        "shape",
+        [dict(heads=3, head_dim=5, positions=17, tokens=7), dict()],
+        ids=["h3-d5-m17-t7", "h8-d8-m16-t4"],
+    )
+    def test_chunks_write_the_bytes_of_single_steps(
+        self, tmp_path, monkeypatch, shape, layers_per_step, apply_asi, select_all, four_step_chunks
+    ):
+        n = shape.get("heads", 8) if select_all else 0
+        cfg = ExperimentConfig(**shape, timesteps=13, layers_per_step=layers_per_step,
+                               apply_asi=apply_asi, blend=BlendConfig(n=n),
+                               dump_dir=tmp_path / "chunked")
+        if four_step_chunks:
+            per_step = cfg.heads * cfg.positions * max(cfg.head_dim, cfg.tokens)
+            monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 4 * per_step)
+            assert harness._chunk_steps(cfg) == 4
+        else:
+            assert harness._chunk_steps(cfg) > 4
+        chunked = run_pipeline(cfg)
+        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 1)
+        single = dataclasses.replace(cfg, dump_dir=tmp_path / "single")
+        assert harness._chunk_steps(single) == 1
+        assert run_pipeline(single) == dataclasses.replace(
+            chunked, output_feature_path=single.dump_dir / "features_out.asit"
+        )
+        assert artifacts(single.dump_dir) == artifacts(cfg.dump_dir)
 
 
 class TestSweep:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asi import adablending, harness, numeric, sica
+from asi.adablending import BlendConfig
 from asi.errors import ShapeError
+from asi.harness import ExperimentConfig, run_pipeline
 from asi.numeric import Matrix, Rng, matmul, randn_matrix, softmax_rows
 
-from oracles import naive_matmul, naive_softmax_row
+from oracles import k_ordered_contract, naive_matmul, naive_softmax_row
 
 bounded = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -95,6 +99,63 @@ class TestMatmul:
             1.0, abs(a.a).max() * abs(b.a).max() * abs(c.a).max() * a.cols * b.cols
         )
         assert np.abs(left - right).max() / scale < 1e-9
+
+
+# The benchmark workloads' shapes and a ragged one, as config overrides.
+RUN_SHAPES = {
+    "small_sweep": dict(),
+    "sd_block": dict(heads=8, head_dim=40, positions=1024, tokens=77),
+    "mid_bypass": dict(heads=16, head_dim=16, positions=256, tokens=16, layers_per_step=4,
+                       apply_asi=False),
+    "ragged": dict(heads=3, head_dim=5, positions=17, tokens=7, blend=BlendConfig(n=2)),
+}
+
+
+class TestContractionOrder:
+    """Every contraction a run makes sums each entry in k order, bit for bit.
+
+    All the goldens rest on this: NumPy's einsum adds the products of an
+    entry in order of the reduction index, multiply then add, from +0.0,
+    whenever that index is not innermost in both operands. Stacking more
+    heads or rows into a block must not change that order. At head_dim=1 the
+    index is innermost in both operands of V^T P^T and F^T F, and the order
+    is not pinned there; no workload or golden uses head_dim=1.
+    """
+
+    @pytest.mark.parametrize("name", sorted(RUN_SHAPES))
+    def test_every_contraction_of_one_chunk_is_k_ordered(self, tmp_path, monkeypatch, name):
+        contract = numeric._contract
+        seen = set()
+
+        def checked(a, b):
+            out = contract(a, b)
+            layout = (a.shape, a.strides, b.shape, b.strides)
+            assert out.tobytes() == k_ordered_contract(a, b).tobytes(), layout
+            seen.add((a.shape, b.shape))
+            return out
+
+        for module in (numeric, sica, adablending):
+            monkeypatch.setattr(module, "_contract", checked)
+        cfg = ExperimentConfig(**RUN_SHAPES[name], dump_dir=tmp_path)
+        steps = harness._chunk_steps(cfg)
+        run_pipeline(dataclasses.replace(cfg, timesteps=steps))  # one chunk of `steps` steps
+        h, m, d, t, md = cfg.heads, cfg.positions, cfg.head_dim, cfg.tokens, cfg.model_dim
+        hs = steps * h  # each step's heads follow the last's
+        assert seen == {
+            ((t, md), (md, md)),  # project_kv
+            ((steps * m, md), (md, md)),  # project_q over the stacked latents
+            ((hs, t, d), (hs, d, m)),  # logits as K Q^T
+            ((hs, d, t), (hs, t, m)),  # output as V^T P^T
+            ((hs, d, m), (hs, m, d)),  # Gram F^T F
+        }
+        assert steps == {"small_sweep": 8, "ragged": 22}.get(name, 1)
+
+    def test_negative_zero_products_sum_to_positive_zero(self):
+        a = np.array([[-0.0, 2.0]])
+        b = np.array([[3.0, 1.0], [-0.0, -0.0]])
+        expected = np.zeros((1, 2)).tobytes()
+        assert k_ordered_contract(a, b).tobytes() == expected
+        assert numeric._contract(a, b).tobytes() == expected
 
 
 class TestSoftmaxRows:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from asi.errors import ShapeError
-from asi.numeric import Matrix, Rng, randn_matrix
+from asi.numeric import Matrix, Rng, matmul, randn_matrix
 from asi.sica import (
     AttentionParams,
     attend,
@@ -61,6 +61,23 @@ class TestProjections:
         flat = randn_matrix(rng, 5, 12)
         q = project_q(flat, identity_params(3, 4))
         assert np.array_equal(merge_heads(q).a, flat.a)
+
+    def test_stacked_steps_split_step_after_step(self):
+        rng = Rng(14)
+        params = random_params(rng, 3, 2)
+        latents = [randn_matrix(rng, 5, 6) for _ in range(4)]
+        stacked = Matrix(np.concatenate([z.a for z in latents]))
+        q = project_q(stacked, params, steps=4)
+        assert q.shape == (12, 5, 2) and q.flags.c_contiguous and not q.flags.writeable
+        per_step = [project_q(z, params) for z in latents]
+        assert np.array_equal(q, np.concatenate(per_step))
+        assert np.array_equal(merge_heads(q, steps=4).a, matmul(stacked, params.w_q).a)
+
+    def test_steps_must_divide_rows_and_heads(self):
+        with pytest.raises(ShapeError, match="5 spatial rows"):
+            project_q(Matrix(np.zeros((5, 4))), identity_params(2, 2), steps=2)
+        with pytest.raises(ShapeError, match="3 heads"):
+            merge_heads(np.zeros((3, 4, 2)), steps=2)
 
     def test_projection_matches_loop_oracle(self):
         rng = Rng(4)
