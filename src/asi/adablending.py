@@ -22,6 +22,11 @@ Feature blocks are the read-only, C-contiguous float64 (h, m, d) arrays that
 not scanned for NaN/Inf again: the head distances are checked, and a
 non-finite block fails there or when the layer output is merged back into a
 :class:`~asi.numeric.Matrix`.
+
+A block may also be (h, steps, m, d): one feature map per sampler step.
+Statistics reduce over positions (axis -2) and heads are ranked along axis
+0, so each step's (h, m, d) slice gets the bits it would get alone, and
+the head mask and distances are (h, steps).
 """
 
 from __future__ import annotations
@@ -66,8 +71,8 @@ class BlendConfig:
     eps: float = 1e-5
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ConfigError(f"n must be >= 0, got {self.n}")
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 0:
+            raise ConfigError(f"n must be an integer >= 0, got {self.n!r}")
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ConfigError(f"alpha must be finite and > 0, got {self.alpha}")
         if not (self.eps > 0 and math.isfinite(self.eps)):
@@ -76,7 +81,7 @@ class BlendConfig:
 
 @dataclass(frozen=True)
 class BlendMask:
-    """Read-only (h, m, d) bool block: True blends style in, False keeps content."""
+    """Read-only (h, [steps,] m, d) bool block: True blends style in, False keeps content."""
 
     data: np.ndarray
 
@@ -84,20 +89,15 @@ class BlendMask:
         a = np.asarray(self.data)
         if a.dtype != np.bool_:
             raise ValueError(f"BlendMask entries must be bool, got {a.dtype}")
-        if a.ndim != 3:
-            raise ShapeError(f"BlendMask requires 3-D data, got {a.ndim}-D")
+        if a.ndim not in (3, 4):
+            raise ShapeError(f"BlendMask requires 3-D or 4-D data, got {a.ndim}-D")
         # A read-only view: the caller's own array keeps its flags.
         object.__setattr__(self, "data", _readonly(np.ascontiguousarray(a).view()))
 
-    @property
-    def blended_fraction(self) -> float:
-        # A count over a size: equal to the float mean of the 0/1 mask, bit for bit.
-        return float(np.count_nonzero(self.data) / self.data.size)
 
-
-# The kernels below take one m x d block or a whole (h, m, d) block: every
-# reduction runs over positions (axis -2), so each head's result is bit for
-# bit the one its 2-D slice would give.
+# The kernels below take one m x d block or a whole (h, [steps,] m, d) block:
+# every reduction runs over positions (axis -2), so each head's result is bit
+# for bit the one its 2-D slice would give.
 
 
 def _check_same_shape(what: str, a: np.ndarray, b: np.ndarray) -> None:
@@ -160,7 +160,7 @@ def head_distance(f_s_head: Matrix, f_c_head: Matrix) -> float:
 
 
 def head_distances(f_s: np.ndarray, f_c: np.ndarray) -> np.ndarray:
-    """Covariance distance per head, as a length-h float array.
+    """Covariance distance per head, as an (h,) float array ((h, steps) for 4-D blocks).
 
     Raises NonFiniteError when a distance is not finite, as it is for a block
     holding NaN or Inf.
@@ -169,25 +169,22 @@ def head_distances(f_s: np.ndarray, f_c: np.ndarray) -> np.ndarray:
     return _distance(f_s, f_c)
 
 
-def _select_top_heads(distances: np.ndarray, n: int, groups: int = 1) -> np.ndarray:
-    # The top n of each of `groups` equal runs of heads, one run per sampler step.
-    if len(distances) % groups:
-        raise ShapeError(f"{len(distances)} heads do not split into {groups} steps")
-    per_group = distances.reshape(groups, -1)
-    if n > per_group.shape[1]:
-        raise ConfigError(f"n={n} exceeds head count {per_group.shape[1]}")
-    # Descending distance, ties broken toward the lower head index: a stable
-    # sort of the negated (finite) distances.
-    order = np.argsort(-per_group, axis=1, kind="stable")[:, :n]
-    selected = np.zeros(per_group.shape, dtype=bool)
-    selected[np.arange(groups)[:, None], order] = True
-    return _readonly(selected.reshape(-1))
+def _select_top_heads(distances: np.ndarray, n: int) -> np.ndarray:
+    # The top n heads along axis 0, separately for each step of (h, steps) distances.
+    if n > len(distances):
+        raise ConfigError(f"n={n} exceeds head count {len(distances)}")
+    # Descending distance, ties broken toward the lower head index: a head's
+    # rank (the inverse permutation) in a stable sort of the negated (finite)
+    # distances.
+    order = np.argsort(-distances, axis=0, kind="stable")
+    return _readonly(np.argsort(order, axis=0) < n)
 
 
 def extract_head_mask(f_s: np.ndarray, f_c: np.ndarray, cfg: BlendConfig) -> np.ndarray:
     """Select the cfg.n heads whose style/content covariances differ most.
 
-    Returns a read-only length-h bool array, True for each selected head.
+    Returns a read-only bool array shaped like the distances, True for each
+    selected head.
     """
     return _select_top_heads(head_distances(f_s, f_c), cfg.n)
 
@@ -202,7 +199,7 @@ def extract_spatial_mask(f_c: np.ndarray, cfg: BlendConfig) -> BlendMask:
     qualifies, and that channel's mask is all True; the formula is applied as
     written rather than special-cased.
     """
-    peaks = f_c.max(axis=1, keepdims=True)
+    peaks = f_c.max(axis=-2, keepdims=True)
     tau = cfg.alpha * peaks
     # Not f_c <= tau: a NaN entry compares False both ways and must blend (True).
     return BlendMask(~(f_c > tau))
@@ -211,14 +208,14 @@ def extract_spatial_mask(f_c: np.ndarray, cfg: BlendConfig) -> BlendMask:
 def fuse_masks(head: np.ndarray, spatial: BlendMask) -> BlendMask:
     """Combine the two masks elementwise by OR.
 
-    `head` is the length-h bool selection of :func:`extract_head_mask`.
-    Selected heads blend at every position; unselected heads blend only where
-    the spatial mask permits.
+    `head` is the bool selection of :func:`extract_head_mask`, one entry per
+    (h, m, d) slice of the spatial mask. Selected heads blend at every
+    position; unselected heads blend only where the spatial mask permits.
     """
-    h = spatial.data.shape[0]
-    if len(head) != h:
-        raise ShapeError(f"head mask has {len(head)} heads, spatial mask has {h}")
-    return BlendMask(head[:, None, None] | spatial.data)
+    if head.shape != spatial.data.shape[:-2]:
+        raise ShapeError(f"head mask has shape {head.shape}, spatial mask has heads "
+                         f"{spatial.data.shape[:-2]}")
+    return BlendMask(head[..., None, None] | spatial.data)
 
 
 def adain(f_c_head: Matrix, f_s_head: Matrix, eps: float) -> Matrix:
@@ -268,18 +265,15 @@ def asi_layer(
     k_c: np.ndarray,
     v_c: np.ndarray,
     cfg: BlendConfig,
-    steps: int = 1,
 ) -> AsiLayerResult:
     """Dual-track attention, mask extraction, fusion, and blending in sequence.
 
-    The blocks may hold `steps` independent layer applications folded into
-    the head axis (see :func:`asi.sica.project_q`), with k and v tiled to
-    match. Every stage but head selection works per head anyway; the cfg.n
-    heads are selected within each step's own run of heads.
+    q may be an (h, steps, m, d) block of independent layer applications, one
+    per sampler step; the cfg.n heads are then selected within each step.
     """
     f_s, f_c = siamese_attend(q, k_s, v_s, k_c, v_c)
     distances = head_distances(f_s, f_c)
-    head_mask = _select_top_heads(distances, cfg.n, steps)
+    head_mask = _select_top_heads(distances, cfg.n)
     spatial_mask = extract_spatial_mask(f_c, cfg)
     fused = fuse_masks(head_mask, spatial_mask)
     f_out = blend(f_c, f_s, fused, cfg)

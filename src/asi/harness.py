@@ -8,7 +8,7 @@ trajectory is pure sampler bookkeeping, which keeps every run exactly
 reproducible and every metric attributable to the blending stage alone.
 It also leaves a run's layer applications independent of each other once
 the sampler has made their latents, so the layer runs once per chunk of
-steps, with each step's heads stacked after the last's. At the default
+steps, on (heads, steps, positions, head_dim) blocks. At the default
 sizes a layer application is a few hundred small NumPy calls whose cost is
 dispatch, not arithmetic, so one application over eight stacked steps costs
 about half as much as eight applications of one step each. A chunk
@@ -44,7 +44,7 @@ from .ddim import (
     make_schedule,
 )
 from .errors import ConfigError
-from .numeric import Matrix, Rng, _readonly, randn_matrix
+from .numeric import Matrix, Rng, randn_matrix
 # siamese_attend is unused here, but the benchmark tracer wraps harness.siamese_attend.
 from .sica import AttentionParams, attend, merge_heads, project_kv, project_q, siamese_attend
 from .tensorio import save_tensor
@@ -83,16 +83,14 @@ class ExperimentConfig:
     blend: BlendConfig = field(default_factory=BlendConfig)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or not 0 <= self.seed <= _MAX_SEED:
-            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed}")
-        for name in ("heads", "head_dim", "tokens", "timesteps", "layers_per_step"):
+        # Each integer field and its least value; positions >= 2 gives a covariance.
+        for name, least in (("seed", 0), ("heads", 1), ("head_dim", 1), ("positions", 2),
+                            ("tokens", 1), ("timesteps", 1), ("layers_per_step", 1)):
             value = getattr(self, name)
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
-        if self.positions < 2:
-            raise ConfigError(
-                f"positions must be >= 2 (covariance needs it), got {self.positions}"
-            )
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        if self.seed > _MAX_SEED:
+            raise ConfigError(f"seed must be below 2**64, got {self.seed}")
         if not (self.perturbation >= 0 and math.isfinite(self.perturbation)):
             raise ConfigError(f"perturbation must be finite and >= 0, got {self.perturbation}")
         if self.blend.n > self.heads:
@@ -284,11 +282,11 @@ def _preserved_mse(fused: np.ndarray, f_out: np.ndarray, f_c: np.ndarray) -> flo
     return float((diff[preserved] ** 2).sum() / count)
 
 
-# The layer runs once per chunk of sampler steps, each step's heads stacked
-# after the last's. A chunk's features (h, m, d per step) and its logits
-# (h, m, tokens per step) each hold at most this many entries, unless one step
-# alone holds more: small blocks are bound by Python dispatch, not arithmetic,
-# and the run's peak memory must not grow with the step count.
+# The layer runs once per chunk of sampler steps, on (h, steps, m, d) blocks.
+# A chunk's features (h, m, d per step) and its logits (h, m, tokens per step)
+# each hold at most this many entries, unless one step alone holds more: small
+# blocks are bound by Python dispatch, not arithmetic, and the run's peak
+# memory must not grow with the step count.
 _CHUNK_ENTRIES = 8192
 
 
@@ -297,17 +295,16 @@ def _chunk_steps(cfg: ExperimentConfig) -> int:
     return max(1, _CHUNK_ENTRIES // per_step)
 
 
-def _final_step(result: AsiLayerResult, heads: int) -> AsiLayerResult:
-    # The last step of a chunk's layer result: the final `heads` heads of each block.
-    last = slice(-heads, None)
+def _final_step(result: AsiLayerResult) -> AsiLayerResult:
+    # The last step of a chunk's layer result: index -1 of each block's step axis.
     return AsiLayerResult(
-        f_out=result.f_out[last],
-        f_s=result.f_s[last],
-        f_c=result.f_c[last],
-        distances=result.distances[last],
-        head_mask=result.head_mask[last],
-        spatial_mask=BlendMask(result.spatial_mask.data[last]),
-        fused_mask=BlendMask(result.fused_mask.data[last]),
+        f_out=result.f_out[:, -1],
+        f_s=result.f_s[:, -1],
+        f_c=result.f_c[:, -1],
+        distances=result.distances[:, -1],
+        head_mask=result.head_mask[:, -1],
+        spatial_mask=BlendMask(result.spatial_mask.data[:, -1]),
+        fused_mask=BlendMask(result.fused_mask.data[:, -1]),
     )
 
 
@@ -319,23 +316,20 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     feature matrix: it is projected to queries, attended against both
     prompts, and blended cfg.layers_per_step times (each layer feeding the
     next). As the blended output never feeds the latent, the layers run once
-    per chunk of steps: the chunk's latents are stacked and each step's heads
-    follow the last's, so every head computes what it would alone, bit for
-    bit, and the top n heads are selected per step. A chunk holds as many
-    steps as keep its features and its logits within _CHUNK_ENTRIES entries
-    each (one step at least). The blended output of the final step's final
+    per chunk of steps: the chunk's latents are stacked and each layer's
+    queries viewed as an (h, steps, m, d) block, so every step computes what
+    it would alone, bit for bit, and the top n heads are selected per step.
+    A chunk holds as many steps as keep its features and its logits within
+    _CHUNK_ENTRIES entries each (one step at least). The blended output of the final step's final
     layer is dumped along with that step's masks and per-head distances.
     """
     inputs = synth_inputs(cfg)
     sched = make_schedule(cfg.timesteps)
     denoiser = OracleDenoiser(true_noise=inputs.latent_noise)
-    h = cfg.heads
     chunk = _chunk_steps(cfg)
     # k_s, v_s, k_c, v_c: style keys and values, then content keys and values.
     kv = (*project_kv(inputs.style_prompt, inputs.params),
           *project_kv(inputs.content_prompt, inputs.params))
-    if chunk > 1:  # every step of a chunk attends the same prompts
-        kv = tuple(_readonly(np.tile(b, (chunk, 1, 1))) for b in kv)
 
     x = ddim_invert(inputs.spatial, denoiser, sched, cfg.timesteps)[-1].x
 
@@ -347,42 +341,39 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
         for t in ts:
             x = ddim_step(x, denoiser.predict(x, t), t, t - 1, sched)
             latents.append(x)
-        steps = len(ts)
-        features = x if steps == 1 else Matrix(np.concatenate([z.a for z in latents]))
-        if steps < chunk:  # the short final chunk
-            kv = tuple(b[: steps * h] for b in kv)
+        features = x if len(ts) == 1 else Matrix(np.concatenate([z.a for z in latents]))
         for _ in range(cfg.layers_per_step):
-            q = project_q(features, inputs.params, steps)
+            q = project_q(features, inputs.params).reshape(
+                cfg.heads, len(ts), cfg.positions, cfg.head_dim)
             result = block = None  # free the previous layer's blocks before the next are built
             if cfg.apply_asi:
-                result = asi_layer(q, *kv, cfg.blend, steps)
+                result = asi_layer(q, *kv, cfg.blend)
                 block = result.f_out
             else:
                 block = attend(q, *kv[2:])
-            features = merge_heads(block, steps)
+            features = merge_heads(block)
         if cfg.apply_asi:
             distances = result.distances
         else:  # only the content track moves the features; the style track runs once a chunk
             distances = head_distances(attend(q, *kv[:2]), block)
         for i, t in enumerate(ts):
-            s = slice(i * h, (i + 1) * h)
             blended = 0.0, 0.0
             if cfg.apply_asi:
-                fused = result.fused_mask.data[s]
+                fused = result.fused_mask.data[:, i]
                 blended = (
                     np.count_nonzero(fused) / fused.size,
-                    _preserved_mse(fused, block[s], result.f_c[s]),
+                    _preserved_mse(fused, block[:, i], result.f_c[:, i]),
                 )
-            rows.append((t, *map(float, (*distances[s], *blended))))
+            rows.append((t, *map(float, (*distances[:, i], *blended))))
 
     out_dir = cfg.dump_dir
     # Written first: save_tensor rejects a non-finite block before it creates the
     # directory or opens the file, so a failed run creates and changes nothing.
-    feature_path = save_tensor(out_dir / "features_out.asit", block[-h:])
+    feature_path = save_tensor(out_dir / "features_out.asit", block[:, -1])
     header = ["step", *(f"ell_{i}" for i in range(cfg.heads)), "blended_fraction", "preserved_mse"]
     _write_csv(out_dir / "report.csv", header, rows)
     _write_csv(out_dir / "ell.csv", ["head_index", "ell"], enumerate(rows[-1][1:-2]))
-    write_mask_artifacts(out_dir, None if result is None else _final_step(result, h))
+    write_mask_artifacts(out_dir, None if result is None else _final_step(result))
 
     return RunReport(
         per_step_ell=tuple(r[1:-2] for r in rows),

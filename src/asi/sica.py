@@ -17,14 +17,14 @@ every projection, and each layer's merged output). Head i owns channels
 [i*d, (i+1)*d) of the flat model dimension; this split convention is part
 of the dump format contract and must not change.
 
-The pipeline may stack the features of several sampler steps into one
-block, each step's h heads after the last's (see :func:`project_q` and
-:func:`merge_heads`); every kernel here works per head, so each head gets
-the bits it would get alone.
+:func:`attend` and :func:`merge_heads` also take (heads, ..., positions,
+head_dim) blocks, such as the pipeline's (h, steps, m, d) queries of several
+sampler steps. Attention is per query row, so every row of a head attends as
+it would alone and gets the bits it would get in an (h, m, d) block.
 
-Both products run with the m query positions as the innermost loop: the
+Both products run with a head's query rows as the innermost loop: the
 logits as K Q^T over a contiguous Q^T, the output as V^T P^T, each then
-turned back to (positions, ...) order. NumPy's einsum adds the products of
+turned back to (rows, ...) order. NumPy's einsum adds the products of
 each output element in order of the reduction index, multiply then add,
 whenever that index is not the innermost axis of both operands. So these
 layouts give the same bits as the per-head 2-D product Q K^T, then P V.
@@ -75,39 +75,33 @@ class AttentionParams:
         return self.heads * self.head_dim
 
 
-def _split_heads(flat: Matrix, heads: int, steps: int = 1) -> np.ndarray:
-    # (steps*m) x (h*d) -> (steps*h, m, d), step-major; AttentionParams makes the
-    # channel count h*d.
-    rows, md = flat.a.shape
-    m, d = rows // steps, md // heads
-    split = np.ascontiguousarray(flat.a.reshape(steps, m, heads, d).transpose(0, 2, 1, 3))
-    return _readonly(split.reshape(steps * heads, m, d))
+def _split_heads(flat: Matrix, heads: int) -> np.ndarray:
+    # m x (h*d) -> (h, m, d); AttentionParams makes the channel count h*d.
+    m, md = flat.a.shape
+    return _readonly(np.ascontiguousarray(flat.a.reshape(m, heads, md // heads).transpose(1, 0, 2)))
 
 
-def merge_heads(block: np.ndarray, steps: int = 1) -> Matrix:
-    """Inverse of the head split: a (steps*h, m, d) block back to a (steps*m) x (h*d) matrix."""
-    sh, m, d = block.shape
-    if sh % steps:
-        raise ShapeError(f"{sh} heads do not split into {steps} steps")
-    h = sh // steps
-    return Matrix(block.reshape(steps, h, m, d).transpose(0, 2, 1, 3).reshape(steps * m, h * d))
+def merge_heads(block: np.ndarray) -> Matrix:
+    """Inverse of the head split: an (h, ..., m, d) block back to a (... * m) x (h*d) matrix.
+
+    Middle axes stack row-wise: an (h, steps, m, d) block gives each step's
+    m rows after the last step's.
+    """
+    h, d = block.shape[0], block.shape[-1]
+    return Matrix(np.moveaxis(block, 0, -2).reshape(-1, h * d))
 
 
-def project_q(spatial: Matrix, params: AttentionParams, steps: int = 1) -> np.ndarray:
+def project_q(spatial: Matrix, params: AttentionParams) -> np.ndarray:
     """Project spatial features to per-head queries: Q = spatial @ w_q, then split.
 
-    Q is computed once and shared by both branches. spatial may stack the
-    features of `steps` sampler steps, m rows each; each step's queries then
-    become its own h heads, step after step, in a (steps*h, m, d) block.
+    Q is computed once and shared by both branches.
     """
     if spatial.cols != params.model_dim:
         raise ShapeError(
             f"spatial features are {spatial.rows}x{spatial.cols}, "
             f"expected {params.model_dim} channels"
         )
-    if spatial.rows % steps:
-        raise ShapeError(f"{spatial.rows} spatial rows do not split into {steps} steps")
-    return _split_heads(matmul(spatial, params.w_q), params.heads, steps)
+    return _split_heads(matmul(spatial, params.w_q), params.heads)
 
 
 def project_kv(prompt: Matrix, params: AttentionParams) -> tuple[np.ndarray, np.ndarray]:
@@ -120,16 +114,21 @@ def project_kv(prompt: Matrix, params: AttentionParams) -> tuple[np.ndarray, np.
 
 
 def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """One attention track, softmax(Q K^T / sqrt(d)) V, for all heads at once."""
-    (hq, _, dq), (hk, tk, dk), (hv, tv, dv) = q.shape, k.shape, v.shape
+    """One attention track, softmax(Q K^T / sqrt(d)) V, for all heads at once.
+
+    q is an (h, ..., m, d) block and k, v are (h, t, d): every query row of a
+    head attends to the same keys and values. Returns a block of q's shape.
+    """
+    hq, dq = q.shape[0], q.shape[-1]
+    (hk, tk, dk), (hv, tv, dv) = k.shape, v.shape
     if hk != hq or hv != hq:
         raise ShapeError(f"head count mismatch: q has {hq}, k has {hk}, v has {hv}")
     if dk != dq or dv != dq:
         raise ShapeError(f"head_dim mismatch: q has {dq}, k has {dk}, v has {dv}")
     if tk != tv:
         raise ShapeError(f"token count mismatch: k has {tk}, v has {tv}")
-    # Logits as K Q^T, output as V^T P^T: einsum's inner loop runs over the m
-    # positions, and the reduced axis (d, then t) is never innermost in both
+    # Logits as K Q^T, output as V^T P^T: einsum's inner loop runs over the
+    # query rows, and the reduced axis (d, then t) is never innermost in both
     # operands, so each entry is summed in index order, bit for bit as the
     # per-head 2-D Q K^T and P V. Q^T is copied contiguous because as a view,
     # d would be innermost in both and einsum would sum it in another order.
@@ -138,10 +137,11 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     # in another order. einsum lays V^T P^T out after its operands, so the view
     # turned back is C-ordered already and ascontiguousarray copies nothing; it
     # makes the layout a guarantee rather than einsum's choice.
-    logits = _contract(k, np.ascontiguousarray(q.transpose(0, 2, 1))).transpose(0, 2, 1)
+    rows = q.reshape(hq, -1, dq)
+    logits = _contract(k, np.ascontiguousarray(rows.transpose(0, 2, 1))).transpose(0, 2, 1)
     p = softmax_rows(np.multiply(logits, 1.0 / math.sqrt(dq), order="C"))
     out = _contract(v.transpose(0, 2, 1), p.transpose(0, 2, 1)).transpose(0, 2, 1)
-    return _readonly(np.ascontiguousarray(out))
+    return _readonly(np.ascontiguousarray(out).reshape(q.shape))
 
 
 def siamese_attend(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asi.adablending import (
+    AsiLayerResult,
     BlendConfig,
     BlendMask,
     adain,
@@ -199,11 +201,11 @@ class TestHeadMaskExtraction:
         assert np.array_equal(dense[1], np.zeros((3, 2)))
 
 
-class TestGroupedHeadSelection:
-    # Four groups of three heads, one group per sampler step: a tie inside
-    # group 0, group 1 all tied at group 0's maximum, a zero in group 2.
-    DISTANCES = np.array([0.5, 2.0, 0.5, 2.0, 2.0, 2.0, 0.0, 1.0, 0.5, 1.0, 0.5, 0.5])
-    EXPECTED = {
+class TestPerStepHeadSelection:
+    # Three heads at four sampler steps, one column of distances per step: a
+    # tie in step 0, step 1 all tied at step 0's maximum, a zero in step 2.
+    DISTANCES = np.array([[0.5, 2.0, 0.5], [2.0, 2.0, 2.0], [0.0, 1.0, 0.5], [1.0, 0.5, 0.5]]).T
+    EXPECTED = {  # per step, as DISTANCES.T
         0: [[0, 0, 0]] * 4,
         1: [[0, 1, 0], [1, 0, 0], [0, 1, 0], [1, 0, 0]],
         2: [[1, 1, 0], [1, 1, 0], [0, 1, 1], [1, 1, 0]],
@@ -211,20 +213,16 @@ class TestGroupedHeadSelection:
     }
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
-    def test_each_group_selects_its_own_top_n(self, n):
-        selected = _select_top_heads(self.DISTANCES, n, groups=4)
-        per_group = [_select_top_heads(group, n) for group in self.DISTANCES.reshape(4, 3)]
-        assert np.array_equal(selected, np.concatenate(per_group))
-        assert selected.reshape(4, 3).astype(int).tolist() == self.EXPECTED[n]
+    def test_each_step_selects_its_own_top_n(self, n):
+        selected = _select_top_heads(self.DISTANCES, n)
+        per_step = [_select_top_heads(column, n) for column in self.DISTANCES.T]
+        assert np.array_equal(selected, np.stack(per_step, axis=1))
+        assert selected.T.astype(int).tolist() == self.EXPECTED[n]
         assert selected.dtype == bool and not selected.flags.writeable
 
-    def test_n_above_the_group_size_is_config_error(self):
+    def test_n_above_the_head_count_is_config_error(self):
         with pytest.raises(ConfigError, match="exceeds head count 3"):
-            _select_top_heads(self.DISTANCES, 4, groups=4)
-
-    def test_groups_must_divide_the_heads(self):
-        with pytest.raises(ShapeError, match="12 heads do not split into 5"):
-            _select_top_heads(self.DISTANCES, 1, groups=5)
+            _select_top_heads(self.DISTANCES, 4)
 
 
 class TestSpatialMaskExtraction:
@@ -295,9 +293,10 @@ class TestMaskFusion:
         with pytest.raises(ValueError, match="bool"):
             BlendMask(data)
 
-    def test_masks_must_be_three_dimensional(self):
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 1, 1, 2, 2)])
+    def test_masks_must_be_three_or_four_dimensional(self, shape):
         with pytest.raises(ShapeError):
-            BlendMask(np.zeros((2, 2), dtype=bool))
+            BlendMask(np.zeros(shape, dtype=bool))
 
     def test_mask_is_read_only_and_leaves_caller_array_writable(self):
         a = np.zeros((1, 2, 2), dtype=bool)
@@ -523,6 +522,20 @@ class TestAsiLayer:
         with pytest.raises(ConfigError):
             asi_layer(q, k_s, v_s, k_c, v_c, BlendConfig(n=3))
 
+    def test_step_axis_equals_one_step_calls_bitwise(self):
+        # An (h, steps, m, d) query block against one (h, m, d) call per step.
+        _, k_s, v_s, k_c, v_c = synth_layer_inputs(seed=6)
+        q = Rng(7).normals(4 * 3 * 16 * 8).reshape(4, 3, 16, 8)
+        cfg = BlendConfig(n=2)
+        result = asi_layer(q, k_s, v_s, k_c, v_c, cfg)
+        for i in range(3):
+            alone = asi_layer(np.ascontiguousarray(q[:, i]), k_s, v_s, k_c, v_c, cfg)
+            for field in dataclasses.fields(AsiLayerResult):
+                got, want = getattr(result, field.name), getattr(alone, field.name)
+                if isinstance(got, BlendMask):
+                    got, want = got.data, want.data
+                assert_same_bits(got[:, i], want)
+
 
 @st.composite
 def edge_layer_inputs(draw):
@@ -553,7 +566,7 @@ class TestAsiLayerShapeEdges:
             assert np.array_equal(result.f_out[i][blended], styled[blended])
         assert result.head_mask.sum() == n
         if select_all:
-            assert result.fused_mask.blended_fraction == 1.0
+            assert result.fused_mask.data.all()
 
 
 class TestBlendConfig:
@@ -568,6 +581,11 @@ class TestBlendConfig:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             BlendConfig(**kwargs)
+
+    @pytest.mark.parametrize("n", [True, 2.5, 4.0])
+    def test_non_integer_n_is_config_error(self, n):
+        with pytest.raises(ConfigError, match="^n must be an integer"):
+            BlendConfig(n=n)
 
 
 # The three benchmark workload shapes (small_sweep, sd_block, mid_bypass), a
@@ -619,22 +637,9 @@ class TestBitwiseAgainstEarlierForms:
         mask = extract_spatial_mask(f_c, BlendConfig(alpha=0.5))
         assert_same_bits(mask.data, float_spatial_mask(f_c, 0.5) == 1.0)
 
-    def test_blended_fraction_equals_float_mean(self, h, m, d):
+    def test_fused_mask_equals_float_form(self, h, m, d):
         f_c = self._tied_block(h, m, d)
-        spatial = extract_spatial_mask(f_c, BlendConfig(alpha=0.5))
-        float_spatial = float_spatial_mask(f_c, 0.5)
         head = np.arange(h) % 2 == 1
-        fused = fuse_masks(head, spatial)
-        float_fused = np.maximum(head.astype(np.float64)[:, None, None], float_spatial)
-        assert_same_bits(fused.data, float_fused == 1.0)
-        for mask, float_mask in ((spatial, float_spatial), (fused, float_fused)):
-            assert type(mask.blended_fraction) is float
-            assert mask.blended_fraction == float(float_mask.mean())
-
-
-@pytest.mark.parametrize("h, m, d", [(3, 17, 5), (1, 2, 1)])
-def test_blended_fraction_equals_float_mean_at_every_count(h, m, d):
-    size = h * m * d
-    for count in range(size + 1):
-        float_mask = (np.arange(size) < count).astype(np.float64).reshape(h, m, d)
-        assert BlendMask(float_mask == 1.0).blended_fraction == float(float_mask.mean())
+        fused = fuse_masks(head, extract_spatial_mask(f_c, BlendConfig(alpha=0.5)))
+        float_head = head.astype(np.float64)[:, None, None]
+        assert_same_bits(fused.data, np.maximum(float_head, float_spatial_mask(f_c, 0.5)) == 1.0)

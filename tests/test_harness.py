@@ -57,6 +57,14 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [True, 2.5, 4.0])
+    @pytest.mark.parametrize(
+        "name", ["seed", "heads", "head_dim", "positions", "tokens", "timesteps", "layers_per_step"]
+    )
+    def test_non_integer_is_config_error_naming_the_field(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+            ExperimentConfig(**{name: value})
+
 
 class TestSynthInputs:
     def test_deterministic(self):
@@ -144,6 +152,11 @@ def replay_run(cfg: ExperimentConfig) -> tuple[np.ndarray, list[tuple]]:
     return out, rows
 
 
+def last_blended_fraction(out_dir: Path) -> float:
+    with (out_dir / "report.csv").open() as fh:
+        return float(list(csv.DictReader(fh))[-1]["blended_fraction"])
+
+
 class TestRunPipeline:
     @pytest.mark.parametrize("layers_per_step", [1, 3])
     @pytest.mark.parametrize("apply_asi", [False, True])
@@ -217,6 +230,29 @@ class TestRunPipeline:
             assert mask.shape == (8, 16, 8)
             assert np.isin(mask, (0.0, 1.0)).all()
         assert np.array_equal(fused, np.maximum(head, spatial))
+
+    # The three benchmark workload shapes, a ragged one and the smallest one.
+    @pytest.mark.parametrize("h, m, d", [(8, 16, 8), (8, 1024, 40), (16, 256, 16), (3, 17, 5),
+                                         (1, 2, 1)])
+    def test_report_fraction_equals_fused_mask_mean(self, tmp_path, h, m, d):
+        cfg = ExperimentConfig(heads=h, positions=m, head_dim=d, timesteps=2,
+                               blend=BlendConfig(n=h // 2, alpha=0.5), dump_dir=tmp_path)
+        run_pipeline(cfg)
+        assert last_blended_fraction(tmp_path) == load_tensor(tmp_path / "fused_mask.asit").mean()
+
+    @pytest.mark.parametrize("h, m, d", [(3, 17, 5), (1, 2, 1)])
+    def test_report_fraction_equals_fused_mask_mean_across_n_and_alpha(self, tmp_path, h, m, d):
+        fractions = set()
+        for n in range(h + 1):
+            for alpha in (0.25, 0.5, 0.75, 1.0, 2.0):
+                out_dir = tmp_path / f"n{n}-alpha{alpha}"
+                run_pipeline(ExperimentConfig(heads=h, positions=m, head_dim=d, timesteps=1,
+                                              blend=BlendConfig(n=n, alpha=alpha),
+                                              dump_dir=out_dir))
+                fraction = last_blended_fraction(out_dir)
+                assert fraction == load_tensor(out_dir / "fused_mask.asit").mean()
+                fractions.add(fraction)
+        assert len(fractions) >= 3  # at h1-m2-d1, every count: 0, 1 and 2 of 2
 
     def test_pgm_render(self, tmp_path):
         mask = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from asi.errors import ShapeError
-from asi.numeric import Matrix, Rng, matmul, randn_matrix
+from asi.numeric import Matrix, Rng, randn_matrix
 from asi.sica import (
     AttentionParams,
     attend,
@@ -62,23 +62,6 @@ class TestProjections:
         q = project_q(flat, identity_params(3, 4))
         assert np.array_equal(merge_heads(q).a, flat.a)
 
-    def test_stacked_steps_split_step_after_step(self):
-        rng = Rng(14)
-        params = random_params(rng, 3, 2)
-        latents = [randn_matrix(rng, 5, 6) for _ in range(4)]
-        stacked = Matrix(np.concatenate([z.a for z in latents]))
-        q = project_q(stacked, params, steps=4)
-        assert q.shape == (12, 5, 2) and q.flags.c_contiguous and not q.flags.writeable
-        per_step = [project_q(z, params) for z in latents]
-        assert np.array_equal(q, np.concatenate(per_step))
-        assert np.array_equal(merge_heads(q, steps=4).a, matmul(stacked, params.w_q).a)
-
-    def test_steps_must_divide_rows_and_heads(self):
-        with pytest.raises(ShapeError, match="5 spatial rows"):
-            project_q(Matrix(np.zeros((5, 4))), identity_params(2, 2), steps=2)
-        with pytest.raises(ShapeError, match="3 heads"):
-            merge_heads(np.zeros((3, 4, 2)), steps=2)
-
     def test_projection_matches_loop_oracle(self):
         rng = Rng(4)
         params = random_params(rng, 2, 2)
@@ -125,6 +108,34 @@ def random_tracks(seed, heads=2, m=3, d=2, tokens_style=2, tokens_content=4):
     k_c = random_feature_map(rng, heads, tokens_content, d)
     v_c = random_feature_map(rng, heads, tokens_content, d)
     return q, k_s, v_s, k_c, v_c
+
+
+def stacked_step_queries(seed, heads=3, d=2, m=5, steps=4):
+    # Queries of `steps` latents projected together and viewed as (h, steps, m, d),
+    # with each latent's own projection and keys and values for every head.
+    rng = Rng(seed)
+    params = random_params(rng, heads, d)
+    latents = [randn_matrix(rng, m, heads * d) for _ in range(steps)]
+    stacked = Matrix(np.concatenate([z.a for z in latents]))
+    q = project_q(stacked, params).reshape(heads, steps, m, d)
+    k, v = project_kv(randn_matrix(rng, 7, heads * d), params)
+    return q, [project_q(z, params) for z in latents], k, v
+
+
+class TestStepAxis:
+    def test_attend_equals_one_call_per_step_bitwise(self):
+        q, per_step, k, v = stacked_step_queries(14)
+        out = attend(q, k, v)
+        assert out.shape == q.shape and out.flags.c_contiguous and not out.flags.writeable
+        for i, q_i in enumerate(per_step):
+            assert q[:, i].tobytes() == q_i.tobytes()
+            assert out[:, i].tobytes() == attend(q_i, k, v).tobytes()
+
+    def test_merge_heads_stacks_the_steps_row_wise(self):
+        q, per_step, k, v = stacked_step_queries(15)
+        out = attend(q, k, v)
+        expected = np.concatenate([merge_heads(attend(q_i, k, v)).a for q_i in per_step])
+        assert merge_heads(out).a.tobytes() == expected.tobytes()
 
 
 class TestSiameseAttend:
