@@ -31,7 +31,7 @@ the head mask and distances are (h, steps).
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,10 +73,12 @@ class BlendConfig:
     def __post_init__(self) -> None:
         if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 0:
             raise ConfigError(f"n must be an integer >= 0, got {self.n!r}")
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ConfigError(f"alpha must be finite and > 0, got {self.alpha}")
-        if not (self.eps > 0 and math.isfinite(self.eps)):
-            raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
+        for name in ("alpha", "eps"):
+            value = getattr(self, name)
+            # The upper bound also rejects NaN, Inf and ints beyond float range.
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not 0 < value <= sys.float_info.max):
+                raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -126,7 +126,8 @@ def _cmd_dump_masks(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     k_s, v_s = project_kv(inputs.style_prompt, inputs.params)
     k_c, v_c = project_kv(inputs.content_prompt, inputs.params)
     result = asi_layer(q, k_s, v_s, k_c, v_c, cfg.blend)
-    write_mask_artifacts(cfg.dump_dir, result)
+    write_mask_artifacts(cfg.dump_dir,
+                         (result.head_mask, result.spatial_mask.data, result.fused_mask.data))
     print(f"masks written to {cfg.dump_dir} (heads selected: {int(result.head_mask.sum())})")
     return 0
 

@@ -14,8 +14,9 @@ dispatch, not arithmetic, so one application over eight stacked steps costs
 about half as much as eight applications of one step each. A chunk
 holds as many steps as keep its per-step features (heads x positions x
 head_dim) or logits (heads x positions x tokens) within a fixed number of
-entries, so the run's peak memory does not grow with the step count; large
-blocks run one step at a time, as before.
+entries, so the layer stage's peak memory does not grow with the step
+count, and large blocks run one step at a time. The run's peak still does:
+ddim_invert holds all T+1 latents of the inversion (ROADMAP.md, item 3).
 
 Every artifact is written here: the run's report.csv, per-head distance
 CSV, mask and feature dumps and per-head mask renders, the sweep CSV, and
@@ -27,14 +28,14 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
-from .adablending import AsiLayerResult, BlendConfig, BlendMask, asi_layer, head_distances
+from .adablending import BlendConfig, asi_layer, head_distances
 from .ddim import (
     LatentState,
     NoiseSchedule,
@@ -91,8 +92,13 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.seed > _MAX_SEED:
             raise ConfigError(f"seed must be below 2**64, got {self.seed}")
-        if not (self.perturbation >= 0 and math.isfinite(self.perturbation)):
-            raise ConfigError(f"perturbation must be finite and >= 0, got {self.perturbation}")
+        value = self.perturbation
+        # The upper bound also rejects NaN, Inf and ints beyond float range.
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not 0 <= value <= sys.float_info.max):
+            raise ConfigError(f"perturbation must be a finite number >= 0, got {value!r}")
+        if not isinstance(self.apply_asi, bool):
+            raise ConfigError(f"apply_asi must be a bool, got {self.apply_asi!r}")
         if self.blend.n > self.heads:
             raise ConfigError(f"n={self.blend.n} exceeds heads={self.heads}")
         if "\0" in str(self.dump_dir):
@@ -219,26 +225,26 @@ def render_mask_pgm(path: str | Path, mask_slice: np.ndarray) -> Path:
     return path
 
 
-def write_mask_artifacts(out_dir: Path, result: AsiLayerResult | None) -> None:
+def write_mask_artifacts(out_dir: Path, masks: Sequence[np.ndarray] | None) -> None:
     """Replace the mask artifacts in out_dir with one layer application's.
 
     First removes head_mask.asit, spatial_mask.asit, fused_mask.asit and every
     mask_head_*.pgm already in out_dir, so none is left from an earlier run.
-    Then, unless result is None (blending off), writes the three masks (each
-    of shape heads x positions x head_dim) and mask_head_<i>.pgm for every
-    head i into out_dir, which is created if missing.
+    Then, unless masks is None (blending off), writes masks = (head, spatial,
+    fused), the (h,) head mask broadcast to the other two's (h, m, d) shape,
+    and mask_head_<i>.pgm per head i into out_dir, which is created if missing.
     """
     for name in ("head_mask.asit", "spatial_mask.asit", "fused_mask.asit"):
         (out_dir / name).unlink(missing_ok=True)
     for stale in out_dir.glob("mask_head_*.pgm"):
         stale.unlink()
-    if result is None:
+    if masks is None:
         return
-    head_mask = np.broadcast_to(result.head_mask[:, None, None], result.f_c.shape)
-    save_tensor(out_dir / "head_mask.asit", head_mask)
-    save_tensor(out_dir / "spatial_mask.asit", result.spatial_mask.data)
-    save_tensor(out_dir / "fused_mask.asit", result.fused_mask.data)
-    for i, fused_head in enumerate(result.fused_mask.data):
+    head, spatial, fused = masks
+    save_tensor(out_dir / "head_mask.asit", np.broadcast_to(head[:, None, None], fused.shape))
+    save_tensor(out_dir / "spatial_mask.asit", spatial)
+    save_tensor(out_dir / "fused_mask.asit", fused)
+    for i, fused_head in enumerate(fused):
         render_mask_pgm(out_dir / f"mask_head_{i}.pgm", fused_head)
 
 
@@ -285,27 +291,15 @@ def _preserved_mse(fused: np.ndarray, f_out: np.ndarray, f_c: np.ndarray) -> flo
 # The layer runs once per chunk of sampler steps, on (h, steps, m, d) blocks.
 # A chunk's features (h, m, d per step) and its logits (h, m, tokens per step)
 # each hold at most this many entries, unless one step alone holds more: small
-# blocks are bound by Python dispatch, not arithmetic, and the run's peak
-# memory must not grow with the step count.
+# blocks are bound by Python dispatch, not arithmetic, and the layer stage's
+# peak memory must not grow with the step count (the inversion's T+1 latents
+# still do; ROADMAP.md, item 3).
 _CHUNK_ENTRIES = 8192
 
 
 def _chunk_steps(cfg: ExperimentConfig) -> int:
     per_step = cfg.heads * cfg.positions * max(cfg.head_dim, cfg.tokens)
     return max(1, _CHUNK_ENTRIES // per_step)
-
-
-def _final_step(result: AsiLayerResult) -> AsiLayerResult:
-    # The last step of a chunk's layer result: index -1 of each block's step axis.
-    return AsiLayerResult(
-        f_out=result.f_out[:, -1],
-        f_s=result.f_s[:, -1],
-        f_c=result.f_c[:, -1],
-        distances=result.distances[:, -1],
-        head_mask=result.head_mask[:, -1],
-        spatial_mask=BlendMask(result.spatial_mask.data[:, -1]),
-        fused_mask=BlendMask(result.fused_mask.data[:, -1]),
-    )
 
 
 def run_pipeline(cfg: ExperimentConfig) -> RunReport:
@@ -373,7 +367,9 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     header = ["step", *(f"ell_{i}" for i in range(cfg.heads)), "blended_fraction", "preserved_mse"]
     _write_csv(out_dir / "report.csv", header, rows)
     _write_csv(out_dir / "ell.csv", ["head_index", "ell"], enumerate(rows[-1][1:-2]))
-    write_mask_artifacts(out_dir, None if result is None else _final_step(result))
+    write_mask_artifacts(out_dir, None if result is None else [  # the final step's masks
+        mask[:, -1] for mask in (result.head_mask, result.spatial_mask.data,
+                                 result.fused_mask.data)])
 
     return RunReport(
         per_step_ell=tuple(r[1:-2] for r in rows),

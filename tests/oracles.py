@@ -93,14 +93,6 @@ def two_pass_covariance(f) -> np.ndarray:
     return cov / (m - 1)
 
 
-def frobenius_sq(a) -> float:
-    a = np.asarray(a, dtype=float)
-    total = 0.0
-    for value in a.reshape(-1):
-        total += value * value
-    return total
-
-
 # Earlier whole-array forms of rewritten kernels. Each rewrite must give the
 # same bits as its form here, so a NumPy change to a reduction or an operand
 # order fails a named test rather than only a golden digest.

@@ -65,6 +65,15 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
             ExperimentConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("perturbation", True), ("perturbation", "1"), ("perturbation", None),
+        pytest.param("perturbation", 10**400, id="perturbation-int-beyond-float"),
+        ("apply_asi", "no"), ("apply_asi", 0), ("apply_asi", 1.0), ("apply_asi", None),
+    ])
+    def test_mistyped_float_or_bool_is_config_error_naming_the_field(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be"):
+            ExperimentConfig(**{name: value})
+
 
 class TestSynthInputs:
     def test_deterministic(self):
@@ -152,9 +161,11 @@ def replay_run(cfg: ExperimentConfig) -> tuple[np.ndarray, list[tuple]]:
     return out, rows
 
 
-def last_blended_fraction(out_dir: Path) -> float:
+def report_rows(out_dir: Path) -> list[tuple]:
+    """report.csv's rows as replay_run returns them: (t, *ell, blended_fraction, preserved_mse)."""
     with (out_dir / "report.csv").open() as fh:
-        return float(list(csv.DictReader(fh))[-1]["blended_fraction"])
+        body = list(csv.reader(fh))[1:]
+    return [(int(row[0]), *(float(v) for v in row[1:])) for row in body]
 
 
 class TestRunPipeline:
@@ -166,9 +177,7 @@ class TestRunPipeline:
         features, rows = replay_run(cfg)
         dumped = load_tensor(cfg.dump_dir / "features_out.asit")
         assert np.array_equal(dumped, features.astype(np.float32).astype(np.float64))
-        with (cfg.dump_dir / "report.csv").open() as fh:
-            body = list(csv.reader(fh))[1:]
-        assert [(int(row[0]), *(float(v) for v in row[1:])) for row in body] == rows
+        assert report_rows(cfg.dump_dir) == rows
         assert report.per_step_ell == tuple(row[1:-2] for row in rows)
         if not apply_asi:
             assert report.blended_fraction == report.preserved_mse == 0.0
@@ -185,17 +194,6 @@ class TestRunPipeline:
         blended = load_tensor(cfg.dump_dir / "features_out.asit")
         content = load_tensor(bypass.dump_dir / "features_out.asit")
         assert np.abs(blended - content).max() < 1e-6
-
-    def test_preserved_mse_exactly_zero(self, tmp_path):
-        report = run_pipeline(small_cfg(tmp_path))
-        assert report.preserved_mse == 0.0
-
-    def test_blended_fraction_at_least_selected_share(self, tmp_path):
-        for n in (0, 3, 8):
-            cfg = small_cfg(tmp_path, blend=BlendConfig(n=n))
-            cfg = dataclasses.replace(cfg, dump_dir=tmp_path / f"n{n}")
-            report = run_pipeline(cfg)
-            assert report.blended_fraction >= n / cfg.heads
 
     def test_report_csv_structure(self, tmp_path):
         cfg = small_cfg(tmp_path, timesteps=5)
@@ -238,7 +236,7 @@ class TestRunPipeline:
         cfg = ExperimentConfig(heads=h, positions=m, head_dim=d, timesteps=2,
                                blend=BlendConfig(n=h // 2, alpha=0.5), dump_dir=tmp_path)
         run_pipeline(cfg)
-        assert last_blended_fraction(tmp_path) == load_tensor(tmp_path / "fused_mask.asit").mean()
+        assert report_rows(tmp_path)[-1][-2] == load_tensor(tmp_path / "fused_mask.asit").mean()
 
     @pytest.mark.parametrize("h, m, d", [(3, 17, 5), (1, 2, 1)])
     def test_report_fraction_equals_fused_mask_mean_across_n_and_alpha(self, tmp_path, h, m, d):
@@ -249,7 +247,7 @@ class TestRunPipeline:
                 run_pipeline(ExperimentConfig(heads=h, positions=m, head_dim=d, timesteps=1,
                                               blend=BlendConfig(n=n, alpha=alpha),
                                               dump_dir=out_dir))
-                fraction = last_blended_fraction(out_dir)
+                fraction = report_rows(out_dir)[-1][-2]
                 assert fraction == load_tensor(out_dir / "fused_mask.asit").mean()
                 fractions.add(fraction)
         assert len(fractions) >= 3  # at h1-m2-d1, every count: 0, 1 and 2 of 2
@@ -270,14 +268,6 @@ class TestRunPipeline:
             assert blob.startswith(b"P5\n8 16\n255\n")
             body = np.frombuffer(blob.split(b"255\n", 1)[1], dtype=np.uint8)
             assert np.array_equal(body.reshape(16, 8) / 255.0, fused[i])
-
-    def test_outputs_byte_identical_across_runs(self, tmp_path):
-        cfg_a = small_cfg(tmp_path)
-        cfg_b = dataclasses.replace(cfg_a, dump_dir=tmp_path / "again")
-        run_pipeline(cfg_a)
-        run_pipeline(cfg_b)
-        for name in ("report.csv", "ell.csv", "features_out.asit", "fused_mask.asit"):
-            assert (cfg_a.dump_dir / name).read_bytes() == (cfg_b.dump_dir / name).read_bytes()
 
     def test_peak_memory_does_not_grow_with_timesteps(self, tmp_path):
         peaks = []
@@ -347,12 +337,6 @@ class TestChunking:
 
 
 class TestSweep:
-    def test_blended_fraction_monotone_in_n(self, tmp_path):
-        cfg = small_cfg(tmp_path, timesteps=3)
-        reports = sweep(cfg, "n", list(range(0, 9)))
-        fractions = [r.blended_fraction for r in reports]
-        assert fractions == sorted(fractions)
-        assert fractions[0] >= 0.0 and fractions[-1] == 1.0
 
     def test_single_value_sweep_equals_run(self, tmp_path):
         cfg = small_cfg(tmp_path, timesteps=3)

@@ -51,6 +51,7 @@ class TestMatrix:
         big = repr(Matrix(np.zeros((9, 9))))
         assert "9x9" in big
         assert "0." not in big
+        assert len(repr(Matrix(np.zeros((100, 100))))) < 80
 
 
 class TestMatmul:
