@@ -27,3 +27,7 @@ class ScheduleError(AsiError, ValueError):
 
 class NonFiniteError(AsiError, ValueError):
     """A matrix or feature block would hold NaN or Inf (e.g. after overflow)."""
+
+
+class DumpFormatError(AsiError, ValueError):
+    """A tensor dump is malformed, or an array has no encoding in the dump format."""

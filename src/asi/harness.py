@@ -8,15 +8,8 @@ trajectory is pure sampler bookkeeping, which keeps every run exactly
 reproducible and every metric attributable to the blending stage alone.
 It also leaves a run's layer applications independent of each other once
 the sampler has made their latents, so the layer runs once per chunk of
-steps, on (heads, steps, positions, head_dim) blocks. At the default
-sizes a layer application is a few hundred small NumPy calls whose cost is
-dispatch, not arithmetic, so one application over eight stacked steps costs
-about half as much as eight applications of one step each. A chunk
-holds as many steps as keep its per-step features (heads x positions x
-head_dim) or logits (heads x positions x tokens) within a fixed number of
-entries, so the layer stage's peak memory does not grow with the step
-count, and large blocks run one step at a time. The run's peak still does:
-ddim_invert holds all T+1 latents of the inversion (ROADMAP.md, item 3).
+steps, on (heads, steps, positions, head_dim) blocks; the comment at
+_CHUNK_ENTRIES gives the chunk size and why.
 
 Every artifact is written here: the run's report.csv, per-head distance
 CSV, mask and feature dumps and per-head mask renders, the sweep CSV, and
@@ -28,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -99,8 +93,13 @@ class ExperimentConfig:
             raise ConfigError(f"perturbation must be a finite number >= 0, got {value!r}")
         if not isinstance(self.apply_asi, bool):
             raise ConfigError(f"apply_asi must be a bool, got {self.apply_asi!r}")
+        if not isinstance(self.blend, BlendConfig):
+            raise ConfigError(f"blend must be a BlendConfig, got {self.blend!r}")
         if self.blend.n > self.heads:
             raise ConfigError(f"n={self.blend.n} exceeds heads={self.heads}")
+        if (not isinstance(self.dump_dir, (str, os.PathLike))
+                or not isinstance(os.fspath(self.dump_dir), str)):
+            raise ConfigError(f"dump_dir must be a str or a str os.PathLike, got {self.dump_dir!r}")
         if "\0" in str(self.dump_dir):
             raise ConfigError(f"dump_dir must not contain a NUL byte, got {str(self.dump_dir)!r}")
         object.__setattr__(self, "dump_dir", Path(self.dump_dir))
@@ -292,8 +291,8 @@ def _preserved_mse(fused: np.ndarray, f_out: np.ndarray, f_c: np.ndarray) -> flo
 # A chunk's features (h, m, d per step) and its logits (h, m, tokens per step)
 # each hold at most this many entries, unless one step alone holds more: small
 # blocks are bound by Python dispatch, not arithmetic, and the layer stage's
-# peak memory must not grow with the step count (the inversion's T+1 latents
-# still do; ROADMAP.md, item 3).
+# peak memory must not grow with the step count (the run's peak still does:
+# ddim_invert holds all T+1 latents of the inversion).
 _CHUNK_ENTRIES = 8192
 
 
@@ -312,10 +311,10 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     next). As the blended output never feeds the latent, the layers run once
     per chunk of steps: the chunk's latents are stacked and each layer's
     queries viewed as an (h, steps, m, d) block, so every step computes what
-    it would alone, bit for bit, and the top n heads are selected per step.
-    A chunk holds as many steps as keep its features and its logits within
-    _CHUNK_ENTRIES entries each (one step at least). The blended output of the final step's final
-    layer is dumped along with that step's masks and per-head distances.
+    it would alone, bit for bit, and the top n heads are selected per step;
+    _CHUNK_ENTRIES bounds a chunk's size. The blended output of the final
+    step's final layer is dumped along with that step's masks and per-head
+    distances.
     """
     inputs = synth_inputs(cfg)
     sched = make_schedule(cfg.timesteps)

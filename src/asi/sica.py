@@ -87,6 +87,8 @@ def merge_heads(block: np.ndarray) -> Matrix:
     Middle axes stack row-wise: an (h, steps, m, d) block gives each step's
     m rows after the last step's.
     """
+    if block.ndim < 3:
+        raise ShapeError(f"merge_heads needs an (h, ..., m, d) block, got shape {block.shape}")
     h, d = block.shape[0], block.shape[-1]
     return Matrix(np.moveaxis(block, 0, -2).reshape(-1, h * d))
 
@@ -119,6 +121,9 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     q is an (h, ..., m, d) block and k, v are (h, t, d): every query row of a
     head attends to the same keys and values. Returns a block of q's shape.
     """
+    if q.ndim < 3 or k.ndim != 3 or v.ndim != 3:
+        raise ShapeError(f"attend needs q (h, ..., m, d) and k, v (h, t, d), got shapes "
+                         f"{q.shape}, {k.shape}, {v.shape}")
     hq, dq = q.shape[0], q.shape[-1]
     (hk, tk, dk), (hv, tv, dv) = k.shape, v.shape
     if hk != hq or hv != hq:

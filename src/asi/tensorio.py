@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NonFiniteError
+from .errors import DumpFormatError, NonFiniteError
 
 MAGIC = b"ASIT"
 VERSION = 1
@@ -36,9 +36,9 @@ def save_tensor(path: str | Path, array: np.ndarray) -> Path:
     """
     a = np.ascontiguousarray(array, dtype=np.float64)
     if a.ndim < 1 or a.ndim > 255:
-        raise ValueError(f"tensor rank must be in [1, 255], got {a.ndim}")
+        raise DumpFormatError(f"tensor rank must be in [1, 255], got {a.ndim}")
     if any(dim > 0xFFFFFFFF for dim in a.shape):
-        raise ValueError(f"dimension too large for uint32 header: {a.shape}")
+        raise DumpFormatError(f"dimension too large for uint32 header: {a.shape}")
     with np.errstate(over="ignore"):
         values = a.astype("<f4")
     if not np.isfinite(values).all():
@@ -55,25 +55,25 @@ def load_tensor(path: str | Path) -> np.ndarray:
     """Read a dump written by :func:`save_tensor`; returns float64 data."""
     blob = Path(path).read_bytes()
     if blob[:4] != MAGIC:
-        raise ValueError(f"{path}: bad magic {blob[:4]!r}, expected {MAGIC!r}")
+        raise DumpFormatError(f"{path}: bad magic {blob[:4]!r}, expected {MAGIC!r}")
     if len(blob) < 6:
-        raise ValueError(f"{path}: truncated header, {len(blob)} of 6 bytes")
+        raise DumpFormatError(f"{path}: truncated header, {len(blob)} of 6 bytes")
     version, rank = struct.unpack_from("<BB", blob, 4)
     if version != VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
+        raise DumpFormatError(f"{path}: unsupported version {version}")
     if rank == 0:
-        raise ValueError(f"{path}: rank 0, expected a rank in [1, 255]")
+        raise DumpFormatError(f"{path}: rank 0, expected a rank in [1, 255]")
     offset = 6 + 4 * rank
     if len(blob) < offset:
-        raise ValueError(f"{path}: truncated dims, {len(blob)} of {offset} header bytes")
+        raise DumpFormatError(f"{path}: truncated dims, {len(blob)} of {offset} header bytes")
     dims = struct.unpack_from(f"<{rank}I", blob, 6)
     # math.prod: exact Python ints, where np.prod would wrap around in int64.
     count = math.prod(dims)
     expected = offset + 4 * count
     if len(blob) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, found {len(blob)}")
+        raise DumpFormatError(f"{path}: expected {expected} bytes, found {len(blob)}")
     flat = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
     try:
         return flat.astype(np.float64).reshape(dims)
     except ValueError as exc:  # e.g. dims (0, 2**30, 2**30), or more dims than numpy allows
-        raise ValueError(f"{path}: cannot shape {count} values as {dims} ({exc})") from exc
+        raise DumpFormatError(f"{path}: cannot shape {count} values as {dims} ({exc})") from exc

@@ -17,13 +17,12 @@ from asi.adablending import (
     extract_head_mask,
     extract_spatial_mask,
     fuse_masks,
-    head_distance,
     head_distances,
     _select_top_heads,
 )
 from asi.errors import ConfigError, DegenerateInputError, NonFiniteError, ShapeError
 from asi.numeric import Matrix, Rng, matmul, randn_matrix, softmax_rows
-from asi.sica import AttentionParams, attend, project_kv, project_q, siamese_attend
+from asi.sica import AttentionParams, attend, merge_heads, project_kv, project_q, siamese_attend
 
 from oracles import (
     float_spatial_mask,
@@ -40,7 +39,7 @@ def feature_blocks(draw, min_rows=2, max_rows=8, min_cols=1, max_cols=5):
     rows = draw(st.integers(min_rows, max_rows))
     cols = draw(st.integers(min_cols, max_cols))
     data = draw(st.lists(bounded, min_size=rows * cols, max_size=rows * cols))
-    return Matrix(np.array(data).reshape(rows, cols))
+    return np.array(data).reshape(rows, cols)
 
 
 def random_feature_map(rng: Rng, heads: int, m: int, d: int) -> np.ndarray:
@@ -49,37 +48,37 @@ def random_feature_map(rng: Rng, heads: int, m: int, d: int) -> np.ndarray:
 
 class TestCovariance:
     def test_identical_rows_give_zero(self):
-        f = Matrix([[2.0, -1.0, 3.0]] * 4)
-        assert np.array_equal(covariance(f).a, np.zeros((3, 3)))
+        f = np.array([[2.0, -1.0, 3.0]] * 4)
+        assert np.array_equal(covariance(f), np.zeros((3, 3)))
 
     def test_small_example_against_two_pass_oracle(self):
-        f = Matrix([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        cov = covariance(f).a
+        f = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        cov = covariance(f)
         assert np.array_equal(cov, [[4.0, 4.0], [4.0, 4.0]])
-        assert np.abs(cov - two_pass_covariance(f.a)).max() < 1e-12
+        assert np.abs(cov - two_pass_covariance(f)).max() < 1e-12
 
     def test_row_permutation_invariance(self):
         rng = Rng(20)
-        f = randn_matrix(rng, 6, 3)
-        permuted = Matrix(f.a[[5, 3, 1, 4, 0, 2]])
-        assert np.abs(covariance(f).a - covariance(permuted).a).max() < 1e-12
+        f = randn_matrix(rng, 6, 3).a
+        permuted = f[[5, 3, 1, 4, 0, 2]]
+        assert np.abs(covariance(f) - covariance(permuted)).max() < 1e-12
 
     def test_needs_two_rows(self):
         with pytest.raises(DegenerateInputError):
-            covariance(Matrix([[1.0, 2.0]]))
+            covariance(np.array([[1.0, 2.0]]))
 
     @given(feature_blocks())
     @settings(max_examples=60)
     def test_matches_two_pass_oracle(self, f):
-        cov = covariance(f).a
-        oracle = two_pass_covariance(f.a)
+        cov = covariance(f)
+        oracle = two_pass_covariance(f)
         scale = max(1.0, np.abs(oracle).max())
         assert np.abs(cov - oracle).max() / scale < 1e-9
 
     @given(feature_blocks())
     @settings(max_examples=60)
     def test_symmetric_and_psd(self, f):
-        cov = covariance(f).a
+        cov = covariance(f)
         assert np.array_equal(cov, cov.T)
         assert np.linalg.eigvalsh(cov).min() >= -1e-9
 
@@ -89,20 +88,20 @@ class TestHeadDistance:
     @pytest.mark.parametrize("c", [2.0, 0.5])
     def test_quartic_homogeneity(self, c):
         rng = Rng(23)
-        a, b = randn_matrix(rng, 8, 3), randn_matrix(rng, 8, 3)
-        base = head_distance(a, b)
-        scaled = head_distance(Matrix(c * a.a), Matrix(c * b.a))
+        a, b = randn_matrix(rng, 8, 3).a, randn_matrix(rng, 8, 3).a
+        base = head_distances(a, b)
+        scaled = head_distances(c * a, c * b)
         assert abs(scaled - c**4 * base) < 1e-9 * max(1.0, abs(scaled))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            head_distance(Matrix(np.zeros((3, 2))), Matrix(np.zeros((3, 3))))
+            head_distances(np.zeros((3, 2)), np.zeros((3, 3)))
 
     def test_overflow_is_an_error_not_inf(self):
         # Finite blocks whose covariance gap squares past float64 range.
         big, unit = np.array([[1e80], [-1e80]]), np.array([[1.0], [-1.0]])
         with pytest.raises(NonFiniteError, match="finite"):
-            head_distance(Matrix(big), Matrix(unit))
+            head_distances(big, unit)
         with pytest.raises(NonFiniteError, match="finite"):
             head_distances(np.stack([unit, big]), np.stack([unit, unit]))
 
@@ -234,24 +233,24 @@ class TestAdain:
     def test_known_channel_transfer(self):
         # content channel [0, 2]: mean 1, population std 1
         # style channel [10, 14]: mean 12, population std 2
-        out = adain(Matrix([[0.0], [2.0]]), Matrix([[10.0], [14.0]]), eps=1e-12)
-        assert np.abs(out.a - [[10.0], [14.0]]).max() < 1e-9
+        out = adain(np.array([[0.0], [2.0]]), np.array([[10.0], [14.0]]), eps=1e-12)
+        assert np.abs(out - [[10.0], [14.0]]).max() < 1e-9
 
     def test_constant_content_channel_maps_to_style_mean(self):
-        out = adain(Matrix([[5.0], [5.0]]), Matrix([[10.0], [14.0]]), eps=1e-5)
-        assert np.array_equal(out.a, [[12.0], [12.0]])
+        out = adain(np.array([[5.0], [5.0]]), np.array([[10.0], [14.0]]), eps=1e-5)
+        assert np.array_equal(out, [[12.0], [12.0]])
 
     def test_self_normalization_identity_scales_with_eps(self):
-        f = randn_matrix(Rng(30), 12, 5)
-        tiny = np.abs(adain(f, f, eps=1e-9).a - f.a).max()
+        f = randn_matrix(Rng(30), 12, 5).a
+        tiny = np.abs(adain(f, f, eps=1e-9) - f).max()
         assert tiny < 1e-6
         # at the default eps the deviation is of order eps, not below 1e-6
-        default = np.abs(adain(f, f, eps=1e-5).a - f.a).max()
+        default = np.abs(adain(f, f, eps=1e-5) - f).max()
         assert default < 1e-3
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            adain(Matrix(np.zeros((3, 2))), Matrix(np.zeros((2, 2))), eps=1e-5)
+            adain(np.zeros((3, 2)), np.zeros((2, 2)), eps=1e-5)
 
 
 class TestBlend:
@@ -300,6 +299,8 @@ class TestWholeBlock:
         assert np.array_equal(attend(q, k_s, v_s), f_s)
         assert np.array_equal(attend(q, k_c, v_c), f_c)
         distances = head_distances(f_s, f_c)
+        cov = covariance(f_c)
+        step_cov = covariance(np.stack([f_s, f_c], axis=1))  # (h, 2, m, d): a step axis
         cfg = BlendConfig()
         out = blend(f_c, f_s, BlendMask(np.ones(f_c.shape, dtype=bool)), cfg)
         scale = 1.0 / math.sqrt(d)
@@ -307,8 +308,11 @@ class TestWholeBlock:
             for f, k, v in ((f_s, k_s, v_s), (f_c, k_c, v_c)):
                 weights = softmax_rows(matmul(Matrix(q[i]), Matrix(k[i].T)).a * scale)
                 assert np.array_equal(f[i], matmul(Matrix(weights), Matrix(v[i])).a)
-            assert distances[i] == head_distance(Matrix(f_s[i]), Matrix(f_c[i]))
-            assert np.array_equal(out[i], adain(Matrix(f_c[i]), Matrix(f_s[i]), cfg.eps).a)
+            assert distances[i] == head_distances(f_s[i], f_c[i])
+            assert np.array_equal(cov[i], covariance(f_c[i]))
+            for j, f in enumerate((f_s, f_c)):
+                assert np.array_equal(step_cov[i, j], covariance(f[i]))
+            assert np.array_equal(out[i], adain(f_c[i], f_s[i], cfg.eps))
 
 
 class TestBlockContract:
@@ -342,6 +346,36 @@ class TestBlockContract:
         head_mask = result.head_mask
         assert head_mask.dtype == bool and head_mask.shape == (heads,)
         assert not head_mask.flags.writeable
+
+
+# An (h, m, d) block and its keys and values, then blocks of each lower rank;
+# slicing an axis to length 0 gives an empty block.
+BLOCK, KV = np.ones((2, 3, 4)), np.ones((2, 5, 4))
+HEAD, ROW, SCALAR = np.ones((3, 4)), np.ones(4), np.array(1.0)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: covariance(SCALAR), id="covariance-0d"),
+    pytest.param(lambda: covariance(ROW), id="covariance-1d"),
+    pytest.param(lambda: head_distances(SCALAR, SCALAR), id="head_distances-0d"),
+    pytest.param(lambda: head_distances(ROW, ROW), id="head_distances-1d"),
+    pytest.param(lambda: adain(SCALAR, SCALAR, 1e-5), id="adain-0d"),
+    pytest.param(lambda: adain(ROW, ROW, 1e-5), id="adain-1d"),
+    pytest.param(lambda: attend(BLOCK[:, 0], KV, KV), id="attend-2d-q"),
+    pytest.param(lambda: attend(BLOCK, KV[0], KV), id="attend-2d-k"),
+    pytest.param(lambda: attend(BLOCK, KV, KV[0]), id="attend-2d-v"),
+    pytest.param(lambda: merge_heads(ROW), id="merge_heads-1d"),
+    pytest.param(lambda: merge_heads(HEAD), id="merge_heads-2d"),
+    pytest.param(lambda: extract_head_mask(HEAD, HEAD, BlendConfig(n=1)), id="head_mask-2d"),
+    pytest.param(lambda: extract_head_mask(ROW, ROW, BlendConfig(n=1)), id="head_mask-1d"),
+    pytest.param(lambda: extract_spatial_mask(ROW, BlendConfig()), id="spatial_mask-1d"),
+    pytest.param(lambda: covariance(HEAD[:, :0]), id="covariance-empty-d"),
+    pytest.param(lambda: head_distances(BLOCK[..., :0], BLOCK[..., :0]), id="distances-empty-d"),
+    pytest.param(lambda: adain(BLOCK[:, :0], BLOCK[:, :0], 1e-5), id="adain-empty-m"),
+])
+def test_wrong_rank_or_empty_block_is_shape_error(call):
+    with pytest.raises(ShapeError):
+        call()
 
 
 def synth_layer_inputs(seed=0, heads=4, m=16, d=8, tokens=4):
@@ -444,7 +478,7 @@ class TestAsiLayerShapeEdges:
         preserved = result.fused_mask.data == 0.0
         assert np.array_equal(result.f_out[preserved], result.f_c[preserved])
         for i in range(len(q)):
-            styled = adain(Matrix(result.f_c[i]), Matrix(result.f_s[i]), cfg.eps).a
+            styled = adain(result.f_c[i], result.f_s[i], cfg.eps)
             blended = ~preserved[i]
             assert np.array_equal(result.f_out[i][blended], styled[blended])
         assert result.head_mask.sum() == n

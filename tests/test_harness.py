@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -29,6 +30,11 @@ def small_cfg(tmp_path, **kwargs) -> ExperimentConfig:
     defaults = dict(timesteps=4, dump_dir=tmp_path / "run")
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
+
+
+class BytesPath(os.PathLike):
+    def __fspath__(self):
+        return b"out"
 
 
 class TestExperimentConfig:
@@ -69,8 +75,10 @@ class TestExperimentConfig:
         ("perturbation", True), ("perturbation", "1"), ("perturbation", None),
         pytest.param("perturbation", 10**400, id="perturbation-int-beyond-float"),
         ("apply_asi", "no"), ("apply_asi", 0), ("apply_asi", 1.0), ("apply_asi", None),
+        ("dump_dir", 5), ("dump_dir", None), ("dump_dir", b"out"), ("blend", None), ("blend", {}),
+        pytest.param("dump_dir", BytesPath(), id="dump_dir-bytes-pathlike"),
     ])
-    def test_mistyped_float_or_bool_is_config_error_naming_the_field(self, name, value):
+    def test_mistyped_field_is_config_error_naming_the_field(self, name, value):
         with pytest.raises(ConfigError, match=f"^{name} must be"):
             ExperimentConfig(**{name: value})
 

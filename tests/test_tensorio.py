@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from asi.errors import NonFiniteError
+from asi.errors import DumpFormatError, NonFiniteError
 from asi.tensorio import MAGIC, load_tensor, save_tensor
 
 
@@ -45,21 +45,21 @@ def test_save_load_save_is_idempotent(tmp_path):
 def test_bad_magic(tmp_path):
     path = tmp_path / "bad.asit"
     path.write_bytes(b"NOPE" + bytes(8))
-    with pytest.raises(ValueError, match="magic"):
+    with pytest.raises(DumpFormatError, match="magic"):
         load_tensor(path)
 
 
 def test_bad_version(tmp_path):
     path = tmp_path / "bad.asit"
     path.write_bytes(MAGIC + bytes([9, 1]) + struct.pack("<I", 1) + struct.pack("<f", 0.0))
-    with pytest.raises(ValueError, match="version"):
+    with pytest.raises(DumpFormatError, match="version"):
         load_tensor(path)
 
 
 def test_truncated_payload(tmp_path):
     path = save_tensor(tmp_path / "t.asit", np.ones((2, 2)))
     path.write_bytes(path.read_bytes()[:-3])
-    with pytest.raises(ValueError, match="bytes"):
+    with pytest.raises(DumpFormatError, match="bytes"):
         load_tensor(path)
 
 
@@ -67,7 +67,7 @@ def test_truncated_payload(tmp_path):
 def test_truncated_header(tmp_path, size):
     path = save_tensor(tmp_path / "t.asit", np.ones((2, 2)))
     path.write_bytes(path.read_bytes()[:size])
-    with pytest.raises(ValueError, match="truncated") as info:
+    with pytest.raises(DumpFormatError, match="truncated") as info:
         load_tensor(path)
     assert str(path) in str(info.value)
 
@@ -111,7 +111,7 @@ def test_malformed_bytes_load_or_raise_naming_the_path(tmp_path, tail):
     path.write_bytes(MAGIC + bytes([1]) + tail)
     try:
         loaded = load_tensor(path)
-    except ValueError as exc:
+    except DumpFormatError as exc:
         assert str(exc).startswith(str(path)), exc
     else:
         assert loaded.dtype == np.float64 and loaded.ndim >= 1
