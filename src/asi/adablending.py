@@ -89,7 +89,7 @@ class BlendMask:
     def __post_init__(self) -> None:
         a = np.asarray(self.data)
         if a.dtype != np.bool_:
-            raise ValueError(f"BlendMask entries must be bool, got {a.dtype}")
+            raise ShapeError(f"BlendMask entries must be bool, got {a.dtype}")
         if a.ndim not in (3, 4):
             raise ShapeError(f"BlendMask requires 3-D or 4-D data, got {a.ndim}-D")
         # A read-only view: the caller's own array keeps its flags.
@@ -200,9 +200,14 @@ def _moments(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _adain(f_c: np.ndarray, f_s: np.ndarray, eps: float) -> np.ndarray:
-    _, dev_c, sd_c = _moments(f_c)
-    mu_s, _, sd_s = _moments(f_s)
-    return sd_s * dev_c / (sd_c + eps) + mu_s
+    # sd_s * dev_c / (sd_c + eps) + mu_s, the same operations in the same order, built
+    # in dev_c's buffer; the style deviation is dropped before dev_c is made.
+    mu_s, sd_s = _moments(f_s)[::2]
+    _, out, sd_c = _moments(f_c)
+    np.multiply(sd_s, out, out=out)
+    out /= sd_c + eps
+    out += mu_s
+    return out
 
 
 # blend calls _adain, not adain: the benchmark's tracer hooks adablending.adain

@@ -141,9 +141,11 @@ def ddim_step(x_t: Matrix, eps_pred: Matrix, t: int, t_prev: int, sched: NoiseSc
 
 
 def _walk(
-    x: Matrix, denoiser: OracleDenoiser, sched: NoiseSchedule, steps: int, upward: bool
+    x: Matrix, denoiser: OracleDenoiser, sched: NoiseSchedule, steps: int, upward: bool,
+    last_only: bool = False,
 ) -> list[LatentState]:
-    # Evenly spaced rungs from 0 to T inclusive, climbed or descended one jump at a time.
+    # Evenly spaced rungs from 0 to T inclusive, climbed or descended one jump at a time;
+    # with last_only, each state replaces the one before it.
     if not 0 <= steps <= sched.steps:
         raise ConfigError(f"steps must lie in [0, {sched.steps}], got {steps}")
     rungs = [round(i * sched.steps / steps) for i in range(steps + 1)] if steps else [0]
@@ -152,20 +154,25 @@ def _walk(
     trajectory = [LatentState(rungs[0], x)]
     for t_from, t_to in zip(rungs[:-1], rungs[1:]):
         x = _jump(x, denoiser.predict(x, t_from), t_from, t_to, sched)
+        if last_only:
+            trajectory.clear()
         trajectory.append(LatentState(t_to, x))
     return trajectory
 
 
 def ddim_invert(
-    x0: Matrix, denoiser: OracleDenoiser, sched: NoiseSchedule, steps: int
+    x0: Matrix, denoiser: OracleDenoiser, sched: NoiseSchedule, steps: int, *,
+    last_only: bool = False,
 ) -> list[LatentState]:
     """Walk the deterministic update upward, producing the latent trajectory.
 
     Returns steps + 1 states from (t=0, x0) to the final latent. Each upward
     jump re-estimates the clean input from the current state and the
-    denoiser's noise prediction, then renoises to the next rung.
+    denoiser's noise prediction, then renoises to the next rung. With
+    last_only=True the walk keeps only its latest state, so its memory does
+    not grow with `steps`, and the list holds the final state alone.
     """
-    return _walk(x0, denoiser, sched, steps, upward=True)
+    return _walk(x0, denoiser, sched, steps, upward=True, last_only=last_only)
 
 
 def ddim_generate(

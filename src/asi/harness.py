@@ -290,9 +290,9 @@ def _preserved_mse(fused: np.ndarray, f_out: np.ndarray, f_c: np.ndarray) -> flo
 # The layer runs once per chunk of sampler steps, on (h, steps, m, d) blocks.
 # A chunk's features (h, m, d per step) and its logits (h, m, tokens per step)
 # each hold at most this many entries, unless one step alone holds more: small
-# blocks are bound by Python dispatch, not arithmetic, and the layer stage's
-# peak memory must not grow with the step count (the run's peak still does:
-# ddim_invert holds all T+1 latents of the inversion).
+# blocks are bound by Python dispatch, not arithmetic, and the run's peak
+# memory must not grow with the step count. At its peak a run holds the
+# weights, the oracle noise, the current latent and one chunk's layer blocks.
 _CHUNK_ENTRIES = 8192
 
 
@@ -319,16 +319,18 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     inputs = synth_inputs(cfg)
     sched = make_schedule(cfg.timesteps)
     denoiser = OracleDenoiser(true_noise=inputs.latent_noise)
+    params = inputs.params
     chunk = _chunk_steps(cfg)
     # k_s, v_s, k_c, v_c: style keys and values, then content keys and values.
-    kv = (*project_kv(inputs.style_prompt, inputs.params),
-          *project_kv(inputs.content_prompt, inputs.params))
+    kv = (*project_kv(inputs.style_prompt, params), *project_kv(inputs.content_prompt, params))
 
-    x = ddim_invert(inputs.spatial, denoiser, sched, cfg.timesteps)[-1].x
+    # Only the top latent is kept; the spatial block it was inverted from goes with inputs.
+    x = ddim_invert(inputs.spatial, denoiser, sched, cfg.timesteps, last_only=True)[-1].x
+    del inputs
 
     rows: list[tuple] = []
-    result = None
     for top in range(cfg.timesteps, 0, -chunk):
+        q = features = result = block = None  # free the previous chunk's blocks first
         ts = range(top, max(top - chunk, 0), -1)
         latents = []
         for t in ts:
@@ -336,9 +338,9 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
             latents.append(x)
         features = x if len(ts) == 1 else Matrix(np.concatenate([z.a for z in latents]))
         for _ in range(cfg.layers_per_step):
-            q = project_q(features, inputs.params).reshape(
+            q = project_q(features, params).reshape(
                 cfg.heads, len(ts), cfg.positions, cfg.head_dim)
-            result = block = None  # free the previous layer's blocks before the next are built
+            features = result = block = None  # free the previous layer's blocks before the next
             if cfg.apply_asi:
                 result = asi_layer(q, *kv, cfg.blend)
                 block = result.f_out
@@ -358,17 +360,20 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
                     _preserved_mse(fused, block[:, i], result.f_c[:, i]),
                 )
             rows.append((t, *map(float, (*distances[:, i], *blended))))
+    # The artifacts need only the final step's output and masks.
+    f_out = block[:, -1]
+    masks = None if result is None else [
+        mask[:, -1] for mask in (result.head_mask, result.spatial_mask.data, result.fused_mask.data)]
+    del q, features, result, block
 
     out_dir = cfg.dump_dir
     # Written first: save_tensor rejects a non-finite block before it creates the
     # directory or opens the file, so a failed run creates and changes nothing.
-    feature_path = save_tensor(out_dir / "features_out.asit", block[:, -1])
+    feature_path = save_tensor(out_dir / "features_out.asit", f_out)
     header = ["step", *(f"ell_{i}" for i in range(cfg.heads)), "blended_fraction", "preserved_mse"]
     _write_csv(out_dir / "report.csv", header, rows)
     _write_csv(out_dir / "ell.csv", ["head_index", "ell"], enumerate(rows[-1][1:-2]))
-    write_mask_artifacts(out_dir, None if result is None else [  # the final step's masks
-        mask[:, -1] for mask in (result.head_mask, result.spatial_mask.data,
-                                 result.fused_mask.data)])
+    write_mask_artifacts(out_dir, masks)
 
     return RunReport(
         per_step_ell=tuple(r[1:-2] for r in rows),

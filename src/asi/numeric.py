@@ -105,6 +105,7 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
 _INV_2_53 = 1.0 / (1 << 53)
 _MAX_WORDS = np.iinfo(np.intp).max // 8  # uint64 words in the largest indexable array
+_NORMALS_PER_BLOCK = 1 << 13  # normals drawn per block of the stream, whatever the count
 
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
@@ -159,11 +160,21 @@ class Rng:
         return float(self.uniforms(1)[0])
 
     def normals(self, count: int) -> np.ndarray:
-        """`count` standard-normal draws (two raw words each)."""
-        raw = self._raw(2 * count)
-        u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
-        u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+        """`count` standard-normal draws (two raw words each).
+
+        The output is filled a fixed-size block of the stream at a time, so the
+        temporaries stay small; as each word depends only on its index, the
+        draws are bit for bit those of one whole-stream pass.
+        """
+        if 2 * count > _MAX_WORDS:
+            raise MemoryError(f"cannot draw {2 * count} words: no array can hold them")
+        out = np.empty(count)
+        for start in range(0, count, _NORMALS_PER_BLOCK):
+            raw = self._raw(2 * min(_NORMALS_PER_BLOCK, count - start))
+            u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
+            u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * _INV_2_53
+            out[start:start + len(u1)] = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+        return out
 
 
 def randn_matrix(rng: Rng, rows: int, cols: int) -> Matrix:

@@ -121,9 +121,9 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     q is an (h, ..., m, d) block and k, v are (h, t, d): every query row of a
     head attends to the same keys and values. Returns a block of q's shape.
     """
-    if q.ndim < 3 or k.ndim != 3 or v.ndim != 3:
-        raise ShapeError(f"attend needs q (h, ..., m, d) and k, v (h, t, d), got shapes "
-                         f"{q.shape}, {k.shape}, {v.shape}")
+    if q.ndim < 3 or k.ndim != 3 or v.ndim != 3 or 0 in (*q.shape, *k.shape, *v.shape):
+        raise ShapeError(f"attend needs non-empty q (h, ..., m, d) and k, v (h, t, d), "
+                         f"got shapes {q.shape}, {k.shape}, {v.shape}")
     hq, dq = q.shape[0], q.shape[-1]
     (hk, tk, dk), (hv, tv, dv) = k.shape, v.shape
     if hk != hq or hv != hq:
@@ -141,10 +141,13 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     # The result must be C-ordered, or the contractions that read it would sum
     # in another order. einsum lays V^T P^T out after its operands, so the view
     # turned back is C-ordered already and ascontiguousarray copies nothing; it
-    # makes the layout a guarantee rather than einsum's choice.
+    # makes the layout a guarantee rather than einsum's choice. The logits and
+    # their scaled copy are never bound to a name, so each is freed once used:
+    # the raw logits before softmax runs, the scaled copy before the output.
     rows = q.reshape(hq, -1, dq)
-    logits = _contract(k, np.ascontiguousarray(rows.transpose(0, 2, 1))).transpose(0, 2, 1)
-    p = softmax_rows(np.multiply(logits, 1.0 / math.sqrt(dq), order="C"))
+    p = softmax_rows(np.multiply(
+        _contract(k, np.ascontiguousarray(rows.transpose(0, 2, 1))).transpose(0, 2, 1),
+        1.0 / math.sqrt(dq), order="C"))
     out = _contract(v.transpose(0, 2, 1), p.transpose(0, 2, 1)).transpose(0, 2, 1)
     return _readonly(np.ascontiguousarray(out).reshape(q.shape))
 

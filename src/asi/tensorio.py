@@ -47,7 +47,9 @@ def save_tensor(path: str | Path, array: np.ndarray) -> Path:
     header += struct.pack(f"<{a.ndim}I", *a.shape)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(header + values.tobytes(order="C"))
+    with path.open("wb") as fh:  # the payload is written from its own buffer, not a joined copy
+        fh.write(header)
+        fh.write(values)
     return path
 
 

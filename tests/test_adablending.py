@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,7 +209,7 @@ class TestMaskFusion:
 
     @pytest.mark.parametrize("data", [np.zeros((1, 2, 2)), np.ones((1, 2, 2), dtype=np.int64)])
     def test_masks_must_be_bool(self, data):
-        with pytest.raises(ValueError, match="bool"):
+        with pytest.raises(ShapeError, match="bool"):
             BlendMask(data)
 
     @pytest.mark.parametrize("shape", [(2, 2), (1, 1, 1, 2, 2)])
@@ -277,6 +278,20 @@ class TestBlend:
         f_c, f_s = self._setup()
         with pytest.raises(ShapeError):
             blend(f_c, f_s, BlendMask(np.zeros((1, 2, 2), dtype=bool)), BlendConfig())
+
+    def test_holds_at_most_two_blocks_besides_its_operands(self):
+        f_c, f_s = self._setup(heads=4, m=256, d=8)
+        mask = BlendMask(np.ones(f_c.shape, dtype=bool))
+        tracemalloc.start()
+        try:
+            blend(f_c, f_s, mask, BlendConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Two at a time: a deviation and its squares, then the content deviation
+        # (AdaIN's result, built in place) and the blended output. The style
+        # deviation is dropped before the content's is made.
+        assert peak <= 2.5 * f_c.nbytes
 
 
 class TestWholeBlock:
@@ -372,6 +387,8 @@ HEAD, ROW, SCALAR = np.ones((3, 4)), np.ones(4), np.array(1.0)
     pytest.param(lambda: covariance(HEAD[:, :0]), id="covariance-empty-d"),
     pytest.param(lambda: head_distances(BLOCK[..., :0], BLOCK[..., :0]), id="distances-empty-d"),
     pytest.param(lambda: adain(BLOCK[:, :0], BLOCK[:, :0], 1e-5), id="adain-empty-m"),
+    pytest.param(lambda: attend(BLOCK, KV[:, :0], KV[:, :0]), id="attend-empty-t"),
+    pytest.param(lambda: attend(BLOCK[:, :0], KV, KV), id="attend-empty-m"),
 ])
 def test_wrong_rank_or_empty_block_is_shape_error(call):
     with pytest.raises(ShapeError):

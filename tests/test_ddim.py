@@ -244,6 +244,15 @@ class TestInversion:
         assert ts[0] == 0 and ts[-1] == 10
         assert ts == sorted(set(ts))
 
+    @pytest.mark.parametrize("steps", [0, 1, 10])
+    def test_last_only_keeps_the_final_state_alone(self, steps):
+        x0, denoiser = make_oracle()
+        sched = make_schedule(10)
+        (top,) = ddim_invert(x0, denoiser, sched, steps, last_only=True)
+        final = ddim_invert(x0, denoiser, sched, steps)[-1]
+        assert top.t == final.t
+        assert top.x.a.tobytes() == final.x.a.tobytes()
+
     def test_generation_inverts_every_intermediate_state(self):
         x0, denoiser = make_oracle(seed=47)
         sched = make_schedule(40)

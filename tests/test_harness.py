@@ -32,6 +32,16 @@ def small_cfg(tmp_path, **kwargs) -> ExperimentConfig:
     return ExperimentConfig(**defaults)
 
 
+def traced_peak(cfg: ExperimentConfig) -> int:
+    """The tracemalloc peak, in bytes, of one run_pipeline(cfg)."""
+    tracemalloc.start()
+    try:
+        run_pipeline(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class BytesPath(os.PathLike):
     def __fspath__(self):
         return b"out"
@@ -279,17 +289,29 @@ class TestRunPipeline:
 
     def test_peak_memory_does_not_grow_with_timesteps(self, tmp_path):
         peaks = []
-        for timesteps in (2, 8):
+        for timesteps in (2, 8, 32):
             cfg = ExperimentConfig(heads=8, head_dim=8, positions=256, tokens=8,
                                    timesteps=timesteps, dump_dir=tmp_path / f"t{timesteps}")
-            tracemalloc.start()
-            try:
-                run_pipeline(cfg)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(cfg))
         latent_bytes = cfg.positions * cfg.model_dim * 8
-        assert abs(peaks[1] - peaks[0]) <= latent_bytes
+        assert max(peaks) - min(peaks) <= latent_bytes
+
+    def test_peak_memory_is_at_most_ten_latents_at_sd_size(self, tmp_path):
+        cfg = ExperimentConfig(heads=8, head_dim=40, positions=1024, tokens=77, timesteps=3,
+                               dump_dir=tmp_path)
+        latent_bytes = cfg.positions * cfg.model_dim * 8
+        # In latent-sized blocks (m x h*d float64) at this size, the live set at the peak:
+        # - held all run: w_q, w_k, w_v (3 h*d / m = 0.94), the oracle noise and the
+        #   current latent (2), the four key/value blocks (4 t / m = 0.30);
+        # - the layer's blocks: q, f_s, f_c and f_out (4), the spatial and fused bool
+        #   masks (2 / 8 = 0.25);
+        # - merge_heads: the head-merged copy, the Matrix's own and its finiteness
+        #   scan (2 + 1 / 8).
+        # That is 9.61 (9.74 measured); the attention peak (q, f_s and two softmax-sized
+        # buffers of t / d = 1.93 each, on the 3.24 held all run) is lower, at 9.1.
+        # Keeping the raw logits through softmax, the previous chunk's blocks or the
+        # spatial input each puts it over 10.
+        assert traced_peak(cfg) <= 10 * latent_bytes
 
     def test_layers_per_step_chains_features(self, tmp_path):
         cfg1 = small_cfg(tmp_path, timesteps=2)

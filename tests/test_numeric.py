@@ -239,6 +239,13 @@ class TestRng:
         singles = [rng.normals(1)[0] for _ in range(5)]
         assert np.array_equal(block, np.array(singles))
 
+    def test_block_boundaries_do_not_show_in_the_draws(self):
+        block = numeric._NORMALS_PER_BLOCK
+        n = 3 * block + 5
+        rng = Rng(17)
+        pieces = [rng.normals(size) for size in (1, block - 1, block + 2, n - 2 * block - 2)]
+        assert np.concatenate(pieces).tobytes() == Rng(17).normals(n).tobytes()
+
     def test_uniform_range(self):
         u = Rng(11).uniforms(50_000)
         assert (u >= 0.0).all() and (u < 1.0).all()

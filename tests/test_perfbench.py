@@ -1,3 +1,5 @@
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,3 +18,17 @@ def test_benchmark_self_checks_pass():
         timeout=600,
     )
     assert proc.returncode == 0, proc.stderr[-4000:]
+
+
+def test_peak_traced_prints_one_json_line_and_cleans_up(tmp_path):
+    env = {**os.environ, "TMPDIR": str(tmp_path)}
+    run = [sys.executable, "tools/peak_traced.py"]
+    proc = subprocess.run([*run, "small_sweep"], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    (line,) = proc.stdout.splitlines()
+    peak = json.loads(line)["run_peak_traced_mb"]["small_sweep"]
+    assert 0 < peak < 16
+    assert list(tmp_path.iterdir()) == []
+    proc = subprocess.run([*run, "no_such_workload"], cwd=ROOT, capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stderr.startswith("error: unknown workload")
