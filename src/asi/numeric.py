@@ -1,16 +1,20 @@
 """Dense float64 kernels: shape-strict matrices, row softmax, and a seeded PRNG.
 
-All arithmetic is 64-bit and uses fixed, single-threaded summation order
-(``np.einsum`` rather than BLAS), so identical inputs produce bit-identical
-outputs regardless of thread count or BLAS backend. :class:`Matrix` is the
-validated 2-D type at the edges (inputs, weights, latents, projections and
-merged layer outputs); the layer kernels work on plain read-only arrays,
-whole feature blocks at a time.
+All arithmetic is 64-bit, and each output entry of a product is summed in a
+fixed order (``np.einsum`` rather than BLAS), so identical inputs produce
+bit-identical outputs regardless of CPU count, thread count or BLAS
+backend; a large product may be split over two threads, which leaves every
+entry's order as it is. :class:`Matrix` is the validated 2-D type at the
+edges (inputs, weights, latents, projections and merged layer outputs); the
+layer kernels work on plain read-only arrays, whole feature blocks at a
+time.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -66,16 +70,71 @@ class Matrix:
         return f"Matrix(<{self.rows}x{self.cols}>)"
 
 
-def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # The one fixed-order product, a @ b over the last two axes of 2-D or stacked blocks.
-    return np.einsum("...ik,...kj->...ij", a, b)
+# CPUs this process may run on, read once: a product is split over two threads
+# only when a second one is there to take the other half.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+# Multiply-adds from which a product is split in two. Starting and joining the
+# helper thread costs about 95 us (p50), and einsum does about 2.5 G
+# multiply-adds/s, so a split saves time from about 2 * 95e-6 * 2.5e9 = 4.75e5
+# multiply-adds on. 2**20 keeps a margin of 2x over that break-even, which
+# leaves the default run's largest product (524,288) unsplit.
+_MIN_SPLIT = 1 << 20
+
+_LAYOUT = "...ik,...kj->...ij"
+
+
+def _contract(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The one fixed-order product, a @ b over the last two axes of 2-D or stacked blocks.
+
+    Stacked operands share their leading axes. The result goes into `out`
+    when given; without it the result is C-ordered, which is einsum's own
+    layout for every product here but attend's V^T P^T, whose caller passes
+    the layout it needs as `out`. A product of at least `_MIN_SPLIT`
+    multiply-adds is split in two along axis 0 of the result (the rows of a
+    2-D `a`, else the head axis of both operands) when a second CPU is there:
+    a helper thread computes one half while the caller computes the other,
+    each by einsum into its slice of one result buffer. Each entry is then
+    summed by the same inner loop over the same strides as unsplit, so its
+    bits do not depend on the split. That fails where the reduced axis is
+    innermost in both operands (V^T P^T and F^T F at head_dim=1): einsum then
+    sums it in blocks whose bounds depend on the extent of the outer axes, so
+    a half can sum a long reduction in other blocks than the whole does.
+    Those products stay unsplit.
+    """
+    if (a.size * b.shape[-1] < _MIN_SPLIT or a.shape[0] < 2 or _CPUS < 2
+            or a.strides[-1] == b.strides[-2] == a.itemsize):
+        return np.einsum(_LAYOUT, a, b, out=out)
+    if out is None:
+        out = np.empty((*a.shape[:-1], b.shape[-1]))
+    half = a.shape[0] // 2
+    b_lo, b_hi = (b, b) if b.ndim == 2 else (b[:half], b[half:])
+    errors = []
+
+    def upper_half() -> None:
+        # Only einsum runs here, so every traced asi call stays on the caller's thread.
+        try:
+            np.einsum(_LAYOUT, a[half:], b_hi, out=out[half:])
+        except BaseException as exc:  # re-raised in the caller after the join
+            errors.append(exc)
+
+    helper = threading.Thread(target=upper_half)
+    helper.start()
+    try:
+        np.einsum(_LAYOUT, a[:half], b_lo, out=out[:half])
+    finally:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     """Strict matrix product a @ b.
 
-    Computed with a fixed-order contraction (no BLAS threading), so the
-    result is reproducible bit-for-bit across runs and thread counts.
+    Computed with a fixed-order contraction: each entry is summed in k order
+    whether or not the rows are split over two threads, so the result is
+    reproducible bit-for-bit across runs, CPU counts and BLAS backends.
     """
     if a.cols != b.rows:
         raise ShapeError(
@@ -115,6 +174,15 @@ def _splitmix64(z: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
+def _check_count(count: int, words_each: int) -> None:
+    # Raised before a draw moves the counter or allocates, so a bad count consumes nothing.
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+        raise ShapeError(f"draw count must be a non-negative integer, got {count!r}")
+    words = words_each * int(count)
+    if words > _MAX_WORDS:
+        raise MemoryError(f"cannot draw {words} words: no array can hold them")
+
+
 class Rng:
     """Deterministic counter-based PRNG: splitmix64 stream plus Box-Muller.
 
@@ -143,8 +211,7 @@ class Rng:
         self._counter = 0
 
     def _raw(self, count: int) -> np.ndarray:
-        if count > _MAX_WORDS:
-            raise MemoryError(f"cannot draw {count} words: no array can hold them")
+        _check_count(count, 1)
         start = self._counter
         self._counter += count
         idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
@@ -166,8 +233,7 @@ class Rng:
         temporaries stay small; as each word depends only on its index, the
         draws are bit for bit those of one whole-stream pass.
         """
-        if 2 * count > _MAX_WORDS:
-            raise MemoryError(f"cannot draw {2 * count} words: no array can hold them")
+        _check_count(count, 2)
         out = np.empty(count)
         for start in range(0, count, _NORMALS_PER_BLOCK):
             raw = self._raw(2 * min(_NORMALS_PER_BLOCK, count - start))

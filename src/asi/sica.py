@@ -24,10 +24,13 @@ it would alone and gets the bits it would get in an (h, m, d) block.
 
 Both products run with a head's query rows as the innermost loop: the
 logits as K Q^T over a contiguous Q^T, the output as V^T P^T, each then
-turned back to (rows, ...) order. NumPy's einsum adds the products of
-each output element in order of the reduction index, multiply then add,
-whenever that index is not the innermost axis of both operands. So these
-layouts give the same bits as the per-head 2-D product Q K^T, then P V.
+turned back to (rows, ...) order. :func:`attend` writes V^T P^T through the
+transposed view of the C-ordered (heads, rows, head_dim) block it returns,
+so the result is C-ordered by construction. NumPy's einsum adds the
+products of each output element in order of the reduction index, multiply
+then add, whenever that index is not the innermost axis of both operands.
+So these layouts give the same bits as the per-head 2-D product Q K^T, then
+P V, whether or not a large product is split over two threads.
 """
 
 from __future__ import annotations
@@ -139,17 +142,19 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     # d would be innermost in both and einsum would sum it in another order.
     # Softmax gets C-ordered logits: a row sum over a strided axis also would.
     # The result must be C-ordered, or the contractions that read it would sum
-    # in another order. einsum lays V^T P^T out after its operands, so the view
-    # turned back is C-ordered already and ascontiguousarray copies nothing; it
-    # makes the layout a guarantee rather than einsum's choice. The logits and
-    # their scaled copy are never bound to a name, so each is freed once used:
-    # the raw logits before softmax runs, the scaled copy before the output.
+    # in another order, so V^T P^T is written into the transposed view of a
+    # C-ordered (h, rows, d) block: the layout einsum would choose for it
+    # after its operands, so each entry is summed as einsum would sum it. The
+    # logits and their scaled copy are never bound to a name, so each is freed
+    # once used: the raw logits before softmax runs, the scaled copy before
+    # the output.
     rows = q.reshape(hq, -1, dq)
     p = softmax_rows(np.multiply(
         _contract(k, np.ascontiguousarray(rows.transpose(0, 2, 1))).transpose(0, 2, 1),
         1.0 / math.sqrt(dq), order="C"))
-    out = _contract(v.transpose(0, 2, 1), p.transpose(0, 2, 1)).transpose(0, 2, 1)
-    return _readonly(np.ascontiguousarray(out).reshape(q.shape))
+    out = np.empty(rows.shape)
+    _contract(v.transpose(0, 2, 1), p.transpose(0, 2, 1), out=out.transpose(0, 2, 1))
+    return _readonly(out.reshape(q.shape))
 
 
 def siamese_attend(

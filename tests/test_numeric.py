@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -136,29 +137,39 @@ class TestContractionOrder:
     ])
     def test_every_contraction_of_one_chunk_is_k_ordered(self, tmp_path, monkeypatch, name):
         contract = numeric._contract
-        seen = set()
+        seen, split, started = set(), set(), []
 
-        def checked(a, b):
-            out = contract(a, b)
+        def checked(a, b, out=None):
+            before = len(started)
+            result = contract(a, b, out)
             layout = (a.shape, a.strides, b.shape, b.strides)
-            assert out.tobytes() == k_ordered_contract(a, b).tobytes(), layout
+            assert result.tobytes() == k_ordered_contract(a, b).tobytes(), layout
             seen.add((a.shape, b.shape))
-            return out
+            if len(started) > before:
+                split.add((a.shape, b.shape))
+            return result
 
         for module in (numeric, sica, adablending):
             monkeypatch.setattr(module, "_contract", checked)
+        monkeypatch.setattr(numeric, "_CPUS", 2)  # split as on a 2-CPU host, whatever this one has
+        monkeypatch.setattr(threading, "Thread", _counting_thread(started))
         cfg = ExperimentConfig(**RUN_SHAPES[name], dump_dir=tmp_path)
         steps = harness._chunk_steps(cfg)
         run_pipeline(dataclasses.replace(cfg, timesteps=steps))  # one chunk of `steps` steps
         h, m, d, t, md = cfg.heads, cfg.positions, cfg.head_dim, cfg.tokens, cfg.model_dim
+        project_q = ((steps * m, md), (md, md))  # over the stacked latents
         assert seen == {
             ((t, md), (md, md)),  # project_kv
-            ((steps * m, md), (md, md)),  # project_q over the stacked latents
+            project_q,
             ((h, t, d), (h, d, steps * m)),  # logits as K Q^T, every step's rows at once
             ((h, d, t), (h, t, steps * m)),  # output as V^T P^T
             ((h, steps, d, m), (h, steps, m, d)),  # Gram F^T F per step
         }
         assert steps == {"small_sweep": 8, "ragged": 22, "head_dim_1": 22}.get(name, 1)
+        if name in ("sd_block", "mid_bypass"):
+            assert project_q in split
+        if name == "small_sweep":
+            assert not split
 
     def test_negative_zero_products_sum_to_positive_zero(self):
         a = np.array([[-0.0, 2.0]])
@@ -166,6 +177,83 @@ class TestContractionOrder:
         expected = np.zeros((1, 2)).tobytes()
         assert k_ordered_contract(a, b).tobytes() == expected
         assert numeric._contract(a, b).tobytes() == expected
+
+
+def _counting_thread(started):
+    # A Thread that records each start in `started`.
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+    return CountingThread
+
+
+def _split_operands(layout, d):
+    """Operands (and `out`, for V^T P^T) of one contraction layout of a run.
+
+    Sized to at least _MIN_SPLIT multiply-adds, with an odd axis 0: 1025
+    rows for the 2-D projections, 3 heads for the stacked blocks.
+    """
+    gen = np.random.default_rng(d)
+    h, t = 3, 7
+
+    def rows(per_row):  # the fewest rows that reach _MIN_SPLIT
+        return -(-numeric._MIN_SPLIT // per_row)
+
+    if layout == "projection":
+        return gen.standard_normal((1025, 33)), gen.standard_normal((33, 33)), None
+    if layout == "logits":  # K Q^T over a contiguous Q^T
+        r = rows(h * t * d)
+        return gen.standard_normal((h, t, d)), gen.standard_normal((h, d, r)), None
+    if layout == "output":  # V^T P^T into the transposed view of a C-ordered block
+        r = rows(h * t * d)
+        v, p = gen.standard_normal((h, t, d)), gen.standard_normal((h, r, t))
+        return v.transpose(0, 2, 1), p.transpose(0, 2, 1), np.empty((h, r, d)).transpose(0, 2, 1)
+    f = gen.standard_normal((h, 1, rows(h * d * d), d))  # Gram F^T F
+    return np.ascontiguousarray(np.swapaxes(f, -1, -2)), f, None
+
+
+class TestSplitContraction:
+    """A product split over two threads has the bytes of one unsplit einsum.
+
+    At head_dim=1 two of these layouts are not k-ordered, so the reference is
+    the unsplit einsum, not the k-ordered oracle.
+    """
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("d", [1, 8])
+    @pytest.mark.parametrize("layout", ["projection", "logits", "output", "gram"])
+    def test_split_bytes_equal_one_unsplit_einsum(self, monkeypatch, layout, d, cpus):
+        a, b, out = _split_operands(layout, d)
+        assert a.size * b.shape[-1] >= numeric._MIN_SPLIT
+        expected = np.einsum("...ik,...kj->...ij", a, b)
+        started = []
+        monkeypatch.setattr(numeric, "_CPUS", cpus)
+        monkeypatch.setattr(threading, "Thread", _counting_thread(started))
+        result = numeric._contract(a, b, out)
+        # One helper thread on two CPUs, none on one; and none where the reduced
+        # axis is innermost in both operands, as it is for these two at d=1.
+        assert len(started) == (cpus == 2 and not (d == 1 and layout in ("output", "gram")))
+        if out is not None:
+            assert result is out
+            assert out.transpose(0, 2, 1).flags.c_contiguous
+        assert result.tobytes() == expected.tobytes()
+
+    def test_helper_thread_error_reaches_the_caller(self, monkeypatch):
+        a, b, _ = _split_operands("projection", 8)
+        einsum = np.einsum
+
+        def failing_off_main(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("helper failed")
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(numeric, "_CPUS", 2)
+        monkeypatch.setattr(np, "einsum", failing_off_main)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="helper failed"):
+            numeric._contract(a, b)
+        assert threading.active_count() == threads
 
 
 class TestSoftmaxRows:
@@ -223,6 +311,19 @@ class TestRng:
         with pytest.raises(MemoryError):
             rng.normals(2**62)
         assert rng.normals(1)[0] == Rng(42).normals(1)[0]  # the failed draw consumed nothing
+
+    @pytest.mark.parametrize("draw", ["uniforms", "normals"])
+    @pytest.mark.parametrize("count", [-1, 1.5, True])
+    def test_bad_draw_count_is_shape_error_and_consumes_nothing(self, draw, count):
+        rng = Rng(5)
+        with pytest.raises(ShapeError):
+            getattr(rng, draw)(count)
+        assert getattr(rng, draw)(3).tobytes() == getattr(Rng(5), draw)(3).tobytes()
+
+    def test_zero_draws_are_empty(self):
+        rng = Rng(5)
+        assert rng.uniforms(0).shape == rng.normals(0).shape == (0,)
+        assert rng.uniforms(1)[0] == Rng(5).uniforms(1)[0]
 
     def test_moments_at_scale(self):
         m = randn_matrix(Rng(7), 256, 256)
