@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .adablending import asi_layer
-from .ddim import OracleDenoiser, ddim_generate, ddim_invert, make_schedule
+from .ddim import ddim_generate, ddim_invert, make_schedule
 from .errors import AsiError, ConfigError
 from .harness import (
     SWEEPABLE_PARAMS,
@@ -106,9 +106,8 @@ def _cmd_ddim_roundtrip(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     x0 = randn_matrix(rng, cfg.positions, cfg.model_dim)
     noise = randn_matrix(rng, cfg.positions, cfg.model_dim)
     sched = make_schedule(cfg.timesteps)
-    denoiser = OracleDenoiser(true_noise=noise)
-    upward = ddim_invert(x0, denoiser, sched, cfg.timesteps)
-    downward = ddim_generate(upward[-1].x, denoiser, sched, cfg.timesteps)
+    upward = ddim_invert(x0, noise, sched, cfg.timesteps)
+    downward = ddim_generate(upward[-1].x, noise, sched, cfg.timesteps)
     if args.dump:
         manifest = dump_trajectory(upward, sched, cfg.dump_dir / "trajectory")
         print(f"trajectory manifest: {manifest}")

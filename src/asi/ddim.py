@@ -3,9 +3,9 @@
 A linear variance schedule drives closed-form forward noising and the
 deterministic (sigma = 0) sampler update, which is invertible: walking the
 update upward recovers the latent trajectory of a clean input, and walking
-back down reproduces it. No model is trained; an oracle denoiser that
-returns the stored true noise stands in for a learned noise predictor, which
-makes every identity here exactly testable.
+back down reproduces it. No model is trained: the walks take the true noise
+where a learned noise predictor's output would go, which makes every
+identity here exactly testable.
 
 Timesteps are 1-based: t runs over [1, T], and alpha_bar[0] = 1 is the
 clean-image boundary.
@@ -23,7 +23,6 @@ from .numeric import Matrix
 __all__ = [
     "NoiseSchedule",
     "LatentState",
-    "OracleDenoiser",
     "make_schedule",
     "forward_noise",
     "predict_x0",
@@ -54,8 +53,8 @@ class NoiseSchedule:
 
 def make_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
     """Linear beta schedule over T steps with cumulative-product alpha_bar."""
-    if T < 1:
-        raise ConfigError(f"schedule needs T >= 1, got {T}")
+    if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 1:
+        raise ConfigError(f"schedule needs an integer T >= 1, got {T!r}")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ConfigError(
             f"betas must satisfy 0 < beta_start <= beta_end < 1, got {beta_start}, {beta_end}"
@@ -74,21 +73,6 @@ class LatentState:
     x: Matrix
 
 
-@dataclass(frozen=True)
-class OracleDenoiser:
-    """Closed-form stand-in for a trained noise predictor.
-
-    Always returns the stored true noise, so the sampler identities hold
-    exactly without any training.
-    """
-
-    true_noise: Matrix
-
-    def predict(self, x_t: Matrix, t: int) -> Matrix:
-        _check_shapes(x_t, self.true_noise, "latent vs oracle noise")
-        return self.true_noise
-
-
 def _check_shapes(a: Matrix, b: Matrix, what: str) -> None:
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ShapeError(f"{what}: shapes differ, {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
@@ -96,7 +80,7 @@ def _check_shapes(a: Matrix, b: Matrix, what: str) -> None:
 
 def _clean_estimate(x_t: Matrix, eps: Matrix, t: int, sched: NoiseSchedule) -> np.ndarray:
     # (x_t - sqrt(1 - ab_t) eps) / sqrt(ab_t), as a fresh writable array.
-    _check_shapes(x_t, eps, "predict_x0")
+    _check_shapes(x_t, eps, "latent vs noise")
     ab = sched.bar(t)
     if ab == 0.0:
         raise ScheduleError(f"alpha_bar vanishes at t={t}; clean estimate undefined")
@@ -141,19 +125,20 @@ def ddim_step(x_t: Matrix, eps_pred: Matrix, t: int, t_prev: int, sched: NoiseSc
 
 
 def _walk(
-    x: Matrix, denoiser: OracleDenoiser, sched: NoiseSchedule, steps: int, upward: bool,
+    x: Matrix, eps: Matrix, sched: NoiseSchedule, steps: int, upward: bool,
     last_only: bool = False,
 ) -> list[LatentState]:
     # Evenly spaced rungs from 0 to T inclusive, climbed or descended one jump at a time;
     # with last_only, each state replaces the one before it.
-    if not 0 <= steps <= sched.steps:
-        raise ConfigError(f"steps must lie in [0, {sched.steps}], got {steps}")
+    if (isinstance(steps, bool) or not isinstance(steps, (int, np.integer))
+            or not 0 <= steps <= sched.steps):
+        raise ConfigError(f"steps must be an integer in [0, {sched.steps}], got {steps!r}")
     rungs = [round(i * sched.steps / steps) for i in range(steps + 1)] if steps else [0]
     if not upward:
         rungs.reverse()
     trajectory = [LatentState(rungs[0], x)]
     for t_from, t_to in zip(rungs[:-1], rungs[1:]):
-        x = _jump(x, denoiser.predict(x, t_from), t_from, t_to, sched)
+        x = _jump(x, eps, t_from, t_to, sched)
         if last_only:
             trajectory.clear()
         trajectory.append(LatentState(t_to, x))
@@ -161,26 +146,26 @@ def _walk(
 
 
 def ddim_invert(
-    x0: Matrix, denoiser: OracleDenoiser, sched: NoiseSchedule, steps: int, *,
+    x0: Matrix, eps: Matrix, sched: NoiseSchedule, steps: int, *,
     last_only: bool = False,
 ) -> list[LatentState]:
     """Walk the deterministic update upward, producing the latent trajectory.
 
     Returns steps + 1 states from (t=0, x0) to the final latent. Each upward
-    jump re-estimates the clean input from the current state and the
-    denoiser's noise prediction, then renoises to the next rung. With
-    last_only=True the walk keeps only its latest state, so its memory does
-    not grow with `steps`, and the list holds the final state alone.
+    jump re-estimates the clean input from the current state and the noise
+    `eps`, then renoises to the next rung. With last_only=True the walk
+    keeps only its latest state, so its memory does not grow with `steps`,
+    and the list holds the final state alone.
     """
-    return _walk(x0, denoiser, sched, steps, upward=True, last_only=last_only)
+    return _walk(x0, eps, sched, steps, upward=True, last_only=last_only)
 
 
 def ddim_generate(
-    x_start: Matrix, denoiser: OracleDenoiser, sched: NoiseSchedule, steps: int
+    x_start: Matrix, eps: Matrix, sched: NoiseSchedule, steps: int
 ) -> list[LatentState]:
     """Walk the deterministic update downward from the topmost ladder rung.
 
     The exact functional inverse of :func:`ddim_invert` over the same rungs;
     returns steps + 1 states ending at t = 0.
     """
-    return _walk(x_start, denoiser, sched, steps, upward=False)
+    return _walk(x_start, eps, sched, steps, upward=False)

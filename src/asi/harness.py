@@ -30,14 +30,7 @@ from typing import Iterable, Sequence, get_type_hints
 import numpy as np
 
 from .adablending import BlendConfig, asi_layer, head_distances
-from .ddim import (
-    LatentState,
-    NoiseSchedule,
-    OracleDenoiser,
-    ddim_invert,
-    ddim_step,
-    make_schedule,
-)
+from .ddim import LatentState, NoiseSchedule, ddim_invert, ddim_step, make_schedule
 from .errors import ConfigError
 from .numeric import Matrix, Rng, randn_matrix
 # siamese_attend is unused here, but the benchmark tracer wraps harness.siamese_attend.
@@ -296,7 +289,7 @@ def _preserved_mse(fused: np.ndarray, f_out: np.ndarray, f_c: np.ndarray) -> flo
 # Python dispatch but the short einsum inner loops of the stacked layouts: the
 # Gram at (8, 8, 8, 16) @ (8, 8, 16, 8) takes about 140-165 us for 65,536
 # multiply-adds (about 0.45 G/s, against about 1.8 G/s for the sd_block Gram).
-# At its peak a run holds the weights, the oracle noise, the current latent
+# At its peak a run holds the weights, the true noise, the current latent
 # and one chunk's layer blocks.
 _CHUNK_ENTRIES = 8192
 
@@ -310,7 +303,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     """Run the full loop and write all artifacts into cfg.dump_dir.
 
     The sampler walks down one step at a time with the deterministic update
-    and the oracle denoiser. Each fresh latent doubles as that step's spatial
+    and the true noise. Each fresh latent doubles as that step's spatial
     feature matrix: it is projected to queries, attended against both
     prompts, and blended cfg.layers_per_step times (each layer feeding the
     next). As the blended output never feeds the latent, the layers run once
@@ -323,14 +316,14 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     """
     inputs = synth_inputs(cfg)
     sched = make_schedule(cfg.timesteps)
-    denoiser = OracleDenoiser(true_noise=inputs.latent_noise)
+    noise = inputs.latent_noise
     params = inputs.params
     chunk = _chunk_steps(cfg)
     # k_s, v_s, k_c, v_c: style keys and values, then content keys and values.
     kv = (*project_kv(inputs.style_prompt, params), *project_kv(inputs.content_prompt, params))
 
     # Only the top latent is kept; the spatial block it was inverted from goes with inputs.
-    x = ddim_invert(inputs.spatial, denoiser, sched, cfg.timesteps, last_only=True)[-1].x
+    x = ddim_invert(inputs.spatial, noise, sched, cfg.timesteps, last_only=True)[-1].x
     del inputs
 
     rows: list[tuple] = []
@@ -339,7 +332,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
         ts = range(top, max(top - chunk, 0), -1)
         latents = []
         for t in ts:
-            x = ddim_step(x, denoiser.predict(x, t), t, t - 1, sched)
+            x = ddim_step(x, noise, t, t - 1, sched)
             latents.append(x)
         features = x if len(ts) == 1 else Matrix(np.concatenate([z.a for z in latents]))
         for _ in range(cfg.layers_per_step):
@@ -402,15 +395,18 @@ def sweep(cfg: ExperimentConfig, param: str, values: list) -> list[RunReport]:
     """One run per value, each in its own subdirectory, plus a combined CSV.
 
     Values are parsed like any other setting (see :func:`configure`), and
-    every run config is built before the first run starts. Subdirectories
-    and CSV rows carry the parsed value. All runs share cfg.seed unless the
-    sweep parameter is the seed itself. Reports come back in input order.
+    every run config is built before the first run starts; then an earlier
+    sweep.csv is removed, so a sweep that fails part-way leaves none.
+    Subdirectories and CSV rows carry the parsed value. All runs share
+    cfg.seed unless the sweep parameter is the seed itself. Reports come back
+    in input order.
     """
     if param not in SWEEPABLE_PARAMS:
         raise ConfigError(f"unknown sweep parameter {param!r}; choose from {SWEEPABLE_PARAMS}")
     if not values:
         raise ConfigError("sweep needs at least one value")
     runs = [_sweep_run(cfg, param, raw) for raw in values]
+    (cfg.dump_dir / "sweep.csv").unlink(missing_ok=True)
     reports = [run_pipeline(run_cfg) for _, run_cfg in runs]
     _write_csv(
         cfg.dump_dir / "sweep.csv",

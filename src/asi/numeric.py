@@ -18,7 +18,7 @@ import threading
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeError
+from .errors import ConfigError, NonFiniteError, ShapeError
 
 __all__ = ["Matrix", "Rng", "matmul", "softmax_rows", "randn_matrix"]
 
@@ -204,9 +204,9 @@ class Rng:
 
     def __init__(self, seed: int) -> None:
         if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
+            raise ConfigError(f"seed must be an integer, got {type(seed).__name__}")
         if not 0 <= seed <= _U64_MASK:
-            raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+            raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
         self.seed = seed
         self._counter = 0
 

@@ -28,7 +28,7 @@ from asi.adablending import (
     fuse_masks,
     head_distances,
 )
-from asi.ddim import OracleDenoiser, ddim_generate, ddim_invert, forward_noise, make_schedule
+from asi.ddim import ddim_generate, ddim_invert, forward_noise, make_schedule
 from asi.harness import ExperimentConfig, run_pipeline, sweep, synth_inputs
 from asi.numeric import Matrix, Rng, matmul, randn_matrix, softmax_rows
 from asi.sica import project_kv, project_q, siamese_attend
@@ -221,10 +221,9 @@ def test_criterion_09_ddim_perfect_inversion():
     x0 = randn_matrix(rng, 16, 64)
     noise = randn_matrix(rng, 16, 64)
     sched = make_schedule(50)
-    denoiser = OracleDenoiser(true_noise=noise)
     start = time.perf_counter()
-    up = ddim_invert(x0, denoiser, sched, 50)
-    down = ddim_generate(up[-1].x, denoiser, sched, 50)
+    up = ddim_invert(x0, noise, sched, 50)
+    down = ddim_generate(up[-1].x, noise, sched, 50)
     elapsed = time.perf_counter() - start
     error = np.abs(down[-1].x.a - x0.a).max()
     assert error < 1e-6, f"roundtrip error {error}"

@@ -312,6 +312,19 @@ class TestSweepCommand:
         dirs = sorted(p.name for p in (tmp_path / "s").iterdir() if p.is_dir())
         assert dirs == ["alpha_0.7", "alpha_1.0"]
 
+    def test_failed_sweep_leaves_no_earlier_csv(self, tmp_path, capsys):
+        target = ["--set", f"dump_dir={tmp_path/'s'}", "--set", "timesteps=2"]
+        assert main(["sweep", "--param", "perturbation", "--values", "1,2", *target]) == 0
+        csv_path = tmp_path / "s" / "sweep.csv"
+        before = csv_path.read_bytes()
+        # A rejected sweep writes nothing, so the earlier CSV stays.
+        assert main(["sweep", "--param", "perturbation", "--values", "3,x", *target]) == 1
+        assert csv_path.read_bytes() == before
+        # One that fails part-way has removed it: it would list runs this sweep did not make.
+        assert main(["sweep", "--param", "perturbation", "--values", "3,1e40", *target]) == 2
+        assert not csv_path.exists()
+        assert (tmp_path / "s" / "perturbation_3.0" / "report.csv").exists()
+
     def test_empty_value_entry_is_1_and_writes_nothing(self, tmp_path, capsys):
         rc = main(
             ["sweep", "--param", "n", "--values", "0,,2,",

@@ -6,7 +6,6 @@ import pytest
 from asi.ddim import (
     LatentState,
     NoiseSchedule,
-    OracleDenoiser,
     ddim_generate,
     ddim_invert,
     ddim_step,
@@ -43,7 +42,9 @@ class TestSchedule:
         assert sched.alpha_bar[0] == 1.0
 
     @pytest.mark.parametrize(
-        "args", [(0, 0.1, 0.2), (5, 0.0, 0.2), (5, 0.3, 0.2), (5, 0.1, 1.0)]
+        "args",
+        [(0, 0.1, 0.2), (5, 0.0, 0.2), (5, 0.3, 0.2), (5, 0.1, 1.0), (2.5, 0.1, 0.2),
+         (True, 0.1, 0.2), ("5", 0.1, 0.2)],
     )
     def test_invalid_ranges(self, args):
         with pytest.raises(ConfigError):
@@ -209,14 +210,14 @@ class TestBitwiseAgainstEarlierForms:
             assert forward_noise(x0, t, eps, sched).a.tobytes() == expected.tobytes()
 
     def test_walks_equal_fresh_temporaries(self, rows, cols):
-        x0, denoiser = make_oracle(seed=49, rows=rows, cols=cols)
+        x0, noise = make_oracle(seed=49, rows=rows, cols=cols)
         sched = make_schedule(10)
-        eps = denoiser.true_noise.a
-        up = ddim_invert(x0, denoiser, sched, 10)
-        down = ddim_generate(up[-1].x, denoiser, sched, 10)
+        up = ddim_invert(x0, noise, sched, 10)
+        down = ddim_generate(up[-1].x, noise, sched, 10)
         for walk in (up, down):
             for prev, state in zip(walk[:-1], walk[1:]):
-                expected = fresh_ddim_step(prev.x.a, eps, sched.bar(prev.t), sched.bar(state.t))
+                ab_from, ab_to = sched.bar(prev.t), sched.bar(state.t)
+                expected = fresh_ddim_step(prev.x.a, noise.a, ab_from, ab_to)
                 assert state.x.a.tobytes() == expected.tobytes()
 
 
@@ -224,21 +225,21 @@ def make_oracle(seed=46, rows=4, cols=6):
     rng = Rng(seed)
     x0 = randn_matrix(rng, rows, cols)
     noise = randn_matrix(rng, rows, cols)
-    return x0, OracleDenoiser(true_noise=noise)
+    return x0, noise
 
 
 class TestInversion:
     def test_zero_steps_trajectory_is_input(self):
-        x0, denoiser = make_oracle()
-        traj = ddim_invert(x0, denoiser, make_schedule(10), 0)
+        x0, noise = make_oracle()
+        traj = ddim_invert(x0, noise, make_schedule(10), 0)
         assert len(traj) == 1
         assert traj[0].t == 0
         assert np.array_equal(traj[0].x.a, x0.a)
 
     @pytest.mark.parametrize("steps", [1, 3, 10])
     def test_trajectory_length_and_rungs(self, steps):
-        x0, denoiser = make_oracle()
-        traj = ddim_invert(x0, denoiser, make_schedule(10), steps)
+        x0, noise = make_oracle()
+        traj = ddim_invert(x0, noise, make_schedule(10), steps)
         assert len(traj) == steps + 1
         ts = [state.t for state in traj]
         assert ts[0] == 0 and ts[-1] == 10
@@ -246,49 +247,62 @@ class TestInversion:
 
     @pytest.mark.parametrize("steps", [0, 1, 10])
     def test_last_only_keeps_the_final_state_alone(self, steps):
-        x0, denoiser = make_oracle()
+        x0, noise = make_oracle()
         sched = make_schedule(10)
-        (top,) = ddim_invert(x0, denoiser, sched, steps, last_only=True)
-        final = ddim_invert(x0, denoiser, sched, steps)[-1]
+        (top,) = ddim_invert(x0, noise, sched, steps, last_only=True)
+        final = ddim_invert(x0, noise, sched, steps)[-1]
         assert top.t == final.t
         assert top.x.a.tobytes() == final.x.a.tobytes()
 
     def test_generation_inverts_every_intermediate_state(self):
-        x0, denoiser = make_oracle(seed=47)
+        x0, noise = make_oracle(seed=47)
         sched = make_schedule(40)
-        up = ddim_invert(x0, denoiser, sched, 20)
-        down = ddim_generate(up[-1].x, denoiser, sched, 20)
+        up = ddim_invert(x0, noise, sched, 20)
+        down = ddim_generate(up[-1].x, noise, sched, 20)
         up_by_t = {state.t: state.x.a for state in up}
         assert sorted(up_by_t) == sorted(state.t for state in down)
         for state in down:
             assert np.abs(state.x.a - up_by_t[state.t]).max() < 1e-8
 
     def test_inverted_states_live_on_forward_trajectory(self):
-        x0, denoiser = make_oracle(seed=48)
+        x0, noise = make_oracle(seed=48)
         sched = make_schedule(25)
-        for state in ddim_invert(x0, denoiser, sched, 25):
-            expected = forward_noise(x0, state.t, denoiser.true_noise, sched)
+        for state in ddim_invert(x0, noise, sched, 25):
+            expected = forward_noise(x0, state.t, noise, sched)
             assert np.abs(state.x.a - expected.a).max() < 1e-10
 
-    def test_steps_out_of_range(self):
-        x0, denoiser = make_oracle()
+    @pytest.mark.parametrize("steps", [6, -1, 2.5, True, "2"])
+    def test_steps_out_of_range(self, steps):
+        x0, noise = make_oracle()
         sched = make_schedule(5)
-        with pytest.raises(ConfigError):
-            ddim_invert(x0, denoiser, sched, 6)
-        with pytest.raises(ConfigError):
-            ddim_invert(x0, denoiser, sched, -1)
+        with pytest.raises(ConfigError, match="steps"):
+            ddim_invert(x0, noise, sched, steps)
+        with pytest.raises(ConfigError, match="steps"):
+            ddim_generate(x0, noise, sched, steps)
 
-    def test_oracle_shape_check(self):
-        _, denoiser = make_oracle(rows=2, cols=2)
-        with pytest.raises(ShapeError, match="latent vs oracle noise"):
-            denoiser.predict(Matrix(np.zeros((3, 2))), 1)
+    def test_numpy_integer_counts_stay_allowed(self):
+        x0, noise = make_oracle()
+        sched = make_schedule(np.int64(5))
+        [top] = ddim_invert(x0, noise, sched, np.int64(5), last_only=True)
+        expected = ddim_invert(x0, noise, make_schedule(5), 5)[-1]
+        assert top.x.a.tobytes() == expected.x.a.tobytes()
+
+    @pytest.mark.parametrize("walk", [
+        ddim_invert,
+        ddim_generate,
+        lambda x, eps, sched, steps: ddim_step(x, eps, steps, 0, sched),
+    ], ids=["invert", "generate", "step"])
+    def test_noise_of_another_shape_names_both_shapes(self, walk):
+        _, noise = make_oracle(rows=2, cols=2)
+        with pytest.raises(ShapeError, match="latent vs noise: shapes differ, 3x2 vs 2x2"):
+            walk(Matrix(np.zeros((3, 2))), noise, make_schedule(4), 2)
 
 
 class TestTrajectoryDump:
     def test_dump_files_and_manifest(self, tmp_path):
-        x0, denoiser = make_oracle(seed=49, rows=2, cols=3)
+        x0, noise = make_oracle(seed=49, rows=2, cols=3)
         sched = make_schedule(8)
-        traj = ddim_invert(x0, denoiser, sched, 4)
+        traj = ddim_invert(x0, noise, sched, 4)
         manifest = dump_trajectory(traj, sched, tmp_path)
         with manifest.open() as fh:
             rows = list(csv.DictReader(fh))
@@ -300,18 +314,18 @@ class TestTrajectoryDump:
             assert np.array_equal(loaded, state.x.a.astype(np.float32).astype(np.float64))
 
     def test_overwrite_semantics(self, tmp_path):
-        x0, denoiser = make_oracle(seed=50, rows=2, cols=2)
+        x0, noise = make_oracle(seed=50, rows=2, cols=2)
         sched = make_schedule(4)
-        traj = ddim_invert(x0, denoiser, sched, 2)
+        traj = ddim_invert(x0, noise, sched, 2)
         first = dump_trajectory(traj, sched, tmp_path).read_bytes()
         second = dump_trajectory(traj, sched, tmp_path).read_bytes()
         assert first == second
 
     def test_shorter_dump_leaves_no_earlier_steps(self, tmp_path):
-        x0, denoiser = make_oracle(seed=51, rows=2, cols=2)
+        x0, noise = make_oracle(seed=51, rows=2, cols=2)
         for timesteps, sub in ((8, "shared"), (4, "shared"), (4, "fresh")):
             sched = make_schedule(timesteps)
-            dump_trajectory(ddim_invert(x0, denoiser, sched, timesteps), sched, tmp_path / sub)
+            dump_trajectory(ddim_invert(x0, noise, sched, timesteps), sched, tmp_path / sub)
 
         def files(sub):
             return {p.name: p.read_bytes() for p in (tmp_path / sub).iterdir()}

@@ -10,7 +10,7 @@ import pytest
 
 from asi import harness
 from asi.adablending import BlendConfig, asi_layer, head_distances
-from asi.ddim import OracleDenoiser, ddim_invert, ddim_step, make_schedule
+from asi.ddim import ddim_invert, ddim_step, make_schedule
 from asi.errors import ConfigError
 from asi.harness import (
     ExperimentConfig,
@@ -156,13 +156,13 @@ def replay_run(cfg: ExperimentConfig) -> tuple[np.ndarray, list[tuple]]:
     """
     inputs = synth_inputs(cfg)
     sched = make_schedule(cfg.timesteps)
-    denoiser = OracleDenoiser(true_noise=inputs.latent_noise)
+    noise = inputs.latent_noise
     k_s, v_s = project_kv(inputs.style_prompt, inputs.params)
     k_c, v_c = project_kv(inputs.content_prompt, inputs.params)
-    x = ddim_invert(inputs.spatial, denoiser, sched, cfg.timesteps)[-1].x
+    x = ddim_invert(inputs.spatial, noise, sched, cfg.timesteps)[-1].x
     rows = []
     for t in range(cfg.timesteps, 0, -1):
-        x = ddim_step(x, denoiser.predict(x, t), t, t - 1, sched)
+        x = ddim_step(x, noise, t, t - 1, sched)
         features = x
         for _ in range(cfg.layers_per_step):
             q = project_q(features, inputs.params)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from asi import adablending, harness, numeric, sica
 from asi.adablending import BlendConfig
-from asi.errors import ShapeError
+from asi.errors import ConfigError, ShapeError
 from asi.harness import ExperimentConfig, run_pipeline
 from asi.numeric import Matrix, Rng, matmul, randn_matrix, softmax_rows
 
@@ -357,9 +357,9 @@ class TestRng:
         second = rng.normals(3)
         assert not np.array_equal(first, second)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "0"])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "0", True])
     def test_rejects_bad_seeds(self, seed):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="seed"):
             Rng(seed)
 
     def test_randn_rejects_zero_dims(self):
