@@ -14,6 +14,7 @@ clean-image boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -32,6 +33,12 @@ __all__ = [
 ]
 
 
+def _check_timestep(t) -> None:
+    # NumPy integers pass; a bool is no timestep.
+    if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+        raise TimestepError(f"timestep must be an integer, got {t!r}")
+
+
 @dataclass(frozen=True)
 class NoiseSchedule:
     """Per-step noise rates: beta[t-1] for t in [1, T]; alpha_bar[t] is the
@@ -45,7 +52,8 @@ class NoiseSchedule:
         return len(self.beta)
 
     def bar(self, t: int) -> float:
-        """alpha_bar at timestep t, with range checking."""
+        """alpha_bar at timestep t, with type and range checking."""
+        _check_timestep(t)
         if not 0 <= t <= self.steps:
             raise TimestepError(f"timestep {t} outside [0, {self.steps}]")
         return float(self.alpha_bar[t])
@@ -55,9 +63,11 @@ def make_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> N
     """Linear beta schedule over T steps with cumulative-product alpha_bar."""
     if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 1:
         raise ConfigError(f"schedule needs an integer T >= 1, got {T!r}")
-    if not (0.0 < beta_start <= beta_end < 1.0):
+    if not (isinstance(beta_start, Real) and isinstance(beta_end, Real)
+            and 0.0 < beta_start <= beta_end < 1.0):
         raise ConfigError(
-            f"betas must satisfy 0 < beta_start <= beta_end < 1, got {beta_start}, {beta_end}"
+            f"betas must be numbers with 0 < beta_start <= beta_end < 1,"
+            f" got {beta_start!r}, {beta_end!r}"
         )
     beta = np.linspace(beta_start, beta_end, T)
     alpha = 1.0 - beta
@@ -119,6 +129,8 @@ def ddim_step(x_t: Matrix, eps_pred: Matrix, t: int, t_prev: int, sched: NoiseSc
 
     x_prev = sqrt(ab_prev) * x0_hat + sqrt(1 - ab_prev) * eps
     """
+    _check_timestep(t)
+    _check_timestep(t_prev)
     if not 0 <= t_prev < t <= sched.steps:
         raise TimestepError(f"need 0 <= t_prev < t <= {sched.steps}, got t={t}, t_prev={t_prev}")
     return _jump(x_t, eps_pred, t, t_prev, sched)
@@ -130,6 +142,7 @@ def _walk(
 ) -> list[LatentState]:
     # Evenly spaced rungs from 0 to T inclusive, climbed or descended one jump at a time;
     # with last_only, each state replaces the one before it.
+    _check_shapes(x, eps, "latent vs noise")  # also when no jump would compare them
     if (isinstance(steps, bool) or not isinstance(steps, (int, np.integer))
             or not 0 <= steps <= sched.steps):
         raise ConfigError(f"steps must be an integer in [0, {sched.steps}], got {steps!r}")

@@ -3,17 +3,20 @@
 All arithmetic is 64-bit, and each output entry of a product is summed in a
 fixed order (``np.einsum`` rather than BLAS), so identical inputs produce
 bit-identical outputs regardless of CPU count, thread count or BLAS
-backend; a large product may be split over two threads, which leaves every
-entry's order as it is. :class:`Matrix` is the validated 2-D type at the
-edges (inputs, weights, latents, projections and merged layer outputs); the
-layer kernels work on plain read-only arrays, whole feature blocks at a
-time.
+backend. A large product may be split over two threads, which leaves every
+entry's order as it is: the caller computes one half, and one daemon helper
+thread per process computes the other. The first split starts the helper
+(importing the package starts no thread), and a forked child starts its
+own. :class:`Matrix` is the validated 2-D type at the edges (inputs,
+weights, latents, projections and merged layer outputs); the layer kernels
+work on plain read-only arrays, whole feature blocks at a time.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import queue
 import threading
 
 import numpy as np
@@ -74,14 +77,81 @@ class Matrix:
 # only when a second one is there to take the other half.
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-# Multiply-adds from which a product is split in two. Starting and joining the
-# helper thread costs about 95 us (p50), and einsum does about 2.5 G
-# multiply-adds/s, so a split saves time from about 2 * 95e-6 * 2.5e9 = 4.75e5
-# multiply-adds on. 2**20 keeps a margin of 2x over that break-even, which
-# leaves the default run's largest product (524,288) unsplit.
+# Multiply-adds from which a product is split in two. Handing a half to the
+# helper and waiting for it costs about 16 us (p50), and einsum does about
+# 2.5 G multiply-adds/s, so a split saves time from about
+# 2 * 16e-6 * 2.5e9 = 8e4 multiply-adds on. 2**20 stays, 13x over that
+# break-even: two halves run well short of twice as fast, and it leaves the
+# default run's largest product (524,288) unsplit, where no gain was measured.
 _MIN_SPLIT = 1 << 20
 
 _LAYOUT = "...ik,...kj->...ij"
+
+
+class _Helper:
+    """One daemon thread that computes the upper half of each split product.
+
+    `idle` is held from a hand-off until the helper has finished that job, so
+    a second split while one is in flight finds it held and runs unsplit.
+    Each job carries its own completion lock, released once its half is in
+    `out`, so a wait that was interrupted leaves nothing behind for the next
+    split to take.
+    """
+
+    def __init__(self) -> None:
+        self._jobs = queue.SimpleQueue()
+        self.idle = threading.Lock()
+        threading.Thread(target=self._serve, name="asi-contract-helper", daemon=True).start()
+
+    def hand_off(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> tuple:
+        """Queue out = a @ b for the helper; the caller holds `idle`.
+
+        Returns the job's completion lock, released once the half is done,
+        and the list that then holds what its einsum raised, if anything.
+        """
+        done = threading.Lock()
+        done.acquire()
+        errors: list = []
+        self._jobs.put((a, b, out, done, errors))
+        return done, errors
+
+    def _serve(self) -> None:
+        # Only einsum runs here, so every traced asi call stays on the caller's thread.
+        while True:
+            a, b, out, done, errors = self._jobs.get()
+            try:
+                np.einsum(_LAYOUT, a, b, out=out)
+            except BaseException as exc:  # re-raised in the caller once both halves are done
+                errors.append(exc)
+            del a, b, out, errors  # hold no operand until the next job
+            # `idle` first: the caller's next split, which `done` lets start, finds it free.
+            self.idle.release()
+            done.release()
+            del done
+
+
+_helper: _Helper | None = None
+_helper_lock = threading.Lock()
+
+
+def _the_helper() -> _Helper:
+    """The process's helper, started by the first split."""
+    global _helper
+    if _helper is None:
+        with _helper_lock:
+            if _helper is None:
+                _helper = _Helper()
+    return _helper
+
+
+def _forget_helper() -> None:
+    # A forked child inherits no thread, so its first split starts its own helper.
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
 
 
 def _contract(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -93,14 +163,17 @@ def _contract(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np
     the layout it needs as `out`. A product of at least `_MIN_SPLIT`
     multiply-adds is split in two along axis 0 of the result (the rows of a
     2-D `a`, else the head axis of both operands) when a second CPU is there:
-    a helper thread computes one half while the caller computes the other,
-    each by einsum into its slice of one result buffer. Each entry is then
-    summed by the same inner loop over the same strides as unsplit, so its
-    bits do not depend on the split. That fails where the reduced axis is
-    innermost in both operands (V^T P^T and F^T F at head_dim=1): einsum then
-    sums it in blocks whose bounds depend on the extent of the outer axes, so
-    a half can sum a long reduction in other blocks than the whole does.
-    Those products stay unsplit.
+    the process's one helper thread computes the upper half while the caller
+    computes the lower half, each by einsum into its slice of one result
+    buffer, and the caller waits for the helper's half before it returns or
+    re-raises an error of either half. A split that finds the helper busy
+    with another thread's split runs unsplit. Each entry is summed by the
+    same inner loop over the same strides as unsplit, so its bits do not
+    depend on the split. That fails where the reduced axis is innermost in
+    both operands (V^T P^T and F^T F at head_dim=1): einsum then sums it in
+    blocks whose bounds depend on the extent of the outer axes, so a half can
+    sum a long reduction in other blocks than the whole does. Those products
+    stay unsplit.
     """
     if (a.size * b.shape[-1] < _MIN_SPLIT or a.shape[0] < 2 or _CPUS < 2
             or a.strides[-1] == b.strides[-2] == a.itemsize):
@@ -109,21 +182,14 @@ def _contract(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np
         out = np.empty((*a.shape[:-1], b.shape[-1]))
     half = a.shape[0] // 2
     b_lo, b_hi = (b, b) if b.ndim == 2 else (b[:half], b[half:])
-    errors = []
-
-    def upper_half() -> None:
-        # Only einsum runs here, so every traced asi call stays on the caller's thread.
-        try:
-            np.einsum(_LAYOUT, a[half:], b_hi, out=out[half:])
-        except BaseException as exc:  # re-raised in the caller after the join
-            errors.append(exc)
-
-    helper = threading.Thread(target=upper_half)
-    helper.start()
+    helper = _the_helper()
+    if not helper.idle.acquire(blocking=False):
+        return np.einsum(_LAYOUT, a, b, out=out)
+    done, errors = helper.hand_off(a[half:], b_hi, out[half:])
     try:
         np.einsum(_LAYOUT, a[:half], b_lo, out=out[:half])
     finally:
-        helper.join()
+        done.acquire()  # the helper's half is done, also when the caller's half raised
     if errors:
         raise errors[0]
     return out

@@ -44,7 +44,8 @@ class TestSchedule:
     @pytest.mark.parametrize(
         "args",
         [(0, 0.1, 0.2), (5, 0.0, 0.2), (5, 0.3, 0.2), (5, 0.1, 1.0), (2.5, 0.1, 0.2),
-         (True, 0.1, 0.2), ("5", 0.1, 0.2)],
+         (True, 0.1, 0.2), ("5", 0.1, 0.2), (5, "a", 0.2), (5, None, 0.2), (5, 0.1, "a"),
+         (5, 0.1, None)],
     )
     def test_invalid_ranges(self, args):
         with pytest.raises(ConfigError):
@@ -56,6 +57,15 @@ class TestSchedule:
             sched.bar(6)
         with pytest.raises(TimestepError):
             sched.bar(-1)
+
+    @pytest.mark.parametrize("t", [2.5, True])
+    def test_bar_rejects_a_non_integer_timestep_by_name(self, t):
+        with pytest.raises(TimestepError, match=f"timestep must be an integer, got {t!r}"):
+            make_schedule(5).bar(t)
+
+    def test_bar_takes_numpy_integers(self):
+        sched = make_schedule(5)
+        assert sched.bar(np.int64(2)) == sched.bar(2)
 
 
 class TestForwardNoise:
@@ -152,7 +162,7 @@ class TestDdimStep:
     def test_timestep_ordering_enforced(self):
         sched = make_schedule(5)
         x = Matrix(np.zeros((1, 1)))
-        for t, t_prev in [(3, 3), (2, 4), (6, 1), (0, -1)]:
+        for t, t_prev in [(3, 3), (2, 4), (6, 1), (0, -1), (2.5, 1), ("3", 1), (3, None)]:
             with pytest.raises(TimestepError):
                 ddim_step(x, x, t, t_prev, sched)
 
@@ -296,6 +306,12 @@ class TestInversion:
         _, noise = make_oracle(rows=2, cols=2)
         with pytest.raises(ShapeError, match="latent vs noise: shapes differ, 3x2 vs 2x2"):
             walk(Matrix(np.zeros((3, 2))), noise, make_schedule(4), 2)
+
+    @pytest.mark.parametrize("walk", [ddim_invert, ddim_generate])
+    def test_a_walk_of_no_steps_still_checks_the_noise_shape(self, walk):
+        _, noise = make_oracle(rows=2, cols=2)
+        with pytest.raises(ShapeError, match="latent vs noise: shapes differ, 3x2 vs 2x2"):
+            walk(Matrix(np.zeros((3, 2))), noise, make_schedule(4), 0)
 
 
 class TestTrajectoryDump:

@@ -1,6 +1,11 @@
 import dataclasses
 import math
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -137,22 +142,22 @@ class TestContractionOrder:
     ])
     def test_every_contraction_of_one_chunk_is_k_ordered(self, tmp_path, monkeypatch, name):
         contract = numeric._contract
-        seen, split, started = set(), set(), []
+        seen, split = set(), set()
+        handed = _counting_hand_offs(monkeypatch)
 
         def checked(a, b, out=None):
-            before = len(started)
+            before = len(handed)
             result = contract(a, b, out)
             layout = (a.shape, a.strides, b.shape, b.strides)
             assert result.tobytes() == k_ordered_contract(a, b).tobytes(), layout
             seen.add((a.shape, b.shape))
-            if len(started) > before:
+            if len(handed) > before:
                 split.add((a.shape, b.shape))
             return result
 
         for module in (numeric, sica, adablending):
             monkeypatch.setattr(module, "_contract", checked)
         monkeypatch.setattr(numeric, "_CPUS", 2)  # split as on a 2-CPU host, whatever this one has
-        monkeypatch.setattr(threading, "Thread", _counting_thread(started))
         cfg = ExperimentConfig(**RUN_SHAPES[name], dump_dir=tmp_path)
         steps = harness._chunk_steps(cfg)
         run_pipeline(dataclasses.replace(cfg, timesteps=steps))  # one chunk of `steps` steps
@@ -179,13 +184,33 @@ class TestContractionOrder:
         assert numeric._contract(a, b).tobytes() == expected
 
 
-def _counting_thread(started):
-    # A Thread that records each start in `started`.
-    class CountingThread(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-    return CountingThread
+def _counting_hand_offs(monkeypatch):
+    """A list that records the shape of `a` in each job handed to the helper thread."""
+    handed = []
+    hand_off = numeric._Helper.hand_off
+
+    def counted(self, a, b, out):
+        handed.append(a.shape)
+        return hand_off(self, a, b, out)
+
+    monkeypatch.setattr(numeric._Helper, "hand_off", counted)
+    return handed
+
+
+def _wait_until_the_helper_is_idle():
+    # The helper releases `idle` once its job is done.
+    idle = numeric._the_helper().idle
+    assert idle.acquire(timeout=10), "the helper did not finish its job"
+    idle.release()
+
+
+@pytest.fixture(autouse=True)
+def _helper_left_idle():
+    # A test that fails with a job in flight leaves the helper busy; the next test starts
+    # when it is idle again, so its splits are handed to the helper as expected.
+    yield
+    if numeric._helper is not None:
+        _wait_until_the_helper_is_idle()
 
 
 def _split_operands(layout, d):
@@ -227,13 +252,12 @@ class TestSplitContraction:
         a, b, out = _split_operands(layout, d)
         assert a.size * b.shape[-1] >= numeric._MIN_SPLIT
         expected = np.einsum("...ik,...kj->...ij", a, b)
-        started = []
+        handed = _counting_hand_offs(monkeypatch)
         monkeypatch.setattr(numeric, "_CPUS", cpus)
-        monkeypatch.setattr(threading, "Thread", _counting_thread(started))
         result = numeric._contract(a, b, out)
-        # One helper thread on two CPUs, none on one; and none where the reduced
-        # axis is innermost in both operands, as it is for these two at d=1.
-        assert len(started) == (cpus == 2 and not (d == 1 and layout in ("output", "gram")))
+        # One job for the helper thread on two CPUs, none on one; and none where the
+        # reduced axis is innermost in both operands, as it is for these two at d=1.
+        assert len(handed) == (cpus == 2 and not (d == 1 and layout in ("output", "gram")))
         if out is not None:
             assert result is out
             assert out.transpose(0, 2, 1).flags.c_contiguous
@@ -250,10 +274,168 @@ class TestSplitContraction:
 
         monkeypatch.setattr(numeric, "_CPUS", 2)
         monkeypatch.setattr(np, "einsum", failing_off_main)
-        threads = threading.active_count()
+        threads = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="helper failed"):
             numeric._contract(a, b)
-        assert threading.active_count() == threads
+        new = set(threading.enumerate()) - threads
+        assert len(new) <= 1 and all(thread.daemon for thread in new)  # at most the helper
+
+    def test_a_failed_caller_half_waits_for_the_helper_half(self, monkeypatch):
+        a, b, _ = _split_operands("projection", 8)
+        expected = np.einsum("...ik,...kj->...ij", a, b).tobytes()
+        einsum, log, failing = np.einsum, [], [True]
+
+        def failing_on_main(*args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                if failing:
+                    raise RuntimeError("caller failed")
+                return einsum(*args, **kwargs)
+            time.sleep(0.1)  # the helper's half ends well after the caller's has failed
+            result = einsum(*args, **kwargs)
+            log.append("helper done")
+            return result
+
+        handed = _counting_hand_offs(monkeypatch)
+        monkeypatch.setattr(numeric, "_CPUS", 2)
+        monkeypatch.setattr(np, "einsum", failing_on_main)
+        with pytest.raises(RuntimeError, match="caller failed"):
+            numeric._contract(a, b)
+        assert log == ["helper done"]
+        failing.clear()
+        assert numeric._contract(a, b).tobytes() == expected
+        assert len(handed) == 2 and log == ["helper done"] * 2
+
+    def test_an_interrupted_wait_leaves_no_completion_behind(self, monkeypatch):
+        # SIGALRM ends the caller's wait for the helper; the next splits still wait for their own.
+        if not hasattr(signal, "setitimer"):
+            pytest.skip("needs signal.setitimer")
+        a, b, _ = _split_operands("projection", 8)
+        expected = np.einsum("...ik,...kj->...ij", a, b).tobytes()
+        einsum, delays = np.einsum, [0.3]
+
+        def slow_off_main(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(delays[-1])  # the helper's half ends after the caller's
+            return einsum(*args, **kwargs)
+
+        class Interrupted(Exception):
+            pass
+
+        def interrupt(signum, frame):
+            raise Interrupted
+
+        handed = _counting_hand_offs(monkeypatch)
+        monkeypatch.setattr(numeric, "_CPUS", 2)
+        monkeypatch.setattr(np, "einsum", slow_off_main)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.05)
+            with pytest.raises(Interrupted):
+                numeric._contract(a, b)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert numeric._contract(a, b).tobytes() == expected  # the helper is still busy
+        assert len(handed) == 1
+        _wait_until_the_helper_is_idle()
+        delays.append(0.1)
+        out = np.full((a.shape[0], b.shape[1]), np.nan)  # an unwritten half would show
+        assert numeric._contract(a, b, out) is out
+        assert out.tobytes() == expected
+        assert len(handed) == 2
+
+    def test_two_threads_splitting_at_once_get_the_unsplit_bytes(self, monkeypatch):
+        # The worker's split holds the helper until the main thread's split is done,
+        # which must therefore run unsplit rather than wait for the helper.
+        a, b, _ = _split_operands("projection", 8)
+        expected = np.einsum("...ik,...kj->...ij", a, b).tobytes()
+        einsum, waits, results = np.einsum, [], {}
+        held, release = threading.Event(), threading.Event()
+
+        def holding_the_helper(*args, **kwargs):
+            thread = threading.current_thread()
+            if not held.is_set() and thread not in (threading.main_thread(), worker):
+                held.set()
+                waits.append(release.wait(timeout=5))
+            return einsum(*args, **kwargs)
+
+        handed = _counting_hand_offs(monkeypatch)
+        monkeypatch.setattr(numeric, "_CPUS", 2)
+        monkeypatch.setattr(np, "einsum", holding_the_helper)
+        worker = threading.Thread(target=lambda: results.update(worker=numeric._contract(a, b)))
+        worker.start()
+        try:
+            assert held.wait(timeout=10)
+            results["main"] = numeric._contract(a, b)
+        finally:
+            release.set()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert waits == [True]  # released by the main thread, not by the timeout
+        assert len(handed) == 1
+        assert results["worker"].tobytes() == results["main"].tobytes() == expected
+
+    def test_threads_splitting_under_contention_get_the_unsplit_bytes(self, monkeypatch):
+        # More threads than CPUs, switching often, each splitting again and again.
+        a, b, _ = _split_operands("projection", 8)
+        expected = np.einsum("...ik,...kj->...ij", a, b).tobytes()
+        results = []
+        monkeypatch.setattr(numeric, "_CPUS", 2)
+
+        def split_repeatedly():
+            for _ in range(10):
+                out = np.full((a.shape[0], b.shape[1]), np.nan)  # an unwritten half would show
+                numeric._contract(a, b, out)
+                results.append(out.tobytes() == expected)
+
+        threads = [threading.Thread(target=split_repeatedly) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [True] * 40
+
+    def test_import_and_default_run_start_no_thread_and_splits_start_one(self, tmp_path):
+        # In a fresh interpreter: `import asi` and a default run (nothing splits) leave the
+        # main thread alone; a run at the mid_bypass shape leaves one daemon helper, and a
+        # forked child's first split starts its own (SIGALRM ends a child that hangs).
+        script = f"""
+import os, signal, threading, warnings
+import numpy as np
+import asi
+from asi import numeric
+from asi.harness import ExperimentConfig, run_pipeline
+numeric._CPUS = 2
+print(threading.active_count())
+run_pipeline(ExperimentConfig(timesteps=2, dump_dir={str(tmp_path / "default")!r}))
+print(threading.active_count())
+run_pipeline(ExperimentConfig(timesteps=2, dump_dir={str(tmp_path / "mid")!r},
+             **{RUN_SHAPES["mid_bypass"]!r}))
+others = [t for t in threading.enumerate() if t is not threading.main_thread()]
+print(len(others), all(t.daemon for t in others))
+if hasattr(os, "fork"):
+    a, b = np.ones((1024, 64)), np.ones((64, 64))
+    warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
+    pid = os.fork()
+    if pid == 0:
+        signal.alarm(20)
+        os._exit(0 if (numeric._contract(a, b) == 64.0).all() else 1)
+    print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+else:
+    print(0)
+"""
+        src = os.path.dirname(os.path.dirname(numeric.__file__))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1", "1", "1", "True", "0"]
+        assert done.stderr == ""
 
 
 class TestSoftmaxRows:
