@@ -73,11 +73,14 @@ class BlendConfig:
         if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 0:
             raise ConfigError(f"n must be an integer >= 0, got {self.n!r}")
         for name in ("alpha", "eps"):
-            value = getattr(self, name)
-            # The upper bound also rejects NaN, Inf and ints beyond float range.
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not 0 < value <= sys.float_info.max):
-                raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+            _check_positive(name, getattr(self, name))
+
+
+def _check_positive(name: str, value: float) -> None:
+    # The upper bound also rejects NaN, Inf and ints beyond float range.
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 < value <= sys.float_info.max):
+        raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -179,6 +182,12 @@ def extract_spatial_mask(f_c: np.ndarray, cfg: BlendConfig) -> BlendMask:
     return BlendMask(~(f_c > tau))
 
 
+def _check_mask(what: str, mask: BlendMask) -> None:
+    # A plain array would pass the shape checks unread: its .data is a memoryview with a shape.
+    if not isinstance(mask, BlendMask):
+        raise ShapeError(f"{what}: mask must be a BlendMask, got {type(mask).__name__}")
+
+
 def fuse_masks(head: np.ndarray, spatial: BlendMask) -> BlendMask:
     """Combine the two masks elementwise by OR.
 
@@ -186,6 +195,10 @@ def fuse_masks(head: np.ndarray, spatial: BlendMask) -> BlendMask:
     (h, m, d) slice of the spatial mask. Selected heads blend at every
     position; unselected heads blend only where the spatial mask permits.
     """
+    _check_mask("fuse_masks", spatial)
+    if not isinstance(head, np.ndarray) or head.dtype != np.bool_:
+        raise ShapeError(f"head mask must be a bool array, got "
+                         f"{getattr(head, 'dtype', type(head).__name__)}")
     if head.shape != spatial.data.shape[:-2]:
         raise ShapeError(f"head mask has shape {head.shape}, spatial mask has heads "
                          f"{spatial.data.shape[:-2]}")
@@ -219,8 +232,10 @@ def adain(f_c: np.ndarray, f_s: np.ndarray, eps: float) -> np.ndarray:
 
     Moments are taken over positions; sigma is the population standard
     deviation. eps guards the division for near-constant channels and is
-    added to the denominator only, leaving the style scale untouched.
+    added to the denominator only, leaving the style scale untouched. eps
+    must be a finite number > 0, as in :class:`BlendConfig`.
     """
+    _check_positive("eps", eps)
     _check_blocks("adain", f_c, f_s)
     return _readonly(_adain(f_c, f_s, eps))
 
@@ -234,6 +249,7 @@ def blend(f_c: np.ndarray, f_s: np.ndarray, mask: BlendMask, cfg: BlendConfig) -
     value can appear.
     """
     _check_blocks("blend", f_c, f_s)
+    _check_mask("blend", mask)
     _check_blocks("blend mask", mask.data, f_c)
     styled = _adain(f_c, f_s, cfg.eps)
     return _readonly(np.where(mask.data, styled, f_c))

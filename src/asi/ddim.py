@@ -19,7 +19,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import ConfigError, ScheduleError, ShapeError, TimestepError
-from .numeric import Matrix
+from .numeric import Matrix, _is_int
 
 __all__ = [
     "NoiseSchedule",
@@ -34,8 +34,7 @@ __all__ = [
 
 
 def _check_timestep(t) -> None:
-    # NumPy integers pass; a bool is no timestep.
-    if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+    if not _is_int(t):
         raise TimestepError(f"timestep must be an integer, got {t!r}")
 
 
@@ -61,7 +60,7 @@ class NoiseSchedule:
 
 def make_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
     """Linear beta schedule over T steps with cumulative-product alpha_bar."""
-    if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 1:
+    if not _is_int(T) or T < 1:
         raise ConfigError(f"schedule needs an integer T >= 1, got {T!r}")
     if not (isinstance(beta_start, Real) and isinstance(beta_end, Real)
             and 0.0 < beta_start <= beta_end < 1.0):
@@ -143,8 +142,7 @@ def _walk(
     # Evenly spaced rungs from 0 to T inclusive, climbed or descended one jump at a time;
     # with last_only, each state replaces the one before it.
     _check_shapes(x, eps, "latent vs noise")  # also when no jump would compare them
-    if (isinstance(steps, bool) or not isinstance(steps, (int, np.integer))
-            or not 0 <= steps <= sched.steps):
+    if not _is_int(steps) or not 0 <= steps <= sched.steps:
         raise ConfigError(f"steps must be an integer in [0, {sched.steps}], got {steps!r}")
     rungs = [round(i * sched.steps / steps) for i in range(steps + 1)] if steps else [0]
     if not upward:

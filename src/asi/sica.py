@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .numeric import Matrix, _contract, _readonly, matmul, softmax_rows
+from .numeric import Matrix, _contract, _is_int, _readonly, matmul, softmax_rows
 
 __all__ = [
     "AttentionParams",
@@ -64,9 +64,12 @@ class AttentionParams:
     head_dim: int
 
     def __post_init__(self) -> None:
-        md = self.heads * self.head_dim
-        if self.heads < 1 or self.head_dim < 1:
-            raise ShapeError(f"heads and head_dim must be >= 1, got {self.heads}, {self.head_dim}")
+        heads, head_dim = self.heads, self.head_dim
+        if not (_is_int(heads) and _is_int(head_dim)) or heads < 1 or head_dim < 1:
+            raise ShapeError(
+                f"heads and head_dim must be integers >= 1, got {heads!r}, {head_dim!r}"
+            )
+        md = heads * head_dim
         for name, w in (("w_q", self.w_q), ("w_k", self.w_k), ("w_v", self.w_v)):
             if (w.rows, w.cols) != (md, md):
                 raise ShapeError(

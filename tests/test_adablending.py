@@ -229,6 +229,16 @@ class TestMaskFusion:
             with pytest.raises(ShapeError, match="heads"):
                 fuse_masks(head, spatial)
 
+    @pytest.mark.parametrize("head", [np.ones(2), np.array([1, 0]), [True, False]])
+    def test_head_mask_must_be_a_bool_array(self, head):
+        with pytest.raises(ShapeError, match="bool"):
+            fuse_masks(head, BlendMask(np.zeros((2, 2, 2), dtype=bool)))
+
+    def test_spatial_mask_must_be_a_blend_mask(self):
+        # An ndarray's .data is a memoryview with a .shape, so it would pass the shape check.
+        with pytest.raises(ShapeError, match="BlendMask"):
+            fuse_masks(np.array([True, False]), np.zeros((2, 2, 2), dtype=bool))
+
 
 class TestAdain:
     def test_known_channel_transfer(self):
@@ -252,6 +262,12 @@ class TestAdain:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             adain(np.zeros((3, 2)), np.zeros((2, 2)), eps=1e-5)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-5, math.nan, math.inf, True, "x", None])
+    def test_eps_must_be_a_finite_number_above_zero(self, eps):
+        # As in BlendConfig; eps=0 would divide a constant channel's zero deviation by zero.
+        with pytest.raises(ConfigError, match="eps"):
+            adain(np.array([[5.0], [5.0]]), np.array([[10.0], [14.0]]), eps=eps)
 
 
 class TestBlend:
@@ -278,6 +294,13 @@ class TestBlend:
         f_c, f_s = self._setup()
         with pytest.raises(ShapeError):
             blend(f_c, f_s, BlendMask(np.zeros((1, 2, 2), dtype=bool)), BlendConfig())
+
+    @pytest.mark.parametrize("dtype", [float, bool])
+    def test_mask_must_be_a_blend_mask(self, dtype):
+        # An ndarray's .data is a memoryview with a .shape, so it would pass the shape check.
+        f_c, f_s = self._setup()
+        with pytest.raises(ShapeError, match="BlendMask"):
+            blend(f_c, f_s, np.full(f_c.shape, 0.5).astype(dtype), BlendConfig())
 
     def test_holds_at_most_two_blocks_besides_its_operands(self):
         f_c, f_s = self._setup(heads=4, m=256, d=8)

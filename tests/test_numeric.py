@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -143,7 +144,7 @@ class TestContractionOrder:
     def test_every_contraction_of_one_chunk_is_k_ordered(self, tmp_path, monkeypatch, name):
         contract = numeric._contract
         seen, split = set(), set()
-        handed = _counting_hand_offs(monkeypatch)
+        handed = _counting_submits(monkeypatch)
 
         def checked(a, b, out=None):
             before = len(handed)
@@ -184,33 +185,30 @@ class TestContractionOrder:
         assert numeric._contract(a, b).tobytes() == expected
 
 
-def _counting_hand_offs(monkeypatch):
-    """A list that records the shape of `a` in each job handed to the helper thread."""
+HELPER_NAME = "asi-contract-helper"  # the prefix of the helper thread's name
+
+
+def _counting_submits(monkeypatch):
+    """A list that records the shape of `a` in each einsum submitted to the helper's pool."""
     handed = []
-    hand_off = numeric._Helper.hand_off
+    submit = ThreadPoolExecutor.submit
 
-    def counted(self, a, b, out):
+    def counted(self, fn, layout, a, *args, **kwargs):
         handed.append(a.shape)
-        return hand_off(self, a, b, out)
+        return submit(self, fn, layout, a, *args, **kwargs)
 
-    monkeypatch.setattr(numeric._Helper, "hand_off", counted)
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
     return handed
 
 
-def _wait_until_the_helper_is_idle():
-    # The helper releases `idle` once its job is done.
-    idle = numeric._the_helper().idle
-    assert idle.acquire(timeout=10), "the helper did not finish its job"
-    idle.release()
-
-
 @pytest.fixture(autouse=True)
-def _helper_left_idle():
-    # A test that fails with a job in flight leaves the helper busy; the next test starts
-    # when it is idle again, so its splits are handed to the helper as expected.
+def _pool_left_drained():
+    # A test that fails with a job in flight leaves it queued or running; the next test
+    # starts once it is done, so a slow job of one test cannot delay the next one's splits.
+    # The pool's one worker takes jobs in order, so a no-op job ends after every earlier one.
     yield
-    if numeric._helper is not None:
-        _wait_until_the_helper_is_idle()
+    if numeric._pool is not None:
+        numeric._pool.submit(int).result(timeout=10)
 
 
 def _split_operands(layout, d):
@@ -252,7 +250,7 @@ class TestSplitContraction:
         a, b, out = _split_operands(layout, d)
         assert a.size * b.shape[-1] >= numeric._MIN_SPLIT
         expected = np.einsum("...ik,...kj->...ij", a, b)
-        handed = _counting_hand_offs(monkeypatch)
+        handed = _counting_submits(monkeypatch)
         monkeypatch.setattr(numeric, "_CPUS", cpus)
         result = numeric._contract(a, b, out)
         # One job for the helper thread on two CPUs, none on one; and none where the
@@ -278,7 +276,7 @@ class TestSplitContraction:
         with pytest.raises(RuntimeError, match="helper failed"):
             numeric._contract(a, b)
         new = set(threading.enumerate()) - threads
-        assert len(new) <= 1 and all(thread.daemon for thread in new)  # at most the helper
+        assert len(new) <= 1 and all(t.name.startswith(HELPER_NAME) for t in new)  # the helper
 
     def test_a_failed_caller_half_waits_for_the_helper_half(self, monkeypatch):
         a, b, _ = _split_operands("projection", 8)
@@ -295,7 +293,7 @@ class TestSplitContraction:
             log.append("helper done")
             return result
 
-        handed = _counting_hand_offs(monkeypatch)
+        handed = _counting_submits(monkeypatch)
         monkeypatch.setattr(numeric, "_CPUS", 2)
         monkeypatch.setattr(np, "einsum", failing_on_main)
         with pytest.raises(RuntimeError, match="caller failed"):
@@ -306,7 +304,8 @@ class TestSplitContraction:
         assert len(handed) == 2 and log == ["helper done"] * 2
 
     def test_an_interrupted_wait_leaves_no_completion_behind(self, monkeypatch):
-        # SIGALRM ends the caller's wait for the helper; the next splits still wait for their own.
+        # SIGALRM ends the caller's wait for the helper; the next splits queue behind its
+        # half and still wait for their own.
         if not hasattr(signal, "setitimer"):
             pytest.skip("needs signal.setitimer")
         a, b, _ = _split_operands("projection", 8)
@@ -324,7 +323,7 @@ class TestSplitContraction:
         def interrupt(signum, frame):
             raise Interrupted
 
-        handed = _counting_hand_offs(monkeypatch)
+        handed = _counting_submits(monkeypatch)
         monkeypatch.setattr(numeric, "_CPUS", 2)
         monkeypatch.setattr(np, "einsum", slow_off_main)
         previous = signal.signal(signal.SIGALRM, interrupt)
@@ -335,45 +334,14 @@ class TestSplitContraction:
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
-        assert numeric._contract(a, b).tobytes() == expected  # the helper is still busy
-        assert len(handed) == 1
-        _wait_until_the_helper_is_idle()
+        # Queued behind the interrupted split's half, which is thus done when this returns.
+        assert numeric._contract(a, b).tobytes() == expected
+        assert len(handed) == 2
         delays.append(0.1)
         out = np.full((a.shape[0], b.shape[1]), np.nan)  # an unwritten half would show
         assert numeric._contract(a, b, out) is out
         assert out.tobytes() == expected
-        assert len(handed) == 2
-
-    def test_two_threads_splitting_at_once_get_the_unsplit_bytes(self, monkeypatch):
-        # The worker's split holds the helper until the main thread's split is done,
-        # which must therefore run unsplit rather than wait for the helper.
-        a, b, _ = _split_operands("projection", 8)
-        expected = np.einsum("...ik,...kj->...ij", a, b).tobytes()
-        einsum, waits, results = np.einsum, [], {}
-        held, release = threading.Event(), threading.Event()
-
-        def holding_the_helper(*args, **kwargs):
-            thread = threading.current_thread()
-            if not held.is_set() and thread not in (threading.main_thread(), worker):
-                held.set()
-                waits.append(release.wait(timeout=5))
-            return einsum(*args, **kwargs)
-
-        handed = _counting_hand_offs(monkeypatch)
-        monkeypatch.setattr(numeric, "_CPUS", 2)
-        monkeypatch.setattr(np, "einsum", holding_the_helper)
-        worker = threading.Thread(target=lambda: results.update(worker=numeric._contract(a, b)))
-        worker.start()
-        try:
-            assert held.wait(timeout=10)
-            results["main"] = numeric._contract(a, b)
-        finally:
-            release.set()
-            worker.join(timeout=10)
-        assert not worker.is_alive()
-        assert waits == [True]  # released by the main thread, not by the timeout
-        assert len(handed) == 1
-        assert results["worker"].tobytes() == results["main"].tobytes() == expected
+        assert len(handed) == 3
 
     def test_threads_splitting_under_contention_get_the_unsplit_bytes(self, monkeypatch):
         # More threads than CPUs, switching often, each splitting again and again.
@@ -403,24 +371,44 @@ class TestSplitContraction:
 
     def test_import_and_default_run_start_no_thread_and_splits_start_one(self, tmp_path):
         # In a fresh interpreter: `import asi` and a default run (nothing splits) leave the
-        # main thread alone; a run at the mid_bypass shape leaves one daemon helper, and a
-        # forked child's first split starts its own (SIGALRM ends a child that hangs).
+        # main thread alone and import no `concurrent.futures`. Four threads racing their
+        # first split make one pool and leave one helper (a slow pool constructor widens the
+        # window in which each could make one); a run at the mid_bypass shape leaves still
+        # one, and a forked child's first split makes its own (SIGALRM ends a child that
+        # hangs).
         script = f"""
-import os, signal, threading, warnings
+import os, signal, sys, threading, time, warnings
 import numpy as np
 import asi
 from asi import numeric
 from asi.harness import ExperimentConfig, run_pipeline
 numeric._CPUS = 2
-print(threading.active_count())
+def helpers():
+    others = [t for t in threading.enumerate() if t is not threading.main_thread()]
+    return len(others), all(t.name.startswith({HELPER_NAME!r}) for t in others)
+print(threading.active_count(), "concurrent.futures" in sys.modules)
 run_pipeline(ExperimentConfig(timesteps=2, dump_dir={str(tmp_path / "default")!r}))
-print(threading.active_count())
+print(threading.active_count(), "concurrent.futures" in sys.modules)
+from concurrent.futures import ThreadPoolExecutor
+init, made = ThreadPoolExecutor.__init__, []
+def slow_init(*args):
+    made.append(args)
+    time.sleep(0.05)
+    init(*args)
+ThreadPoolExecutor.__init__ = slow_init
+a, b = np.ones((1024, 64)), np.ones((64, 64))
+start = threading.Barrier(4)
+racers = [threading.Thread(target=lambda: (start.wait(), numeric._contract(a, b)))
+          for _ in range(4)]
+for racer in racers:
+    racer.start()
+for racer in racers:
+    racer.join()
+print(len(made), *helpers())
 run_pipeline(ExperimentConfig(timesteps=2, dump_dir={str(tmp_path / "mid")!r},
              **{RUN_SHAPES["mid_bypass"]!r}))
-others = [t for t in threading.enumerate() if t is not threading.main_thread()]
-print(len(others), all(t.daemon for t in others))
+print(*helpers())
 if hasattr(os, "fork"):
-    a, b = np.ones((1024, 64)), np.ones((64, 64))
     warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
     pid = os.fork()
     if pid == 0:
@@ -434,7 +422,8 @@ else:
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               timeout=120, env={**os.environ, "PYTHONPATH": src})
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["1", "1", "1", "True", "0"]
+        assert done.stdout.split() == ["1", "False", "1", "False", "1", "1", "True", "1", "True",
+                                       "0"]
         assert done.stderr == ""
 
 
@@ -549,3 +538,12 @@ class TestRng:
             randn_matrix(Rng(0), 0, 4)
         with pytest.raises(ShapeError):
             randn_matrix(Rng(0), 4, 0)
+
+    @pytest.mark.parametrize("rows, cols", [(True, 2), ("2", 2), (2, 2.0), (2, False)])
+    def test_randn_rejects_non_integer_dims_by_value(self, rows, cols):
+        with pytest.raises(ShapeError, match=f"got {rows!r}, {cols!r}"):
+            randn_matrix(Rng(0), rows, cols)
+
+    def test_randn_takes_numpy_integer_dims(self):
+        m = randn_matrix(Rng(0), np.int64(2), np.int32(3))
+        assert m.a.tobytes() == randn_matrix(Rng(0), 2, 3).a.tobytes()

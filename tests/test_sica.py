@@ -44,6 +44,17 @@ class TestAttentionParams:
     def test_model_dim(self):
         assert identity_params(2, 3).model_dim == 6
 
+    @pytest.mark.parametrize("heads, head_dim", [(True, 2), (2.0, 1), (1, "2"), (2, 1.0)])
+    def test_non_integer_dimensions_are_shape_errors_naming_the_value(self, heads, head_dim):
+        eye = Matrix(np.eye(2))
+        with pytest.raises(ShapeError, match=f"got {heads!r}, {head_dim!r}"):
+            AttentionParams(w_q=eye, w_k=eye, w_v=eye, heads=heads, head_dim=head_dim)
+
+    def test_numpy_integer_dimensions_are_fine(self):
+        eye = Matrix(np.eye(2))
+        params = AttentionParams(w_q=eye, w_k=eye, w_v=eye, heads=np.int64(2), head_dim=np.int32(1))
+        assert params.model_dim == 2
+
 
 class TestProjections:
     def test_identity_projection_single_head(self):
