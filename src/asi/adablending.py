@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, NonFiniteError, ShapeError
-from .numeric import _contract, _readonly
+from .numeric import _contract, _as_number, _is_int, _readonly
 from .sica import siamese_attend
 
 __all__ = [
@@ -70,17 +70,20 @@ class BlendConfig:
     eps: float = 1e-5
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 0:
+        if not _is_int(self.n) or self.n < 0:
             raise ConfigError(f"n must be an integer >= 0, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         for name in ("alpha", "eps"):
-            _check_positive(name, getattr(self, name))
+            object.__setattr__(self, name, _check_positive(name, getattr(self, name)))
 
 
-def _check_positive(name: str, value: float) -> None:
-    # The upper bound also rejects NaN, Inf and ints beyond float range.
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not 0 < value <= sys.float_info.max):
+def _check_positive(name: str, value: float) -> int | float:
+    # Returns the value as a Python number. The upper bound also rejects NaN,
+    # Inf and ints beyond float range.
+    number = _as_number(value)
+    if number is None or not 0 < number <= sys.float_info.max:
         raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)

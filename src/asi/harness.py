@@ -20,7 +20,9 @@ repeated run with the same config produces byte-identical files.
 from __future__ import annotations
 
 import csv
+import ctypes
 import dataclasses
+import functools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -32,7 +34,7 @@ import numpy as np
 from .adablending import BlendConfig, asi_layer, head_distances
 from .ddim import LatentState, NoiseSchedule, ddim_invert, ddim_step, make_schedule
 from .errors import ConfigError
-from .numeric import Matrix, Rng, randn_matrix
+from .numeric import Matrix, Rng, _as_number, _is_int, randn_matrix
 # siamese_attend is unused here, but the benchmark tracer wraps harness.siamese_attend.
 from .sica import AttentionParams, attend, merge_heads, project_kv, project_q, siamese_attend
 from .tensorio import save_tensor
@@ -75,15 +77,17 @@ class ExperimentConfig:
         for name, least in (("seed", 0), ("heads", 1), ("head_dim", 1), ("positions", 2),
                             ("tokens", 1), ("timesteps", 1), ("layers_per_step", 1)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            if not _is_int(value) or value < least:
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.seed > _MAX_SEED:
             raise ConfigError(f"seed must be below 2**64, got {self.seed}")
-        value = self.perturbation
+        value = _as_number(self.perturbation)
         # The upper bound also rejects NaN, Inf and ints beyond float range.
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not 0 <= value <= sys.float_info.max):
-            raise ConfigError(f"perturbation must be a finite number >= 0, got {value!r}")
+        if value is None or not 0 <= value <= sys.float_info.max:
+            raise ConfigError(
+                f"perturbation must be a finite number >= 0, got {self.perturbation!r}")
+        object.__setattr__(self, "perturbation", value)
         if not isinstance(self.apply_asi, bool):
             raise ConfigError(f"apply_asi must be a bool, got {self.apply_asi!r}")
         if not isinstance(self.blend, BlendConfig):
@@ -299,6 +303,26 @@ def _chunk_steps(cfg: ExperimentConfig) -> int:
     return max(1, _CHUNK_ENTRIES // per_step)
 
 
+# glibc's mallopt parameter numbers (malloc.h).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def _keep_freed_memory_mapped() -> None:
+    # glibc serves a block from the heap below its mmap threshold and returns
+    # the freed top of the heap to the system above its trim threshold. By
+    # default both follow the largest block freed (the trim at twice it), about
+    # 10 MB at the SD size, so each step's freed latent-sized blocks were
+    # trimmed and the next step faulted the same pages back in. Set once per
+    # process; without mallopt (another libc or OS) the allocator keeps its own.
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)  # glibc's own ceiling for its dynamic threshold
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)  # twice that, as glibc's own rule would set it
+
+
 def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     """Run the full loop and write all artifacts into cfg.dump_dir.
 
@@ -313,7 +337,12 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     _CHUNK_ENTRIES bounds a chunk's size. The blended output of the final
     step's final layer is dumped along with that step's masks and per-head
     distances.
+
+    The first call in a process sets glibc's allocator to keep up to 64 MiB
+    of freed heap mapped, so later steps and runs reuse their blocks' pages
+    instead of faulting them in afresh.
     """
+    _keep_freed_memory_mapped()
     inputs = synth_inputs(cfg)
     sched = make_schedule(cfg.timesteps)
     noise = inputs.latent_noise

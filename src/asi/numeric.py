@@ -165,12 +165,16 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 def softmax_rows(a: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, with per-row max subtraction for overflow safety.
 
-    Takes a 2-D matrix of rows or a whole (heads, rows, cols) block and
-    returns a new array of the same shape, built in a single new buffer
-    (the block can be large). Every output row sums to 1 (within float64
-    rounding) and all entries lie in (0, 1] for finite input.
+    Takes a 2-D matrix of rows or a whole (heads, rows, cols) block, in any
+    memory layout (a transposed view included), and returns a new C-ordered
+    array of the same shape, built in a single new buffer (the block can be
+    large). Any layout of the same values gives the same bits: the row max
+    is exact in any order (a -0.0 or +0.0 max leaves every exponential as
+    it is), and the row sums run over the C-ordered buffer. Every output row
+    sums to 1 (within float64 rounding) and all entries lie in (0, 1] for
+    finite input.
     """
-    e = a - a.max(axis=-1, keepdims=True)
+    e = np.subtract(a, a.max(axis=-1, keepdims=True), order="C")
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -196,6 +200,18 @@ def _splitmix64(z: np.ndarray) -> np.ndarray:
 def _is_int(value) -> bool:
     # A Python or NumPy integer; a bool is no count, dimension or timestep.
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _as_number(value) -> int | float | None:
+    # The Python int or float of a Python or NumPy integer or float, else None
+    # (a bool is no number). Config fields store it, so a NumPy scalar prints in
+    # CSVs and directory names as the Python value does, and range checks run
+    # in float64: a float32 Inf is no finite number.
+    if _is_int(value):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    return None
 
 
 def _check_count(count: int, words_each: int) -> None:

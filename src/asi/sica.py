@@ -143,18 +143,20 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     # operands, so each entry is summed in index order, bit for bit as the
     # per-head 2-D Q K^T and P V. Q^T is copied contiguous because as a view,
     # d would be innermost in both and einsum would sum it in another order.
-    # Softmax gets C-ordered logits: a row sum over a strided axis also would.
-    # The result must be C-ordered, or the contractions that read it would sum
-    # in another order, so V^T P^T is written into the transposed view of a
-    # C-ordered (h, rows, d) block: the layout einsum would choose for it
-    # after its operands, so each entry is summed as einsum would sum it. The
-    # logits and their scaled copy are never bound to a name, so each is freed
-    # once used: the raw logits before softmax runs, the scaled copy before
-    # the output.
+    # The logits are scaled in place, in the (h, t, rows) layout einsum writes
+    # them in, and softmax reads them through their (h, rows, t) view: it
+    # writes its one buffer C-ordered, so its row sums run over contiguous
+    # rows. The result must be C-ordered, or the contractions that read it
+    # would sum in another order, so V^T P^T is written into the transposed
+    # view of a C-ordered (h, rows, d) block: the layout einsum would choose
+    # for it after its operands, so each entry is summed as einsum would sum
+    # it. The logits are deleted once softmax has read them, so they are
+    # freed before the output is made.
     rows = q.reshape(hq, -1, dq)
-    p = softmax_rows(np.multiply(
-        _contract(k, np.ascontiguousarray(rows.transpose(0, 2, 1))).transpose(0, 2, 1),
-        1.0 / math.sqrt(dq), order="C"))
+    logits = _contract(k, np.ascontiguousarray(rows.transpose(0, 2, 1)))
+    logits *= 1.0 / math.sqrt(dq)
+    p = softmax_rows(logits.transpose(0, 2, 1))
+    del logits
     out = np.empty(rows.shape)
     _contract(v.transpose(0, 2, 1), p.transpose(0, 2, 1), out=out.transpose(0, 2, 1))
     return _readonly(out.reshape(q.shape))

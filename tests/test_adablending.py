@@ -550,6 +550,21 @@ class TestBlendConfig:
         with pytest.raises(ConfigError, match=f"^{name} must be a finite number"):
             BlendConfig(**{name: value})
 
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        cfg = BlendConfig(n=np.int64(2), alpha=np.float32(0.5), eps=np.float64(1e-5))
+        assert (cfg.n, cfg.alpha, cfg.eps) == (2, 0.5, 1e-5)
+        assert (type(cfg.n), type(cfg.alpha), type(cfg.eps)) == (int, float, float)
+        assert repr(cfg) == "BlendConfig(n=2, alpha=0.5, eps=1e-05)"
+
+    @pytest.mark.parametrize("name, value", [
+        ("n", np.bool_(True)), ("n", np.float64(2.0)), ("alpha", np.bool_(True)),
+        ("alpha", np.float32("inf")), ("alpha", np.float32("nan")), ("eps", np.float16(0)),
+        ("eps", np.longdouble("1e400")),
+    ])
+    def test_bad_numpy_scalars_are_config_errors_naming_the_field(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be"):
+            BlendConfig(**{name: value})
+
 
 # The three benchmark workload shapes (small_sweep, sd_block, mid_bypass), a
 # ragged block and the smallest block that has a covariance.

@@ -2,6 +2,9 @@ import csv
 import dataclasses
 import hashlib
 import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -89,6 +92,28 @@ class TestExperimentConfig:
         pytest.param("dump_dir", BytesPath(), id="dump_dir-bytes-pathlike"),
     ])
     def test_mistyped_field_is_config_error_naming_the_field(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be"):
+            ExperimentConfig(**{name: value})
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self, tmp_path):
+        cfg = ExperimentConfig(seed=np.uint64(3), heads=np.int64(8), head_dim=np.int32(8),
+                               positions=np.int16(16), tokens=np.uint8(4),
+                               timesteps=np.int64(2), layers_per_step=np.int64(1),
+                               perturbation=np.float32(0.5), dump_dir=tmp_path)
+        plain = ExperimentConfig(seed=3, heads=8, head_dim=8, positions=16, tokens=4,
+                                 timesteps=2, layers_per_step=1, perturbation=0.5,
+                                 dump_dir=tmp_path)
+        assert cfg == plain and repr(cfg) == repr(plain)
+        assert all(type(getattr(cfg, f.name)) is type(getattr(plain, f.name))
+                   for f in dataclasses.fields(cfg))
+        assert type(ExperimentConfig(perturbation=np.int64(2)).perturbation) is int
+
+    @pytest.mark.parametrize("name, value", [
+        ("heads", np.bool_(True)), ("heads", np.float64(8.0)), ("seed", np.int64(-1)),
+        ("perturbation", np.bool_(True)), ("perturbation", np.float32("inf")),
+        ("perturbation", np.float64("nan")), ("perturbation", np.longdouble("1e400")),
+    ])
+    def test_bad_numpy_scalars_are_config_errors_naming_the_field(self, name, value):
         with pytest.raises(ConfigError, match=f"^{name} must be"):
             ExperimentConfig(**{name: value})
 
@@ -323,6 +348,59 @@ class TestRunPipeline:
         one = load_tensor(cfg1.dump_dir / "features_out.asit")
         two = load_tensor(cfg2.dump_dir / "features_out.asit")
         assert not np.array_equal(one, two)
+
+
+_FAULTS = """
+import resource
+import numpy as np
+from asi.harness import ExperimentConfig, run_pipeline
+
+def faults(work):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    work()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+def refaults(mib):
+    # The minor faults of the second of two blocks of `mib` MiB, each made and freed.
+    np.ones(mib << 17)
+    return faults(lambda: np.ones(mib << 17))
+"""
+
+
+def run_script(script: str) -> list[int]:
+    """Run `script` after _FAULTS in a fresh interpreter; the integers it prints."""
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    done = subprocess.run([sys.executable, "-c", _FAULTS + script], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    return [int(word) for word in done.stdout.split()]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is set by glibc's mallopt")
+class TestAllocatorPolicy:
+    # Each check runs in a fresh interpreter: the policy is process-wide, and
+    # glibc's own dynamic thresholds depend on what the process freed before.
+    def test_a_second_run_faults_in_less_than_a_latent_at_sd_size(self, tmp_path):
+        # Without the policy, glibc trims each step's freed latent-sized blocks
+        # and the next step faults them back in: about 10,000 faults a run at this shape.
+        cfg = dict(heads=8, head_dim=40, positions=1024, tokens=77, timesteps=3)
+        latent_pages = cfg["positions"] * cfg["heads"] * cfg["head_dim"] * 8 // 4096
+        first, second = run_script(f"""
+cfg = ExperimentConfig(dump_dir={str(tmp_path)!r}, **{cfg!r})
+print(faults(lambda: run_pipeline(cfg)), faults(lambda: run_pipeline(cfg)))
+""")
+        assert second < latent_pages < first
+
+    def test_import_sets_no_policy_and_the_first_run_does(self, tmp_path):
+        # Importing asi leaves glibc's default, which faults a freed 20 MiB block
+        # back in when it is made again; under the policy, freed heap up to
+        # 64 MiB stays mapped.
+        before, after = run_script(f"""
+before = refaults(20)
+run_pipeline(ExperimentConfig(timesteps=1, dump_dir={str(tmp_path)!r}))
+print(before, refaults(24))
+""")
+        assert before >= 10 > after
 
 
 def artifacts(out_dir: Path) -> dict[str, bytes]:

@@ -466,6 +466,22 @@ class TestSoftmaxRows:
         shifted = Matrix(m.a + c)
         assert np.abs(softmax_rows(m.a) - softmax_rows(shifted.a)).max() < 1e-12
 
+    @pytest.mark.parametrize("shape", [(2, 77, 40), (77, 40), (3, 5, 1), (1, 1, 9)])
+    def test_transposed_view_gives_the_contiguous_bits_c_ordered(self, shape):
+        # attend passes its (h, t, rows) logits as an (h, rows, t) view.
+        block = Rng(11).normals(math.prod(shape)).reshape(shape)
+        view = block.swapaxes(-1, -2)
+        rows = view.reshape(-1, view.shape[-1])  # a copy: the view's rows in order
+        signed_zeros = np.where(np.arange(rows.shape[1]) % 3 == 0, -0.0, 0.0)
+        rows[0] = signed_zeros  # all-zero rows: max +0.0 or -0.0 by scan order
+        rows[1 % len(rows)] = -signed_zeros
+        rows[-1, ::2] = rows[-1].max() + 1.0  # a repeated max
+        view[...] = rows.reshape(view.shape)
+        out = softmax_rows(view)
+        expected = softmax_rows(np.ascontiguousarray(view))
+        assert out.flags.c_contiguous and out.shape == view.shape
+        assert out.tobytes() == expected.tobytes()
+
     def test_entries_in_unit_interval(self):
         out = softmax_rows(np.array([[5.0, -3.0, 0.0]]))
         assert ((out > 0.0) & (out <= 1.0)).all()
