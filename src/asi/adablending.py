@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, NonFiniteError, ShapeError
-from .numeric import _contract, _as_number, _is_int, _readonly
+from .numeric import _contract, _as_number, _is_int, _kind, _readonly
 from .sica import siamese_attend
 
 __all__ = [
@@ -103,7 +103,11 @@ class BlendMask:
 
 
 def _check_blocks(what: str, a: np.ndarray, *others: np.ndarray, least: int = 2) -> None:
-    # a has at least `least` dimensions (..., m, d), none empty, and every other block its shape.
+    # Each block is an array, a has at least `least` dimensions (..., m, d), none empty,
+    # and every other block has its shape.
+    for i, b in enumerate((a, *others), 1):
+        if not isinstance(b, np.ndarray):
+            raise ShapeError(f"{what}: block {i} must be an array, got {_kind(b)}")
     if a.ndim < least or 0 in a.shape:
         raise ShapeError(f"{what}: needs {least} or more non-empty dimensions, got shape {a.shape}")
     for b in others:
@@ -185,6 +189,11 @@ def extract_spatial_mask(f_c: np.ndarray, cfg: BlendConfig) -> BlendMask:
     return BlendMask(~(f_c > tau))
 
 
+def _check_config(what: str, cfg: BlendConfig) -> None:
+    if not isinstance(cfg, BlendConfig):
+        raise ConfigError(f"{what}: cfg must be a BlendConfig, got {type(cfg).__name__}")
+
+
 def _check_mask(what: str, mask: BlendMask) -> None:
     # A plain array would pass the shape checks unread: its .data is a memoryview with a shape.
     if not isinstance(mask, BlendMask):
@@ -200,8 +209,7 @@ def fuse_masks(head: np.ndarray, spatial: BlendMask) -> BlendMask:
     """
     _check_mask("fuse_masks", spatial)
     if not isinstance(head, np.ndarray) or head.dtype != np.bool_:
-        raise ShapeError(f"head mask must be a bool array, got "
-                         f"{getattr(head, 'dtype', type(head).__name__)}")
+        raise ShapeError(f"head mask must be a bool array, got {_kind(head)}")
     if head.shape != spatial.data.shape[:-2]:
         raise ShapeError(f"head mask has shape {head.shape}, spatial mask has heads "
                          f"{spatial.data.shape[:-2]}")
@@ -253,6 +261,7 @@ def blend(f_c: np.ndarray, f_s: np.ndarray, mask: BlendMask, cfg: BlendConfig) -
     """
     _check_blocks("blend", f_c, f_s)
     _check_mask("blend", mask)
+    _check_config("blend", cfg)
     _check_blocks("blend mask", mask.data, f_c)
     styled = _adain(f_c, f_s, cfg.eps)
     return _readonly(np.where(mask.data, styled, f_c))
@@ -284,6 +293,7 @@ def asi_layer(
     q may be an (h, steps, m, d) block of independent layer applications, one
     per sampler step; the cfg.n heads are then selected within each step.
     """
+    _check_config("asi_layer", cfg)
     f_s, f_c = siamese_attend(q, k_s, v_s, k_c, v_c)
     distances = head_distances(f_s, f_c)
     head_mask = _select_top_heads(distances, cfg.n)

@@ -1,4 +1,4 @@
-"""Dense float64 kernels: shape-strict matrices, row softmax, and a seeded PRNG.
+"""Dense float64 kernels: shape-strict matrices, an in-place row softmax, and a seeded PRNG.
 
 All arithmetic is 64-bit, and each output entry of a product is summed in a
 fixed order (``np.einsum`` rather than BLAS), so identical inputs produce
@@ -9,7 +9,9 @@ a process-wide thread pool computes the other. The first split makes the
 pool (importing the package starts no thread), and a forked child makes its
 own. :class:`Matrix` is the validated 2-D type at the edges (inputs,
 weights, latents, projections and merged layer outputs); the layer kernels
-work on plain read-only arrays, whole feature blocks at a time.
+work on plain read-only arrays, whole feature blocks at a time. The row
+softmax alone writes its argument: it normalizes attention's own logits
+buffer in place.
 """
 
 from __future__ import annotations
@@ -109,8 +111,7 @@ def _contract(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np
 
     Stacked operands share their leading axes. The result goes into `out`
     when given; without it the result is C-ordered, which is einsum's own
-    layout for every product here but attend's V^T P^T, whose caller passes
-    the layout it needs as `out`. A product of at least `_MIN_SPLIT`
+    layout for every product here. A product of at least `_MIN_SPLIT`
     multiply-adds is split in two along axis 0 of the result (the rows of a
     2-D `a`, else the head axis of both operands) when a second CPU is there:
     the process's one helper thread computes the upper half while the caller
@@ -119,10 +120,11 @@ def _contract(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np
     re-raises an error of either half. Splits from several threads queue for
     the helper in turn. Each entry is summed by the same inner loop over the
     same strides as unsplit, so its bits do not depend on the split. That
-    fails where the reduced axis is innermost in both operands (V^T P^T and
-    F^T F at head_dim=1): einsum then sums it in blocks whose bounds depend on
-    the extent of the outer axes, so a half can sum a long reduction in other
-    blocks than the whole does. Those products stay unsplit.
+    fails where the reduced axis is innermost in both operands (F^T F at
+    head_dim=1; attend's products only for a single query row): einsum then
+    sums it in blocks whose bounds depend on the extent of the outer axes,
+    so a half can sum a long reduction in other blocks than the whole does.
+    Those products stay unsplit.
     """
     global _pool
     if (a.size * b.shape[-1] < _MIN_SPLIT or a.shape[0] < 2 or _CPUS < 2
@@ -163,21 +165,73 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def softmax_rows(a: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, with per-row max subtraction for overflow safety.
+    """Softmax over the last axis, in place, with per-row max subtraction for overflow safety.
 
-    Takes a 2-D matrix of rows or a whole (heads, rows, cols) block, in any
-    memory layout (a transposed view included), and returns a new C-ordered
-    array of the same shape, built in a single new buffer (the block can be
-    large). Any layout of the same values gives the same bits: the row max
-    is exact in any order (a -0.0 or +0.0 max leaves every exponential as
-    it is), and the row sums run over the C-ordered buffer. Every output row
-    sums to 1 (within float64 rounding) and all entries lie in (0, 1] for
-    finite input.
+    Takes a writable float64 array of rows, a 2-D matrix or a whole (heads,
+    rows, cols) block, in any memory layout (a transposed view included),
+    and overwrites it with its softmax, which it returns: no buffer of its
+    size is made (the block can be large). Any layout of the same values
+    gives the same bits: the row max is exact in any order (a -0.0 or +0.0
+    max leaves every exponential as it is), the subtraction, exponential and
+    division are elementwise, and the row sums are those NumPy gives a
+    C-ordered copy (:func:`_row_sums`). Every output row sums to 1 (within
+    float64 rounding) and all entries lie in (0, 1] for finite input.
     """
-    e = np.subtract(a, a.max(axis=-1, keepdims=True), order="C")
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    if not isinstance(a, np.ndarray) or a.dtype != np.float64:
+        raise ShapeError(f"softmax_rows needs a float64 array, got {_kind(a)}")
+    if a.ndim < 1 or a.shape[-1] == 0:
+        raise ShapeError(f"softmax_rows needs a non-empty last axis, got shape {a.shape}")
+    if not a.flags.writeable:
+        raise ShapeError("softmax_rows works in place: needs a writable array, got a read-only one")
+    a -= a.max(axis=-1, keepdims=True)
+    np.exp(a, out=a)
+    a /= _row_sums(a)[..., None]
+    return a
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """The sums over the last axis of `a`, bit for bit those NumPy gives its C-ordered copy.
+
+    NumPy adds to a +0.0 start the pairwise sum of each contiguous row (its
+    `pairwise_sum`): a row of fewer than 8 entries in order from +0.0; one
+    of up to 128 as 8 interleaved partial sums, added as a tree, then the
+    rest in order; a longer one as the sum of its two parts split at a
+    multiple of 8 near the middle. Here every step adds whole columns of
+    `a`, so a transposed view is summed where it lies, without that copy.
+    """
+    total = _pairwise_sum(np.moveaxis(a, -1, 0), 0, a.shape[-1])
+    total += 0.0  # an all -0.0 row sums to +0.0
+    return total
+
+
+def _pairwise_sum(x: np.ndarray, lo: int, n: int) -> np.ndarray:
+    # The sum of x[lo:lo + n] over axis 0, n >= 1, in the order described in _row_sums.
+    if n < 8:
+        total = x[lo] + 0.0
+        for i in range(lo + 1, lo + n):
+            total += x[i]
+        return total
+    if n <= 128:
+        end = lo + n - n % 8
+        part = x[lo:lo + 8].copy()
+        for i in range(lo + 8, end, 8):
+            part += x[i:i + 8]
+        pairs = part[0::2] + part[1::2]  # ((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 + p7))
+        quads = pairs[0::2] + pairs[1::2]
+        total = quads[0] + quads[1]
+        for i in range(end, lo + n):
+            total += x[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(x, lo, half) + _pairwise_sum(x, lo + half, n - half)
+
+
+def _kind(value) -> str:
+    # An array's dtype ("complex128 array"), else the type name ("list", "NoneType").
+    if isinstance(value, np.ndarray):
+        return f"{value.dtype} array"
+    return type(value).__name__
 
 
 # splitmix64 finalizer constants

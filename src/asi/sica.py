@@ -22,15 +22,18 @@ head_dim) blocks, such as the pipeline's (h, steps, m, d) queries of several
 sampler steps. Attention is per query row, so every row of a head attends as
 it would alone and gets the bits it would get in an (h, m, d) block.
 
-Both products run with a head's query rows as the innermost loop: the
-logits as K Q^T over a contiguous Q^T, the output as V^T P^T, each then
-turned back to (rows, ...) order. :func:`attend` writes V^T P^T through the
-transposed view of the C-ordered (heads, rows, head_dim) block it returns,
-so the result is C-ordered by construction. NumPy's einsum adds the
-products of each output element in order of the reduction index, multiply
-then add, whenever that index is not the innermost axis of both operands.
-So these layouts give the same bits as the per-head 2-D product Q K^T, then
-P V, whether or not a large product is split over two threads.
+Both products run with a head's query rows as the innermost loop, from
+C-ordered operands: the logits as K Q^T over a contiguous Q^T, into an
+(heads, tokens, rows) block that softmax normalizes in place, and the
+output as a contiguous V^T times that block, which one transposing copy
+turns back into the C-ordered (heads, rows, head_dim) block returned.
+NumPy's einsum adds the products of each output element in order of the
+reduction index, multiply then add, whenever that index is not the
+innermost axis of both operands. So these layouts give the same bits as
+the per-head 2-D product Q K^T, then P V, whether or not a large product
+is split over two threads. With a single query row the reduced axis of
+both products is innermost in both operands and that order is not pinned;
+the pipeline's blocks always hold two or more rows.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .numeric import Matrix, _contract, _is_int, _readonly, matmul, softmax_rows
+from .numeric import Matrix, _contract, _is_int, _kind, _readonly, matmul, softmax_rows
 
 __all__ = [
     "AttentionParams",
@@ -93,6 +96,8 @@ def merge_heads(block: np.ndarray) -> Matrix:
     Middle axes stack row-wise: an (h, steps, m, d) block gives each step's
     m rows after the last step's.
     """
+    if not isinstance(block, np.ndarray):
+        raise ShapeError(f"merge_heads needs an array block, got {_kind(block)}")
     if block.ndim < 3:
         raise ShapeError(f"merge_heads needs an (h, ..., m, d) block, got shape {block.shape}")
     h, d = block.shape[0], block.shape[-1]
@@ -124,9 +129,13 @@ def project_kv(prompt: Matrix, params: AttentionParams) -> tuple[np.ndarray, np.
 def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     """One attention track, softmax(Q K^T / sqrt(d)) V, for all heads at once.
 
-    q is an (h, ..., m, d) block and k, v are (h, t, d): every query row of a
-    head attends to the same keys and values. Returns a block of q's shape.
+    q is an (h, ..., m, d) float64 block and k, v are (h, t, d) ones: every
+    query row of a head attends to the same keys and values. Returns a block
+    of q's shape.
     """
+    for name, x in (("q", q), ("k", k), ("v", v)):
+        if not isinstance(x, np.ndarray) or x.dtype != np.float64:
+            raise ShapeError(f"attend: {name} must be a float64 array, got {_kind(x)}")
     if q.ndim < 3 or k.ndim != 3 or v.ndim != 3 or 0 in (*q.shape, *k.shape, *v.shape):
         raise ShapeError(f"attend needs non-empty q (h, ..., m, d) and k, v (h, t, d), "
                          f"got shapes {q.shape}, {k.shape}, {v.shape}")
@@ -138,28 +147,26 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise ShapeError(f"head_dim mismatch: q has {dq}, k has {dk}, v has {dv}")
     if tk != tv:
         raise ShapeError(f"token count mismatch: k has {tk}, v has {tv}")
-    # Logits as K Q^T, output as V^T P^T: einsum's inner loop runs over the
-    # query rows, and the reduced axis (d, then t) is never innermost in both
-    # operands, so each entry is summed in index order, bit for bit as the
-    # per-head 2-D Q K^T and P V. Q^T is copied contiguous because as a view,
-    # d would be innermost in both and einsum would sum it in another order.
-    # The logits are scaled in place, in the (h, t, rows) layout einsum writes
-    # them in, and softmax reads them through their (h, rows, t) view: it
-    # writes its one buffer C-ordered, so its row sums run over contiguous
-    # rows. The result must be C-ordered, or the contractions that read it
-    # would sum in another order, so V^T P^T is written into the transposed
-    # view of a C-ordered (h, rows, d) block: the layout einsum would choose
-    # for it after its operands, so each entry is summed as einsum would sum
-    # it. The logits are deleted once softmax has read them, so they are
-    # freed before the output is made.
+    # Logits as K Q^T, output as V^T P, from C-ordered operands: einsum's
+    # inner loop runs over the query rows, and the reduced axis (d, then t)
+    # is never innermost in both operands, so each entry is summed in index
+    # order, bit for bit as the per-head 2-D Q K^T and P V. Q^T is copied
+    # contiguous because as a view, d would be innermost in both operands and
+    # einsum would sum it in another order; V^T (small) is copied so that the
+    # loop einsum picks follows from the layout alone, not from how it ranks
+    # a view's strides. The logits are scaled and turned into P in place, in
+    # the (h, t, rows) layout einsum writes them in; softmax works on their
+    # (h, rows, t) view. V^T P goes to a fresh C-ordered (h, d, rows) block,
+    # and P is freed before one transposing copy makes the C-ordered
+    # (h, rows, d) result that the contractions reading it need to sum in
+    # k order.
     rows = q.reshape(hq, -1, dq)
-    logits = _contract(k, np.ascontiguousarray(rows.transpose(0, 2, 1)))
-    logits *= 1.0 / math.sqrt(dq)
-    p = softmax_rows(logits.transpose(0, 2, 1))
-    del logits
-    out = np.empty(rows.shape)
-    _contract(v.transpose(0, 2, 1), p.transpose(0, 2, 1), out=out.transpose(0, 2, 1))
-    return _readonly(out.reshape(q.shape))
+    p = _contract(k, np.ascontiguousarray(rows.transpose(0, 2, 1)))
+    p *= 1.0 / math.sqrt(dq)
+    softmax_rows(p.transpose(0, 2, 1))
+    out = _contract(np.ascontiguousarray(v.transpose(0, 2, 1)), p)
+    del p
+    return _readonly(np.ascontiguousarray(out.transpose(0, 2, 1)).reshape(q.shape))
 
 
 def siamese_attend(

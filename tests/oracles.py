@@ -98,6 +98,13 @@ def two_pass_covariance(f) -> np.ndarray:
 # order fails a named test rather than only a golden digest.
 
 
+def c_ordered_softmax(a) -> np.ndarray:
+    """Softmax over the last axis into a new C-ordered buffer, from NumPy's own max, exp and sum."""
+    e = np.subtract(a, a.max(axis=-1, keepdims=True), order="C")
+    np.exp(e, out=e)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def mean_std_adain(f_c, f_s, eps) -> np.ndarray:
     """AdaIN over positions (axis -2) from NumPy's own mean and population std."""
     mu_c = f_c.mean(axis=-2, keepdims=True)

@@ -418,6 +418,37 @@ def test_wrong_rank_or_empty_block_is_shape_error(call):
         call()
 
 
+MASK = BlendMask(np.ones(BLOCK.shape, dtype=bool))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda bad: covariance(bad), id="covariance"),
+    pytest.param(lambda bad: head_distances(bad, BLOCK), id="head_distances-first"),
+    pytest.param(lambda bad: head_distances(BLOCK, bad), id="head_distances-second"),
+    pytest.param(lambda bad: adain(bad, BLOCK, 1e-5), id="adain-content"),
+    pytest.param(lambda bad: adain(BLOCK, bad, 1e-5), id="adain-style"),
+    pytest.param(lambda bad: blend(bad, BLOCK, MASK, BlendConfig()), id="blend-content"),
+    pytest.param(lambda bad: blend(BLOCK, bad, MASK, BlendConfig()), id="blend-style"),
+    pytest.param(lambda bad: extract_head_mask(bad, BLOCK, BlendConfig(n=1)), id="head_mask"),
+    pytest.param(lambda bad: extract_spatial_mask(bad, BlendConfig()), id="spatial_mask"),
+    pytest.param(lambda bad: merge_heads(bad), id="merge_heads"),
+])
+@pytest.mark.parametrize("bad, kind", [(BLOCK.tolist(), "list"), (None, "NoneType")])
+def test_non_array_block_is_shape_error_naming_its_type(call, bad, kind):
+    with pytest.raises(ShapeError, match=f"got {kind}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("cfg", [None, {"n": 1}, dataclasses.asdict(BlendConfig())])
+def test_blend_and_asi_layer_take_only_a_blend_config(cfg):
+    q, k_s, v_s, k_c, v_c = synth_layer_inputs()
+    kind = type(cfg).__name__
+    with pytest.raises(ConfigError, match=f"^blend: cfg must be a BlendConfig, got {kind}$"):
+        blend(BLOCK, BLOCK, MASK, cfg)
+    with pytest.raises(ConfigError, match=f"^asi_layer: cfg must be a BlendConfig, got {kind}$"):
+        asi_layer(q, k_s, v_s, k_c, v_c, cfg)
+
+
 def synth_layer_inputs(seed=0, heads=4, m=16, d=8, tokens=4):
     rng = Rng(seed)
     q = rng.normals(heads * m * d).reshape(heads, m, d)

@@ -19,7 +19,7 @@ from asi.errors import ConfigError, ShapeError
 from asi.harness import ExperimentConfig, run_pipeline
 from asi.numeric import Matrix, Rng, matmul, randn_matrix, softmax_rows
 
-from oracles import k_ordered_contract, naive_matmul, naive_softmax_row
+from oracles import c_ordered_softmax, k_ordered_contract, naive_matmul, naive_softmax_row
 
 bounded = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -109,8 +109,8 @@ class TestMatmul:
         assert np.abs(left - right).max() / scale < 1e-9
 
 
-# The benchmark workloads' shapes, a ragged one and the ragged one at head_dim=1,
-# as config overrides.
+# The benchmark workloads' shapes, a ragged one and the ragged one at head_dim=1
+# (where only the Gram F^T F is not k-ordered), as config overrides.
 RUN_SHAPES = {
     "small_sweep": dict(),
     "sd_block": dict(heads=8, head_dim=40, positions=1024, tokens=77),
@@ -119,10 +119,10 @@ RUN_SHAPES = {
     "ragged": dict(heads=3, head_dim=5, positions=17, tokens=7, blend=BlendConfig(n=2)),
     "head_dim_1": dict(heads=3, head_dim=1, positions=17, tokens=7, blend=BlendConfig(n=2)),
 }
-# At head_dim=1 the reduced axis of V^T P^T and F^T F is innermost in both
+# At head_dim=1 the reduced axis of the Gram F^T F is innermost in both
 # operands, and einsum does not sum it in k order.
 UNPINNED_ORDER = pytest.mark.xfail(strict=True, raises=AssertionError,
-                                   reason="head_dim=1 contractions are not k-ordered")
+                                   reason="the head_dim=1 Gram F^T F is not k-ordered")
 
 
 class TestContractionOrder:
@@ -131,8 +131,10 @@ class TestContractionOrder:
     All the goldens rest on this: NumPy's einsum adds the products of an
     entry in order of the reduction index, multiply then add, from +0.0,
     whenever that index is not innermost in both operands. Stacking more
-    query rows or steps into a block must not change that order. At
-    head_dim=1 the index is innermost in both operands of V^T P^T and F^T F,
+    query rows or steps into a block must not change that order. Every
+    operand is C-contiguous, so einsum runs its contiguous loops, and a
+    return to a strided layout fails here even where its bits still hold. At
+    head_dim=1 the index is innermost in both operands of the Gram F^T F,
     and the order is not pinned there (an expected failure); no workload or
     golden uses head_dim=1.
     """
@@ -143,7 +145,7 @@ class TestContractionOrder:
     ])
     def test_every_contraction_of_one_chunk_is_k_ordered(self, tmp_path, monkeypatch, name):
         contract = numeric._contract
-        seen, split = set(), set()
+        seen, split, strided = set(), set(), set()
         handed = _counting_submits(monkeypatch)
 
         def checked(a, b, out=None):
@@ -152,6 +154,8 @@ class TestContractionOrder:
             layout = (a.shape, a.strides, b.shape, b.strides)
             assert result.tobytes() == k_ordered_contract(a, b).tobytes(), layout
             seen.add((a.shape, b.shape))
+            strided.update((x.shape, x.strides) for x in (a, b, out)
+                           if x is not None and not x.flags.c_contiguous)
             if len(handed) > before:
                 split.add((a.shape, b.shape))
             return result
@@ -168,9 +172,10 @@ class TestContractionOrder:
             ((t, md), (md, md)),  # project_kv
             project_q,
             ((h, t, d), (h, d, steps * m)),  # logits as K Q^T, every step's rows at once
-            ((h, d, t), (h, t, steps * m)),  # output as V^T P^T
+            ((h, d, t), (h, t, steps * m)),  # output as V^T P, P in the logits' layout
             ((h, steps, d, m), (h, steps, m, d)),  # Gram F^T F per step
         }
+        assert not strided, strided  # (shape, strides) of each operand not C-contiguous
         assert steps == {"small_sweep": 8, "ragged": 22, "head_dim_1": 22}.get(name, 1)
         if name in ("sd_block", "mid_bypass"):
             assert project_q in split
@@ -448,7 +453,7 @@ class TestSoftmaxRows:
     def test_matches_naive_oracle(self):
         rng = Rng(5)
         m = randn_matrix(rng, 6, 7)
-        out = softmax_rows(m.a)
+        out = softmax_rows(m.a.copy())
         for i in range(m.rows):
             expected = naive_softmax_row(list(m.a[i]))
             assert np.abs(out[i] - expected).max() < 1e-12
@@ -457,17 +462,17 @@ class TestSoftmaxRows:
     @settings(max_examples=60)
     def test_rows_sum_to_one(self, m):
         scaled = Matrix(m.a * 10.0)  # logit magnitudes up to 1e4
-        sums = softmax_rows(scaled.a).sum(axis=1)
+        sums = softmax_rows(scaled.a.copy()).sum(axis=1)
         assert np.abs(sums - 1.0).max() < 1e-9
 
     @given(matrices(), st.floats(min_value=-1e4, max_value=1e4, allow_nan=False))
     @settings(max_examples=60)
     def test_shift_invariance(self, m, c):
         shifted = Matrix(m.a + c)
-        assert np.abs(softmax_rows(m.a) - softmax_rows(shifted.a)).max() < 1e-12
+        assert np.abs(softmax_rows(m.a.copy()) - softmax_rows(shifted.a.copy())).max() < 1e-12
 
     @pytest.mark.parametrize("shape", [(2, 77, 40), (77, 40), (3, 5, 1), (1, 1, 9)])
-    def test_transposed_view_gives_the_contiguous_bits_c_ordered(self, shape):
+    def test_transposed_view_gives_the_contiguous_bits_in_its_own_buffer(self, shape):
         # attend passes its (h, t, rows) logits as an (h, rows, t) view.
         block = Rng(11).normals(math.prod(shape)).reshape(shape)
         view = block.swapaxes(-1, -2)
@@ -477,10 +482,45 @@ class TestSoftmaxRows:
         rows[1 % len(rows)] = -signed_zeros
         rows[-1, ::2] = rows[-1].max() + 1.0  # a repeated max
         view[...] = rows.reshape(view.shape)
+        expected = softmax_rows(np.ascontiguousarray(view))  # a C-ordered copy, rows contiguous
+        oracle = c_ordered_softmax(view)
         out = softmax_rows(view)
-        expected = softmax_rows(np.ascontiguousarray(view))
-        assert out.flags.c_contiguous and out.shape == view.shape
-        assert out.tobytes() == expected.tobytes()
+        assert out is view
+        assert out.tobytes() == expected.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("cols", [*range(1, 18), 77, 127, 128, 129, 136, 255, 256, 257, 1025])
+    def test_row_sums_are_numpys_sums_of_contiguous_rows(self, cols):
+        # Both signs over six decades of magnitude, so another order of the adds would show.
+        gen = np.random.default_rng(cols)
+        block = gen.standard_normal((2, cols, 5)) * 10.0 ** gen.integers(-3, 3, (2, cols, 5))
+        block[0, :, 0] = -0.0  # an all -0.0 row sums to +0.0
+        view = block.swapaxes(-1, -2)  # (2, 5, cols) rows, as attend passes its logits
+        expected = np.ascontiguousarray(view).sum(axis=-1).tobytes()
+        assert numeric._row_sums(view).tobytes() == expected
+        assert numeric._row_sums(np.ascontiguousarray(view)).tobytes() == expected
+
+    @pytest.mark.parametrize("value, kind", [
+        ([[0.0, 1.0]], "list"),
+        (None, "NoneType"),
+        (np.array([[0, 1]]), "int64 array"),
+        (np.array([[0.0, 1.0]], dtype=np.float32), "float32 array"),
+        (np.array([[0.0, 1.0]], dtype=complex), "complex128 array"),
+    ])
+    def test_non_float64_input_is_shape_error_naming_its_kind(self, value, kind):
+        with pytest.raises(ShapeError, match=f"float64 array, got {kind}"):
+            softmax_rows(value)
+
+    @pytest.mark.parametrize("shape", [(3, 0), (2, 3, 0), ()])
+    def test_empty_last_axis_is_shape_error(self, shape):
+        with pytest.raises(ShapeError, match="non-empty last axis"):
+            softmax_rows(np.zeros(shape))
+
+    def test_read_only_input_is_shape_error_and_left_as_it_was(self):
+        m = randn_matrix(Rng(12), 3, 4)
+        before = m.a.tobytes()
+        with pytest.raises(ShapeError, match="read-only"):
+            softmax_rows(m.a)
+        assert m.a.tobytes() == before
 
     def test_entries_in_unit_interval(self):
         out = softmax_rows(np.array([[5.0, -3.0, 0.0]]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from asi import numeric, sica
 from asi.errors import ShapeError
 from asi.numeric import Matrix, Rng, randn_matrix
 from asi.sica import (
@@ -12,7 +13,7 @@ from asi.sica import (
     siamese_attend,
 )
 
-from oracles import project_and_split, reference_attention
+from oracles import k_ordered_contract, project_and_split, reference_attention
 
 
 def identity_params(heads: int, head_dim: int) -> AttentionParams:
@@ -215,3 +216,51 @@ class TestSiameseAttend:
             siamese_attend(q, k_s, v_s, wide, wide)
         with pytest.raises(ShapeError):
             attend(q, wide, wide)
+
+
+class TestAttendOperands:
+    @pytest.mark.parametrize("name", ["q", "k", "v"])
+    @pytest.mark.parametrize("bad, kind", [
+        ([[[0.0, 1.0]]], "list"),
+        (None, "NoneType"),
+        (3, "int"),
+        (np.ones((2, 2, 2), dtype=np.int64), "int64 array"),
+        (np.ones((2, 2, 2), dtype=complex), "complex128 array"),
+    ])
+    def test_non_float64_operand_is_shape_error_naming_it(self, name, bad, kind):
+        q, k, v, _, _ = random_tracks(9)
+        operands = {"q": q, "k": k, "v": v, name: bad}
+        with pytest.raises(ShapeError, match=f"attend: {name} must be a float64 array, got {kind}"):
+            attend(**operands)
+
+
+class TestHeadDimOne:
+    """At head_dim=1 with two or more query rows, both products of attend are k-ordered.
+
+    Neither has its reduced axis innermost in both operands: K Q^T reduces
+    over d, innermost in K but not in the contiguous Q^T, and V^T P over t,
+    innermost in V^T but not in P. With a single query row both have it
+    innermost in both, and that order is not pinned; the pipeline's blocks
+    hold two or more rows, as positions >= 2.
+    """
+
+    @pytest.mark.parametrize("heads, rows, tokens", [
+        (1, 2, 77), (3, 17, 7), (3, 17, 77), (8, 1024, 77),
+    ])
+    def test_every_product_equals_the_k_ordered_oracle(self, monkeypatch, heads, rows, tokens):
+        contract, checked = numeric._contract, []
+
+        def k_ordered(a, b, out=None):
+            result = contract(a, b, out)
+            assert result.tobytes() == k_ordered_contract(a, b).tobytes(), (a.shape, b.shape)
+            checked.append((a.shape, b.shape))
+            return result
+
+        monkeypatch.setattr(sica, "_contract", k_ordered)
+        rng = Rng(heads * rows + tokens)
+        q = random_feature_map(rng, heads, rows, 1)
+        k, v = (random_feature_map(rng, heads, tokens, 1) for _ in range(2))
+        out = attend(q, k, v)
+        assert checked == [((heads, tokens, 1), (heads, 1, rows)),  # logits as K Q^T
+                           ((heads, 1, tokens), (heads, tokens, rows))]  # output as V^T P
+        assert out.shape == q.shape and out.flags.c_contiguous and not out.flags.writeable
