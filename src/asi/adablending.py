@@ -27,6 +27,12 @@ axis 0 within each step, and the head mask and distances are (h, steps).
 Blocks are not scanned for NaN/Inf again: the head distances are checked,
 and a non-finite block fails there or when the layer output is merged back
 into a :class:`~asi.numeric.Matrix`.
+
+Every head's covariances, distance and AdaIN depend on that head alone, up
+to the top-n selection. So :func:`head_distances` and :func:`blend` split
+their heads over two threads where the block's Gram F^T F would split (see
+:func:`asi.numeric._contract`), after checking their arguments; each half
+writes its heads of one output, and every entry keeps its bits.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, NonFiniteError, ShapeError
-from .numeric import _contract, _as_number, _is_int, _kind, _readonly
+from .numeric import _as_number, _contract, _is_int, _kind, _readonly, _split
 from .sica import siamese_attend
 
 __all__ = [
@@ -124,13 +130,31 @@ def covariance(f: np.ndarray) -> np.ndarray:
     that dwarf the spread).
     """
     _check_blocks("covariance", f)
+    _check_rows(f)
+    return _readonly(_cov(f))
+
+
+def _check_rows(f: np.ndarray) -> None:
+    if f.shape[-2] < 2:
+        raise DegenerateInputError(f"covariance needs at least 2 rows, got {f.shape[-2]}")
+
+
+def _cov(f: np.ndarray) -> np.ndarray:
+    # covariance after its checks. Contracting a contiguous F^T keeps the per-head
+    # summation order.
     m = f.shape[-2]
-    if m < 2:
-        raise DegenerateInputError(f"covariance needs at least 2 rows, got {m}")
-    # Contracting a contiguous F^T keeps the per-head summation order.
     gram = _contract(np.ascontiguousarray(np.swapaxes(f, -1, -2)), f)
     colsum = f.sum(axis=-2)
-    return _readonly((gram - colsum[..., :, None] * colsum[..., None, :] / m) / (m - 1))
+    return (gram - colsum[..., :, None] * colsum[..., None, :] / m) / (m - 1)
+
+
+def _by_heads(body, f: np.ndarray) -> None:
+    # Runs body(lo, hi) over the heads (axis 0) of an (h, ..., m, d) block, split
+    # over both CPUs where _contract would split the block's Gram F^T F: from
+    # _MIN_SPLIT multiply-adds, and not at d=1, where that product's bits depend on
+    # how many heads it holds. So a layer's distances and blend split together.
+    d = f.shape[-1]
+    _split(body, f.shape[0], f.size * d if d > 1 else 0)
 
 
 def head_distances(f_s: np.ndarray, f_c: np.ndarray) -> np.ndarray:
@@ -139,16 +163,30 @@ def head_distances(f_s: np.ndarray, f_c: np.ndarray) -> np.ndarray:
     Squared Frobenius norm of the covariance difference, normalized by 4 d**2:
     symmetric in its arguments and zero when the blocks share their
     covariance. An (h, [steps,] m, d) pair gives one distance per head (and
-    step); one m x d pair gives a 0-d array. Raises NonFiniteError when a
-    distance is not finite, as it is for a block holding NaN or Inf.
+    step), the heads split over both CPUs as their Gram is; one m x d pair
+    gives a 0-d array. Raises NonFiniteError when a distance is not finite,
+    as it is for a block holding NaN or Inf.
     """
     _check_blocks("head_distances", f_s, f_c)
-    d = f_s.shape[-1]
-    diff = covariance(f_s) - covariance(f_c)
-    dist = np.einsum("...ij,...ij->...", diff, diff) / (4.0 * d * d)
+    _check_rows(f_s)
+    if f_s.ndim == 2:
+        dist = _distances(f_s, f_c)
+    else:
+        dist = np.empty(f_s.shape[:-2])
+
+        def body(lo: int, hi: int) -> None:
+            dist[lo:hi] = _distances(f_s[lo:hi], f_c[lo:hi])
+
+        _by_heads(body, f_s)
     if not np.isfinite(dist).all():  # head selection would fall to the tie-break alone
         raise NonFiniteError("head distance is not finite (covariance difference overflowed)")
     return dist
+
+
+def _distances(f_s: np.ndarray, f_c: np.ndarray) -> np.ndarray:
+    d = f_s.shape[-1]
+    diff = _cov(f_s) - _cov(f_c)
+    return np.einsum("...ij,...ij->...", diff, diff) / (4.0 * d * d)
 
 
 def _select_top_heads(distances: np.ndarray, n: int) -> np.ndarray:
@@ -216,18 +254,17 @@ def fuse_masks(head: np.ndarray, spatial: BlendMask) -> BlendMask:
     return BlendMask(head[..., None, None] | spatial.data)
 
 
-def _moments(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Mean, deviation and std over positions in NumPy's own std order: same bits as f.std.
-    mu = f.mean(axis=-2, keepdims=True)
-    dev = f - mu
-    return mu, dev, np.sqrt((dev * dev).sum(axis=-2, keepdims=True) / f.shape[-2])
-
-
-def _adain(f_c: np.ndarray, f_s: np.ndarray, eps: float) -> np.ndarray:
-    # sd_s * dev_c / (sd_c + eps) + mu_s, the same operations in the same order, built
-    # in dev_c's buffer; the style deviation is dropped before dev_c is made.
-    mu_s, sd_s = _moments(f_s)[::2]
-    _, out, sd_c = _moments(f_c)
+def _adain(f_c: np.ndarray, f_s: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
+    # sd_s * dev_c / (sd_c + eps) + mu_s, built in `out` by the same operations in the
+    # same order as with NumPy's own mean and std. The style deviation is squared in
+    # `out` itself, so one block of squares besides `out` is the most this holds.
+    m = f_c.shape[-2]
+    mu_s = f_s.mean(axis=-2, keepdims=True)
+    np.subtract(f_s, mu_s, out=out)
+    out *= out
+    sd_s = np.sqrt(out.sum(axis=-2, keepdims=True) / m)
+    np.subtract(f_c, f_c.mean(axis=-2, keepdims=True), out=out)
+    sd_c = np.sqrt((out * out).sum(axis=-2, keepdims=True) / m)
     np.multiply(sd_s, out, out=out)
     out /= sd_c + eps
     out += mu_s
@@ -248,7 +285,7 @@ def adain(f_c: np.ndarray, f_s: np.ndarray, eps: float) -> np.ndarray:
     """
     _check_positive("eps", eps)
     _check_blocks("adain", f_c, f_s)
-    return _readonly(_adain(f_c, f_s, eps))
+    return _readonly(_adain(f_c, f_s, eps, np.empty(f_c.shape)))
 
 
 def blend(f_c: np.ndarray, f_s: np.ndarray, mask: BlendMask, cfg: BlendConfig) -> np.ndarray:
@@ -257,14 +294,21 @@ def blend(f_c: np.ndarray, f_s: np.ndarray, mask: BlendMask, cfg: BlendConfig) -
     Because the mask is binary, the blend is implemented as coordinate
     selection: every output entry is bit-identical to either the content
     entry (mask False) or the style-normalized entry (mask True); no third
-    value can appear.
+    value can appear. The heads are split over both CPUs where their
+    distances are.
     """
     _check_blocks("blend", f_c, f_s)
     _check_mask("blend", mask)
     _check_config("blend", cfg)
     _check_blocks("blend mask", mask.data, f_c)
-    styled = _adain(f_c, f_s, cfg.eps)
-    return _readonly(np.where(mask.data, styled, f_c))
+    out = np.empty(f_c.shape)
+
+    def body(lo: int, hi: int) -> None:
+        _adain(f_c[lo:hi], f_s[lo:hi], cfg.eps, out[lo:hi])
+        np.putmask(out[lo:hi], ~mask.data[lo:hi], f_c[lo:hi])  # content where the mask is False
+
+    _by_heads(body, f_c)
+    return _readonly(out)
 
 
 @dataclass(frozen=True)

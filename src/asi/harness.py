@@ -304,7 +304,7 @@ def _chunk_steps(cfg: ExperimentConfig) -> int:
 
 
 # glibc's mallopt parameter numbers (malloc.h).
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 
 
 @functools.cache
@@ -321,6 +321,7 @@ def _keep_freed_memory_mapped() -> None:
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)  # glibc's own ceiling for its dynamic threshold
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)  # twice that, as glibc's own rule would set it
+    mallopt(_M_ARENA_MAX, 1)  # the helper thread allocates from this heap, not an arena of its own
 
 
 def run_pipeline(cfg: ExperimentConfig) -> RunReport:

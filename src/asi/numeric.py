@@ -3,10 +3,13 @@
 All arithmetic is 64-bit, and each output entry of a product is summed in a
 fixed order (``np.einsum`` rather than BLAS), so identical inputs produce
 bit-identical outputs regardless of CPU count, thread count or BLAS
-backend. A large product may be split over two threads, which leaves every
-entry's order as it is: the caller computes one half, and the one worker of
-a process-wide thread pool computes the other. The first split makes the
-pool (importing the package starts no thread), and a forked child makes its
+backend. Large work may be split in two along its first axis, which leaves
+every entry's order as it is: the caller runs one half, and the one worker
+of a process-wide thread pool runs the other (:func:`_split`). A large
+product splits by rows or heads on its own, and the attention, distance and
+blending kernels split their whole per-head work the same way, with the
+products inside each half unsplit. The first split makes the pool
+(importing the package starts no thread), and a forked child makes its
 own. :class:`Matrix` is the validated 2-D type at the edges (inputs,
 weights, latents, projections and merged layer outputs); the layer kernels
 work on plain read-only arrays, whole feature blocks at a time. The row
@@ -94,6 +97,9 @@ _LAYOUT = "...ik,...kj->...ij"
 # `concurrent.futures`, which pulls in `logging` (about 6 ms).
 _pool = None
 _pool_lock = threading.Lock()
+# Set on a thread while it runs one half of a split: a split inside a half runs
+# whole, so the helper never waits on a job queued behind its own.
+_in_half = threading.local()
 
 
 def _forget_pool() -> None:
@@ -106,47 +112,72 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _contract(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The one fixed-order product, a @ b over the last two axes of 2-D or stacked blocks.
+def _split(body, n: int, work: int) -> None:
+    """Run body(lo, hi) over [0, n) of an axis 0, in two halves when that pays.
 
-    Stacked operands share their leading axes. The result goes into `out`
-    when given; without it the result is C-ordered, which is einsum's own
-    layout for every product here. A product of at least `_MIN_SPLIT`
-    multiply-adds is split in two along axis 0 of the result (the rows of a
-    2-D `a`, else the head axis of both operands) when a second CPU is there:
-    the process's one helper thread computes the upper half while the caller
-    computes the lower half, each by einsum into its slice of one result
-    buffer, and the caller waits for the helper's half before it returns or
-    re-raises an error of either half. Splits from several threads queue for
-    the helper in turn. Each entry is summed by the same inner loop over the
-    same strides as unsplit, so its bits do not depend on the split. That
-    fails where the reduced axis is innermost in both operands (F^T F at
-    head_dim=1; attend's products only for a single query row): einsum then
-    sums it in blocks whose bounds depend on the extent of the outer axes,
-    so a half can sum a long reduction in other blocks than the whole does.
-    Those products stay unsplit.
+    From `work` >= _MIN_SPLIT multiply-adds (or their equivalent), n >= 2
+    and a second CPU, the process's one helper thread runs body(n // 2, n)
+    while the caller runs body(0, n // 2); otherwise the caller runs
+    body(0, n). The caller waits for the helper's half before it returns or
+    re-raises an error of either half, its own first. Splits from several
+    threads queue for the helper in turn, and nothing splits again inside a
+    half. Each half must write only its own slices of outputs made before
+    the split, and the body must call no public asi function: the benchmark's
+    tracer wraps those and keeps its span stack on the caller's thread alone.
     """
     global _pool
-    if (a.size * b.shape[-1] < _MIN_SPLIT or a.shape[0] < 2 or _CPUS < 2
-            or a.strides[-1] == b.strides[-2] == a.itemsize):
-        return np.einsum(_LAYOUT, a, b, out=out)
-    if out is None:
-        out = np.empty((*a.shape[:-1], b.shape[-1]))
-    half = a.shape[0] // 2
-    b_lo, b_hi = (b, b) if b.ndim == 2 else (b[:half], b[half:])
+    if work < _MIN_SPLIT or n < 2 or _CPUS < 2 or getattr(_in_half, "on", False):
+        body(0, n)
+        return
     if _pool is None:
         with _pool_lock:
             if _pool is None:
                 from concurrent.futures import ThreadPoolExecutor
                 _pool = ThreadPoolExecutor(1, "asi-contract-helper")
-    # Only einsum runs on the helper, so every traced asi call stays on the caller's thread.
-    job = _pool.submit(np.einsum, _LAYOUT, a[half:], b_hi, out=out[half:])
+    half = n // 2
+    job = _pool.submit(_run_half, body, half, n)
     try:
-        np.einsum(_LAYOUT, a[:half], b_lo, out=out[:half])
+        _run_half(body, 0, half)
     finally:
         error = job.exception()  # waits for the helper's half, also when the caller's raised
     if error is not None:
         raise error
+
+
+def _run_half(body, lo: int, hi: int) -> None:
+    _in_half.on = True
+    try:
+        body(lo, hi)
+    finally:
+        _in_half.on = False
+
+
+def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The one fixed-order product, a @ b over the last two axes of 2-D or stacked blocks.
+
+    Stacked operands share their leading axes, and the result is a fresh
+    C-ordered block. A product of at least `_MIN_SPLIT` multiply-adds is
+    split in two along axis 0 of the result (the rows of a 2-D `a`, else
+    the head axis of both operands) by :func:`_split`, each half by einsum
+    into its slice of the result; inside a half of a split kernel it runs
+    whole. Each entry is summed by the same inner loop over the same strides
+    as unsplit, so its bits do not depend on the split. That fails where the
+    reduced axis is innermost in both operands (F^T F at head_dim=1;
+    attend's products only for a single query row): einsum then sums it in
+    blocks whose bounds depend on the extent of the outer axes, so a half
+    can sum a long reduction in other blocks than the whole does. Those
+    products stay unsplit, and so do the kernels that make them.
+    """
+    innermost = a.strides[-1] == b.strides[-2] == a.itemsize
+    work = 0 if innermost else a.size * b.shape[-1]
+    if work < _MIN_SPLIT:  # most products of a small run: no split to set up
+        return np.einsum(_LAYOUT, a, b)
+    out = np.empty((*a.shape[:-1], b.shape[-1]))
+
+    def product(lo: int, hi: int) -> None:
+        np.einsum(_LAYOUT, a[lo:hi], b if b.ndim == 2 else b[lo:hi], out=out[lo:hi])
+
+    _split(product, a.shape[0], work)
     return out
 
 
@@ -183,6 +214,11 @@ def softmax_rows(a: np.ndarray) -> np.ndarray:
         raise ShapeError(f"softmax_rows needs a non-empty last axis, got shape {a.shape}")
     if not a.flags.writeable:
         raise ShapeError("softmax_rows works in place: needs a writable array, got a read-only one")
+    return _softmax(a)
+
+
+def _softmax(a: np.ndarray) -> np.ndarray:
+    # softmax_rows after its checks: attention calls it inside a split half.
     a -= a.max(axis=-1, keepdims=True)
     np.exp(a, out=a)
     a /= _row_sums(a)[..., None]

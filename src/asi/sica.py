@@ -30,10 +30,12 @@ turns back into the C-ordered (heads, rows, head_dim) block returned.
 NumPy's einsum adds the products of each output element in order of the
 reduction index, multiply then add, whenever that index is not the
 innermost axis of both operands. So these layouts give the same bits as
-the per-head 2-D product Q K^T, then P V, whether or not a large product
-is split over two threads. With a single query row the reduced axis of
-both products is innermost in both operands and that order is not pinned;
-the pipeline's blocks always hold two or more rows.
+the per-head 2-D product Q K^T, then P V. The heads are independent, so a
+large block's tracks are split by heads over two threads, each half running
+its heads' products, softmax and copies whole; that leaves every entry's
+order as it is. With a single query row the reduced axis of both products
+is innermost in both operands and that order is not pinned (nor split); the
+pipeline's blocks always hold two or more rows.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .numeric import Matrix, _contract, _is_int, _kind, _readonly, matmul, softmax_rows
+# softmax_rows is unused here, but the benchmark tracer wraps sica.softmax_rows.
+from .numeric import (Matrix, _contract, _is_int, _kind, _readonly, _softmax, _split, matmul,
+                      softmax_rows)
 
 __all__ = [
     "AttentionParams",
@@ -157,16 +161,27 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     # a view's strides. The logits are scaled and turned into P in place, in
     # the (h, t, rows) layout einsum writes them in; softmax works on their
     # (h, rows, t) view. V^T P goes to a fresh C-ordered (h, d, rows) block,
-    # and P is freed before one transposing copy makes the C-ordered
-    # (h, rows, d) result that the contractions reading it need to sum in
-    # k order.
+    # P is freed, and a transposing copy fills the C-ordered (h, rows, d)
+    # result that the contractions reading it need to sum in k order. Each
+    # head's track is independent of the others, so the heads are split over
+    # both CPUs where one product of theirs would be, each half filling its
+    # heads of the result; with a single query row that product stays whole,
+    # and so does the track.
     rows = q.reshape(hq, -1, dq)
-    p = _contract(k, np.ascontiguousarray(rows.transpose(0, 2, 1)))
-    p *= 1.0 / math.sqrt(dq)
-    softmax_rows(p.transpose(0, 2, 1))
-    out = _contract(np.ascontiguousarray(v.transpose(0, 2, 1)), p)
-    del p
-    return _readonly(np.ascontiguousarray(out.transpose(0, 2, 1)).reshape(q.shape))
+    n = rows.shape[1]
+    scale = 1.0 / math.sqrt(dq)
+    out = np.empty((hq, n, dq))
+
+    def track(lo: int, hi: int) -> None:
+        p = _contract(k[lo:hi], np.ascontiguousarray(rows[lo:hi].transpose(0, 2, 1)))
+        p *= scale
+        _softmax(p.transpose(0, 2, 1))
+        vp = _contract(np.ascontiguousarray(v[lo:hi].transpose(0, 2, 1)), p)
+        del p
+        out[lo:hi] = vp.transpose(0, 2, 1)
+
+    _split(track, hq, k.size * n if n > 1 else 0)  # the multiply-adds of each product
+    return _readonly(out.reshape(q.shape))
 
 
 def siamese_attend(

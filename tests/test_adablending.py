@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asi import numeric
 from asi.adablending import (
     AsiLayerResult,
     BlendConfig,
@@ -652,3 +654,66 @@ class TestBitwiseAgainstEarlierForms:
         fused = fuse_masks(head, extract_spatial_mask(f_c, BlendConfig(alpha=0.5)))
         float_head = head.astype(np.float64)[:, None, None]
         assert_same_bits(fused.data, np.maximum(float_head, float_spatial_mask(f_c, 0.5)) == 1.0)
+
+
+def _helper_halves(monkeypatch) -> list:
+    """A list of the (lo, hi) head ranges that the helper thread runs from now on."""
+    halves = []
+    run_half = numeric._run_half
+
+    def recorded(body, lo, hi):
+        if threading.current_thread() is not threading.main_thread():
+            halves.append((lo, hi))
+        run_half(body, lo, hi)
+
+    monkeypatch.setattr(numeric, "_run_half", recorded)
+    return halves
+
+
+class TestSplitKernels:
+    """attend, head_distances and blend split by heads have the bits they have whole.
+
+    Each kernel runs once as on one CPU and once as on two. Where it splits,
+    the helper thread runs the upper half of the heads; where one of its
+    products would stay whole, so does the kernel: the Gram at head_dim=1
+    (for the distances and the blend of that block) and attention with a
+    single query row.
+    """
+
+    @pytest.mark.parametrize("h, steps, m, d, t, splits", [
+        pytest.param(8, 8, 16, 8, 4, (False, False, False), id="small_sweep"),  # one chunk
+        pytest.param(8, 1, 1024, 40, 77, (True, True, True), id="sd_block"),
+        pytest.param(16, 1, 256, 16, 16, (True, True, True), id="mid_bypass"),
+        pytest.param(3, 1, 1024, 40, 77, (True, True, True), id="h3"),
+        pytest.param(5, 1, 1024, 40, 77, (True, True, True), id="h5"),
+        pytest.param(7, 1, 1024, 40, 77, (True, True, True), id="h7"),
+        # The Gram of 2**20 multiply-adds would split but for d=1; attention's products
+        # are k-ordered at d=1, and split.
+        pytest.param(4, 1, 1 << 18, 1, 2, (True, False, False), id="d1"),
+    ])
+    def test_split_bits_equal_the_whole_kernels(self, monkeypatch, h, steps, m, d, t, splits):
+        gen = np.random.default_rng(h * m + d)
+        q, f_s, f_c = (gen.standard_normal((h, steps, m, d)) for _ in range(3))
+        k, v = gen.standard_normal((h, t, d)), gen.standard_normal((h, t, d))
+        mask = BlendMask(gen.random(f_c.shape) < 0.5)
+        kernels = (lambda: attend(q, k, v), lambda: head_distances(f_s, f_c),
+                   lambda: blend(f_c, f_s, mask, BlendConfig()))
+        for kernel, split in zip(kernels, splits):
+            monkeypatch.setattr(numeric, "_CPUS", 1)
+            whole = kernel()
+            monkeypatch.setattr(numeric, "_CPUS", 2)
+            halves = _helper_halves(monkeypatch)
+            assert_same_bits(kernel(), whole)
+            assert halves == ([(h // 2, h)] if split else [])
+
+    def test_attention_with_one_query_row_stays_whole(self, monkeypatch):
+        gen = np.random.default_rng(1)
+        q = gen.standard_normal((8, 1, 128))
+        k, v = (gen.standard_normal((8, 1024, 128)) for _ in range(2))
+        assert k.size >= numeric._MIN_SPLIT  # each product is large enough to split
+        monkeypatch.setattr(numeric, "_CPUS", 1)
+        whole = attend(q, k, v)
+        monkeypatch.setattr(numeric, "_CPUS", 2)
+        halves = _helper_halves(monkeypatch)
+        assert_same_bits(attend(q, k, v), whole)
+        assert halves == []

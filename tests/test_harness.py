@@ -332,10 +332,11 @@ class TestRunPipeline:
         #   masks (2 / 8 = 0.25);
         # - merge_heads: the head-merged copy, the Matrix's own and its finiteness
         #   scan (2 + 1 / 8).
-        # That is 9.61 (9.74 measured); the attention peak (q, f_s, the logits that softmax
-        # turns into P in place, t / d = 1.93, and the V^T P block, on the 3.24 held all
-        # run) is lower, at 8.2 (8.6 measured). A second softmax-sized buffer, the previous
-        # chunk's blocks or the spatial input each puts it over 10.
+        # That is 9.61 (9.74 measured); the attention peak (q, f_s, the result block that
+        # both halves of the head split fill, the logits that softmax turns into P in
+        # place, t / d = 1.93, and the V^T P block, on the 3.24 held all run) is lower, at
+        # 9.2 (9.6 measured). A second softmax-sized buffer, the previous chunk's blocks or
+        # the spatial input each puts it over 10.
         assert traced_peak(cfg) <= 10 * latent_bytes
 
     def test_layers_per_step_chains_features(self, tmp_path):

@@ -148,14 +148,13 @@ class TestContractionOrder:
         seen, split, strided = set(), set(), set()
         handed = _counting_submits(monkeypatch)
 
-        def checked(a, b, out=None):
+        def checked(a, b):
             before = len(handed)
-            result = contract(a, b, out)
+            result = contract(a, b)
             layout = (a.shape, a.strides, b.shape, b.strides)
             assert result.tobytes() == k_ordered_contract(a, b).tobytes(), layout
             seen.add((a.shape, b.shape))
-            strided.update((x.shape, x.strides) for x in (a, b, out)
-                           if x is not None and not x.flags.c_contiguous)
+            strided.update((x.shape, x.strides) for x in (a, b) if not x.flags.c_contiguous)
             if len(handed) > before:
                 split.add((a.shape, b.shape))
             return result
@@ -167,20 +166,28 @@ class TestContractionOrder:
         steps = harness._chunk_steps(cfg)
         run_pipeline(dataclasses.replace(cfg, timesteps=steps))  # one chunk of `steps` steps
         h, m, d, t, md = cfg.heads, cfg.positions, cfg.head_dim, cfg.tokens, cfg.model_dim
+        # Where attention and the distances split by heads (over an even h here), each
+        # half makes their products over its h / 2 heads, and runs them whole.
+        hh = h // 2 if name in ("sd_block", "mid_bypass") else h
         project_q = ((steps * m, md), (md, md))  # over the stacked latents
         assert seen == {
             ((t, md), (md, md)),  # project_kv
             project_q,
-            ((h, t, d), (h, d, steps * m)),  # logits as K Q^T, every step's rows at once
-            ((h, d, t), (h, t, steps * m)),  # output as V^T P, P in the logits' layout
-            ((h, steps, d, m), (h, steps, m, d)),  # Gram F^T F per step
+            ((hh, t, d), (hh, d, steps * m)),  # logits as K Q^T, every step's rows at once
+            ((hh, d, t), (hh, t, steps * m)),  # output as V^T P, P in the logits' layout
+            ((hh, steps, d, m), (hh, steps, m, d)),  # Gram F^T F per step
         }
         assert not strided, strided  # (shape, strides) of each operand not C-contiguous
         assert steps == {"small_sweep": 8, "ragged": 22, "head_dim_1": 22}.get(name, 1)
-        if name in ("sd_block", "mid_bypass"):
-            assert project_q in split
+        kernels = {kernel for kernel, _, _ in handed}
+        if name == "sd_block":
+            assert project_q in split and kernels == {"_contract", "attend", "head_distances",
+                                                      "blend"}
+        if name == "mid_bypass":  # no blend: apply_asi is off
+            assert project_q in split and kernels == {"_contract", "attend", "head_distances"}
         if name == "small_sweep":
-            assert not split
+            assert not handed
+        assert split <= {((t, md), (md, md)), project_q}  # nothing splits again inside a half
 
     def test_negative_zero_products_sum_to_positive_zero(self):
         a = np.array([[-0.0, 2.0]])
@@ -194,16 +201,32 @@ HELPER_NAME = "asi-contract-helper"  # the prefix of the helper thread's name
 
 
 def _counting_submits(monkeypatch):
-    """A list that records the shape of `a` in each einsum submitted to the helper's pool."""
+    """A list of (kernel, lo, hi) for each half handed to the helper's pool: the
+    function whose body the half runs, and its range of axis 0."""
     handed = []
     submit = ThreadPoolExecutor.submit
 
-    def counted(self, fn, layout, a, *args, **kwargs):
-        handed.append(a.shape)
-        return submit(self, fn, layout, a, *args, **kwargs)
+    def counted(self, fn, *args, **kwargs):
+        if fn is numeric._run_half:
+            body, lo, hi = args
+            handed.append((body.__qualname__.split(".")[0], lo, hi))
+        return submit(self, fn, *args, **kwargs)
 
     monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
     return handed
+
+
+def _nan_filled_empty(monkeypatch):
+    # np.empty fills its block with NaN, so a half that a split left unwritten shows in
+    # the result instead of hiding behind a freed block that held the same bytes.
+    empty = np.empty
+
+    def nan_filled(*args, **kwargs):
+        block = empty(*args, **kwargs)
+        block.fill(np.nan)
+        return block
+
+    monkeypatch.setattr(np, "empty", nan_filled)
 
 
 @pytest.fixture(autouse=True)
@@ -217,7 +240,7 @@ def _pool_left_drained():
 
 
 def _split_operands(layout, d):
-    """Operands (and `out`, for V^T P^T) of one contraction layout of a run.
+    """Operands of one contraction layout of a run.
 
     Sized to at least _MIN_SPLIT multiply-adds, with an odd axis 0: 1025
     rows for the 2-D projections, 3 heads for the stacked blocks.
@@ -229,45 +252,62 @@ def _split_operands(layout, d):
         return -(-numeric._MIN_SPLIT // per_row)
 
     if layout == "projection":
-        return gen.standard_normal((1025, 33)), gen.standard_normal((33, 33)), None
+        return gen.standard_normal((1025, 33)), gen.standard_normal((33, 33))
     if layout == "logits":  # K Q^T over a contiguous Q^T
         r = rows(h * t * d)
-        return gen.standard_normal((h, t, d)), gen.standard_normal((h, d, r)), None
-    if layout == "output":  # V^T P^T into the transposed view of a C-ordered block
+        return gen.standard_normal((h, t, d)), gen.standard_normal((h, d, r))
+    if layout == "output":  # a contiguous V^T times a C-ordered P
         r = rows(h * t * d)
-        v, p = gen.standard_normal((h, t, d)), gen.standard_normal((h, r, t))
-        return v.transpose(0, 2, 1), p.transpose(0, 2, 1), np.empty((h, r, d)).transpose(0, 2, 1)
+        return gen.standard_normal((h, d, t)), gen.standard_normal((h, t, r))
     f = gen.standard_normal((h, 1, rows(h * d * d), d))  # Gram F^T F
-    return np.ascontiguousarray(np.swapaxes(f, -1, -2)), f, None
+    return np.ascontiguousarray(np.swapaxes(f, -1, -2)), f
 
 
 class TestSplitContraction:
     """A product split over two threads has the bytes of one unsplit einsum.
 
-    At head_dim=1 two of these layouts are not k-ordered, so the reference is
-    the unsplit einsum, not the k-ordered oracle.
+    At head_dim=1 the Gram is not k-ordered, so the reference is the unsplit
+    einsum, not the k-ordered oracle.
     """
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("d", [1, 8])
     @pytest.mark.parametrize("layout", ["projection", "logits", "output", "gram"])
     def test_split_bytes_equal_one_unsplit_einsum(self, monkeypatch, layout, d, cpus):
-        a, b, out = _split_operands(layout, d)
+        a, b = _split_operands(layout, d)
         assert a.size * b.shape[-1] >= numeric._MIN_SPLIT
         expected = np.einsum("...ik,...kj->...ij", a, b)
         handed = _counting_submits(monkeypatch)
         monkeypatch.setattr(numeric, "_CPUS", cpus)
-        result = numeric._contract(a, b, out)
+        result = numeric._contract(a, b)
         # One job for the helper thread on two CPUs, none on one; and none where the
-        # reduced axis is innermost in both operands, as it is for these two at d=1.
-        assert len(handed) == (cpus == 2 and not (d == 1 and layout in ("output", "gram")))
-        if out is not None:
-            assert result is out
-            assert out.transpose(0, 2, 1).flags.c_contiguous
+        # reduced axis is innermost in both operands, as it is for the Gram at d=1.
+        assert len(handed) == (cpus == 2 and not (d == 1 and layout == "gram"))
+        assert result.flags.c_contiguous
         assert result.tobytes() == expected.tobytes()
 
+    def test_a_product_inside_a_half_runs_whole(self, monkeypatch):
+        # A split kernel's products run whole inside its halves: a second hand-off would
+        # gain nothing, and from the helper's half it would wait on itself for ever (run
+        # from a thread here, so that a hang fails at the join's timeout).
+        a, b = _split_operands("projection", 8)
+        expected = np.einsum("...ik,...kj->...ij", a, b).tobytes()
+        handed = _counting_submits(monkeypatch)
+        monkeypatch.setattr(numeric, "_CPUS", 2)
+        results = {}
+
+        def body(lo, hi):
+            results[lo, hi] = numeric._contract(a, b).tobytes()
+
+        caller = threading.Thread(target=numeric._split, args=(body, 5, numeric._MIN_SPLIT))
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive()
+        assert [(lo, hi) for _, lo, hi in handed] == [(2, 5)]  # the split itself, nothing more
+        assert results == {(0, 2): expected, (2, 5): expected}
+
     def test_helper_thread_error_reaches_the_caller(self, monkeypatch):
-        a, b, _ = _split_operands("projection", 8)
+        a, b = _split_operands("projection", 8)
         einsum = np.einsum
 
         def failing_off_main(*args, **kwargs):
@@ -284,7 +324,7 @@ class TestSplitContraction:
         assert len(new) <= 1 and all(t.name.startswith(HELPER_NAME) for t in new)  # the helper
 
     def test_a_failed_caller_half_waits_for_the_helper_half(self, monkeypatch):
-        a, b, _ = _split_operands("projection", 8)
+        a, b = _split_operands("projection", 8)
         expected = np.einsum("...ik,...kj->...ij", a, b).tobytes()
         einsum, log, failing = np.einsum, [], [True]
 
@@ -313,7 +353,7 @@ class TestSplitContraction:
         # half and still wait for their own.
         if not hasattr(signal, "setitimer"):
             pytest.skip("needs signal.setitimer")
-        a, b, _ = _split_operands("projection", 8)
+        a, b = _split_operands("projection", 8)
         expected = np.einsum("...ik,...kj->...ij", a, b).tobytes()
         einsum, delays = np.einsum, [0.3]
 
@@ -343,23 +383,21 @@ class TestSplitContraction:
         assert numeric._contract(a, b).tobytes() == expected
         assert len(handed) == 2
         delays.append(0.1)
-        out = np.full((a.shape[0], b.shape[1]), np.nan)  # an unwritten half would show
-        assert numeric._contract(a, b, out) is out
-        assert out.tobytes() == expected
+        _nan_filled_empty(monkeypatch)  # an unwritten half would show
+        assert numeric._contract(a, b).tobytes() == expected
         assert len(handed) == 3
 
     def test_threads_splitting_under_contention_get_the_unsplit_bytes(self, monkeypatch):
         # More threads than CPUs, switching often, each splitting again and again.
-        a, b, _ = _split_operands("projection", 8)
+        a, b = _split_operands("projection", 8)
         expected = np.einsum("...ik,...kj->...ij", a, b).tobytes()
         results = []
         monkeypatch.setattr(numeric, "_CPUS", 2)
+        _nan_filled_empty(monkeypatch)  # an unwritten half would show
 
         def split_repeatedly():
             for _ in range(10):
-                out = np.full((a.shape[0], b.shape[1]), np.nan)  # an unwritten half would show
-                numeric._contract(a, b, out)
-                results.append(out.tobytes() == expected)
+                results.append(numeric._contract(a, b).tobytes() == expected)
 
         threads = [threading.Thread(target=split_repeatedly) for _ in range(4)]
         interval = sys.getswitchinterval()

@@ -1,11 +1,16 @@
+import collections
 import json
 import os
 import platform
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
+
+from asi import numeric
+from asi.harness import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -21,6 +26,51 @@ def test_benchmark_self_checks_pass():
         timeout=600,
     )
     assert proc.returncode == 0, proc.stderr[-4000:]
+
+
+def test_no_traced_name_runs_off_the_main_thread(tmp_path, monkeypatch):
+    # The tracer keeps one span stack, which is not thread-safe: a kernel split over
+    # the helper thread must call none of the names it wraps from there. Each name
+    # install_tracer wraps records the threads it runs on, through an sd-shape run
+    # split as on a 2-CPU host.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import worker
+
+    threads = collections.defaultdict(set)
+
+    class Recorder:
+        counts = None  # read by the tracer's on_call hooks, which never run here
+
+        def wrap(self, owner, attr, name, on_call=None):
+            original = getattr(owner, attr)
+
+            def recorded(*args, **kwargs):
+                threads[name].add(threading.current_thread())
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, recorded)
+
+        count_calls = wrap
+
+    worker.install_tracer(Recorder())
+    helper_ran = set()
+    run_half = numeric._run_half
+
+    def recorded_half(body, lo, hi):
+        if threading.current_thread() is not threading.main_thread():
+            helper_ran.add(body.__qualname__.split(".")[0])
+        run_half(body, lo, hi)
+
+    monkeypatch.setattr(numeric, "_run_half", recorded_half)
+    monkeypatch.setattr(numeric, "_CPUS", 2)
+    cfg = ExperimentConfig(heads=8, head_dim=40, positions=1024, tokens=77, timesteps=1,
+                           dump_dir=tmp_path)
+    worker.harness.run_pipeline(cfg)
+    assert helper_ran == {"_contract", "attend", "head_distances", "blend"}
+    assert {"harness.run_pipeline", "sica.siamese_attend", "adablending.head_distances",
+            "adablending.blend", "numeric.matmul", "matrix_new"} <= set(threads)
+    off_main = {name: seen for name, seen in threads.items() if seen != {threading.main_thread()}}
+    assert not off_main
 
 
 def test_peak_traced_prints_one_json_line_and_cleans_up(tmp_path):
