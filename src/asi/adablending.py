@@ -30,9 +30,10 @@ into a :class:`~asi.numeric.Matrix`.
 
 Every head's covariances, distance and AdaIN depend on that head alone, up
 to the top-n selection. So :func:`head_distances` and :func:`blend` split
-their heads over two threads where the block's Gram F^T F would split (see
-:func:`asi.numeric._contract`), after checking their arguments; each half
-writes its heads of one output, and every entry keeps its bits.
+their heads over two threads by the shape of the block's Gram F^T F (see
+:func:`asi.numeric._split`), after checking their arguments; each half
+writes its heads of one output, and every entry keeps its bits. At
+head_dim=1 the Gram has one column, and both run whole.
 """
 
 from __future__ import annotations
@@ -148,22 +149,13 @@ def _cov(f: np.ndarray) -> np.ndarray:
     return (gram - colsum[..., :, None] * colsum[..., None, :] / m) / (m - 1)
 
 
-def _by_heads(body, f: np.ndarray) -> None:
-    # Runs body(lo, hi) over the heads (axis 0) of an (h, ..., m, d) block, split
-    # over both CPUs where _contract would split the block's Gram F^T F: from
-    # _MIN_SPLIT multiply-adds, and not at d=1, where that product's bits depend on
-    # how many heads it holds. So a layer's distances and blend split together.
-    d = f.shape[-1]
-    _split(body, f.shape[0], f.size * d if d > 1 else 0)
-
-
 def head_distances(f_s: np.ndarray, f_c: np.ndarray) -> np.ndarray:
     """Covariance distance over positions of two (..., m, d) blocks, as (...).
 
     Squared Frobenius norm of the covariance difference, normalized by 4 d**2:
     symmetric in its arguments and zero when the blocks share their
     covariance. An (h, [steps,] m, d) pair gives one distance per head (and
-    step), the heads split over both CPUs as their Gram is; one m x d pair
+    step), the heads split over both CPUs by their Gram's shape; one m x d pair
     gives a 0-d array. Raises NonFiniteError when a distance is not finite,
     as it is for a block holding NaN or Inf.
     """
@@ -177,7 +169,7 @@ def head_distances(f_s: np.ndarray, f_c: np.ndarray) -> np.ndarray:
         def body(lo: int, hi: int) -> None:
             dist[lo:hi] = _distances(f_s[lo:hi], f_c[lo:hi])
 
-        _by_heads(body, f_s)
+        _split(body, f_s.shape[0], f_s.size, f_s.shape[-1])  # as the Gram F^T F
     if not np.isfinite(dist).all():  # head selection would fall to the tie-break alone
         raise NonFiniteError("head distance is not finite (covariance difference overflowed)")
     return dist
@@ -307,7 +299,7 @@ def blend(f_c: np.ndarray, f_s: np.ndarray, mask: BlendMask, cfg: BlendConfig) -
         _adain(f_c[lo:hi], f_s[lo:hi], cfg.eps, out[lo:hi])
         np.putmask(out[lo:hi], ~mask.data[lo:hi], f_c[lo:hi])  # content where the mask is False
 
-    _by_heads(body, f_c)
+    _split(body, f_c.shape[0], f_c.size, f_c.shape[-1])  # with head_distances
     return _readonly(out)
 
 

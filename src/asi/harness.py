@@ -33,7 +33,7 @@ import numpy as np
 
 from .adablending import BlendConfig, asi_layer, head_distances
 from .ddim import LatentState, NoiseSchedule, ddim_invert, ddim_step, make_schedule
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .numeric import Matrix, Rng, _as_number, _is_int, randn_matrix
 # siamese_attend is unused here, but the benchmark tracer wraps harness.siamese_attend.
 from .sica import AttentionParams, attend, merge_heads, project_kv, project_q, siamese_attend
@@ -211,11 +211,18 @@ def render_mask_pgm(path: str | Path, mask_slice: np.ndarray) -> Path:
     """Render one head's positions x head_dim mask as binary PGM.
 
     0 maps to black (preserve), 1 to white (blend); one image row per
-    position.
+    position. A slice that is not 2-D, or holds any other value (NaN
+    included), is a ShapeError, raised before the file is opened.
     """
-    m, d = mask_slice.shape
+    a = np.asarray(mask_slice)
+    if a.ndim != 2:
+        raise ShapeError(f"render_mask_pgm needs a 2-D mask slice, got shape {a.shape}")
+    if a.dtype.kind not in "biuf" or not ((a == 0) | (a == 1)).all():
+        raise ShapeError(f"render_mask_pgm needs mask entries of 0 or 1, got {a.dtype} entries "
+                         "holding other values")
+    m, d = a.shape
     header = f"P5\n{d} {m}\n255\n".encode("ascii")
-    body = (mask_slice * 255.0).astype(np.uint8).tobytes(order="C")
+    body = (a * 255.0).astype(np.uint8).tobytes(order="C")
     path = Path(path)
     path.write_bytes(header + body)
     return path

@@ -5,16 +5,16 @@ fixed order (``np.einsum`` rather than BLAS), so identical inputs produce
 bit-identical outputs regardless of CPU count, thread count or BLAS
 backend. Large work may be split in two along its first axis, which leaves
 every entry's order as it is: the caller runs one half, and the one worker
-of a process-wide thread pool runs the other (:func:`_split`). A large
-product splits by rows or heads on its own, and the attention, distance and
-blending kernels split their whole per-head work the same way, with the
-products inside each half unsplit. The first split makes the pool
-(importing the package starts no thread), and a forked child makes its
-own. :class:`Matrix` is the validated 2-D type at the edges (inputs,
-weights, latents, projections and merged layer outputs); the layer kernels
-work on plain read-only arrays, whole feature blocks at a time. The row
-softmax alone writes its argument: it normalizes attention's own logits
-buffer in place.
+of a process-wide thread pool runs the other (:func:`_split`, which alone
+decides whether work splits). Each public kernel splits its own work:
+:func:`matmul` by rows, and the attention, distance and blending kernels
+by heads, the products inside each half unsplit. The first split makes
+the pool (importing the package starts no thread), and a forked child
+makes its own. :class:`Matrix` is the validated 2-D type at the edges
+(inputs, weights, latents, projections and merged layer outputs); the
+layer kernels work on plain read-only arrays, whole feature blocks at a
+time. The row softmax alone writes its argument: it normalizes
+attention's own logits buffer in place.
 """
 
 from __future__ import annotations
@@ -41,13 +41,18 @@ class Matrix:
 
     The wrapped array is read-only; operations return new matrices. Entries
     are validated to be finite on construction, so any public operation that
-    would produce NaN/Inf fails loudly instead of propagating garbage.
+    would produce NaN/Inf fails loudly instead of propagating garbage. Bool,
+    integer and float input is taken; complex, string or object input is a
+    ShapeError.
     """
 
     __slots__ = ("_a",)
 
     def __init__(self, values) -> None:
-        a = np.array(values, dtype=np.float64, order="C", copy=True)
+        a = np.asarray(values)
+        if a.dtype.kind not in "biuf":  # a complex value would lose its imaginary part
+            raise ShapeError(f"Matrix entries must be real numbers, got dtype {a.dtype}")
+        a = np.array(a, dtype=np.float64, order="C", copy=True)
         if a.ndim != 2:
             raise ShapeError(f"Matrix requires 2-D data, got {a.ndim}-D")
         if min(a.shape) < 1:
@@ -77,11 +82,11 @@ class Matrix:
         return f"Matrix(<{self.rows}x{self.cols}>)"
 
 
-# CPUs this process may run on, read once: a product is split over two threads
-# only when a second one is there to take the other half.
+# CPUs this process may run on, read once: work is split over two threads only
+# when a second one is there to take the other half.
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-# Multiply-adds from which a product is split in two. Submitting a half to the
+# Multiply-adds from which work is split in two. Submitting a half to the
 # helper's pool and waiting for it costs about 60 us (p50, 2-CPU x86 box), and
 # einsum does about 2.5 G multiply-adds/s, so a split saves time from about
 # 2 * 60e-6 * 2.5e9 = 3e5 multiply-adds on. 2**20 stays, about 3.5x over that
@@ -112,21 +117,26 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _split(body, n: int, work: int) -> None:
-    """Run body(lo, hi) over [0, n) of an axis 0, in two halves when that pays.
+def _split(body, n: int, size: int, cols: int) -> None:
+    """Run body(lo, hi) over [0, n) of an axis 0, in two halves where that pays and keeps the bits.
 
-    From `work` >= _MIN_SPLIT multiply-adds (or their equivalent), n >= 2
-    and a second CPU, the process's one helper thread runs body(n // 2, n)
-    while the caller runs body(0, n // 2); otherwise the caller runs
-    body(0, n). The caller waits for the helper's half before it returns or
-    re-raises an error of either half, its own first. Splits from several
-    threads queue for the helper in turn, and nothing splits again inside a
-    half. Each half must write only its own slices of outputs made before
-    the split, and the body must call no public asi function: the benchmark's
-    tracer wraps those and keeps its span stack on the caller's thread alone.
+    The body's largest product has `size` entries in its first operand and
+    `cols` columns. From _MIN_SPLIT multiply-adds (size * cols), n >= 2 and
+    a second CPU, the process's one helper thread runs body(n // 2, n) while
+    the caller runs body(0, n // 2); otherwise the caller runs body(0, n).
+    A half sums each entry as the whole does, except in a product of one
+    column: its reduced axis is innermost in both C-ordered operands, and
+    einsum sums it in blocks bounded by the extent of the outer axes. So
+    such work runs whole at any size. The caller waits for the helper's
+    half, then re-raises an error of either half, its own first. Splits
+    from several threads queue for the helper in turn, and nothing splits
+    again inside a half. Each half writes only its own slices of outputs
+    made before the split, and the body calls no public asi function: the
+    benchmark's tracer keeps its span stack on the caller's thread alone.
     """
     global _pool
-    if work < _MIN_SPLIT or n < 2 or _CPUS < 2 or getattr(_in_half, "on", False):
+    if (cols == 1 or size * cols < _MIN_SPLIT or n < 2 or _CPUS < 2
+            or getattr(_in_half, "on", False)):
         body(0, n)
         return
     if _pool is None:
@@ -152,47 +162,32 @@ def _run_half(body, lo: int, hi: int) -> None:
         _in_half.on = False
 
 
-def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _contract(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The one fixed-order product, a @ b over the last two axes of 2-D or stacked blocks.
 
-    Stacked operands share their leading axes, and the result is a fresh
-    C-ordered block. A product of at least `_MIN_SPLIT` multiply-adds is
-    split in two along axis 0 of the result (the rows of a 2-D `a`, else
-    the head axis of both operands) by :func:`_split`, each half by einsum
-    into its slice of the result; inside a half of a split kernel it runs
-    whole. Each entry is summed by the same inner loop over the same strides
-    as unsplit, so its bits do not depend on the split. That fails where the
-    reduced axis is innermost in both operands (F^T F at head_dim=1;
-    attend's products only for a single query row): einsum then sums it in
-    blocks whose bounds depend on the extent of the outer axes, so a half
-    can sum a long reduction in other blocks than the whole does. Those
-    products stay unsplit, and so do the kernels that make them.
+    Stacked operands share their leading axes. The result goes to `out`,
+    else to a fresh C-ordered block, and is returned.
     """
-    innermost = a.strides[-1] == b.strides[-2] == a.itemsize
-    work = 0 if innermost else a.size * b.shape[-1]
-    if work < _MIN_SPLIT:  # most products of a small run: no split to set up
-        return np.einsum(_LAYOUT, a, b)
-    out = np.empty((*a.shape[:-1], b.shape[-1]))
-
-    def product(lo: int, hi: int) -> None:
-        np.einsum(_LAYOUT, a[lo:hi], b if b.ndim == 2 else b[lo:hi], out=out[lo:hi])
-
-    _split(product, a.shape[0], work)
-    return out
+    return np.einsum(_LAYOUT, a, b, out=out)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     """Strict matrix product a @ b.
 
-    Computed with a fixed-order contraction: each entry is summed in k order
+    Computed with a fixed-order contraction: each entry is summed in one order
     whether or not the rows are split over two threads, so the result is
     reproducible bit-for-bit across runs, CPU counts and BLAS backends.
     """
+    for name, x in (("a", a), ("b", b)):
+        if not isinstance(x, Matrix):
+            raise ShapeError(f"matmul: operand {name} must be a Matrix, got {_kind(x)}")
     if a.cols != b.rows:
         raise ShapeError(
             f"matmul: inner dimensions differ for ({a.rows}x{a.cols}) @ ({b.rows}x{b.cols})"
         )
-    return Matrix(_contract(a.a, b.a))
+    out = np.empty((a.rows, b.cols))
+    _split(lambda lo, hi: _contract(a.a[lo:hi], b.a, out[lo:hi]), a.rows, a.a.size, b.cols)
+    return Matrix(out)
 
 
 def softmax_rows(a: np.ndarray) -> np.ndarray:

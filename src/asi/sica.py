@@ -33,9 +33,10 @@ innermost axis of both operands. So these layouts give the same bits as
 the per-head 2-D product Q K^T, then P V. The heads are independent, so a
 large block's tracks are split by heads over two threads, each half running
 its heads' products, softmax and copies whole; that leaves every entry's
-order as it is. With a single query row the reduced axis of both products
-is innermost in both operands and that order is not pinned (nor split); the
-pipeline's blocks always hold two or more rows.
+order as it is. With a single query row both products have one column, so
+their reduced axis is innermost in both operands: that order is not pinned,
+and the track runs whole (see :func:`asi.numeric._split`). The pipeline's
+blocks always hold two or more rows.
 """
 
 from __future__ import annotations
@@ -163,10 +164,9 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     # (h, rows, t) view. V^T P goes to a fresh C-ordered (h, d, rows) block,
     # P is freed, and a transposing copy fills the C-ordered (h, rows, d)
     # result that the contractions reading it need to sum in k order. Each
-    # head's track is independent of the others, so the heads are split over
-    # both CPUs where one product of theirs would be, each half filling its
-    # heads of the result; with a single query row that product stays whole,
-    # and so does the track.
+    # head's track is independent of the others, so the heads may split over
+    # both CPUs, each half filling its heads of the result. Both products are
+    # k.size * n multiply-adds, with n columns.
     rows = q.reshape(hq, -1, dq)
     n = rows.shape[1]
     scale = 1.0 / math.sqrt(dq)
@@ -180,7 +180,7 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
         del p
         out[lo:hi] = vp.transpose(0, 2, 1)
 
-    _split(track, hq, k.size * n if n > 1 else 0)  # the multiply-adds of each product
+    _split(track, hq, k.size, n)
     return _readonly(out.reshape(q.shape))
 
 

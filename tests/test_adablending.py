@@ -674,10 +674,10 @@ class TestSplitKernels:
     """attend, head_distances and blend split by heads have the bits they have whole.
 
     Each kernel runs once as on one CPU and once as on two. Where it splits,
-    the helper thread runs the upper half of the heads; where one of its
-    products would stay whole, so does the kernel: the Gram at head_dim=1
-    (for the distances and the blend of that block) and attention with a
-    single query row.
+    the helper thread runs the upper half of the heads; where its largest
+    product has one column, it runs whole: the Gram at head_dim=1 (for the
+    distances and the blend of that block) and attention with a single
+    query row.
     """
 
     @pytest.mark.parametrize("h, steps, m, d, t, splits", [
@@ -687,8 +687,8 @@ class TestSplitKernels:
         pytest.param(3, 1, 1024, 40, 77, (True, True, True), id="h3"),
         pytest.param(5, 1, 1024, 40, 77, (True, True, True), id="h5"),
         pytest.param(7, 1, 1024, 40, 77, (True, True, True), id="h7"),
-        # The Gram of 2**20 multiply-adds would split but for d=1; attention's products
-        # are k-ordered at d=1, and split.
+        # The Gram of 2**20 multiply-adds has one column at d=1, and stays whole;
+        # attention's products are k-ordered at d=1, and split.
         pytest.param(4, 1, 1 << 18, 1, 2, (True, False, False), id="d1"),
     ])
     def test_split_bits_equal_the_whole_kernels(self, monkeypatch, h, steps, m, d, t, splits):

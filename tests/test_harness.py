@@ -14,7 +14,7 @@ import pytest
 from asi import harness
 from asi.adablending import BlendConfig, asi_layer, head_distances
 from asi.ddim import ddim_invert, ddim_step, make_schedule
-from asi.errors import ConfigError
+from asi.errors import ConfigError, ShapeError
 from asi.harness import (
     ExperimentConfig,
     configure,
@@ -301,6 +301,24 @@ class TestRunPipeline:
         blob = path.read_bytes()
         assert blob.startswith(b"P5\n2 3\n255\n")
         assert blob[len(b"P5\n2 3\n255\n"):] == bytes([0, 255, 255, 0, 255, 255])
+
+    @pytest.mark.parametrize("mask, match", [
+        (np.zeros((2, 3, 4), dtype=bool), r"2-D mask slice, got shape \(2, 3, 4\)"),
+        (np.zeros(3, dtype=bool), r"2-D mask slice, got shape \(3,\)"),
+        (np.array([[0.0, 2.0]]), "entries of 0 or 1, got float64 entries"),  # would be byte 254
+        (np.array([[np.nan, 1.0]]), "entries of 0 or 1, got float64 entries"),  # would be byte 0
+        (np.array([[-1, 0]]), "entries of 0 or 1, got int64 entries"),
+        (np.array([["1"]]), "entries of 0 or 1, got <U1 entries"),
+    ])
+    def test_pgm_render_rejects_a_bad_slice_before_opening_the_file(self, tmp_path, mask, match):
+        with pytest.raises(ShapeError, match=match):
+            render_mask_pgm(tmp_path / "m.pgm", mask)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_pgm_render_takes_bool_and_integer_slices(self, tmp_path):
+        ints = render_mask_pgm(tmp_path / "i.pgm", np.array([[0, 1]])).read_bytes()
+        bools = render_mask_pgm(tmp_path / "b.pgm", np.array([[False, True]])).read_bytes()
+        assert ints == bools == b"P5\n2 1\n255\n" + bytes([0, 255])
 
     def test_pgm_files_per_head(self, tmp_path):
         cfg = small_cfg(tmp_path)

@@ -47,6 +47,22 @@ class TestMatrix:
         with pytest.raises(ValueError):
             Matrix([[float("inf"), 0.0]])
 
+    @pytest.mark.parametrize("values, dtype", [
+        (np.array([[1.0 + 2.0j, 0.0]]), "complex128"),  # would lose its imaginary part
+        ("ab", "<U2"),
+        ([["1.5"]], "<U3"),  # a number's text is no number
+        ([[object()]], "object"),
+    ])
+    def test_rejects_non_real_input_naming_its_dtype(self, values, dtype):
+        with pytest.raises(ShapeError, match=f"real numbers, got dtype {dtype}$"):
+            Matrix(values)
+
+    def test_takes_bool_and_integer_input(self):
+        assert Matrix([[True, False]]).a.tobytes() == np.array([[1.0, 0.0]]).tobytes()
+        ints = Matrix(np.array([[-3, 7]], dtype=np.int8))
+        assert ints.a.dtype == np.float64 and ints.a.tolist() == [[-3.0, 7.0]]
+        assert Matrix(np.array([[2**40]], dtype=np.uint64)).a[0, 0] == 2.0**40
+
     def test_immutable(self):
         m = Matrix([[1.0, 2.0]])
         with pytest.raises(ValueError):
@@ -81,6 +97,15 @@ class TestMatmul:
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"2x3.*4x5"):
             matmul(Matrix(np.zeros((2, 3))), Matrix(np.zeros((4, 5))))
+
+    @pytest.mark.parametrize("a, b, name, kind", [
+        (np.eye(2), Matrix(np.eye(2)), "a", "float64 array"),
+        (Matrix(np.eye(2)), [[1.0, 0.0], [0.0, 1.0]], "b", "list"),
+        (Matrix(np.eye(2)), None, "b", "NoneType"),
+    ])
+    def test_non_matrix_operand_is_shape_error_naming_it(self, a, b, name, kind):
+        with pytest.raises(ShapeError, match=f"operand {name} must be a Matrix, got {kind}$"):
+            matmul(a, b)
 
     def test_overflow_is_an_error_not_inf(self):
         huge = Matrix([[1e300, 1e300]])
@@ -145,18 +170,15 @@ class TestContractionOrder:
     ])
     def test_every_contraction_of_one_chunk_is_k_ordered(self, tmp_path, monkeypatch, name):
         contract = numeric._contract
-        seen, split, strided = set(), set(), set()
+        seen, strided = set(), set()
         handed = _counting_submits(monkeypatch)
 
-        def checked(a, b):
-            before = len(handed)
-            result = contract(a, b)
+        def checked(a, b, out=None):
+            result = contract(a, b, out)
             layout = (a.shape, a.strides, b.shape, b.strides)
             assert result.tobytes() == k_ordered_contract(a, b).tobytes(), layout
             seen.add((a.shape, b.shape))
-            strided.update((x.shape, x.strides) for x in (a, b) if not x.flags.c_contiguous)
-            if len(handed) > before:
-                split.add((a.shape, b.shape))
+            strided.update((x.shape, x.strides) for x in (a, b, result) if not x.flags.c_contiguous)
             return result
 
         for module in (numeric, sica, adablending):
@@ -166,13 +188,19 @@ class TestContractionOrder:
         steps = harness._chunk_steps(cfg)
         run_pipeline(dataclasses.replace(cfg, timesteps=steps))  # one chunk of `steps` steps
         h, m, d, t, md = cfg.heads, cfg.positions, cfg.head_dim, cfg.tokens, cfg.model_dim
-        # Where attention and the distances split by heads (over an even h here), each
-        # half makes their products over its h / 2 heads, and runs them whole.
-        hh = h // 2 if name in ("sd_block", "mid_bypass") else h
-        project_q = ((steps * m, md), (md, md))  # over the stacked latents
+        # Where the kernels split (over an even h here), matmul makes each projection in
+        # two halves of its rows, and attention and the distances make their products
+        # over h / 2 heads in each half.
+        split = name in ("sd_block", "mid_bypass")
+        hh = h // 2 if split else h
+
+        def projection(rows):  # the row halves matmul contracts, or all its rows at once
+            halves = {rows // 2, rows - rows // 2} if split else {rows}
+            return {((r, md), (md, md)) for r in halves}
+
         assert seen == {
-            ((t, md), (md, md)),  # project_kv
-            project_q,
+            *projection(t),  # project_kv
+            *projection(steps * m),  # project_q over the stacked latents
             ((hh, t, d), (hh, d, steps * m)),  # logits as K Q^T, every step's rows at once
             ((hh, d, t), (hh, t, steps * m)),  # output as V^T P, P in the logits' layout
             ((hh, steps, d, m), (hh, steps, m, d)),  # Gram F^T F per step
@@ -181,13 +209,11 @@ class TestContractionOrder:
         assert steps == {"small_sweep": 8, "ragged": 22, "head_dim_1": 22}.get(name, 1)
         kernels = {kernel for kernel, _, _ in handed}
         if name == "sd_block":
-            assert project_q in split and kernels == {"_contract", "attend", "head_distances",
-                                                      "blend"}
+            assert kernels == {"matmul", "attend", "head_distances", "blend"}
         if name == "mid_bypass":  # no blend: apply_asi is off
-            assert project_q in split and kernels == {"_contract", "attend", "head_distances"}
-        if name == "small_sweep":
+            assert kernels == {"matmul", "attend", "head_distances"}
+        if not split:
             assert not handed
-        assert split <= {((t, md), (md, md)), project_q}  # nothing splits again inside a half
 
     def test_negative_zero_products_sum_to_positive_zero(self):
         a = np.array([[-0.0, 2.0]])
@@ -239,75 +265,85 @@ def _pool_left_drained():
         numeric._pool.submit(int).result(timeout=10)
 
 
-def _split_operands(layout, d):
-    """Operands of one contraction layout of a run.
-
-    Sized to at least _MIN_SPLIT multiply-adds, with an odd axis 0: 1025
-    rows for the 2-D projections, 3 heads for the stacked blocks.
-    """
-    gen = np.random.default_rng(d)
-    h, t = 3, 7
-
-    def rows(per_row):  # the fewest rows that reach _MIN_SPLIT
-        return -(-numeric._MIN_SPLIT // per_row)
-
-    if layout == "projection":
-        return gen.standard_normal((1025, 33)), gen.standard_normal((33, 33))
-    if layout == "logits":  # K Q^T over a contiguous Q^T
-        r = rows(h * t * d)
-        return gen.standard_normal((h, t, d)), gen.standard_normal((h, d, r))
-    if layout == "output":  # a contiguous V^T times a C-ordered P
-        r = rows(h * t * d)
-        return gen.standard_normal((h, d, t)), gen.standard_normal((h, t, r))
-    f = gen.standard_normal((h, 1, rows(h * d * d), d))  # Gram F^T F
-    return np.ascontiguousarray(np.swapaxes(f, -1, -2)), f
+def _split_operands():
+    """Two matrices whose product splits: 1025 x 33 times 33 x 33, an odd row count."""
+    gen = np.random.default_rng(8)
+    return Matrix(gen.standard_normal((1025, 33))), Matrix(gen.standard_normal((33, 33)))
 
 
-class TestSplitContraction:
-    """A product split over two threads has the bytes of one unsplit einsum.
+def _one_einsum(a, b):
+    return np.einsum("...ik,...kj->...ij", a.a, b.a).tobytes()
 
-    At head_dim=1 the Gram is not k-ordered, so the reference is the unsplit
-    einsum, not the k-ordered oracle.
+
+class TestSplitRule:
+    """_split alone decides whether work splits, from the shape of its largest product.
+
+    Work runs whole where that product has one column (at any size), below
+    _MIN_SPLIT multiply-adds, over fewer than two entries of axis 0, or on
+    one CPU; otherwise the helper thread runs exactly (n // 2, n).
     """
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    @pytest.mark.parametrize("d", [1, 8])
-    @pytest.mark.parametrize("layout", ["projection", "logits", "output", "gram"])
-    def test_split_bytes_equal_one_unsplit_einsum(self, monkeypatch, layout, d, cpus):
-        a, b = _split_operands(layout, d)
-        assert a.size * b.shape[-1] >= numeric._MIN_SPLIT
-        expected = np.einsum("...ik,...kj->...ij", a, b)
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("cols", [1, 2, 3])
+    @pytest.mark.parametrize("size", [1, numeric._MIN_SPLIT // 2 - 1, numeric._MIN_SPLIT // 2,
+                                      1 << 40])
+    def test_whole_or_the_upper_half_to_the_helper(self, monkeypatch, size, cols, n, cpus):
         handed = _counting_submits(monkeypatch)
         monkeypatch.setattr(numeric, "_CPUS", cpus)
-        result = numeric._contract(a, b)
-        # One job for the helper thread on two CPUs, none on one; and none where the
-        # reduced axis is innermost in both operands, as it is for the Gram at d=1.
-        assert len(handed) == (cpus == 2 and not (d == 1 and layout == "gram"))
-        assert result.flags.c_contiguous
-        assert result.tobytes() == expected.tobytes()
+        ran = []
+        numeric._split(lambda lo, hi: ran.append((lo, hi)), n, size, cols)
+        splits = cols > 1 and size * cols >= numeric._MIN_SPLIT and n >= 2 and cpus == 2
+        assert [(lo, hi) for _, lo, hi in handed] == ([(n // 2, n)] if splits else [])
+        assert sorted(ran) == ([(0, n // 2), (n // 2, n)] if splits else [(0, n)])
 
-    def test_a_product_inside_a_half_runs_whole(self, monkeypatch):
-        # A split kernel's products run whole inside its halves: a second hand-off would
-        # gain nothing, and from the helper's half it would wait on itself for ever (run
-        # from a thread here, so that a hang fails at the join's timeout).
-        a, b = _split_operands("projection", 8)
-        expected = np.einsum("...ik,...kj->...ij", a, b).tobytes()
+    def test_a_one_column_matmul_stays_whole(self, monkeypatch):
+        # 1.5 * 2**20 multiply-adds, the reduced axis innermost in both operands: einsum
+        # sums each row of the upper half (1 of 3) in other blocks than it does whole.
+        gen = np.random.default_rng(3)
+        a, b = Matrix(gen.standard_normal((3, 1 << 19))), Matrix(gen.standard_normal((1 << 19, 1)))
+        assert a.a.size * b.cols >= numeric._MIN_SPLIT
+        halves = [np.einsum("ik,kj->ij", a.a[lo:hi], b.a) for lo, hi in ((0, 1), (1, 3))]
+        assert np.concatenate(halves).tobytes() != _one_einsum(a, b)
         handed = _counting_submits(monkeypatch)
         monkeypatch.setattr(numeric, "_CPUS", 2)
-        results = {}
+        assert matmul(a, b).a.tobytes() == _one_einsum(a, b)
+        assert not handed
+
+
+class TestSplitContraction:
+    """A product split over two threads has the bytes of one unsplit einsum."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_split_bytes_equal_one_unsplit_einsum(self, monkeypatch, cpus):
+        a, b = _split_operands()
+        handed = _counting_submits(monkeypatch)
+        monkeypatch.setattr(numeric, "_CPUS", cpus)
+        result = matmul(a, b)
+        assert handed == ([("matmul", 512, 1025)] if cpus == 2 else [])
+        assert result.a.tobytes() == _one_einsum(a, b)
+
+    def test_a_split_nested_in_a_half_runs_whole(self, monkeypatch):
+        # A second hand-off from a half would gain nothing, and from the helper's half it
+        # would wait on itself for ever (run from a thread here, so that a hang fails at
+        # the join's timeout).
+        handed = _counting_submits(monkeypatch)
+        monkeypatch.setattr(numeric, "_CPUS", 2)
+        inner = {}
 
         def body(lo, hi):
-            results[lo, hi] = numeric._contract(a, b).tobytes()
+            ran = inner.setdefault((lo, hi), [])
+            numeric._split(lambda lo, hi: ran.append((lo, hi)), 5, numeric._MIN_SPLIT, 2)
 
-        caller = threading.Thread(target=numeric._split, args=(body, 5, numeric._MIN_SPLIT))
+        caller = threading.Thread(target=numeric._split, args=(body, 5, numeric._MIN_SPLIT, 2))
         caller.start()
         caller.join(timeout=30)
         assert not caller.is_alive()
-        assert [(lo, hi) for _, lo, hi in handed] == [(2, 5)]  # the split itself, nothing more
-        assert results == {(0, 2): expected, (2, 5): expected}
+        assert [(lo, hi) for _, lo, hi in handed] == [(2, 5)]  # the outer split, nothing more
+        assert inner == {(0, 2): [(0, 5)], (2, 5): [(0, 5)]}
 
     def test_helper_thread_error_reaches_the_caller(self, monkeypatch):
-        a, b = _split_operands("projection", 8)
+        a, b = _split_operands()
         einsum = np.einsum
 
         def failing_off_main(*args, **kwargs):
@@ -319,13 +355,13 @@ class TestSplitContraction:
         monkeypatch.setattr(np, "einsum", failing_off_main)
         threads = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="helper failed"):
-            numeric._contract(a, b)
+            matmul(a, b)
         new = set(threading.enumerate()) - threads
         assert len(new) <= 1 and all(t.name.startswith(HELPER_NAME) for t in new)  # the helper
 
     def test_a_failed_caller_half_waits_for_the_helper_half(self, monkeypatch):
-        a, b = _split_operands("projection", 8)
-        expected = np.einsum("...ik,...kj->...ij", a, b).tobytes()
+        a, b = _split_operands()
+        expected = _one_einsum(a, b)
         einsum, log, failing = np.einsum, [], [True]
 
         def failing_on_main(*args, **kwargs):
@@ -342,10 +378,10 @@ class TestSplitContraction:
         monkeypatch.setattr(numeric, "_CPUS", 2)
         monkeypatch.setattr(np, "einsum", failing_on_main)
         with pytest.raises(RuntimeError, match="caller failed"):
-            numeric._contract(a, b)
+            matmul(a, b)
         assert log == ["helper done"]
         failing.clear()
-        assert numeric._contract(a, b).tobytes() == expected
+        assert matmul(a, b).a.tobytes() == expected
         assert len(handed) == 2 and log == ["helper done"] * 2
 
     def test_an_interrupted_wait_leaves_no_completion_behind(self, monkeypatch):
@@ -353,8 +389,8 @@ class TestSplitContraction:
         # half and still wait for their own.
         if not hasattr(signal, "setitimer"):
             pytest.skip("needs signal.setitimer")
-        a, b = _split_operands("projection", 8)
-        expected = np.einsum("...ik,...kj->...ij", a, b).tobytes()
+        a, b = _split_operands()
+        expected = _one_einsum(a, b)
         einsum, delays = np.einsum, [0.3]
 
         def slow_off_main(*args, **kwargs):
@@ -375,29 +411,29 @@ class TestSplitContraction:
         try:
             signal.setitimer(signal.ITIMER_REAL, 0.05)
             with pytest.raises(Interrupted):
-                numeric._contract(a, b)
+                matmul(a, b)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         # Queued behind the interrupted split's half, which is thus done when this returns.
-        assert numeric._contract(a, b).tobytes() == expected
+        assert matmul(a, b).a.tobytes() == expected
         assert len(handed) == 2
         delays.append(0.1)
         _nan_filled_empty(monkeypatch)  # an unwritten half would show
-        assert numeric._contract(a, b).tobytes() == expected
+        assert matmul(a, b).a.tobytes() == expected
         assert len(handed) == 3
 
     def test_threads_splitting_under_contention_get_the_unsplit_bytes(self, monkeypatch):
         # More threads than CPUs, switching often, each splitting again and again.
-        a, b = _split_operands("projection", 8)
-        expected = np.einsum("...ik,...kj->...ij", a, b).tobytes()
+        a, b = _split_operands()
+        expected = _one_einsum(a, b)
         results = []
         monkeypatch.setattr(numeric, "_CPUS", 2)
         _nan_filled_empty(monkeypatch)  # an unwritten half would show
 
         def split_repeatedly():
             for _ in range(10):
-                results.append(numeric._contract(a, b).tobytes() == expected)
+                results.append(matmul(a, b).a.tobytes() == expected)
 
         threads = [threading.Thread(target=split_repeatedly) for _ in range(4)]
         interval = sys.getswitchinterval()
@@ -439,9 +475,9 @@ def slow_init(*args):
     time.sleep(0.05)
     init(*args)
 ThreadPoolExecutor.__init__ = slow_init
-a, b = np.ones((1024, 64)), np.ones((64, 64))
+a, b = numeric.Matrix(np.ones((1024, 64))), numeric.Matrix(np.ones((64, 64)))
 start = threading.Barrier(4)
-racers = [threading.Thread(target=lambda: (start.wait(), numeric._contract(a, b)))
+racers = [threading.Thread(target=lambda: (start.wait(), numeric.matmul(a, b)))
           for _ in range(4)]
 for racer in racers:
     racer.start()
@@ -456,7 +492,7 @@ if hasattr(os, "fork"):
     pid = os.fork()
     if pid == 0:
         signal.alarm(20)
-        os._exit(0 if (numeric._contract(a, b) == 64.0).all() else 1)
+        os._exit(0 if (numeric.matmul(a, b).a == 64.0).all() else 1)
     print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 else:
     print(0)

@@ -66,7 +66,7 @@ def test_no_traced_name_runs_off_the_main_thread(tmp_path, monkeypatch):
     cfg = ExperimentConfig(heads=8, head_dim=40, positions=1024, tokens=77, timesteps=1,
                            dump_dir=tmp_path)
     worker.harness.run_pipeline(cfg)
-    assert helper_ran == {"_contract", "attend", "head_distances", "blend"}
+    assert helper_ran == {"matmul", "attend", "head_distances", "blend"}
     assert {"harness.run_pipeline", "sica.siamese_attend", "adablending.head_distances",
             "adablending.blend", "numeric.matmul", "matrix_new"} <= set(threads)
     off_main = {name: seen for name, seen in threads.items() if seen != {threading.main_thread()}}
