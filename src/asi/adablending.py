@@ -28,12 +28,13 @@ Blocks are not scanned for NaN/Inf again: the head distances are checked,
 and a non-finite block fails there or when the layer output is merged back
 into a :class:`~asi.numeric.Matrix`.
 
-Every head's covariances, distance and AdaIN depend on that head alone, up
-to the top-n selection. So :func:`head_distances` and :func:`blend` split
+Every head's covariances, distance, masks and AdaIN depend on that head
+alone, up to the top-n selection. So :func:`head_distances`,
+:func:`extract_spatial_mask`, :func:`fuse_masks` and :func:`blend` split
 their heads over two threads by the shape of the block's Gram F^T F (see
 :func:`asi.numeric._split`), after checking their arguments; each half
 writes its heads of one output, and every entry keeps its bits. At
-head_dim=1 the Gram has one column, and both run whole.
+head_dim=1 the Gram has one column, and all four run whole.
 """
 
 from __future__ import annotations
@@ -213,10 +214,16 @@ def extract_spatial_mask(f_c: np.ndarray, cfg: BlendConfig) -> BlendMask:
     written rather than special-cased.
     """
     _check_blocks("extract_spatial_mask", f_c, least=3)
-    peaks = f_c.max(axis=-2, keepdims=True)
-    tau = cfg.alpha * peaks
-    # Not f_c <= tau: a NaN entry compares False both ways and must blend (True).
-    return BlendMask(~(f_c > tau))
+    out = np.empty(f_c.shape, dtype=bool)
+
+    def body(lo: int, hi: int) -> None:
+        f, mask = f_c[lo:hi], out[lo:hi]
+        # Not f <= tau: a NaN entry compares False both ways and must blend (True).
+        np.greater(f, cfg.alpha * f.max(axis=-2, keepdims=True), out=mask)
+        np.logical_not(mask, out=mask)
+
+    _split(body, f_c.shape[0], f_c.size, f_c.shape[-1])  # with blend
+    return BlendMask(out)
 
 
 def _check_config(what: str, cfg: BlendConfig) -> None:
@@ -243,7 +250,13 @@ def fuse_masks(head: np.ndarray, spatial: BlendMask) -> BlendMask:
     if head.shape != spatial.data.shape[:-2]:
         raise ShapeError(f"head mask has shape {head.shape}, spatial mask has heads "
                          f"{spatial.data.shape[:-2]}")
-    return BlendMask(head[..., None, None] | spatial.data)
+    out = np.empty(spatial.data.shape, dtype=bool)
+
+    def body(lo: int, hi: int) -> None:
+        np.bitwise_or(head[lo:hi, ..., None, None], spatial.data[lo:hi], out=out[lo:hi])
+
+    _split(body, len(out), out.size, out.shape[-1])  # with blend
+    return BlendMask(out)
 
 
 def _adain(f_c: np.ndarray, f_s: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import ConfigError, ScheduleError, ShapeError, TimestepError
-from .numeric import Matrix, _is_int
+from .numeric import Matrix, _check_finite, _is_int, _split
 
 __all__ = [
     "NoiseSchedule",
@@ -87,40 +87,54 @@ def _check_shapes(a: Matrix, b: Matrix, what: str) -> None:
         raise ShapeError(f"{what}: shapes differ, {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
 
 
-def _clean_estimate(x_t: Matrix, eps: Matrix, t: int, sched: NoiseSchedule) -> np.ndarray:
-    # (x_t - sqrt(1 - ab_t) eps) / sqrt(ab_t), as a fresh writable array.
+def _estimate_bar(x_t: Matrix, eps: Matrix, t: int, sched: NoiseSchedule) -> float:
+    # alpha_bar at t, where the clean estimate from x_t and eps is defined.
     _check_shapes(x_t, eps, "latent vs noise")
     ab = sched.bar(t)
     if ab == 0.0:
         raise ScheduleError(f"alpha_bar vanishes at t={t}; clean estimate undefined")
-    x = x_t.a - np.sqrt(1.0 - ab) * eps.a
-    x /= np.sqrt(ab)
-    return x
+    return ab
 
 
-def _renoise(x: np.ndarray, eps: Matrix, t: int, sched: NoiseSchedule) -> np.ndarray:
-    # In place: x <- sqrt(ab_t) x + sqrt(1 - ab_t) eps, the same bits as the fresh form.
-    ab = sched.bar(t)
+def _estimate(out: np.ndarray, x_t: np.ndarray, eps: np.ndarray, ab: float) -> np.ndarray:
+    # In `out`: (x_t - sqrt(1 - ab) eps) / sqrt(ab).
+    np.subtract(x_t, np.sqrt(1.0 - ab) * eps, out=out)
+    out /= np.sqrt(ab)
+    return out
+
+
+def _renoise(x: np.ndarray, eps: np.ndarray, ab: float) -> np.ndarray:
+    # In place: x <- sqrt(ab) x + sqrt(1 - ab) eps, the same bits as the fresh form.
     x *= np.sqrt(ab)
-    x += np.sqrt(1.0 - ab) * eps.a
+    x += np.sqrt(1.0 - ab) * eps
     return x
 
 
 def forward_noise(x0: Matrix, t: int, eps: Matrix, sched: NoiseSchedule) -> Matrix:
     """Closed-form jump to timestep t: x_t = sqrt(ab_t) x0 + sqrt(1 - ab_t) eps."""
     _check_shapes(x0, eps, "forward_noise")
-    return Matrix(_renoise(np.array(x0.a), eps, t, sched))
+    return Matrix(_renoise(np.array(x0.a), eps.a, sched.bar(t)))
 
 
 def predict_x0(x_t: Matrix, eps_pred: Matrix, t: int, sched: NoiseSchedule) -> Matrix:
     """Recover the clean estimate: (x_t - sqrt(1 - ab_t) eps) / sqrt(ab_t)."""
-    return Matrix(_clean_estimate(x_t, eps_pred, t, sched))
+    ab = _estimate_bar(x_t, eps_pred, t, sched)
+    return Matrix(_estimate(np.empty(x_t.a.shape), x_t.a, eps_pred.a, ab))
 
 
 def _jump(x_t: Matrix, eps: Matrix, t: int, t_to: int, sched: NoiseSchedule) -> Matrix:
-    # Re-estimate the clean input at t and renoise it to t_to in one buffer; the one
-    # Matrix also rejects an overflowed estimate, as sqrt(ab_to) * inf is never finite.
-    return Matrix(_renoise(_clean_estimate(x_t, eps, t, sched), eps, t_to, sched))
+    # Re-estimate the clean input at t and renoise it to t_to in one fresh buffer, in row
+    # halves where that pays (7 passes over each entry: 6 arithmetic and the check). Each
+    # half rejects an overflowed estimate, as sqrt(ab_to) * inf is never finite.
+    ab, ab_to = _estimate_bar(x_t, eps, t, sched), sched.bar(t_to)
+    x = np.empty(x_t.a.shape)
+
+    def body(lo: int, hi: int) -> None:
+        part = _estimate(x[lo:hi], x_t.a[lo:hi], eps.a[lo:hi], ab)
+        _check_finite(_renoise(part, eps.a[lo:hi], ab_to))
+
+    _split(body, x_t.rows, x.size, 7)
+    return Matrix._of(x)
 
 
 def ddim_step(x_t: Matrix, eps_pred: Matrix, t: int, t_prev: int, sched: NoiseSchedule) -> Matrix:

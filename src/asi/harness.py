@@ -34,7 +34,7 @@ import numpy as np
 from .adablending import BlendConfig, asi_layer, head_distances
 from .ddim import LatentState, NoiseSchedule, ddim_invert, ddim_step, make_schedule
 from .errors import ConfigError, ShapeError
-from .numeric import Matrix, Rng, _as_number, _is_int, randn_matrix
+from .numeric import Matrix, Rng, _as_number, _is_int, _split, randn_matrix
 # siamese_attend is unused here, but the benchmark tracer wraps harness.siamese_attend.
 from .sica import AttentionParams, attend, merge_heads, project_kv, project_q, siamese_attend
 from .tensorio import save_tensor
@@ -282,13 +282,18 @@ def dump_trajectory(
 
 
 def _preserved_mse(fused: np.ndarray, f_out: np.ndarray, f_c: np.ndarray) -> float:
-    # Mean squared deviation from the content features where the fused mask is False.
-    preserved = ~fused
-    count = int(preserved.sum())
-    if not count:
-        return 0.0
-    diff = f_out - f_c
-    return float((diff[preserved] ** 2).sum() / count)
+    # Mean squared deviation from the content features where the fused (h, m, d) mask is
+    # False. Each half of the heads gathers its preserved squared deviations, and the
+    # halves in order are the whole block's, so their one sum has the whole's bits.
+    parts = {}
+
+    def body(lo: int, hi: int) -> None:
+        preserved = ~fused[lo:hi]
+        parts[lo] = (f_out[lo:hi][preserved] - f_c[lo:hi][preserved]) ** 2
+
+    _split(body, len(fused), f_c.size, f_c.shape[-1])  # with blend
+    squares = np.concatenate([parts[lo] for lo in sorted(parts)])
+    return float(squares.sum() / squares.size) if squares.size else 0.0
 
 
 # The layer runs once per chunk of sampler steps, on (h, steps, m, d) blocks.

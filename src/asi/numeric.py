@@ -4,21 +4,35 @@ All arithmetic is 64-bit, and each output entry of a product is summed in a
 fixed order (``np.einsum`` rather than BLAS), so identical inputs produce
 bit-identical outputs regardless of CPU count, thread count or BLAS
 backend. Large work may be split in two along its first axis, which leaves
-every entry's order as it is: the caller runs one half, and the one worker
-of a process-wide thread pool runs the other (:func:`_split`, which alone
-decides whether work splits). Each public kernel splits its own work:
-:func:`matmul` by rows, and the attention, distance and blending kernels
-by heads, the products inside each half unsplit. The first split makes
-the pool (importing the package starts no thread), and a forked child
-makes its own. :class:`Matrix` is the validated 2-D type at the edges
-(inputs, weights, latents, projections and merged layer outputs); the
-layer kernels work on plain read-only arrays, whole feature blocks at a
-time. The row softmax alone writes its argument: it normalizes
+every entry's bits as they are: the caller runs one half, and the one
+worker of a process-wide thread pool runs the other (:func:`_split`, which
+alone decides whether work splits). Each stage splits its own work and
+states it as size x cols, in multiply-adds for a product and in entries x
+passes for elementwise work:
+
+* :meth:`Rng.normals`, by blocks of the stream: draws x 35 passes;
+* the sampler rung (``asi.ddim``), by rows: entries x 7 passes;
+* :func:`matmul`, by rows, checking its rows' finiteness in each half:
+  its multiply-adds;
+* ``asi.sica.merge_heads``, by rows: entries x 2 passes;
+* ``asi.sica.attend``, by heads: its products' multiply-adds;
+* ``head_distances``, ``extract_spatial_mask``, ``fuse_masks`` and
+  ``blend`` (``asi.adablending``) and the run's preserved-coordinate check
+  (``asi.harness``), by heads: the multiply-adds of their block's Gram
+  F^T F, so a layer's per-head stages split together.
+
+The first split makes the pool (importing the package starts no thread),
+and a forked child makes its own. :class:`Matrix` is the validated 2-D type
+at the edges (inputs, weights, latents, projections and merged layer
+outputs); a kernel that made and checked a fresh block wraps it without a
+copy. The layer kernels work on plain read-only arrays, whole feature
+blocks at a time. The row softmax alone writes its argument: it normalizes
 attention's own logits buffer in place.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import threading
@@ -49,17 +63,26 @@ class Matrix:
     __slots__ = ("_a",)
 
     def __init__(self, values) -> None:
-        a = np.asarray(values)
-        if a.dtype.kind not in "biuf":  # a complex value would lose its imaginary part
-            raise ShapeError(f"Matrix entries must be real numbers, got dtype {a.dtype}")
+        try:
+            a = np.asarray(values)
+        except ValueError as exc:  # a ragged nested list
+            raise ShapeError(f"Matrix needs rectangular data, got a ragged input ({exc})") from exc
+        _check_real(a)
         a = np.array(a, dtype=np.float64, order="C", copy=True)
         if a.ndim != 2:
             raise ShapeError(f"Matrix requires 2-D data, got {a.ndim}-D")
         if min(a.shape) < 1:
             raise ShapeError(f"Matrix dimensions must be >= 1, got {'x'.join(map(str, a.shape))}")
-        if not np.isfinite(a).all():
-            raise NonFiniteError("Matrix entries must be finite (no NaN/Inf)")
+        _check_finite(a)
         self._a = _readonly(a)
+
+    @classmethod
+    def _of(cls, a: np.ndarray) -> Matrix:
+        # The no-copy path, for a fresh non-empty 2-D C-ordered float64 block that its
+        # maker has checked finite: it becomes the matrix's read-only entries.
+        m = cls.__new__(cls)
+        m._a = _readonly(a)
+        return m
 
     @property
     def rows(self) -> int:
@@ -82,6 +105,17 @@ class Matrix:
         return f"Matrix(<{self.rows}x{self.cols}>)"
 
 
+def _check_real(a: np.ndarray) -> None:
+    if a.dtype.kind not in "biuf":  # a complex value would lose its imaginary part
+        raise ShapeError(f"Matrix entries must be real numbers, got dtype {a.dtype}")
+
+
+def _check_finite(a: np.ndarray) -> None:
+    # A split kernel checks its own rows inside its halves, with this message.
+    if not np.isfinite(a).all():
+        raise NonFiniteError("Matrix entries must be finite (no NaN/Inf)")
+
+
 # CPUs this process may run on, read once: work is split over two threads only
 # when a second one is there to take the other half.
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -92,6 +126,9 @@ _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os
 # 2 * 60e-6 * 2.5e9 = 3e5 multiply-adds on. 2**20 stays, about 3.5x over that
 # break-even: two halves run well short of twice as fast, and it leaves the
 # default run's largest product (524,288) unsplit, where no gain was measured.
+# An elementwise pass costs about as much per entry (0.3-0.6 ns for a check,
+# a copy or a transposing copy of an sd-sized latent), so entry-passes are
+# held to the same threshold.
 _MIN_SPLIT = 1 << 20
 
 _LAYOUT = "...ik,...kj->...ij"
@@ -120,15 +157,29 @@ if hasattr(os, "register_at_fork"):
 def _split(body, n: int, size: int, cols: int) -> None:
     """Run body(lo, hi) over [0, n) of an axis 0, in two halves where that pays and keeps the bits.
 
-    The body's largest product has `size` entries in its first operand and
-    `cols` columns. From _MIN_SPLIT multiply-adds (size * cols), n >= 2 and
-    a second CPU, the process's one helper thread runs body(n // 2, n) while
-    the caller runs body(0, n // 2); otherwise the caller runs body(0, n).
-    A half sums each entry as the whole does, except in a product of one
-    column: its reduced axis is innermost in both C-ordered operands, and
-    einsum sums it in blocks bounded by the extent of the outer axes. So
-    such work runs whole at any size. The caller waits for the helper's
-    half, then re-raises an error of either half, its own first. Splits
+    The body states its work as size * cols: for a product, its largest
+    one's `size` entries of the first operand and `cols` columns; for
+    elementwise work, `size` entries and `cols` passes over each. The
+    stages and their statements:
+
+    * Rng.normals, n blocks of the stream: count draws x 35 passes;
+    * the sampler rung (ddim._jump), n rows: entries x 7 passes;
+    * matmul, n rows: a.size entries x b's columns;
+    * sica.merge_heads, n rows: entries x 2 passes;
+    * sica.attend, n heads: k.size x query rows, for both products;
+    * adablending's head_distances, extract_spatial_mask, fuse_masks and
+      blend, and harness._preserved_mse, n heads: the Gram F^T F of their
+      block, f.size x head_dim, so a layer's per-head stages split together.
+
+    From _MIN_SPLIT (size * cols), n >= 2 and a second CPU, the process's
+    one helper thread runs body(n // 2, n) while the caller runs
+    body(0, n // 2); otherwise the caller runs body(0, n). A half sums each
+    entry as the whole does, except in a product of one column: its reduced
+    axis is innermost in both C-ordered operands, and einsum sums it in
+    blocks bounded by the extent of the outer axes. So such work runs whole
+    at any size (as does an elementwise body of one pass). The caller waits
+    for the helper's half, then re-raises an error of either half, its own
+    first; both halves raise the same errors for the same faults. Splits
     from several threads queue for the helper in turn, and nothing splits
     again inside a half. Each half writes only its own slices of outputs
     made before the split, and the body calls no public asi function: the
@@ -145,7 +196,9 @@ def _split(body, n: int, size: int, cols: int) -> None:
                 from concurrent.futures import ThreadPoolExecutor
                 _pool = ThreadPoolExecutor(1, "asi-contract-helper")
     half = n // 2
-    job = _pool.submit(_run_half, body, half, n)
+    # The helper's half runs in a copy of the caller's context, so NumPy's error state (a
+    # context variable) is the caller's: an overflow it ignores warns in neither half.
+    job = _pool.submit(contextvars.copy_context().run, _run_half, body, half, n)
     try:
         _run_half(body, 0, half)
     finally:
@@ -186,8 +239,12 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
             f"matmul: inner dimensions differ for ({a.rows}x{a.cols}) @ ({b.rows}x{b.cols})"
         )
     out = np.empty((a.rows, b.cols))
-    _split(lambda lo, hi: _contract(a.a[lo:hi], b.a, out[lo:hi]), a.rows, a.a.size, b.cols)
-    return Matrix(out)
+
+    def body(lo: int, hi: int) -> None:
+        _check_finite(_contract(a.a[lo:hi], b.a, out[lo:hi]))
+
+    _split(body, a.rows, a.a.size, b.cols)
+    return Matrix._of(out)
 
 
 def softmax_rows(a: np.ndarray) -> np.ndarray:
@@ -272,14 +329,29 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
 _INV_2_53 = 1.0 / (1 << 53)
 _MAX_WORDS = np.iinfo(np.intp).max // 8  # uint64 words in the largest indexable array
-_NORMALS_PER_BLOCK = 1 << 13  # normals drawn per block of the stream, whatever the count
+# Normals drawn per block of the stream, whatever the count; a split draws whole
+# blocks in each half. Split, 327,680 draws (an sd_block latent) took 6.0 ms in
+# 8,192-draw blocks, 4.5 ms in 16,384-draw ones and 4.1 ms in 32,768-draw ones
+# (7.3-7.6 ms whole; 2-CPU x86 box). 16,384 keeps a block's temporaries near
+# 0.6 MiB, mid_bypass's peak RSS where 8,192 kept it, and an sd_block weight
+# matrix (102,400 draws) in 7 blocks that halve evenly, where 32,768 makes 4
+# blocks of which the last is short, and halves of 65,536 and 36,864 draws.
+_NORMALS_PER_BLOCK = 1 << 14
 
 
-def _splitmix64(z: np.ndarray) -> np.ndarray:
+def _words(seed: int, first: int, count: int) -> np.ndarray:
+    # Raw words first + 1 .. first + count of the stream, splitmix64(seed + k * gamma),
+    # made in one buffer.
+    z = np.arange(first + 1, first + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+        z *= _GAMMA
+        z += np.uint64(seed)
+        z ^= z >> np.uint64(30)
+        z *= _MIX1
+        z ^= z >> np.uint64(27)
+        z *= _MIX2
+        z ^= z >> np.uint64(31)
+    return z
 
 
 def _is_int(value) -> bool:
@@ -335,18 +407,12 @@ class Rng:
         self.seed = seed
         self._counter = 0
 
-    def _raw(self, count: int) -> np.ndarray:
-        _check_count(count, 1)
-        start = self._counter
-        self._counter += count
-        idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            state = np.uint64(self.seed) + idx * _GAMMA
-        return _splitmix64(state)
-
     def uniforms(self, count: int) -> np.ndarray:
         """`count` uniform draws in [0, 1)."""
-        return (self._raw(count) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        _check_count(count, 1)
+        raw = _words(self.seed, self._counter, count)
+        self._counter += count
+        return (raw >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
     def uniform(self) -> float:
         return float(self.uniforms(1)[0])
@@ -355,16 +421,35 @@ class Rng:
         """`count` standard-normal draws (two raw words each).
 
         The output is filled a fixed-size block of the stream at a time, so the
-        temporaries stay small; as each word depends only on its index, the
-        draws are bit for bit those of one whole-stream pass.
+        temporaries stay small. Each word depends only on its index, so the
+        blocks may split over both CPUs, each half drawing its own blocks, and
+        the draws are bit for bit those of one whole-stream pass. The counter
+        moves once, after every block is drawn.
         """
         _check_count(count, 2)
+        seed, first = self.seed, self._counter
         out = np.empty(count)
-        for start in range(0, count, _NORMALS_PER_BLOCK):
-            raw = self._raw(2 * min(_NORMALS_PER_BLOCK, count - start))
-            u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
-            u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * _INV_2_53
-            out[start:start + len(u1)] = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+
+        def body(lo: int, hi: int) -> None:
+            for start in range(lo * _NORMALS_PER_BLOCK, min(hi * _NORMALS_PER_BLOCK, count),
+                               _NORMALS_PER_BLOCK):
+                raw = _words(seed, first + 2 * start, 2 * min(_NORMALS_PER_BLOCK, count - start))
+                # In place, the operations and bits of sqrt(-2 ln u1) * cos(2 pi u2).
+                u1 = (raw[0::2] >> np.uint64(11)).astype(np.float64)
+                u1 += 1.0
+                u1 *= _INV_2_53
+                np.log(u1, out=u1)
+                u1 *= -2.0
+                np.sqrt(u1, out=u1)
+                u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64)
+                u2 *= _INV_2_53
+                u2 *= 2.0 * math.pi
+                np.cos(u2, out=u2)
+                np.multiply(u1, u2, out=out[start:start + len(u1)])
+
+        # 35 passes a draw: 11 over each of its two words, 13 to make the normal.
+        _split(body, -(-count // _NORMALS_PER_BLOCK), count, 35)
+        self._counter += 2 * count
         return out
 
 
@@ -372,4 +457,5 @@ def randn_matrix(rng: Rng, rows: int, cols: int) -> Matrix:
     """rows x cols matrix of standard-normal draws, filled in row-major order."""
     if not (_is_int(rows) and _is_int(cols)) or rows < 1 or cols < 1:
         raise ShapeError(f"randn_matrix dimensions must be integers >= 1, got {rows!r}, {cols!r}")
-    return Matrix(rng.normals(rows * cols).reshape(rows, cols))
+    # Every draw is finite: |normal| <= sqrt(-2 ln 2**-53), about 8.6.
+    return Matrix._of(rng.normals(rows * cols).reshape(rows, cols))

@@ -48,8 +48,8 @@ import numpy as np
 
 from .errors import ShapeError
 # softmax_rows is unused here, but the benchmark tracer wraps sica.softmax_rows.
-from .numeric import (Matrix, _contract, _is_int, _kind, _readonly, _softmax, _split, matmul,
-                      softmax_rows)
+from .numeric import (Matrix, _check_finite, _check_real, _contract, _is_int, _kind, _readonly,
+                      _softmax, _split, matmul, softmax_rows)
 
 __all__ = [
     "AttentionParams",
@@ -103,10 +103,22 @@ def merge_heads(block: np.ndarray) -> Matrix:
     """
     if not isinstance(block, np.ndarray):
         raise ShapeError(f"merge_heads needs an array block, got {_kind(block)}")
-    if block.ndim < 3:
-        raise ShapeError(f"merge_heads needs an (h, ..., m, d) block, got shape {block.shape}")
+    if block.ndim < 3 or 0 in block.shape:
+        raise ShapeError(f"merge_heads needs a non-empty (h, ..., m, d) block, "
+                         f"got shape {block.shape}")
+    _check_real(block)
     h, d = block.shape[0], block.shape[-1]
-    return Matrix(np.moveaxis(block, 0, -2).reshape(-1, h * d))
+    rows = block.reshape(h, -1, d)
+    out = np.empty((rows.shape[1], h * d))
+
+    def body(lo: int, hi: int) -> None:
+        # One transposing copy of these rows, then their check: 2 passes over each entry.
+        part = out[lo:hi]
+        part.reshape(hi - lo, h, d)[...] = rows[:, lo:hi].transpose(1, 0, 2)
+        _check_finite(part)
+
+    _split(body, len(out), out.size, 2)
+    return Matrix._of(out)
 
 
 def project_q(spatial: Matrix, params: AttentionParams) -> np.ndarray:

@@ -34,9 +34,11 @@ def save_tensor(path: str | Path, array: np.ndarray) -> Path:
     The payload is encoded and checked first, and `path`'s directory is created
     only then, so a rejected array leaves the filesystem untouched.
     """
+    # The input's own rank: ascontiguousarray makes a 0-d array or a scalar 1-D.
+    rank = np.ndim(array)
+    if not 1 <= rank <= 255:
+        raise DumpFormatError(f"tensor rank must be in [1, 255], got {rank}")
     a = np.ascontiguousarray(array, dtype=np.float64)
-    if a.ndim < 1 or a.ndim > 255:
-        raise DumpFormatError(f"tensor rank must be in [1, 255], got {a.ndim}")
     if any(dim > 0xFFFFFFFF for dim in a.shape):
         raise DumpFormatError(f"dimension too large for uint32 header: {a.shape}")
     with np.errstate(over="ignore"):

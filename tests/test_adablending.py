@@ -414,6 +414,8 @@ HEAD, ROW, SCALAR = np.ones((3, 4)), np.ones(4), np.array(1.0)
     pytest.param(lambda: adain(BLOCK[:, :0], BLOCK[:, :0], 1e-5), id="adain-empty-m"),
     pytest.param(lambda: attend(BLOCK, KV[:, :0], KV[:, :0]), id="attend-empty-t"),
     pytest.param(lambda: attend(BLOCK[:, :0], KV, KV), id="attend-empty-m"),
+    pytest.param(lambda: merge_heads(BLOCK[..., :0]), id="merge_heads-empty-d"),
+    pytest.param(lambda: merge_heads(BLOCK[:, :0]), id="merge_heads-empty-m"),
 ])
 def test_wrong_rank_or_empty_block_is_shape_error(call):
     with pytest.raises(ShapeError):
@@ -705,6 +707,68 @@ class TestSplitKernels:
             halves = _helper_halves(monkeypatch)
             assert_same_bits(kernel(), whole)
             assert halves == ([(h // 2, h)] if split else [])
+
+    # The mask stages split with blend (by the Gram's shape), so at d=1 they stay whole too.
+    @pytest.mark.parametrize("h, steps, m, d, split", [
+        pytest.param(8, 8, 16, 8, False, id="small_sweep"),
+        pytest.param(8, 1, 1024, 40, True, id="sd_block"),
+        pytest.param(16, 1, 256, 16, True, id="mid_bypass"),
+        pytest.param(5, 1, 1024, 40, True, id="h5"),
+        pytest.param(4, 1, 1 << 18, 1, False, id="d1"),
+    ])
+    def test_split_masks_equal_the_whole_masks(self, monkeypatch, h, steps, m, d, split):
+        gen = np.random.default_rng(h * m + d)
+        f_c = gen.standard_normal((h, steps, m, d))
+        f_c.reshape(-1)[::97] = np.nan  # a NaN entry blends, in either half
+        spatial = BlendMask(gen.random(f_c.shape) < 0.5)
+        head = gen.random((h, steps)) < 0.5
+        kernels = (lambda: extract_spatial_mask(f_c, BlendConfig(alpha=0.5)).data,
+                   lambda: fuse_masks(head, spatial).data)
+        for kernel in kernels:
+            monkeypatch.setattr(numeric, "_CPUS", 1)
+            whole = kernel()
+            monkeypatch.setattr(numeric, "_CPUS", 2)
+            halves = _helper_halves(monkeypatch)
+            assert_same_bits(kernel(), whole)
+            assert halves == ([(h // 2, h)] if split else [])
+        per_step = [float_spatial_mask(f_c[:, i], 0.5) for i in range(steps)]
+        assert_same_bits(extract_spatial_mask(f_c, BlendConfig(alpha=0.5)).data,
+                         np.stack(per_step, axis=1) == 1.0)
+
+    @pytest.mark.parametrize("shape, split", [
+        pytest.param((8, 1, 1024, 40), False, id="sd_block"),  # 2 passes over 327,680 entries
+        pytest.param((16, 1, 256, 16), False, id="mid_bypass"),
+        pytest.param((8, 2, 1024, 40), True, id="two_steps"),
+        pytest.param((8, 5, 341, 40), True, id="odd_rows"),  # 1,705 rows
+    ])
+    def test_split_merge_equals_the_whole_merge(self, monkeypatch, shape, split):
+        block = np.random.default_rng(len(shape)).standard_normal(shape)
+        h, d = shape[0], shape[-1]
+        rows = block.size // (h * d)
+        monkeypatch.setattr(numeric, "_CPUS", 1)
+        whole = merge_heads(block).a
+        monkeypatch.setattr(numeric, "_CPUS", 2)
+        halves = _helper_halves(monkeypatch)
+        assert_same_bits(merge_heads(block).a, whole)
+        assert halves == ([(rows // 2, rows)] if split else [])
+        assert_same_bits(whole, np.moveaxis(block, 0, -2).reshape(-1, h * d))  # the earlier form
+        assert not whole.flags.writeable
+
+    @pytest.mark.parametrize("row", [5, 1500])  # in the caller's half, in the helper's
+    def test_nan_in_either_half_of_a_merge_is_the_same_error(self, monkeypatch, row):
+        block = np.ones((8, 2, 1024, 40))
+        block[3, row // 1024, row % 1024, 7] = np.nan
+        monkeypatch.setattr(numeric, "_CPUS", 2)
+        halves = _helper_halves(monkeypatch)
+        with pytest.raises(NonFiniteError, match=r"^Matrix entries must be finite \(no NaN/Inf\)$"):
+            merge_heads(block)
+        assert halves == [(1024, 2048)]
+
+    def test_merge_takes_integer_blocks_and_names_a_complex_one(self):
+        block = np.arange(24).reshape(2, 3, 4)
+        assert_same_bits(merge_heads(block).a, merge_heads(block.astype(np.float64)).a)
+        with pytest.raises(ShapeError, match="real numbers, got dtype complex128$"):
+            merge_heads(block * 1j)
 
     def test_attention_with_one_query_row_stays_whole(self, monkeypatch):
         gen = np.random.default_rng(1)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from asi import numeric
 from asi.adablending import BlendConfig
 from asi.cli import main, parse_config
 from asi.errors import ConfigError
@@ -212,6 +213,23 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "finite" in err
+
+    def test_overflow_in_a_split_kernel_ends_in_one_line_error(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # At the mid_bypass shape the distances split over the helper thread, whose half
+        # overflows as the caller's does: NumPy's error state must be the caller's there too.
+        monkeypatch.setattr(numeric, "_CPUS", 2)
+        rc = main(["run", "--set", "heads=16", "--set", "head_dim=16", "--set", "positions=256",
+                   "--set", "tokens=16", "--set", "timesteps=2", "--set", "perturbation=1e200",
+                   "--set", f"dump_dir={tmp_path/'out'}"])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "internal error: head distance is not finite (covariance difference overflowed)"
+
+    def test_set_item_without_equals_is_1_with_one_error_line(self, capsys):
+        # An invalid configuration, like every other bad --set item.
+        assert main(["run", "--set", "foo"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: --set 'foo': expected 'key=value'"]
 
     def test_failed_run_leaves_earlier_output_unchanged(self, tmp_path, capsys):
         out = tmp_path / "out"

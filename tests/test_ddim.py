@@ -1,8 +1,10 @@
 import csv
+import threading
 
 import numpy as np
 import pytest
 
+from asi import numeric
 from asi.ddim import (
     LatentState,
     NoiseSchedule,
@@ -187,6 +189,52 @@ class TestStepErrors:
             ddim_step(x, x, 2, 1, sched)
         with pytest.raises(ScheduleError):
             predict_x0(x, x, 2, sched)
+
+
+class TestSplitJump:
+    """A sampler rung split over both CPUs by rows has the bits it has whole."""
+
+    @pytest.mark.parametrize("rows, cols, split", [
+        (1024, 320, True),  # sd_block: 7 passes over 327,680 entries
+        (256, 256, False),  # mid_bypass: 458,752 entry-passes, below the split threshold
+        (1025, 320, True),  # an odd row count
+        (16, 64, False),  # small_sweep
+    ])
+    def test_split_rung_equals_the_whole_rung(self, monkeypatch, rows, cols, split):
+        rng = Rng(rows)
+        x, eps = randn_matrix(rng, rows, cols), randn_matrix(rng, rows, cols)
+        sched = make_schedule(10)
+        monkeypatch.setattr(numeric, "_CPUS", 1)
+        whole = ddim_step(x, eps, 7, 6, sched).a.tobytes()
+        monkeypatch.setattr(numeric, "_CPUS", 2)
+        halves = _helper_halves(monkeypatch)
+        assert ddim_step(x, eps, 7, 6, sched).a.tobytes() == whole
+        assert halves == ([(rows // 2, rows)] if split else [])
+
+    @pytest.mark.parametrize("row", [3, 1000])  # in the caller's half, in the helper's
+    def test_overflow_in_either_half_is_the_same_error(self, monkeypatch, row):
+        x = np.zeros((1024, 320))
+        x[row] = np.finfo(float).max  # divided by sqrt(alpha_bar) < 1, it overflows
+        monkeypatch.setattr(numeric, "_CPUS", 2)
+        halves = _helper_halves(monkeypatch)
+        with np.errstate(over="ignore"), pytest.raises(
+                NonFiniteError, match=r"^Matrix entries must be finite \(no NaN/Inf\)$"):
+            ddim_step(Matrix(x), Matrix(np.zeros((1024, 320))), 10, 9, make_schedule(10))
+        assert halves == [(512, 1024)]
+
+
+def _helper_halves(monkeypatch) -> list:
+    """A list of the (lo, hi) row ranges that the helper thread runs from now on."""
+    halves = []
+    run_half = numeric._run_half
+
+    def recorded(body, lo, hi):
+        if threading.current_thread() is not threading.main_thread():
+            halves.append((lo, hi))
+        run_half(body, lo, hi)
+
+    monkeypatch.setattr(numeric, "_run_half", recorded)
+    return halves
 
 
 # Latents of the three benchmark workloads (positions x heads * head_dim), a

@@ -5,13 +5,14 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from asi import harness
+from asi import harness, numeric
 from asi.adablending import BlendConfig, asi_layer, head_distances
 from asi.ddim import ddim_invert, ddim_step, make_schedule
 from asi.errors import ConfigError, ShapeError
@@ -348,13 +349,13 @@ class TestRunPipeline:
         #   current latent (2), the four key/value blocks (4 t / m = 0.30);
         # - the layer's blocks: q, f_s, f_c and f_out (4), the spatial and fused bool
         #   masks (2 / 8 = 0.25);
-        # - merge_heads: the head-merged copy, the Matrix's own and its finiteness
-        #   scan (2 + 1 / 8).
-        # That is 9.61 (9.74 measured); the attention peak (q, f_s, the result block that
-        # both halves of the head split fill, the logits that softmax turns into P in
-        # place, t / d = 1.93, and the V^T P block, on the 3.24 held all run) is lower, at
-        # 9.2 (9.6 measured). A second softmax-sized buffer, the previous chunk's blocks or
-        # the spatial input each puts it over 10.
+        # - merge_heads: the one head-merged block it wraps without a copy, and its
+        #   finiteness scan (1 + 1 / 8).
+        # That is 8.61; the attention peak (q, f_s, the result block that both halves of
+        # the head split fill, the logits that softmax turns into P in place, t / d = 1.93,
+        # and the V^T P block, on the 3.24 held all run) is the higher, at 9.2 (9.37
+        # measured, 9.61 in a fresh interpreter's first run). A second softmax-sized buffer,
+        # the previous chunk's blocks or the spatial input each puts it over 10.
         assert traced_peak(cfg) <= 10 * latent_bytes
 
     def test_layers_per_step_chains_features(self, tmp_path):
@@ -396,6 +397,41 @@ def run_script(script: str) -> list[int]:
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is set by glibc's mallopt")
+class TestPreservedMse:
+    """The preserved-coordinate check gathers each half of the heads on its own."""
+
+    @pytest.mark.parametrize("h, m, d, split", [
+        (8, 1024, 40, True),  # sd_block
+        (16, 256, 16, True),  # mid_bypass's shape (its runs blend nothing)
+        (5, 1024, 40, True),  # an odd head count
+        (8, 16, 8, False),  # small_sweep
+        (4, 1 << 18, 1, False),  # d=1: with blend, by the Gram's shape
+    ])
+    def test_split_check_has_the_bits_of_the_whole_gather(self, monkeypatch, h, m, d, split):
+        gen = np.random.default_rng(h * m)
+        f_out, f_c = gen.standard_normal((h, m, d)), gen.standard_normal((h, m, d))
+        fused = gen.random((h, m, d)) < 0.7
+        diff = f_out - f_c  # the earlier form: one gather of the whole block
+        expected = float((diff[~fused] ** 2).sum() / int((~fused).sum()))
+        handed = []
+        run_half = numeric._run_half
+
+        def recorded(body, lo, hi):
+            if threading.current_thread() is not threading.main_thread():
+                handed.append((lo, hi))
+            run_half(body, lo, hi)
+
+        for cpus in (1, 2):
+            monkeypatch.setattr(numeric, "_CPUS", cpus)
+            monkeypatch.setattr(numeric, "_run_half", recorded)
+            assert harness._preserved_mse(fused, f_out, f_c).hex() == expected.hex()
+        assert handed == ([(h // 2, h)] if split else [])
+
+    def test_nothing_preserved_is_zero(self):
+        ones = np.ones((2, 3, 4))
+        assert harness._preserved_mse(ones > 0, ones, ones) == 0.0
+
+
 class TestAllocatorPolicy:
     # Each check runs in a fresh interpreter: the policy is process-wide, and
     # glibc's own dynamic thresholds depend on what the process freed before.

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from asi import adablending, harness, numeric, sica
 from asi.adablending import BlendConfig
-from asi.errors import ConfigError, ShapeError
+from asi.errors import ConfigError, NonFiniteError, ShapeError
 from asi.harness import ExperimentConfig, run_pipeline
 from asi.numeric import Matrix, Rng, matmul, randn_matrix, softmax_rows
 
@@ -56,6 +56,10 @@ class TestMatrix:
     def test_rejects_non_real_input_naming_its_dtype(self, values, dtype):
         with pytest.raises(ShapeError, match=f"real numbers, got dtype {dtype}$"):
             Matrix(values)
+
+    def test_ragged_input_is_shape_error_naming_it(self):
+        with pytest.raises(ShapeError, match="ragged input"):
+            Matrix([[1.0], [1.0, 2.0]])
 
     def test_takes_bool_and_integer_input(self):
         assert Matrix([[True, False]]).a.tobytes() == np.array([[1.0, 0.0]]).tobytes()
@@ -208,10 +212,11 @@ class TestContractionOrder:
         assert not strided, strided  # (shape, strides) of each operand not C-contiguous
         assert steps == {"small_sweep": 8, "ragged": 22, "head_dim_1": 22}.get(name, 1)
         kernels = {kernel for kernel, _, _ in handed}
-        if name == "sd_block":
-            assert kernels == {"matmul", "attend", "head_distances", "blend"}
-        if name == "mid_bypass":  # no blend: apply_asi is off
-            assert kernels == {"matmul", "attend", "head_distances"}
+        if name == "sd_block":  # merge_heads's 2 passes over 1024 x 320 entries stay whole
+            assert kernels == {"Rng.normals", "_jump", "matmul", "attend", "head_distances",
+                               "extract_spatial_mask", "fuse_masks", "blend", "_preserved_mse"}
+        if name == "mid_bypass":  # no blending (apply_asi is off); a 256 x 256 jump stays whole
+            assert kernels == {"Rng.normals", "matmul", "attend", "head_distances"}
         if not split:
             assert not handed
 
@@ -226,6 +231,11 @@ class TestContractionOrder:
 HELPER_NAME = "asi-contract-helper"  # the prefix of the helper thread's name
 
 
+def _kernel(body) -> str:
+    # The function that made a split's body: "matmul", "Rng.normals", ...
+    return body.__qualname__.split(".<locals>")[0]
+
+
 def _counting_submits(monkeypatch):
     """A list of (kernel, lo, hi) for each half handed to the helper's pool: the
     function whose body the half runs, and its range of axis 0."""
@@ -233,9 +243,9 @@ def _counting_submits(monkeypatch):
     submit = ThreadPoolExecutor.submit
 
     def counted(self, fn, *args, **kwargs):
-        if fn is numeric._run_half:
-            body, lo, hi = args
-            handed.append((body.__qualname__.split(".")[0], lo, hi))
+        if args and args[0] is numeric._run_half:  # run in a copy of the caller's context
+            body, lo, hi = args[1:]
+            handed.append((_kernel(body), lo, hi))
         return submit(self, fn, *args, **kwargs)
 
     monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
@@ -506,6 +516,22 @@ else:
         assert done.stderr == ""
 
 
+class TestSplitChecks:
+    """A split kernel checks the finiteness of its own rows inside each half."""
+
+    @pytest.mark.parametrize("row", [3, 1000])  # in the caller's half, in the helper's
+    def test_overflow_in_either_half_is_the_same_error(self, monkeypatch, row):
+        a, _ = _split_operands()
+        big = a.a.copy()
+        big[row] = 1e308
+        handed = _counting_submits(monkeypatch)
+        monkeypatch.setattr(numeric, "_CPUS", 2)
+        with np.errstate(over="ignore"), pytest.raises(
+                NonFiniteError, match=r"^Matrix entries must be finite \(no NaN/Inf\)$"):
+            matmul(Matrix(big), Matrix(np.ones((33, 33))))
+        assert [(lo, hi) for _, lo, hi in handed] == [(512, 1025)]
+
+
 class TestSoftmaxRows:
     def test_equal_logits_are_uniform(self):
         out = softmax_rows(np.array([[0.0, 0.0, 0.0]]))
@@ -647,6 +673,26 @@ class TestRng:
         rng = Rng(17)
         pieces = [rng.normals(size) for size in (1, block - 1, block + 2, n - 2 * block - 2)]
         assert np.concatenate(pieces).tobytes() == Rng(17).normals(n).tobytes()
+
+    # Draws of the sd_block latent, the mid_bypass weights, an odd block count with a short
+    # last block, and one block, which never splits.
+    @pytest.mark.parametrize("count, split", [(1024 * 320, True), (256 * 256, True),
+                                              (6 * numeric._NORMALS_PER_BLOCK + 5, True),
+                                              (4096, False)])
+    def test_split_draws_equal_whole_draws_and_move_the_counter_alike(self, monkeypatch, count,
+                                                                       split):
+        draws, counters = [], []
+        for cpus in (1, 2):
+            monkeypatch.setattr(numeric, "_CPUS", cpus)
+            handed = _counting_submits(monkeypatch)
+            rng = Rng(21)
+            rng.uniforms(3)  # a draw that starts mid-stream
+            draws.append((rng.normals(count).tobytes(), rng.uniforms(5).tobytes()))
+            counters.append(rng._counter)
+        blocks = -(-count // numeric._NORMALS_PER_BLOCK)
+        assert handed == ([("Rng.normals", blocks // 2, blocks)] if split else [])
+        assert draws[0] == draws[1]
+        assert counters[0] == counters[1] == 3 + 2 * count + 5
 
     def test_uniform_range(self):
         u = Rng(11).uniforms(50_000)

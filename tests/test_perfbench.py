@@ -58,7 +58,7 @@ def test_no_traced_name_runs_off_the_main_thread(tmp_path, monkeypatch):
 
     def recorded_half(body, lo, hi):
         if threading.current_thread() is not threading.main_thread():
-            helper_ran.add(body.__qualname__.split(".")[0])
+            helper_ran.add(body.__qualname__.split(".<locals>")[0])
         run_half(body, lo, hi)
 
     monkeypatch.setattr(numeric, "_run_half", recorded_half)
@@ -66,9 +66,12 @@ def test_no_traced_name_runs_off_the_main_thread(tmp_path, monkeypatch):
     cfg = ExperimentConfig(heads=8, head_dim=40, positions=1024, tokens=77, timesteps=1,
                            dump_dir=tmp_path)
     worker.harness.run_pipeline(cfg)
-    assert helper_ran == {"matmul", "attend", "head_distances", "blend"}
+    assert helper_ran == {"Rng.normals", "_jump", "matmul", "attend", "head_distances",
+                          "extract_spatial_mask", "fuse_masks", "blend", "_preserved_mse"}
     assert {"harness.run_pipeline", "sica.siamese_attend", "adablending.head_distances",
-            "adablending.blend", "numeric.matmul", "matrix_new"} <= set(threads)
+            "adablending.blend", "adablending.extract_spatial_mask", "adablending.fuse_masks",
+            "ddim.ddim_step", "harness.synth_inputs", "numeric.matmul",
+            "matrix_new"} <= set(threads)
     off_main = {name: seen for name, seen in threads.items() if seen != {threading.main_thread()}}
     assert not off_main
 

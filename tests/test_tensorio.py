@@ -21,6 +21,22 @@ def test_exact_byte_layout(tmp_path):
     assert path.read_bytes() == expected
 
 
+@pytest.mark.parametrize("scalar", [np.float64(1.0), np.array(1.0), 1.0],
+                         ids=["numpy-scalar", "0d-array", "python-float"])
+def test_rank_0_is_rejected_and_writes_nothing(tmp_path, scalar):
+    path = tmp_path / "sub" / "t.asit"
+    with pytest.raises(DumpFormatError, match=r"rank must be in \[1, 255\], got 0$"):
+        save_tensor(path, scalar)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dimension_beyond_uint32_is_rejected(tmp_path):
+    too_wide = np.empty((0, 2**32))  # zero entries: nothing is allocated
+    with pytest.raises(DumpFormatError, match="too large for uint32"):
+        save_tensor(tmp_path / "t.asit", too_wide)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "shape", [(4,), (3, 5), (2, 3, 4)], ids=["rank1", "rank2", "rank3"]
 )
