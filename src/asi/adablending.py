@@ -200,6 +200,7 @@ def extract_head_mask(f_s: np.ndarray, f_c: np.ndarray, cfg: BlendConfig) -> np.
     selected head.
     """
     _check_blocks("extract_head_mask", f_s, f_c, least=3)  # a head axis before (m, d)
+    _check_config("extract_head_mask", cfg)
     return _select_top_heads(head_distances(f_s, f_c), cfg.n)
 
 
@@ -214,6 +215,7 @@ def extract_spatial_mask(f_c: np.ndarray, cfg: BlendConfig) -> BlendMask:
     written rather than special-cased.
     """
     _check_blocks("extract_spatial_mask", f_c, least=3)
+    _check_config("extract_spatial_mask", cfg)
     out = np.empty(f_c.shape, dtype=bool)
 
     def body(lo: int, hi: int) -> None:

@@ -34,7 +34,7 @@ import numpy as np
 from .adablending import BlendConfig, asi_layer, head_distances
 from .ddim import LatentState, NoiseSchedule, ddim_invert, ddim_step, make_schedule
 from .errors import ConfigError, ShapeError
-from .numeric import Matrix, Rng, _as_number, _is_int, _split, randn_matrix
+from .numeric import Matrix, Rng, _as_number, _check_finite, _is_int, _split, randn_matrix
 # siamese_attend is unused here, but the benchmark tracer wraps harness.siamese_attend.
 from .sica import AttentionParams, attend, merge_heads, project_kv, project_q, siamese_attend
 from .tensorio import save_tensor
@@ -298,16 +298,20 @@ def _preserved_mse(fused: np.ndarray, f_out: np.ndarray, f_c: np.ndarray) -> flo
 
 # The layer runs once per chunk of sampler steps, on (h, steps, m, d) blocks.
 # A chunk's features (h, m, d per step) and its logits (h, m, tokens per step)
-# each hold at most this many entries, unless one step alone holds more, so
-# the run's peak memory does not grow with the step count. Larger chunks buy
-# nothing at the default size: 64-step chunks ran no faster than 8-step ones
-# (about 18-23 ms per run either way). What slows those small blocks is not
-# Python dispatch but the short einsum inner loops of the stacked layouts: the
-# Gram at (8, 8, 8, 16) @ (8, 8, 16, 8) takes about 140-165 us for 65,536
-# multiply-adds (about 0.45 G/s, against about 1.8 G/s for the sd_block Gram).
+# each hold at most this many entries (512 KiB), unless one step alone holds
+# more, so the run's peak memory does not grow with the step count. The
+# default run (1,024 entries a step) does its 50 steps in one chunk; sd_block
+# and mid_bypass steps (630,784 and 65,536) are a chunk each. Per step at the
+# default size, in process at T=64 on a 2-CPU x86 box (from 16 steps on, the
+# projection reaches _MIN_SPLIT and splits; smaller blocks pay fixed costs):
+#
+#     steps per chunk        1    8   16   32   64
+#     layer, us per step   200   78   78   68   63
+#     run, us per step     280  143  147  136  132
+#
 # At its peak a run holds the weights, the true noise, the current latent
 # and one chunk's layer blocks.
-_CHUNK_ENTRIES = 8192
+_CHUNK_ENTRIES = 65536
 
 
 def _chunk_steps(cfg: ExperimentConfig) -> int:
@@ -344,11 +348,14 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     feature matrix: it is projected to queries, attended against both
     prompts, and blended cfg.layers_per_step times (each layer feeding the
     next). As the blended output never feeds the latent, the layers run once
-    per chunk of steps: the chunk's latents are stacked and each layer's
-    queries viewed as an (h, steps, m, d) block, so every step computes what
-    it would alone, bit for bit, and the top n heads are selected per step;
-    _CHUNK_ENTRIES bounds a chunk's size. The blended output of the final
-    step's final layer is dumped along with that step's masks and per-head
+    per chunk of steps: the sampler writes the chunk's latents into one
+    stacked block and each layer's queries are viewed as an (h, steps, m, d)
+    block, so every step computes what it would alone, bit for bit, and the
+    top n heads are selected per step. _CHUNK_ENTRIES bounds a chunk's size:
+    the default run's 50 steps are one chunk, an SD-sized step is a chunk of
+    its own. A chunk's final layer output is checked finite, not merged back
+    into a matrix that no one reads. The blended output of the final step's
+    final layer is dumped along with that step's masks and per-head
     distances.
 
     The first call in a process sets glibc's allocator to keep up to 64 MiB
@@ -372,12 +379,15 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     for top in range(cfg.timesteps, 0, -chunk):
         q = features = result = block = None  # free the previous chunk's blocks first
         ts = range(top, max(top - chunk, 0), -1)
-        latents = []
-        for t in ts:
+        # Each step's latent goes to its rows of one block; its jump checked it finite.
+        latents = np.empty((len(ts), cfg.positions, cfg.model_dim)) if len(ts) > 1 else None
+        for i, t in enumerate(ts):
             x = ddim_step(x, noise, t, t - 1, sched)
-            latents.append(x)
-        features = x if len(ts) == 1 else Matrix(np.concatenate([z.a for z in latents]))
-        for _ in range(cfg.layers_per_step):
+            if latents is not None:
+                latents[i] = x.a
+        features = x if latents is None else Matrix._of(latents.reshape(-1, cfg.model_dim))
+        del latents
+        for left in range(cfg.layers_per_step, 0, -1):  # layers left, this one included
             q = project_q(features, params).reshape(
                 cfg.heads, len(ts), cfg.positions, cfg.head_dim)
             features = result = block = None  # free the previous layer's blocks before the next
@@ -386,7 +396,9 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
                 block = result.f_out
             else:
                 block = attend(q, *kv[2:])
-            features = merge_heads(block)
+            if left > 1:
+                features = merge_heads(block)
+        _check_finite(block)  # as the merge no one reads would; the last layer skips it
         if cfg.apply_asi:
             distances = result.distances
         else:  # only the content track moves the features; the style track runs once a chunk

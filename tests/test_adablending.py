@@ -24,6 +24,7 @@ from asi.adablending import (
     _select_top_heads,
 )
 from asi.errors import ConfigError, DegenerateInputError, NonFiniteError, ShapeError
+from asi.harness import ExperimentConfig
 from asi.numeric import Matrix, Rng, matmul, randn_matrix, softmax_rows
 from asi.sica import AttentionParams, attend, merge_heads, project_kv, project_q, siamese_attend
 
@@ -452,6 +453,18 @@ def test_blend_and_asi_layer_take_only_a_blend_config(cfg):
     with pytest.raises(ConfigError, match=f"^asi_layer: cfg must be a BlendConfig, got {kind}$"):
         asi_layer(q, k_s, v_s, k_c, v_c, cfg)
 
+
+
+@pytest.mark.parametrize("cfg", [None, {"n": 1}, ExperimentConfig()],
+                         ids=["None", "dict", "ExperimentConfig"])
+def test_mask_extractors_take_only_a_blend_config(cfg):
+    kind = type(cfg).__name__
+    with pytest.raises(ConfigError,
+                       match=f"^extract_head_mask: cfg must be a BlendConfig, got {kind}$"):
+        extract_head_mask(BLOCK, BLOCK, cfg)
+    with pytest.raises(ConfigError,
+                       match=f"^extract_spatial_mask: cfg must be a BlendConfig, got {kind}$"):
+        extract_spatial_mask(BLOCK, cfg)
 
 def synth_layer_inputs(seed=0, heads=4, m=16, d=8, tokens=4):
     rng = Rng(seed)

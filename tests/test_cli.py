@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asi import numeric
+from asi import cli, numeric
 from asi.adablending import BlendConfig
 from asi.cli import main, parse_config
 from asi.errors import ConfigError
@@ -143,6 +143,16 @@ class TestMainExitCodes:
         assert rc == 0
         out = capsys.readouterr().out
         assert "blended_fraction" in out
+
+    def test_memory_error_is_1_with_one_error_line(self, tmp_path, monkeypatch, capsys):
+        def too_large(cfg):
+            raise MemoryError("Unable to allocate 8.00 EiB")
+
+        monkeypatch.setattr(cli, "run_pipeline", too_large)
+        assert main(["run", "--set", f"dump_dir={tmp_path / 'out'}"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: configuration too large to allocate: Unable to allocate 8.00 EiB"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_validation_error_is_1(self, capsys):
         rc = main(["run", "--set", "alpha=-1"])
@@ -363,6 +373,13 @@ class TestRoundtripCommand:
         assert "max roundtrip error" in out
         error = float(out.split(":")[-1])
         assert error < 1e-6
+
+    def test_roundtrip_beyond_tolerance_is_2_with_one_fail_line(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "ROUNDTRIP_TOLERANCE", 0.0)  # every error reaches it
+        assert main(["ddim-roundtrip", "--set", "timesteps=4"]) == 2
+        captured = capsys.readouterr()
+        assert "max roundtrip error over 4 steps" in captured.out
+        assert captured.err.splitlines() == ["FAIL: roundtrip error >= 0.0"]
 
     def test_roundtrip_can_dump_trajectory(self, tmp_path):
         rc = main(

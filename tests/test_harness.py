@@ -332,8 +332,10 @@ class TestRunPipeline:
             assert np.array_equal(body.reshape(16, 8) / 255.0, fused[i])
 
     def test_peak_memory_does_not_grow_with_timesteps(self, tmp_path):
+        # A step holds 16,384 entries at this shape, so a chunk is 4 steps, and each
+        # of these step counts runs whole chunks only.
         peaks = []
-        for timesteps in (2, 8, 32):
+        for timesteps in (4, 8, 32):
             cfg = ExperimentConfig(heads=8, head_dim=8, positions=256, tokens=8,
                                    timesteps=timesteps, dump_dir=tmp_path / f"t{timesteps}")
             peaks.append(traced_peak(cfg))
@@ -349,14 +351,42 @@ class TestRunPipeline:
         #   current latent (2), the four key/value blocks (4 t / m = 0.30);
         # - the layer's blocks: q, f_s, f_c and f_out (4), the spatial and fused bool
         #   masks (2 / 8 = 0.25);
-        # - merge_heads: the one head-merged block it wraps without a copy, and its
-        #   finiteness scan (1 + 1 / 8).
-        # That is 8.61; the attention peak (q, f_s, the result block that both halves of
+        # - the finiteness check of the layer output, in place of the merge that no one
+        #   reads (1 / 8).
+        # That is 7.61; the attention peak (q, f_s, the result block that both halves of
         # the head split fill, the logits that softmax turns into P in place, t / d = 1.93,
         # and the V^T P block, on the 3.24 held all run) is the higher, at 9.2 (9.37
         # measured, 9.61 in a fresh interpreter's first run). A second softmax-sized buffer,
         # the previous chunk's blocks or the spatial input each puts it over 10.
         assert traced_peak(cfg) <= 10 * latent_bytes
+
+    def test_peak_memory_of_the_default_run_is_at_most_six_and_a_half_chunk_blocks(
+            self, tmp_path):
+        cfg = ExperimentConfig(dump_dir=tmp_path)
+        assert harness._chunk_steps(cfg) >= cfg.timesteps  # the 50 steps are one chunk
+        block_bytes = cfg.timesteps * cfg.positions * cfg.model_dim * 8
+        # In chunk-sized blocks (50 m x h*d float64, 400 KiB) at this size, the live
+        # set at the peak, in blend:
+        # - held all run: w_q, w_k, w_v (3 h*d / 50 m = 0.24), the oracle noise and the
+        #   current latent (2 / 50 = 0.04), the four key/value blocks (4 t / 50 m = 0.02);
+        # - the layer's blocks: q, f_s and f_c (3), the spatial and fused bool masks
+        #   (2 / 8 = 0.25);
+        # - blend: its output, the block of squared deviations it sums, and the
+        #   inverted mask (1 + 1 + 1 / 8).
+        # That is 5.68 (5.79 measured). The stacked latents and the projection are freed
+        # by then; any further chunk-sized block puts it over 6.5. The run before the
+        # traced one imports the helper's pool, which adds about 1.3 blocks the first time.
+        run_pipeline(cfg)
+        assert traced_peak(cfg) <= 6.5 * block_bytes
+
+    @pytest.mark.parametrize("shape, steps", [
+        (dict(), 64),  # small_sweep: the default 50 steps run as one chunk
+        (dict(heads=8, head_dim=40, positions=1024, tokens=77), 1),  # sd_block
+        (dict(heads=16, head_dim=16, positions=256, tokens=16, layers_per_step=4,
+              apply_asi=False), 1),  # mid_bypass
+    ], ids=["small_sweep", "sd_block", "mid_bypass"])
+    def test_chunk_steps_at_the_benchmark_shapes(self, shape, steps):
+        assert harness._chunk_steps(ExperimentConfig(**shape)) == steps
 
     def test_layers_per_step_chains_features(self, tmp_path):
         cfg1 = small_cfg(tmp_path, timesteps=2)
@@ -463,10 +493,11 @@ def artifacts(out_dir: Path) -> dict[str, bytes]:
 
 
 class TestChunking:
-    # Chunks of several steps against one step at a time: the same bytes. The
-    # ragged shape runs 22-step chunks by default, so T=13 is one short chunk;
-    # the small_sweep shape runs 8-step chunks, 8 + 5. Four-step chunks leave
-    # a final chunk of one step.
+    # Chunks of several steps against one step at a time: the same bytes. By
+    # default the ragged shape runs 183-step chunks and the small_sweep shape
+    # 64-step ones, so T=13 is one short chunk at either. Four-step chunks leave
+    # a final chunk of one step, and T=69 at the small_sweep shape runs one
+    # whole default chunk and a final one of 5 steps.
     @pytest.mark.parametrize("four_step_chunks", [False, True], ids=["default", "4-step"])
     @pytest.mark.parametrize("select_all", [False, True], ids=["n=0", "n=h"])
     @pytest.mark.parametrize("apply_asi", [False, True], ids=["bypass", "asi"])
@@ -488,7 +519,21 @@ class TestChunking:
             monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 4 * per_step)
             assert harness._chunk_steps(cfg) == 4
         else:
-            assert harness._chunk_steps(cfg) > 4
+            assert harness._chunk_steps(cfg) > 13
+        self.assert_single_steps_write_the_same_bytes(tmp_path, monkeypatch, cfg)
+
+    @pytest.mark.parametrize("layers_per_step", [1, 2])
+    @pytest.mark.parametrize("apply_asi", [False, True], ids=["bypass", "asi"])
+    def test_a_short_last_chunk_at_the_default_budget_writes_the_bytes_of_single_steps(
+        self, tmp_path, monkeypatch, apply_asi, layers_per_step
+    ):
+        cfg = ExperimentConfig(timesteps=69, layers_per_step=layers_per_step,
+                               apply_asi=apply_asi, dump_dir=tmp_path / "chunked")
+        assert harness._chunk_steps(cfg) == 64
+        self.assert_single_steps_write_the_same_bytes(tmp_path, monkeypatch, cfg)
+
+    @staticmethod
+    def assert_single_steps_write_the_same_bytes(tmp_path, monkeypatch, cfg):
         chunked = run_pipeline(cfg)
         monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 1)
         single = dataclasses.replace(cfg, dump_dir=tmp_path / "single")

@@ -192,32 +192,35 @@ class TestContractionOrder:
         steps = harness._chunk_steps(cfg)
         run_pipeline(dataclasses.replace(cfg, timesteps=steps))  # one chunk of `steps` steps
         h, m, d, t, md = cfg.heads, cfg.positions, cfg.head_dim, cfg.tokens, cfg.model_dim
-        # Where the kernels split (over an even h here), matmul makes each projection in
-        # two halves of its rows, and attention and the distances make their products
-        # over h / 2 heads in each half.
+        # Where the kernels split (over an even h here), matmul makes a projection in two
+        # halves of its rows, and attention and the distances make their products over
+        # h / 2 heads in each half. At small_sweep's 64 steps only project_q's
+        # 1024 x 64 by 64 x 64 product (4,194,304 multiply-adds) is large enough to split.
         split = name in ("sd_block", "mid_bypass")
         hh = h // 2 if split else h
 
-        def projection(rows):  # the row halves matmul contracts, or all its rows at once
+        def projection(rows, split):  # the row halves matmul contracts, or all its rows at once
             halves = {rows // 2, rows - rows // 2} if split else {rows}
             return {((r, md), (md, md)) for r in halves}
 
         assert seen == {
-            *projection(t),  # project_kv
-            *projection(steps * m),  # project_q over the stacked latents
+            *projection(t, split),  # project_kv
+            *projection(steps * m, split or name == "small_sweep"),  # project_q, stacked latents
             ((hh, t, d), (hh, d, steps * m)),  # logits as K Q^T, every step's rows at once
             ((hh, d, t), (hh, t, steps * m)),  # output as V^T P, P in the logits' layout
             ((hh, steps, d, m), (hh, steps, m, d)),  # Gram F^T F per step
         }
         assert not strided, strided  # (shape, strides) of each operand not C-contiguous
-        assert steps == {"small_sweep": 8, "ragged": 22, "head_dim_1": 22}.get(name, 1)
+        assert steps == {"small_sweep": 64, "ragged": 183, "head_dim_1": 183}.get(name, 1)
         kernels = {kernel for kernel, _, _ in handed}
         if name == "sd_block":  # merge_heads's 2 passes over 1024 x 320 entries stay whole
             assert kernels == {"Rng.normals", "_jump", "matmul", "attend", "head_distances",
                                "extract_spatial_mask", "fuse_masks", "blend", "_preserved_mse"}
         if name == "mid_bypass":  # no blending (apply_asi is off); a 256 x 256 jump stays whole
             assert kernels == {"Rng.normals", "matmul", "attend", "head_distances"}
-        if not split:
+        if name == "small_sweep":  # project_q's upper 512 rows, once
+            assert handed == [("matmul", 512, 1024)]
+        if not split and name != "small_sweep":
             assert not handed
 
     def test_negative_zero_products_sum_to_positive_zero(self):
