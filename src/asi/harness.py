@@ -34,9 +34,10 @@ import numpy as np
 from .adablending import BlendConfig, asi_layer, head_distances
 from .ddim import LatentState, NoiseSchedule, ddim_invert, ddim_step, make_schedule
 from .errors import ConfigError, ShapeError
-from .numeric import Matrix, Rng, _as_number, _check_finite, _is_int, _split, randn_matrix
+from .numeric import (Matrix, Rng, _as_number, _check_finite, _contract, _is_int, _readonly,
+                      _split, randn_matrix)
 # siamese_attend is unused here, but the benchmark tracer wraps harness.siamese_attend.
-from .sica import AttentionParams, attend, merge_heads, project_kv, project_q, siamese_attend
+from .sica import AttentionParams, _sica, merge_heads, project_kv, project_q, siamese_attend
 from .tensorio import save_tensor
 
 __all__ = [
@@ -319,6 +320,32 @@ def _chunk_steps(cfg: ExperimentConfig) -> int:
     return max(1, _CHUNK_ENTRIES // per_step)
 
 
+def _bypass_layers(latents: np.ndarray, params: AttentionParams, kv: tuple, layers: int,
+                   shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    # With blending off, one chunk's layer stack: the content track's final output and
+    # the style track of the final queries, as (h, steps, m, d) blocks. Every stage reads
+    # only its own query rows, so the stack splits once, by rows; each half checks its
+    # projections and merged outputs finite. Under 4 rows it runs whole, as a half of one
+    # row would attend in another order (see _split).
+    h, _, _, d = shape
+    content, style = np.empty((2, h, len(latents), d))
+
+    def body(lo: int, hi: int) -> None:
+        rows = latents[lo:hi]
+        for left in range(layers, 0, -1):
+            qt = np.ascontiguousarray(
+                _contract(rows, params.w_q.a).reshape(hi - lo, h, d).transpose(1, 2, 0))
+            _check_finite(qt)
+            rows = qt.reshape(hi - lo, h * d)  # the next layer's input, written over Q^T
+            out = rows.reshape(hi - lo, h, d).transpose(1, 0, 2) if left > 1 else content[:, lo:hi]
+            _sica(qt, *kv[2:], out)
+            _check_finite(out)
+        _sica(qt, *kv[:2], style[:, lo:hi])
+
+    _split(body, len(latents), latents.size, h * d if len(latents) >= 4 else 1)
+    return _readonly(content.reshape(shape)), _readonly(style.reshape(shape))
+
+
 # glibc's mallopt parameter numbers (malloc.h).
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 
@@ -354,9 +381,11 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     top n heads are selected per step. _CHUNK_ENTRIES bounds a chunk's size:
     the default run's 50 steps are one chunk, an SD-sized step is a chunk of
     its own. A chunk's final layer output is checked finite, not merged back
-    into a matrix that no one reads. The blended output of the final step's
-    final layer is dumped along with that step's masks and per-head
-    distances.
+    into a matrix that no one reads. With blending off, only the content
+    track feeds the next layer, and a chunk's whole layer stack runs as one
+    split by rows (_bypass_layers), ending with the style track of the final
+    queries. The blended output of the final step's final layer is dumped
+    along with that step's masks and per-head distances.
 
     The first call in a process sets glibc's allocator to keep up to 64 MiB
     of freed heap mapped, so later steps and runs reuse their blocks' pages
@@ -387,22 +416,21 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
                 latents[i] = x.a
         features = x if latents is None else Matrix._of(latents.reshape(-1, cfg.model_dim))
         del latents
-        for left in range(cfg.layers_per_step, 0, -1):  # layers left, this one included
-            q = project_q(features, params).reshape(
-                cfg.heads, len(ts), cfg.positions, cfg.head_dim)
-            features = result = block = None  # free the previous layer's blocks before the next
-            if cfg.apply_asi:
-                result = asi_layer(q, *kv, cfg.blend)
-                block = result.f_out
-            else:
-                block = attend(q, *kv[2:])
-            if left > 1:
-                features = merge_heads(block)
-        _check_finite(block)  # as the merge no one reads would; the last layer skips it
+        shape = (cfg.heads, len(ts), cfg.positions, cfg.head_dim)
         if cfg.apply_asi:
-            distances = result.distances
-        else:  # only the content track moves the features; the style track runs once a chunk
-            distances = head_distances(attend(q, *kv[:2]), block)
+            for left in range(cfg.layers_per_step, 0, -1):  # layers left, this one included
+                q = project_q(features, params).reshape(shape)
+                features = result = None  # free the previous layer's blocks before the next
+                result = asi_layer(q, *kv, cfg.blend)
+                if left > 1:
+                    features = merge_heads(result.f_out)
+            block, distances = result.f_out, result.distances
+            _check_finite(block)  # as the merge no one reads would; the last layer skips it
+        else:
+            block, style = _bypass_layers(features.a, params, kv, cfg.layers_per_step, shape)
+            features = None
+            distances = head_distances(style, block)
+            del style
         for i, t in enumerate(ts):
             blended = 0.0, 0.0
             if cfg.apply_asi:

@@ -16,6 +16,8 @@ passes for elementwise work:
   its multiply-adds;
 * ``asi.sica.merge_heads``, by rows: entries x 2 passes;
 * ``asi.sica.attend``, by heads: its products' multiply-adds;
+* with blending off, a chunk's whole layer stack (``asi.harness``), by rows:
+  its query projection's multiply-adds;
 * ``head_distances``, ``extract_spatial_mask``, ``fuse_masks`` and
   ``blend`` (``asi.adablending``) and the run's preserved-coordinate check
   (``asi.harness``), by heads: the multiply-adds of their block's Gram
@@ -124,8 +126,9 @@ _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os
 # helper's pool and waiting for it costs about 60 us (p50, 2-CPU x86 box), and
 # einsum does about 2.5 G multiply-adds/s, so a split saves time from about
 # 2 * 60e-6 * 2.5e9 = 3e5 multiply-adds on. 2**20 stays, about 3.5x over that
-# break-even: two halves run well short of twice as fast, and it leaves the
-# default run's largest product (524,288) unsplit, where no gain was measured.
+# break-even: two halves run well short of twice as fast, and an 8-step block's
+# query projection (524,288) gained nothing split. The default run's 50-step one
+# (3,276,800) splits, so its first run starts the helper thread.
 # An elementwise pass costs about as much per entry (0.3-0.6 ns for a check,
 # a copy or a transposing copy of an sd-sized latent), so entry-passes are
 # held to the same threshold.
@@ -167,6 +170,8 @@ def _split(body, n: int, size: int, cols: int) -> None:
     * matmul, n rows: a.size entries x b's columns;
     * sica.merge_heads, n rows: entries x 2 passes;
     * sica.attend, n heads: k.size x query rows, for both products;
+    * harness._bypass_layers, n stacked rows: latents.size x model_dim, or one
+      column under 4 rows, whose halves would attend one row;
     * adablending's head_distances, extract_spatial_mask, fuse_masks and
       blend, and harness._preserved_mse, n heads: the Gram F^T F of their
       block, f.size x head_dim, so a layer's per-head stages split together.

@@ -180,20 +180,27 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     # both CPUs, each half filling its heads of the result. Both products are
     # k.size * n multiply-adds, with n columns.
     rows = q.reshape(hq, -1, dq)
-    n = rows.shape[1]
-    scale = 1.0 / math.sqrt(dq)
-    out = np.empty((hq, n, dq))
+    out = np.empty(rows.shape)
 
     def track(lo: int, hi: int) -> None:
-        p = _contract(k[lo:hi], np.ascontiguousarray(rows[lo:hi].transpose(0, 2, 1)))
-        p *= scale
-        _softmax(p.transpose(0, 2, 1))
-        vp = _contract(np.ascontiguousarray(v[lo:hi].transpose(0, 2, 1)), p)
-        del p
-        out[lo:hi] = vp.transpose(0, 2, 1)
+        _sica(rows[lo:hi].transpose(0, 2, 1), k[lo:hi], v[lo:hi], out[lo:hi])
 
-    _split(track, hq, k.size, n)
+    _split(track, hq, k.size, rows.shape[1])
     return _readonly(out.reshape(q.shape))
+
+
+def _sica(qt: np.ndarray, k: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+    # The one attention formula: softmax(Q K^T / sqrt(d)) V of each head's query rows, in
+    # the layouts attend describes, written to `out`, any (h, rows, d) view. Q^T is an
+    # (h, d, rows) block; a view of it is copied C-ordered for the logits alone, so the
+    # copy is freed before P is. Q^T is read before `out` is written, so they may share
+    # a buffer. It runs inside split halves, so it calls no public name.
+    p = _contract(k, np.ascontiguousarray(qt))
+    p *= 1.0 / math.sqrt(k.shape[-1])
+    _softmax(p.transpose(0, 2, 1))
+    vp = _contract(np.ascontiguousarray(v.transpose(0, 2, 1)), p)
+    del p
+    out[...] = vp.transpose(0, 2, 1)
 
 
 def siamese_attend(

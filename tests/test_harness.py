@@ -212,11 +212,32 @@ def report_rows(out_dir: Path) -> list[tuple]:
     return [(int(row[0]), *(float(v) for v in row[1:])) for row in body]
 
 
+def artifact_bytes(out_dir: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+
+
+# Bypass runs that reach the row split of their layer stack on a 2-CPU host: halves of
+# 128 and 129 rows, a 64-step chunk (1,024 rows) then a 5-step one that runs whole, and
+# a 2-row block, which runs whole as a half of one row would attend in another order.
+BYPASS_SPLITS = [
+    *(pytest.param(False, dict(heads=16, head_dim=16, positions=257, tokens=16, timesteps=2,
+                               layers_per_step=layers), id=f"odd_rows-{layers}")
+      for layers in (1, 3)),
+    pytest.param(False, dict(timesteps=69, layers_per_step=2), id="chunked"),
+    pytest.param(False, dict(heads=8, head_dim=128, positions=2, timesteps=1, layers_per_step=2),
+                 id="two_rows"),
+]
+
+
 class TestRunPipeline:
-    @pytest.mark.parametrize("layers_per_step", [1, 3])
-    @pytest.mark.parametrize("apply_asi", [False, True])
-    def test_run_equals_replay(self, tmp_path, apply_asi, layers_per_step):
-        cfg = small_cfg(tmp_path, apply_asi=apply_asi, layers_per_step=layers_per_step)
+    @pytest.mark.parametrize("apply_asi, settings", [
+        *(pytest.param(apply_asi, dict(layers_per_step=layers), id=f"{apply_asi}-{layers}")
+          for apply_asi in (False, True) for layers in (1, 3)),
+        *BYPASS_SPLITS,
+    ])
+    def test_run_equals_replay(self, tmp_path, monkeypatch, apply_asi, settings):
+        monkeypatch.setattr(numeric, "_CPUS", 2)  # split as on a 2-CPU host, whatever this one has
+        cfg = small_cfg(tmp_path, apply_asi=apply_asi, **settings)
         report = run_pipeline(cfg)
         features, rows = replay_run(cfg)
         dumped = load_tensor(cfg.dump_dir / "features_out.asit")
@@ -225,6 +246,10 @@ class TestRunPipeline:
         assert report.per_step_ell == tuple(row[1:-2] for row in rows)
         if not apply_asi:
             assert report.blended_fraction == report.preserved_mse == 0.0
+            monkeypatch.setattr(numeric, "_CPUS", 1)
+            whole = dataclasses.replace(cfg, dump_dir=tmp_path / "whole")
+            run_pipeline(whole)
+            assert artifact_bytes(whole.dump_dir) == artifact_bytes(cfg.dump_dir)
 
     def test_degenerate_style_stays_near_content(self, tmp_path):
         cfg = small_cfg(

@@ -185,7 +185,7 @@ class TestContractionOrder:
             strided.update((x.shape, x.strides) for x in (a, b, result) if not x.flags.c_contiguous)
             return result
 
-        for module in (numeric, sica, adablending):
+        for module in (numeric, sica, adablending, harness):
             monkeypatch.setattr(module, "_contract", checked)
         monkeypatch.setattr(numeric, "_CPUS", 2)  # split as on a 2-CPU host, whatever this one has
         cfg = ExperimentConfig(**RUN_SHAPES[name], dump_dir=tmp_path)
@@ -194,20 +194,24 @@ class TestContractionOrder:
         h, m, d, t, md = cfg.heads, cfg.positions, cfg.head_dim, cfg.tokens, cfg.model_dim
         # Where the kernels split (over an even h here), matmul makes a projection in two
         # halves of its rows, and attention and the distances make their products over
-        # h / 2 heads in each half. At small_sweep's 64 steps only project_q's
-        # 1024 x 64 by 64 x 64 product (4,194,304 multiply-adds) is large enough to split.
+        # h / 2 heads in each half. With blending off (mid_bypass), the layer stack splits
+        # by rows instead: each half projects its half of the stacked rows and attends them
+        # with all h heads. At small_sweep's 64 steps only project_q's 1024 x 64 by
+        # 64 x 64 product (4,194,304 multiply-adds) is large enough to split.
         split = name in ("sd_block", "mid_bypass")
         hh = h // 2 if split else h
+        rows = steps * m
+        heads, cols = (h, rows // 2) if name == "mid_bypass" else (hh, rows)
 
-        def projection(rows, split):  # the row halves matmul contracts, or all its rows at once
+        def projection(rows, split):  # the row halves contracted, or all the rows at once
             halves = {rows // 2, rows - rows // 2} if split else {rows}
             return {((r, md), (md, md)) for r in halves}
 
         assert seen == {
             *projection(t, split),  # project_kv
-            *projection(steps * m, split or name == "small_sweep"),  # project_q, stacked latents
-            ((hh, t, d), (hh, d, steps * m)),  # logits as K Q^T, every step's rows at once
-            ((hh, d, t), (hh, t, steps * m)),  # output as V^T P, P in the logits' layout
+            *projection(rows, split or name == "small_sweep"),  # the queries, stacked latents
+            ((heads, t, d), (heads, d, cols)),  # logits as K Q^T, every step's rows at once
+            ((heads, d, t), (heads, t, cols)),  # output as V^T P, P in the logits' layout
             ((hh, steps, d, m), (hh, steps, m, d)),  # Gram F^T F per step
         }
         assert not strided, strided  # (shape, strides) of each operand not C-contiguous
@@ -217,7 +221,7 @@ class TestContractionOrder:
             assert kernels == {"Rng.normals", "_jump", "matmul", "attend", "head_distances",
                                "extract_spatial_mask", "fuse_masks", "blend", "_preserved_mse"}
         if name == "mid_bypass":  # no blending (apply_asi is off); a 256 x 256 jump stays whole
-            assert kernels == {"Rng.normals", "matmul", "attend", "head_distances"}
+            assert kernels == {"Rng.normals", "matmul", "_bypass_layers", "head_distances"}
         if name == "small_sweep":  # project_q's upper 512 rows, once
             assert handed == [("matmul", 512, 1024)]
         if not split and name != "small_sweep":

@@ -28,11 +28,34 @@ def test_benchmark_self_checks_pass():
     assert proc.returncode == 0, proc.stderr[-4000:]
 
 
-def test_no_traced_name_runs_off_the_main_thread(tmp_path, monkeypatch):
+# (config, the kernels whose halves the helper runs, traced names the run must reach)
+# of each shape: sd_block's, with blending on, and mid_bypass's, whose layer stack
+# splits by rows in one hand-off.
+HELPER_RUNS = {
+    "sd_block": (
+        dict(heads=8, head_dim=40, positions=1024, tokens=77, timesteps=1),
+        {"Rng.normals", "_jump", "matmul", "attend", "head_distances", "extract_spatial_mask",
+         "fuse_masks", "blend", "_preserved_mse"},
+        {"harness.run_pipeline", "sica.siamese_attend", "adablending.head_distances",
+         "adablending.blend", "adablending.extract_spatial_mask", "adablending.fuse_masks",
+         "ddim.ddim_step", "harness.synth_inputs", "numeric.matmul", "matrix_new"},
+    ),
+    "mid_bypass": (
+        dict(heads=16, head_dim=16, positions=256, tokens=16, timesteps=1, layers_per_step=4,
+             apply_asi=False),
+        {"Rng.normals", "matmul", "_bypass_layers", "head_distances"},
+        {"harness.run_pipeline", "adablending.head_distances", "ddim.ddim_step",
+         "harness.synth_inputs", "sica.project_kv", "numeric.matmul", "matrix_new"},
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(HELPER_RUNS))
+def test_no_traced_name_runs_off_the_main_thread(tmp_path, monkeypatch, shape):
     # The tracer keeps one span stack, which is not thread-safe: a kernel split over
     # the helper thread must call none of the names it wraps from there. Each name
-    # install_tracer wraps records the threads it runs on, through an sd-shape run
-    # split as on a 2-CPU host.
+    # install_tracer wraps records the threads it runs on, through a run split as on
+    # a 2-CPU host.
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import worker
 
@@ -63,15 +86,10 @@ def test_no_traced_name_runs_off_the_main_thread(tmp_path, monkeypatch):
 
     monkeypatch.setattr(numeric, "_run_half", recorded_half)
     monkeypatch.setattr(numeric, "_CPUS", 2)
-    cfg = ExperimentConfig(heads=8, head_dim=40, positions=1024, tokens=77, timesteps=1,
-                           dump_dir=tmp_path)
-    worker.harness.run_pipeline(cfg)
-    assert helper_ran == {"Rng.normals", "_jump", "matmul", "attend", "head_distances",
-                          "extract_spatial_mask", "fuse_masks", "blend", "_preserved_mse"}
-    assert {"harness.run_pipeline", "sica.siamese_attend", "adablending.head_distances",
-            "adablending.blend", "adablending.extract_spatial_mask", "adablending.fuse_masks",
-            "ddim.ddim_step", "harness.synth_inputs", "numeric.matmul",
-            "matrix_new"} <= set(threads)
+    config, helper_kernels, reached = HELPER_RUNS[shape]
+    worker.harness.run_pipeline(ExperimentConfig(**config, dump_dir=tmp_path))
+    assert helper_ran == helper_kernels
+    assert reached <= set(threads)
     off_main = {name: seen for name, seen in threads.items() if seen != {threading.main_thread()}}
     assert not off_main
 

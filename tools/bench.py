@@ -40,8 +40,9 @@ ROOT = Path(__file__).resolve().parent.parent
 NOTES = [
     "adablending.adain.* reads 0: blend calls the private _adain, not the traced adain.",
     "numeric.softmax_rows.* reads 0: attend calls the private _softmax inside its split halves.",
-    "mid_bypass: the bypass attend time lands in harness.run_pipeline.self_s, as attend is not "
-    "traced there.",
+    "mid_bypass: the query projection, both attention tracks and the merges run in the bypass "
+    "layer stack's row split and count in harness.run_pipeline.self_s; sica.project_q.calls "
+    "reads 0 and numeric.matmul.calls counts project_kv's 4 products alone.",
 ]
 
 
