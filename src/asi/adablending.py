@@ -25,16 +25,19 @@ may also be (h, steps, m, d): one feature map per sampler step. The kernels
 -2), so each slice gets the bits it would get alone; heads are ranked along
 axis 0 within each step, and the head mask and distances are (h, steps).
 Blocks are not scanned for NaN/Inf again: the head distances are checked,
-and a non-finite block fails there or when the layer output is merged back
-into a :class:`~asi.numeric.Matrix`.
+and a non-finite block fails there or where the pipeline checks a layer's
+output finite.
 
 Every head's covariances, distance, masks and AdaIN depend on that head
-alone, up to the top-n selection. So :func:`head_distances`,
-:func:`extract_spatial_mask`, :func:`fuse_masks` and :func:`blend` split
-their heads over two threads by the shape of the block's Gram F^T F (see
-:func:`asi.numeric._split`), after checking their arguments; each half
-writes its heads of one output, and every entry keeps its bits. At
-head_dim=1 the Gram has one column, and all four run whole.
+alone, up to the top-n selection. So :func:`asi_layer` splits its heads over
+two threads twice (see :func:`asi.numeric._split`): both attention tracks,
+their column sums, the distances and the spatial mask; then, after the
+selection, the fusion and the blend. :func:`head_distances` and
+:func:`blend` split by the shape of the block's Gram F^T F, and the mask
+stages, one to three passes over a block, run whole. Each half writes its
+heads of outputs made before the split, so every entry keeps its bits; at
+head_dim=1 the Gram has one column, and nothing splits. Each formula is one
+private kernel, shared by the public stages and the layer.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, NonFiniteError, ShapeError
 from .numeric import _as_number, _contract, _is_int, _kind, _readonly, _split
-from .sica import siamese_attend
+# siamese_attend is unused here, but the benchmark tracer wraps adablending.siamese_attend.
+from .sica import _check_track, _sica, siamese_attend
 
 __all__ = [
     "BlendConfig",
@@ -141,13 +145,13 @@ def _check_rows(f: np.ndarray) -> None:
         raise DegenerateInputError(f"covariance needs at least 2 rows, got {f.shape[-2]}")
 
 
-def _cov(f: np.ndarray) -> np.ndarray:
-    # covariance after its checks. Contracting a contiguous F^T keeps the per-head
-    # summation order.
+def _cov(f: np.ndarray, colsum: np.ndarray | None = None) -> np.ndarray:
+    # covariance after its checks, given f.sum(axis=-2, keepdims=True) if the caller has
+    # it. Contracting a contiguous F^T keeps the per-head summation order.
     m = f.shape[-2]
     gram = _contract(np.ascontiguousarray(np.swapaxes(f, -1, -2)), f)
-    colsum = f.sum(axis=-2)
-    return (gram - colsum[..., :, None] * colsum[..., None, :] / m) / (m - 1)
+    colsum = f.sum(axis=-2, keepdims=True) if colsum is None else colsum
+    return (gram - np.swapaxes(colsum, -1, -2) * colsum / m) / (m - 1)
 
 
 def head_distances(f_s: np.ndarray, f_c: np.ndarray) -> np.ndarray:
@@ -171,15 +175,17 @@ def head_distances(f_s: np.ndarray, f_c: np.ndarray) -> np.ndarray:
             dist[lo:hi] = _distances(f_s[lo:hi], f_c[lo:hi])
 
         _split(body, f_s.shape[0], f_s.size, f_s.shape[-1])  # as the Gram F^T F
-    if not np.isfinite(dist).all():  # head selection would fall to the tie-break alone
-        raise NonFiniteError("head distance is not finite (covariance difference overflowed)")
     return dist
 
 
-def _distances(f_s: np.ndarray, f_c: np.ndarray) -> np.ndarray:
+def _distances(f_s: np.ndarray, f_c: np.ndarray, sum_s: np.ndarray | None = None,
+               sum_c: np.ndarray | None = None) -> np.ndarray:
     d = f_s.shape[-1]
-    diff = _cov(f_s) - _cov(f_c)
-    return np.einsum("...ij,...ij->...", diff, diff) / (4.0 * d * d)
+    diff = _cov(f_s, sum_s) - _cov(f_c, sum_c)
+    dist = np.einsum("...ij,...ij->...", diff, diff) / (4.0 * d * d)
+    if not np.isfinite(dist).all():  # head selection would fall to the tie-break alone
+        raise NonFiniteError("head distance is not finite (covariance difference overflowed)")
+    return dist
 
 
 def _select_top_heads(distances: np.ndarray, n: int) -> np.ndarray:
@@ -216,16 +222,13 @@ def extract_spatial_mask(f_c: np.ndarray, cfg: BlendConfig) -> BlendMask:
     """
     _check_blocks("extract_spatial_mask", f_c, least=3)
     _check_config("extract_spatial_mask", cfg)
-    out = np.empty(f_c.shape, dtype=bool)
+    return BlendMask(_spatial(f_c, cfg.alpha, np.empty(f_c.shape, dtype=bool)))
 
-    def body(lo: int, hi: int) -> None:
-        f, mask = f_c[lo:hi], out[lo:hi]
-        # Not f <= tau: a NaN entry compares False both ways and must blend (True).
-        np.greater(f, cfg.alpha * f.max(axis=-2, keepdims=True), out=mask)
-        np.logical_not(mask, out=mask)
 
-    _split(body, f_c.shape[0], f_c.size, f_c.shape[-1])  # with blend
-    return BlendMask(out)
+def _spatial(f_c: np.ndarray, alpha: float, out: np.ndarray) -> np.ndarray:
+    # Not f <= tau: a NaN entry compares False both ways and must blend (True).
+    np.greater(f_c, alpha * f_c.max(axis=-2, keepdims=True), out=out)
+    return np.logical_not(out, out=out)
 
 
 def _check_config(what: str, cfg: BlendConfig) -> None:
@@ -252,25 +255,24 @@ def fuse_masks(head: np.ndarray, spatial: BlendMask) -> BlendMask:
     if head.shape != spatial.data.shape[:-2]:
         raise ShapeError(f"head mask has shape {head.shape}, spatial mask has heads "
                          f"{spatial.data.shape[:-2]}")
-    out = np.empty(spatial.data.shape, dtype=bool)
-
-    def body(lo: int, hi: int) -> None:
-        np.bitwise_or(head[lo:hi, ..., None, None], spatial.data[lo:hi], out=out[lo:hi])
-
-    _split(body, len(out), out.size, out.shape[-1])  # with blend
-    return BlendMask(out)
+    return BlendMask(_fuse(head, spatial.data, np.empty(spatial.data.shape, dtype=bool)))
 
 
-def _adain(f_c: np.ndarray, f_s: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
-    # sd_s * dev_c / (sd_c + eps) + mu_s, built in `out` by the same operations in the
-    # same order as with NumPy's own mean and std. The style deviation is squared in
-    # `out` itself, so one block of squares besides `out` is the most this holds.
+def _fuse(head: np.ndarray, spatial: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.bitwise_or(head[..., None, None], spatial, out=out)
+
+
+def _adain(f_c: np.ndarray, f_s: np.ndarray, eps: float, out: np.ndarray,
+           sum_c: np.ndarray | None = None, sum_s: np.ndarray | None = None) -> np.ndarray:
+    # sd_s * dev_c / (sd_c + eps) + mu_s, built in `out` by the operations, in order, of
+    # NumPy's own mean (a column sum, the caller's if given, over m) and std. The style
+    # deviation is squared in `out` itself, so one block of squares besides it is held.
     m = f_c.shape[-2]
-    mu_s = f_s.mean(axis=-2, keepdims=True)
+    mu_s = (f_s.sum(axis=-2, keepdims=True) if sum_s is None else sum_s) / m
     np.subtract(f_s, mu_s, out=out)
     out *= out
     sd_s = np.sqrt(out.sum(axis=-2, keepdims=True) / m)
-    np.subtract(f_c, f_c.mean(axis=-2, keepdims=True), out=out)
+    np.subtract(f_c, (f_c.sum(axis=-2, keepdims=True) if sum_c is None else sum_c) / m, out=out)
     sd_c = np.sqrt((out * out).sum(axis=-2, keepdims=True) / m)
     np.multiply(sd_s, out, out=out)
     out /= sd_c + eps
@@ -311,11 +313,17 @@ def blend(f_c: np.ndarray, f_s: np.ndarray, mask: BlendMask, cfg: BlendConfig) -
     out = np.empty(f_c.shape)
 
     def body(lo: int, hi: int) -> None:
-        _adain(f_c[lo:hi], f_s[lo:hi], cfg.eps, out[lo:hi])
-        np.putmask(out[lo:hi], ~mask.data[lo:hi], f_c[lo:hi])  # content where the mask is False
+        _blend(f_c[lo:hi], f_s[lo:hi], mask.data[lo:hi], cfg.eps, out[lo:hi])
 
     _split(body, f_c.shape[0], f_c.size, f_c.shape[-1])  # with head_distances
     return _readonly(out)
+
+
+def _blend(f_c: np.ndarray, f_s: np.ndarray, mask: np.ndarray, eps: float, out: np.ndarray,
+           *sums: np.ndarray) -> None:
+    # AdaIN (from the content's and the style's column sums, if given) where mask, else f_c.
+    _adain(f_c, f_s, eps, out, *sums)
+    np.putmask(out, ~mask, f_c)
 
 
 @dataclass(frozen=True)
@@ -343,20 +351,37 @@ def asi_layer(
 
     q may be an (h, steps, m, d) block of independent layer applications, one
     per sampler step; the cfg.n heads are then selected within each step.
+    Runs in two splits by heads; AdaIN's means are the tracks' column sums,
+    taken once for the distances, over m.
     """
     _check_config("asi_layer", cfg)
-    f_s, f_c = siamese_attend(q, k_s, v_s, k_c, v_c)
-    distances = head_distances(f_s, f_c)
+    _check_track(q, k_s, v_s)
+    _check_track(q, k_c, v_c)
+    _check_rows(q)
+    h, d = q.shape[0], q.shape[-1]
+    f_s, f_c, spatial = np.empty(q.shape), np.empty(q.shape), np.empty(q.shape, dtype=bool)
+    sums = np.empty((2, *q.shape[:-2], 1, d))  # the style's, then the content's
+    distances = np.empty(q.shape[:-2])
+    qt = q.reshape(h, -1, d).transpose(0, 2, 1)
+
+    def stats(lo: int, hi: int) -> None:
+        for f, k, v, colsum in ((f_s, k_s, v_s, sums[0]), (f_c, k_c, v_c, sums[1])):
+            _sica(qt[lo:hi], k[lo:hi], v[lo:hi], f.reshape(h, -1, d)[lo:hi])
+            f[lo:hi].sum(axis=-2, keepdims=True, out=colsum[lo:hi])
+        distances[lo:hi] = _distances(f_s[lo:hi], f_c[lo:hi], sums[0, lo:hi], sums[1, lo:hi])
+        _spatial(f_c[lo:hi], cfg.alpha, spatial[lo:hi])
+
+    # An entry of a track: 2 t multiply-adds in each track, d in each Gram. At d=1 the Gram
+    # has one column, so all runs whole; with m >= 2, the attention products never have one.
+    _split(stats, h, f_c.size, 2 * (len(k_s[0]) + len(k_c[0]) + d) if d > 1 else 1)
     head_mask = _select_top_heads(distances, cfg.n)
-    spatial_mask = extract_spatial_mask(f_c, cfg)
-    fused = fuse_masks(head_mask, spatial_mask)
-    f_out = blend(f_c, f_s, fused, cfg)
-    return AsiLayerResult(
-        f_out=f_out,
-        f_s=f_s,
-        f_c=f_c,
-        distances=distances,
-        head_mask=head_mask,
-        spatial_mask=spatial_mask,
-        fused_mask=fused,
-    )
+    f_out, fused = np.empty(q.shape), np.empty(q.shape, dtype=bool)  # once the tracks' P is freed
+
+    def mix(lo: int, hi: int) -> None:
+        _fuse(head_mask[lo:hi], spatial[lo:hi], fused[lo:hi])
+        _blend(f_c[lo:hi], f_s[lo:hi], fused[lo:hi], cfg.eps, f_out[lo:hi], sums[1, lo:hi],
+               sums[0, lo:hi])
+
+    _split(mix, h, f_c.size, d)  # with blend
+    return AsiLayerResult(_readonly(f_out), _readonly(f_s), _readonly(f_c), distances, head_mask,
+                          BlendMask(spatial), BlendMask(fused))

@@ -284,16 +284,10 @@ def dump_trajectory(
 
 def _preserved_mse(fused: np.ndarray, f_out: np.ndarray, f_c: np.ndarray) -> float:
     # Mean squared deviation from the content features where the fused (h, m, d) mask is
-    # False. Each half of the heads gathers its preserved squared deviations, and the
-    # halves in order are the whole block's, so their one sum has the whole's bits.
-    parts = {}
-
-    def body(lo: int, hi: int) -> None:
-        preserved = ~fused[lo:hi]
-        parts[lo] = (f_out[lo:hi][preserved] - f_c[lo:hi][preserved]) ** 2
-
-    _split(body, len(fused), f_c.size, f_c.shape[-1])  # with blend
-    squares = np.concatenate([parts[lo] for lo in sorted(parts)])
+    # False. A run gathers it only for a step where a preserved coordinate left its content
+    # value (every other step's is 0.0, the bits this returns there), so it runs whole.
+    preserved = ~fused
+    squares = (f_out[preserved] - f_c[preserved]) ** 2
     return float(squares.sum() / squares.size) if squares.size else 0.0
 
 
@@ -406,7 +400,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
 
     rows: list[tuple] = []
     for top in range(cfg.timesteps, 0, -chunk):
-        q = features = result = block = None  # free the previous chunk's blocks first
+        q = features = result = block = fused = None  # free the previous chunk's blocks first
         ts = range(top, max(top - chunk, 0), -1)
         # Each step's latent goes to its rows of one block; its jump checked it finite.
         latents = np.empty((len(ts), cfg.positions, cfg.model_dim)) if len(ts) > 1 else None
@@ -424,27 +418,26 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
                 result = asi_layer(q, *kv, cfg.blend)
                 if left > 1:
                     features = merge_heads(result.f_out)
-            block, distances = result.f_out, result.distances
+            block, distances, fused = result.f_out, result.distances, result.fused_mask.data
             _check_finite(block)  # as the merge no one reads would; the last layer skips it
+            # The chunk's report columns at once; only a step whose preserved entries moved
+            # is gathered.
+            fractions = (np.count_nonzero(fused, axis=(0, 2, 3)) / fused[:, 0].size).tolist()
+            changed = ((block != result.f_c) & ~fused).any(axis=(0, 2, 3))
+            mses = [_preserved_mse(fused[:, i], block[:, i], result.f_c[:, i]) if changed[i]
+                    else 0.0 for i in range(len(ts))]
         else:
             block, style = _bypass_layers(features.a, params, kv, cfg.layers_per_step, shape)
             features = None
             distances = head_distances(style, block)
             del style
-        for i, t in enumerate(ts):
-            blended = 0.0, 0.0
-            if cfg.apply_asi:
-                fused = result.fused_mask.data[:, i]
-                blended = (
-                    np.count_nonzero(fused) / fused.size,
-                    _preserved_mse(fused, block[:, i], result.f_c[:, i]),
-                )
-            rows.append((t, *map(float, (*distances[:, i], *blended))))
+            fractions = mses = [0.0] * len(ts)
+        rows += zip(ts, *distances.tolist(), fractions, mses)  # one row per step
     # The artifacts need only the final step's output and masks.
     f_out = block[:, -1]
     masks = None if result is None else [
         mask[:, -1] for mask in (result.head_mask, result.spatial_mask.data, result.fused_mask.data)]
-    del q, features, result, block
+    del q, features, result, block, fused
 
     out_dir = cfg.dump_dir
     # Written first: save_tensor rejects a non-finite block before it creates the

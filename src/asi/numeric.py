@@ -18,10 +18,12 @@ passes for elementwise work:
 * ``asi.sica.attend``, by heads: its products' multiply-adds;
 * with blending off, a chunk's whole layer stack (``asi.harness``), by rows:
   its query projection's multiply-adds;
-* ``head_distances``, ``extract_spatial_mask``, ``fuse_masks`` and
-  ``blend`` (``asi.adablending``) and the run's preserved-coordinate check
-  (``asi.harness``), by heads: the multiply-adds of their block's Gram
-  F^T F, so a layer's per-head stages split together.
+* with blending on, a layer (``asi.adablending.asi_layer``), by heads, in
+  two splits: both attention tracks, their column sums, the distances and
+  the spatial mask (the tracks' and the Grams' multiply-adds); then, after
+  the top-n selection, the fusion and the blend, as ``blend``;
+* ``head_distances`` and ``blend``, by heads: the multiply-adds of their
+  block's Gram F^T F.
 
 The first split makes the pool (importing the package starts no thread),
 and a forked child makes its own. :class:`Matrix` is the validated 2-D type
@@ -172,9 +174,11 @@ def _split(body, n: int, size: int, cols: int) -> None:
     * sica.attend, n heads: k.size x query rows, for both products;
     * harness._bypass_layers, n stacked rows: latents.size x model_dim, or one
       column under 4 rows, whose halves would attend one row;
-    * adablending's head_distances, extract_spatial_mask, fuse_masks and
-      blend, and harness._preserved_mse, n heads: the Gram F^T F of their
-      block, f.size x head_dim, so a layer's per-head stages split together.
+    * adablending.asi_layer's first split, n heads: a track's f.size x
+      2 (t_s + t_c + head_dim), its tracks' and Grams' multiply-adds, or one
+      column at head_dim=1; its second, as blend;
+    * adablending's head_distances and blend, n heads: the Gram F^T F of
+      their block, f.size x head_dim.
 
     From _MIN_SPLIT (size * cols), n >= 2 and a second CPU, the process's
     one helper thread runs body(n // 2, n) while the caller runs
@@ -306,8 +310,9 @@ def _pairwise_sum(x: np.ndarray, lo: int, n: int) -> np.ndarray:
         return total
     if n <= 128:
         end = lo + n - n % 8
-        part = x[lo:lo + 8].copy()
-        for i in range(lo + 8, end, 8):
+        # The 8 partial sums: x's own rows under 16, else made by their first addition.
+        part = x[lo:lo + 8] if n < 16 else x[lo:lo + 8] + x[lo + 8:lo + 16]
+        for i in range(lo + 16, end, 8):
             part += x[i:i + 8]
         pairs = part[0::2] + part[1::2]  # ((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 + p7))
         quads = pairs[0::2] + pairs[1::2]

@@ -150,20 +150,7 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     query row of a head attends to the same keys and values. Returns a block
     of q's shape.
     """
-    for name, x in (("q", q), ("k", k), ("v", v)):
-        if not isinstance(x, np.ndarray) or x.dtype != np.float64:
-            raise ShapeError(f"attend: {name} must be a float64 array, got {_kind(x)}")
-    if q.ndim < 3 or k.ndim != 3 or v.ndim != 3 or 0 in (*q.shape, *k.shape, *v.shape):
-        raise ShapeError(f"attend needs non-empty q (h, ..., m, d) and k, v (h, t, d), "
-                         f"got shapes {q.shape}, {k.shape}, {v.shape}")
-    hq, dq = q.shape[0], q.shape[-1]
-    (hk, tk, dk), (hv, tv, dv) = k.shape, v.shape
-    if hk != hq or hv != hq:
-        raise ShapeError(f"head count mismatch: q has {hq}, k has {hk}, v has {hv}")
-    if dk != dq or dv != dq:
-        raise ShapeError(f"head_dim mismatch: q has {dq}, k has {dk}, v has {dv}")
-    if tk != tv:
-        raise ShapeError(f"token count mismatch: k has {tk}, v has {tv}")
+    _check_track(q, k, v)
     # Logits as K Q^T, output as V^T P, from C-ordered operands: einsum's
     # inner loop runs over the query rows, and the reduced axis (d, then t)
     # is never innermost in both operands, so each entry is summed in index
@@ -179,14 +166,32 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     # head's track is independent of the others, so the heads may split over
     # both CPUs, each half filling its heads of the result. Both products are
     # k.size * n multiply-adds, with n columns.
-    rows = q.reshape(hq, -1, dq)
+    rows = q.reshape(len(q), -1, q.shape[-1])
     out = np.empty(rows.shape)
 
     def track(lo: int, hi: int) -> None:
         _sica(rows[lo:hi].transpose(0, 2, 1), k[lo:hi], v[lo:hi], out[lo:hi])
 
-    _split(track, hq, k.size, rows.shape[1])
+    _split(track, len(q), k.size, rows.shape[1])
     return _readonly(out.reshape(q.shape))
+
+
+def _check_track(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> None:
+    # attend's argument checks; asi_layer makes them for each of its two tracks.
+    for name, x in (("q", q), ("k", k), ("v", v)):
+        if not isinstance(x, np.ndarray) or x.dtype != np.float64:
+            raise ShapeError(f"attend: {name} must be a float64 array, got {_kind(x)}")
+    if q.ndim < 3 or k.ndim != 3 or v.ndim != 3 or 0 in (*q.shape, *k.shape, *v.shape):
+        raise ShapeError(f"attend needs non-empty q (h, ..., m, d) and k, v (h, t, d), "
+                         f"got shapes {q.shape}, {k.shape}, {v.shape}")
+    hq, dq = q.shape[0], q.shape[-1]
+    (hk, tk, dk), (hv, tv, dv) = k.shape, v.shape
+    if hk != hq or hv != hq:
+        raise ShapeError(f"head count mismatch: q has {hq}, k has {hk}, v has {hv}")
+    if dk != dq or dv != dq:
+        raise ShapeError(f"head_dim mismatch: q has {dq}, k has {dk}, v has {dv}")
+    if tk != tv:
+        raise ShapeError(f"token count mismatch: k has {tk}, v has {tv}")
 
 
 def _sica(qt: np.ndarray, k: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:

@@ -721,18 +721,19 @@ class TestSplitKernels:
             assert_same_bits(kernel(), whole)
             assert halves == ([(h // 2, h)] if split else [])
 
-    # The mask stages split with blend (by the Gram's shape), so at d=1 they stay whole too.
-    @pytest.mark.parametrize("h, steps, m, d, split", [
-        pytest.param(8, 8, 16, 8, False, id="small_sweep"),
-        pytest.param(8, 1, 1024, 40, True, id="sd_block"),
-        pytest.param(16, 1, 256, 16, True, id="mid_bypass"),
-        pytest.param(5, 1, 1024, 40, True, id="h5"),
-        pytest.param(4, 1, 1 << 18, 1, False, id="d1"),
+    # The mask stages are one to three passes over their block, short of _MIN_SPLIT at
+    # every benchmark size (sd_block's 327,680 entries x 3 passes), so they run whole.
+    @pytest.mark.parametrize("h, steps, m, d", [
+        pytest.param(8, 8, 16, 8, id="small_sweep"),
+        pytest.param(8, 1, 1024, 40, id="sd_block"),
+        pytest.param(16, 1, 256, 16, id="mid_bypass"),
+        pytest.param(5, 1, 1024, 40, id="h5"),
+        pytest.param(4, 1, 1 << 18, 1, id="d1"),
     ])
-    def test_split_masks_equal_the_whole_masks(self, monkeypatch, h, steps, m, d, split):
+    def test_split_masks_equal_the_whole_masks(self, monkeypatch, h, steps, m, d):
         gen = np.random.default_rng(h * m + d)
         f_c = gen.standard_normal((h, steps, m, d))
-        f_c.reshape(-1)[::97] = np.nan  # a NaN entry blends, in either half
+        f_c.reshape(-1)[::97] = np.nan  # a NaN entry blends
         spatial = BlendMask(gen.random(f_c.shape) < 0.5)
         head = gen.random((h, steps)) < 0.5
         kernels = (lambda: extract_spatial_mask(f_c, BlendConfig(alpha=0.5)).data,
@@ -743,7 +744,7 @@ class TestSplitKernels:
             monkeypatch.setattr(numeric, "_CPUS", 2)
             halves = _helper_halves(monkeypatch)
             assert_same_bits(kernel(), whole)
-            assert halves == ([(h // 2, h)] if split else [])
+            assert halves == []
         per_step = [float_spatial_mask(f_c[:, i], 0.5) for i in range(steps)]
         assert_same_bits(extract_spatial_mask(f_c, BlendConfig(alpha=0.5)).data,
                          np.stack(per_step, axis=1) == 1.0)
@@ -782,6 +783,46 @@ class TestSplitKernels:
         assert_same_bits(merge_heads(block).a, merge_heads(block.astype(np.float64)).a)
         with pytest.raises(ShapeError, match="real numbers, got dtype complex128$"):
             merge_heads(block * 1j)
+
+    # (h, steps, m, d, t, the layer's hand-offs on two CPUs): its first split hands off
+    # from 2**20 multiply-adds (entries x 2 (t_s + t_c + d)), its second with blend's.
+    @pytest.mark.parametrize("h, steps, m, d, t, handed", [
+        pytest.param(8, 50, 16, 8, 4, 1, id="small_sweep"),  # 51,200 x 32; x 8 stays whole
+        pytest.param(16, 1, 256, 16, 16, 2, id="mid_bypass"),
+        pytest.param(8, 1, 1024, 40, 77, 2, id="sd_block"),
+        pytest.param(5, 1, 1024, 40, 77, 2, id="h5"),
+        pytest.param(4, 1, 1 << 16, 1, 2, 0, id="d1"),  # the Gram has one column
+        pytest.param(8, 1, 1, 40, 77, 0, id="one_row"),  # no covariance: both raise
+    ])
+    def test_layer_equals_its_stages_composed(self, monkeypatch, h, steps, m, d, t, handed):
+        gen = np.random.default_rng(h * m + d)
+        q = gen.standard_normal((h, steps, m, d))
+        kv = tuple(gen.standard_normal((4, h, t, d)))
+        cfg = BlendConfig(n=2, alpha=0.5)
+        for cpus in (1, 2):
+            monkeypatch.setattr(numeric, "_CPUS", cpus)
+            if m == 1:
+                for call in (lambda: asi_layer(q, *kv, cfg),
+                             lambda: head_distances(*siamese_attend(q, *kv))):
+                    with pytest.raises(DegenerateInputError, match="^covariance needs at least "
+                                                                   "2 rows, got 1$"):
+                        call()
+                continue
+            halves = _helper_halves(monkeypatch)
+            result = asi_layer(q, *kv, cfg)
+            assert halves == [(h // 2, h)] * (handed if cpus == 2 else 0)
+            f_s, f_c = siamese_attend(q, *kv)
+            distances = head_distances(f_s, f_c)
+            head_mask = _select_top_heads(distances, cfg.n)
+            spatial = extract_spatial_mask(f_c, cfg)
+            fused = fuse_masks(head_mask, spatial)
+            stages = AsiLayerResult(blend(f_c, f_s, fused, cfg), f_s, f_c, distances, head_mask,
+                                    spatial, fused)
+            for field in dataclasses.fields(AsiLayerResult):
+                got, want = getattr(result, field.name), getattr(stages, field.name)
+                if isinstance(got, BlendMask):
+                    got, want = got.data, want.data
+                assert_same_bits(got, want)
 
     def test_attention_with_one_query_row_stays_whole(self, monkeypatch):
         gen = np.random.default_rng(1)

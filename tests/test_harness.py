@@ -395,10 +395,10 @@ class TestRunPipeline:
         # - held all run: w_q, w_k, w_v (3 h*d / 50 m = 0.24), the oracle noise and the
         #   current latent (2 / 50 = 0.04), the four key/value blocks (4 t / 50 m = 0.02);
         # - the layer's blocks: q, f_s and f_c (3), the spatial and fused bool masks
-        #   (2 / 8 = 0.25);
+        #   (2 / 8 = 0.25), both tracks' column sums (2 / m = 0.125);
         # - blend: its output, the block of squared deviations it sums, and the
         #   inverted mask (1 + 1 + 1 / 8).
-        # That is 5.68 (5.79 measured). The stacked latents and the projection are freed
+        # That is 5.80 (5.89 measured). The stacked latents and the projection are freed
         # by then; any further chunk-sized block puts it over 6.5. The run before the
         # traced one imports the helper's pool, which adds about 1.3 blocks the first time.
         run_pipeline(cfg)
@@ -453,16 +453,17 @@ def run_script(script: str) -> list[int]:
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is set by glibc's mallopt")
 class TestPreservedMse:
-    """The preserved-coordinate check gathers each half of the heads on its own."""
+    """The preserved-coordinate check: one gather of the whole block, run only for a step
+    where a preserved coordinate left its content value."""
 
-    @pytest.mark.parametrize("h, m, d, split", [
-        (8, 1024, 40, True),  # sd_block
-        (16, 256, 16, True),  # mid_bypass's shape (its runs blend nothing)
-        (5, 1024, 40, True),  # an odd head count
-        (8, 16, 8, False),  # small_sweep
-        (4, 1 << 18, 1, False),  # d=1: with blend, by the Gram's shape
+    @pytest.mark.parametrize("h, m, d", [
+        (8, 1024, 40),  # sd_block
+        (16, 256, 16),  # mid_bypass's shape (its runs blend nothing)
+        (5, 1024, 40),  # an odd head count
+        (8, 16, 8),  # small_sweep
+        (4, 1 << 18, 1),  # d=1
     ])
-    def test_split_check_has_the_bits_of_the_whole_gather(self, monkeypatch, h, m, d, split):
+    def test_check_has_the_bits_of_the_whole_gather(self, monkeypatch, h, m, d):
         gen = np.random.default_rng(h * m)
         f_out, f_c = gen.standard_normal((h, m, d)), gen.standard_normal((h, m, d))
         fused = gen.random((h, m, d)) < 0.7
@@ -480,7 +481,31 @@ class TestPreservedMse:
             monkeypatch.setattr(numeric, "_CPUS", cpus)
             monkeypatch.setattr(numeric, "_run_half", recorded)
             assert harness._preserved_mse(fused, f_out, f_c).hex() == expected.hex()
-        assert handed == ([(h // 2, h)] if split else [])
+        assert handed == []
+
+    @pytest.mark.parametrize("step", [0, 2, 4])
+    def test_a_planted_deviation_is_gathered_with_its_bits(self, tmp_path, monkeypatch, step):
+        # One preserved coordinate of one step of a 5-step chunk leaves its content value:
+        # that step's preserved_mse is its gather's, bit for bit, and every other step's is 0.0.
+        planted = []
+
+        def layer(*args):
+            result = asi_layer(*args)
+            f_out = result.f_out.copy()
+            head, pos, ch = np.argwhere(~result.fused_mask.data[:, step])[0]
+            f_out[head, step, pos, ch] += 0.25
+            planted.append(dataclasses.replace(result, f_out=f_out))
+            return planted[-1]
+
+        monkeypatch.setattr(harness, "asi_layer", layer)
+        report = run_pipeline(small_cfg(tmp_path, timesteps=5))
+        (result,) = planted
+        fused, diff = result.fused_mask.data[:, step], (result.f_out - result.f_c)[:, step]
+        expected = float((diff[~fused] ** 2).sum() / int((~fused).sum()))
+        assert expected > 0.0
+        mses = [row[-1].hex() for row in report_rows(tmp_path / "run")]
+        assert mses == [(expected if i == step else 0.0).hex() for i in range(5)]
+        assert report.preserved_mse.hex() == expected.hex()
 
     def test_nothing_preserved_is_zero(self):
         ones = np.ones((2, 3, 4))

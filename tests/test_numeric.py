@@ -192,16 +192,22 @@ class TestContractionOrder:
         steps = harness._chunk_steps(cfg)
         run_pipeline(dataclasses.replace(cfg, timesteps=steps))  # one chunk of `steps` steps
         h, m, d, t, md = cfg.heads, cfg.positions, cfg.head_dim, cfg.tokens, cfg.model_dim
-        # Where the kernels split (over an even h here), matmul makes a projection in two
-        # halves of its rows, and attention and the distances make their products over
-        # h / 2 heads in each half. With blending off (mid_bypass), the layer stack splits
-        # by rows instead: each half projects its half of the stacked rows and attends them
-        # with all h heads. At small_sweep's 64 steps only project_q's 1024 x 64 by
-        # 64 x 64 product (4,194,304 multiply-adds) is large enough to split.
+        # Where the kernels split, matmul makes a projection in two halves of its rows, and
+        # the layer's first split makes both tracks' products and both Grams over each half
+        # of the heads, h // 2 and h - h // 2 of them. With blending off (mid_bypass), the
+        # layer stack splits by rows instead: each half projects its half of the stacked
+        # rows and attends them with all h heads, and the distances split by heads. At
+        # small_sweep's 64 steps project_q's 1024 x 64 by 64 x 64 product (4,194,304
+        # multiply-adds) splits, and so does the layer (65,536 entries a track x 32
+        # multiply-adds each); at head_dim=1 the layer's Gram has one column, and it runs whole.
         split = name in ("sd_block", "mid_bypass")
-        hh = h // 2 if split else h
+        halves = {h // 2, h - h // 2}
         rows = steps * m
-        heads, cols = (h, rows // 2) if name == "mid_bypass" else (hh, rows)
+        attention, cols, grams = {h}, rows, {h}
+        if name == "mid_bypass":
+            attention, cols, grams = {h}, rows // 2, halves
+        elif name != "head_dim_1":
+            attention, grams = halves, halves
 
         def projection(rows, split):  # the row halves contracted, or all the rows at once
             halves = {rows // 2, rows - rows // 2} if split else {rows}
@@ -210,21 +216,22 @@ class TestContractionOrder:
         assert seen == {
             *projection(t, split),  # project_kv
             *projection(rows, split or name == "small_sweep"),  # the queries, stacked latents
-            ((heads, t, d), (heads, d, cols)),  # logits as K Q^T, every step's rows at once
-            ((heads, d, t), (heads, t, cols)),  # output as V^T P, P in the logits' layout
-            ((hh, steps, d, m), (hh, steps, m, d)),  # Gram F^T F per step
+            *{((n, t, d), (n, d, cols)) for n in attention},  # logits as K Q^T, all rows at once
+            *{((n, d, t), (n, t, cols)) for n in attention},  # output as V^T P, P as the logits
+            *{((n, steps, d, m), (n, steps, m, d)) for n in grams},  # Gram F^T F per step
         }
         assert not strided, strided  # (shape, strides) of each operand not C-contiguous
         assert steps == {"small_sweep": 64, "ragged": 183, "head_dim_1": 183}.get(name, 1)
         kernels = {kernel for kernel, _, _ in handed}
         if name == "sd_block":  # merge_heads's 2 passes over 1024 x 320 entries stay whole
-            assert kernels == {"Rng.normals", "_jump", "matmul", "attend", "head_distances",
-                               "extract_spatial_mask", "fuse_masks", "blend", "_preserved_mse"}
+            assert kernels == {"Rng.normals", "_jump", "matmul", "asi_layer"}
         if name == "mid_bypass":  # no blending (apply_asi is off); a 256 x 256 jump stays whole
             assert kernels == {"Rng.normals", "matmul", "_bypass_layers", "head_distances"}
-        if name == "small_sweep":  # project_q's upper 512 rows, once
-            assert handed == [("matmul", 512, 1024)]
-        if not split and name != "small_sweep":
+        if name == "small_sweep":  # project_q's upper 512 rows, then the layer's first split
+            assert handed == [("matmul", 512, 1024), ("asi_layer", 4, 8)]
+        if name == "ragged":  # 46,665 entries a track x 38 multiply-adds
+            assert handed == [("asi_layer", 1, 3)]
+        if name == "head_dim_1":
             assert not handed
 
     def test_negative_zero_products_sum_to_positive_zero(self):

@@ -43,6 +43,10 @@ NOTES = [
     "mid_bypass: the query projection, both attention tracks and the merges run in the bypass "
     "layer stack's row split and count in harness.run_pipeline.self_s; sica.project_q.calls "
     "reads 0 and numeric.matmul.calls counts project_kv's 4 products alone.",
+    "small_sweep and sd_block: asi_layer runs both attention tracks, the distances, the masks "
+    "and the blend through private kernels in its own two head splits, so sica.siamese_attend.*, "
+    "adablending.head_distances, extract_spatial_mask, fuse_masks and blend read 0; their time "
+    "counts in adablending.asi_layer.self_s.",
 ]
 
 

@@ -3,18 +3,22 @@
     python3 tools/peak_traced.py [WORKLOAD ...]     # every workload by default
 
 Each workload's first config, as perfbench/workloads.py lists it at the
-default seed, is parsed as ``asi run`` would parse it and run twice by
-``asi.harness.run_pipeline``: once under ``tracemalloc``, then once
-untraced. One JSON line goes to stdout::
+default seed, is parsed as ``asi run`` would parse it and run three times by
+``asi.harness.run_pipeline``: once untraced, to warm up, then once under
+``tracemalloc``, then once untraced again. The warm-up pays the process's
+one-time allocations (the helper thread's pool and the modules it imports),
+so a workload's figure does not depend on which workloads ran before it in
+the process. One JSON line goes to stdout::
 
     {"run_peak_traced_mb": {"<workload>": <MiB>, ...},
      "run_minor_faults": {"<workload>": <count>, ...}}
 
 ``run_peak_traced_mb`` counts only the Python and NumPy allocations of the
-traced run, so it repeats to within a few KiB; the benchmark's
+traced run, so it repeats to within a few KiB, alone or after other
+workloads; the benchmark's
 ``peak_rss_mb`` (``ru_maxrss``) also moves with the interpreter, its imports
 and the allocator. ``run_minor_faults`` is the ``ru_minflt`` delta of the
-untraced second run: the pages it had to map afresh, which a run that reuses
+untraced last run: the pages it had to map afresh, which a run that reuses
 the memory it freed keeps near 0. It is a Linux figure; other systems may
 count faults otherwise or not at all. Artifacts go to a temporary directory
 (``$TMPDIR``) that is removed afterwards, and no bytecode is cached, so the
@@ -40,10 +44,12 @@ from workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
 
 def measure(name: str) -> tuple[float, int]:
     """Workload `name`'s first config: the tracemalloc peak, in MiB, of one
-    run, and the minor page faults of a second, untraced run."""
+    run after an untraced warm-up run, and the minor page faults of a third,
+    untraced run."""
     _, overrides = WORKLOADS[name].configs(DEFAULT_SEED)[0]
     with tempfile.TemporaryDirectory() as out:
         cfg = cli.parse_config(None, [*overrides, f"dump_dir={out}"])
+        harness.run_pipeline(cfg)
         tracemalloc.start()
         try:
             harness.run_pipeline(cfg)
