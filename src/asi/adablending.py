@@ -366,7 +366,7 @@ def asi_layer(
 
     def stats(lo: int, hi: int) -> None:
         for f, k, v, colsum in ((f_s, k_s, v_s, sums[0]), (f_c, k_c, v_c, sums[1])):
-            _sica(qt[lo:hi], k[lo:hi], v[lo:hi], f.reshape(h, -1, d)[lo:hi])
+            f.reshape(h, -1, d)[lo:hi] = _sica(qt[lo:hi], k[lo:hi], v[lo:hi]).transpose(0, 2, 1)
             f[lo:hi].sum(axis=-2, keepdims=True, out=colsum[lo:hi])
         distances[lo:hi] = _distances(f_s[lo:hi], f_c[lo:hi], sums[0, lo:hi], sums[1, lo:hi])
         _spatial(f_c[lo:hi], cfg.alpha, spatial[lo:hi])

@@ -34,10 +34,11 @@ import numpy as np
 from .adablending import BlendConfig, asi_layer, head_distances
 from .ddim import LatentState, NoiseSchedule, ddim_invert, ddim_step, make_schedule
 from .errors import ConfigError, ShapeError
-from .numeric import (Matrix, Rng, _as_number, _check_finite, _contract, _is_int, _readonly,
-                      _split, randn_matrix)
+from .numeric import (Matrix, Rng, _as_number, _check_finite, _is_int, _readonly, _split,
+                      randn_matrix)
 # siamese_attend is unused here, but the benchmark tracer wraps harness.siamese_attend.
-from .sica import AttentionParams, _sica, merge_heads, project_kv, project_q, siamese_attend
+from .sica import (AttentionParams, _project, _sica, merge_heads, project_kv, project_q,
+                   siamese_attend)
 from .tensorio import save_tensor
 
 __all__ = [
@@ -304,7 +305,7 @@ def _preserved_mse(fused: np.ndarray, f_out: np.ndarray, f_c: np.ndarray) -> flo
 #     layer, us per step   200   78   78   68   63
 #     run, us per step     280  143  147  136  132
 #
-# At its peak a run holds the weights, the true noise, the current latent
+# At its peak a run holds w_q and W_q^T, the true noise, the current latent
 # and one chunk's layer blocks.
 _CHUNK_ENTRIES = 65536
 
@@ -323,18 +324,19 @@ def _bypass_layers(latents: np.ndarray, params: AttentionParams, kv: tuple, laye
     # row would attend in another order (see _split).
     h, _, _, d = shape
     content, style = np.empty((2, h, len(latents), d))
+    wt = params._w_qt  # made here, once, not in each half
 
     def body(lo: int, hi: int) -> None:
-        rows = latents[lo:hi]
+        xt = np.ascontiguousarray(latents[lo:hi].T)  # X^T; a layer's V^T P is the next X^T
         for left in range(layers, 0, -1):
-            qt = np.ascontiguousarray(
-                _contract(rows, params.w_q.a).reshape(hi - lo, h, d).transpose(1, 2, 0))
-            _check_finite(qt)
-            rows = qt.reshape(hi - lo, h * d)  # the next layer's input, written over Q^T
-            out = rows.reshape(hi - lo, h, d).transpose(1, 0, 2) if left > 1 else content[:, lo:hi]
-            _sica(qt, *kv[2:], out)
-            _check_finite(out)
-        _sica(qt, *kv[:2], style[:, lo:hi])
+            qt = _project(wt, xt.reshape(h * d, -1)).reshape(h, d, -1)
+            del xt  # once Q^T = W_q^T X^T is made
+            if left > 1:
+                xt = _sica(qt, *kv[2:], qt)  # written over Q^T, once the logits have read it
+                _check_finite(xt)
+        content[:, lo:hi] = _sica(qt, *kv[2:]).transpose(0, 2, 1)
+        _check_finite(content[:, lo:hi])
+        style[:, lo:hi] = _sica(qt, *kv[:2], qt).transpose(0, 2, 1)
 
     _split(body, len(latents), latents.size, h * d if len(latents) >= 4 else 1)
     return _readonly(content.reshape(shape)), _readonly(style.reshape(shape))
@@ -393,6 +395,8 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     chunk = _chunk_steps(cfg)
     # k_s, v_s, k_c, v_c: style keys and values, then content keys and values.
     kv = (*project_kv(inputs.style_prompt, params), *project_kv(inputs.content_prompt, params))
+    # The layers read only w_q (as W_q^T), so w_k and w_v go with inputs.
+    params = dataclasses.replace(params, w_k=params.w_q, w_v=params.w_q)
 
     # Only the top latent is kept; the spatial block it was inverted from goes with inputs.
     x = ddim_invert(inputs.spatial, noise, sched, cfg.timesteps, last_only=True)[-1].x

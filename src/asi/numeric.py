@@ -14,10 +14,11 @@ passes for elementwise work:
 * the sampler rung (``asi.ddim``), by rows: entries x 7 passes;
 * :func:`matmul`, by rows, checking its rows' finiteness in each half:
   its multiply-adds;
+* ``asi.sica.project_q``, by heads, as Q^T = W_q^T X^T: its multiply-adds;
 * ``asi.sica.merge_heads``, by rows: entries x 2 passes;
 * ``asi.sica.attend``, by heads: its products' multiply-adds;
 * with blending off, a chunk's whole layer stack (``asi.harness``), by rows:
-  its query projection's multiply-adds;
+  its query projection's multiply-adds (W_q^T X^T of each half's rows);
 * with blending on, a layer (``asi.adablending.asi_layer``), by heads, in
   two splits: both attention tracks, their column sums, the distances and
   the spatial mask (the tracks' and the Grams' multiply-adds); then, after
@@ -27,7 +28,7 @@ passes for elementwise work:
 
 The first split makes the pool (importing the package starts no thread),
 and a forked child makes its own. :class:`Matrix` is the validated 2-D type
-at the edges (inputs, weights, latents, projections and merged layer
+at the edges (inputs, weights, latents, keys, values and merged layer
 outputs); a kernel that made and checked a fresh block wraps it without a
 copy. The layer kernels work on plain read-only arrays, whole feature
 blocks at a time. The row softmax alone writes its argument: it normalizes
@@ -170,10 +171,11 @@ def _split(body, n: int, size: int, cols: int) -> None:
     * Rng.normals, n blocks of the stream: count draws x 35 passes;
     * the sampler rung (ddim._jump), n rows: entries x 7 passes;
     * matmul, n rows: a.size entries x b's columns;
+    * sica.project_q, n heads: W_q^T's size x rows, the product W_q^T X^T;
     * sica.merge_heads, n rows: entries x 2 passes;
     * sica.attend, n heads: k.size x query rows, for both products;
-    * harness._bypass_layers, n stacked rows: latents.size x model_dim, or one
-      column under 4 rows, whose halves would attend one row;
+    * harness._bypass_layers, n stacked rows: latents.size x model_dim (their
+      W_q^T X^T), or one column under 4 rows, whose halves would attend one row;
     * adablending.asi_layer's first split, n heads: a track's f.size x
       2 (t_s + t_c + head_dim), its tracks' and Grams' multiply-adds, or one
       column at head_dim=1; its second, as blend;

@@ -10,10 +10,10 @@ prompt and the content prompt respectively. Per head i:
 with d the per-head channel dimension.
 
 Feature blocks are plain NumPy arrays of shape (heads, positions, head_dim):
-float64, C-contiguous and read-only. Every function here returns blocks of
-that kind and does not scan its block arguments for NaN/Inf again; the
-finiteness checks run where data becomes a :class:`Matrix` (the inputs,
-every projection, and each layer's merged output). Head i owns channels
+float64, read-only and C-contiguous, the queries aside (below). Functions
+here return blocks of that kind and do not scan block arguments for NaN/Inf
+again; the checks run where data becomes a :class:`Matrix` (inputs, keys,
+values, layer outputs) and in the query projection. Head i owns channels
 [i*d, (i+1)*d) of the flat model dimension; this split convention is part
 of the dump format contract and must not change.
 
@@ -23,24 +23,25 @@ sampler steps. Attention is per query row, so every row of a head attends as
 it would alone and gets the bits it would get in an (h, m, d) block.
 
 Both products run with a head's query rows as the innermost loop, from
-C-ordered operands: the logits as K Q^T over a contiguous Q^T, into an
+C-ordered operands: the logits as K Q^T over a contiguous Q^T (as
+:func:`project_q` makes it, W_q^T X^T, so neither track copies it), into an
 (heads, tokens, rows) block that softmax normalizes in place, and the
 output as a contiguous V^T times that block, which one transposing copy
 turns back into the C-ordered (heads, rows, head_dim) block returned.
 NumPy's einsum adds the products of each output element in order of the
 reduction index, multiply then add, whenever that index is not the
 innermost axis of both operands. So these layouts give the same bits as
-the per-head 2-D product Q K^T, then P V. The heads are independent, so a
-large block's tracks are split by heads over two threads, each half running
-its heads' products, softmax and copies whole; that leaves every entry's
-order as it is. With a single query row both products have one column, so
-their reduced axis is innermost in both operands: that order is not pinned,
-and the track runs whole (see :func:`asi.numeric._split`). The pipeline's
-blocks always hold two or more rows.
+the per-head 2-D products X W_q, Q K^T, then P V. The heads are
+independent, so a large block's projection and tracks are split by heads
+over two threads; that leaves every entry's order as it is. With a single
+query row every product has one column, whose reduced axis is innermost
+in both operands: that order is not pinned, and the track runs whole (see
+:func:`asi.numeric._split`). The pipeline's blocks hold two or more rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,6 +89,10 @@ class AttentionParams:
     def model_dim(self) -> int:
         return self.heads * self.head_dim
 
+    @functools.cached_property
+    def _w_qt(self) -> np.ndarray:  # W_q^T, C-ordered, for the query projection: made once
+        return _readonly(np.ascontiguousarray(self.w_q.a.T))
+
 
 def _split_heads(flat: Matrix, heads: int) -> np.ndarray:
     # m x (h*d) -> (h, m, d); AttentionParams makes the channel count h*d.
@@ -124,14 +129,25 @@ def merge_heads(block: np.ndarray) -> Matrix:
 def project_q(spatial: Matrix, params: AttentionParams) -> np.ndarray:
     """Project spatial features to per-head queries: Q = spatial @ w_q, then split.
 
-    Q is computed once and shared by both branches.
+    Q is made once, as the C-ordered (h, d, m) Q^T, and shared as its view.
     """
     if spatial.cols != params.model_dim:
-        raise ShapeError(
-            f"spatial features are {spatial.rows}x{spatial.cols}, "
-            f"expected {params.model_dim} channels"
-        )
-    return _split_heads(matmul(spatial, params.w_q), params.heads)
+        raise ShapeError(f"spatial features are {spatial.rows}x{spatial.cols}, "
+                         f"expected {params.model_dim} channels")
+    h, d, rows = params.heads, params.head_dim, spatial.rows
+    if rows == 1:  # Q^T is then Q, whose one-column product einsum would not sum in k order
+        return matmul(spatial, params.w_q).a.reshape(h, d, 1).transpose(0, 2, 1)
+    wt, xt, qt = params._w_qt, np.ascontiguousarray(spatial.a.T), np.empty((h * d, rows))
+    _split(lambda lo, hi: _project(wt[lo * d:hi * d], xt, qt[lo * d:hi * d]), h, wt.size, rows)
+    return _readonly(qt).reshape(h, d, rows).transpose(0, 2, 1)
+
+
+def _project(wt: np.ndarray, xt: np.ndarray, qt: np.ndarray | None = None) -> np.ndarray:
+    # The one query projection, rows of W_q^T times X^T (two or more columns), both C-ordered,
+    # into `qt` or a fresh block, checked finite. As k is innermost in W_q^T alone, each entry
+    # sums W_q[k, j] X[i, k] in k order, as X W_q does.
+    _check_finite(qt := _contract(wt, xt, qt))
+    return qt
 
 
 def project_kv(prompt: Matrix, params: AttentionParams) -> tuple[np.ndarray, np.ndarray]:
@@ -170,7 +186,7 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     out = np.empty(rows.shape)
 
     def track(lo: int, hi: int) -> None:
-        _sica(rows[lo:hi].transpose(0, 2, 1), k[lo:hi], v[lo:hi], out[lo:hi])
+        out[lo:hi] = _sica(rows[lo:hi].transpose(0, 2, 1), k[lo:hi], v[lo:hi]).transpose(0, 2, 1)
 
     _split(track, len(q), k.size, rows.shape[1])
     return _readonly(out.reshape(q.shape))
@@ -194,18 +210,16 @@ def _check_track(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> None:
         raise ShapeError(f"token count mismatch: k has {tk}, v has {tv}")
 
 
-def _sica(qt: np.ndarray, k: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+def _sica(qt: np.ndarray, k: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
     # The one attention formula: softmax(Q K^T / sqrt(d)) V of each head's query rows, in
-    # the layouts attend describes, written to `out`, any (h, rows, d) view. Q^T is an
-    # (h, d, rows) block; a view of it is copied C-ordered for the logits alone, so the
-    # copy is freed before P is. Q^T is read before `out` is written, so they may share
-    # a buffer. It runs inside split halves, so it calls no public name.
+    # the layouts attend describes, from Q^T, an (h, d, rows) block (a view is copied
+    # C-ordered for the logits alone), to the C-ordered (h, d, rows) V^T P returned, written
+    # to `out` if given, which may be Q^T's own buffer. It runs inside split halves, so it
+    # calls no public name.
     p = _contract(k, np.ascontiguousarray(qt))
     p *= 1.0 / math.sqrt(k.shape[-1])
     _softmax(p.transpose(0, 2, 1))
-    vp = _contract(np.ascontiguousarray(v.transpose(0, 2, 1)), p)
-    del p
-    out[...] = vp.transpose(0, 2, 1)
+    return _contract(np.ascontiguousarray(v.transpose(0, 2, 1)), p, out)
 
 
 def siamese_attend(

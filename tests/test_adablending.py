@@ -368,8 +368,10 @@ class TestBlockContract:
         f_s, f_c = siamese_attend(q, k_s, v_s, k_c, v_c)
         cfg = BlendConfig(n=1)
         result = asi_layer(q, k_s, v_s, k_c, v_c, cfg)
+        # project_q returns the (h, m, d) view of the C-ordered Q^T that attention reads.
+        assert q.dtype == np.float64 and not q.flags.writeable
+        assert q.transpose(0, 2, 1).flags.c_contiguous
         blocks = {
-            "project_q": q,
             "project_kv k": k_s,
             "project_kv v": v_s,
             "attend": attend(q, k_c, v_c),

@@ -359,12 +359,15 @@ class TestRunPipeline:
     def test_peak_memory_does_not_grow_with_timesteps(self, tmp_path):
         # A step holds 16,384 entries at this shape, so a chunk is 4 steps, and each
         # of these step counts runs whole chunks only.
-        peaks = []
-        for timesteps in (4, 8, 32):
-            cfg = ExperimentConfig(heads=8, head_dim=8, positions=256, tokens=8,
-                                   timesteps=timesteps, dump_dir=tmp_path / f"t{timesteps}")
-            peaks.append(traced_peak(cfg))
-        latent_bytes = cfg.positions * cfg.model_dim * 8
+        cfgs = [ExperimentConfig(heads=8, head_dim=8, positions=256, tokens=8,
+                                 timesteps=timesteps, dump_dir=tmp_path / f"t{timesteps}")
+                for timesteps in (4, 8, 32)]
+        # An untraced warm-up run pays the process's one-time allocations (the helper's
+        # pool and its imports), as tools/peak_traced.py's does, so that no figure
+        # depends on which tests ran before this one.
+        run_pipeline(cfgs[0])
+        peaks = [traced_peak(cfg) for cfg in cfgs]
+        latent_bytes = cfgs[0].positions * cfgs[0].model_dim * 8
         assert max(peaks) - min(peaks) <= latent_bytes
 
     def test_peak_memory_is_at_most_ten_latents_at_sd_size(self, tmp_path):
@@ -372,16 +375,17 @@ class TestRunPipeline:
                                dump_dir=tmp_path)
         latent_bytes = cfg.positions * cfg.model_dim * 8
         # In latent-sized blocks (m x h*d float64) at this size, the live set at the peak:
-        # - held all run: w_q, w_k, w_v (3 h*d / m = 0.94), the oracle noise and the
+        # - held all run: w_q and its transpose (2 h*d / m = 0.63; w_k and w_v are
+        #   dropped once the keys and values are made), the oracle noise and the
         #   current latent (2), the four key/value blocks (4 t / m = 0.30);
         # - the layer's blocks: q, f_s, f_c and f_out (4), the spatial and fused bool
         #   masks (2 / 8 = 0.25);
         # - the finiteness check of the layer output, in place of the merge that no one
         #   reads (1 / 8).
-        # That is 7.61; the attention peak (q, f_s, the result block that both halves of
+        # That is 7.30; the attention peak (q, f_s, the result block that both halves of
         # the head split fill, the logits that softmax turns into P in place, t / d = 1.93,
-        # and the V^T P block, on the 3.24 held all run) is the higher, at 9.2 (9.37
-        # measured, 9.61 in a fresh interpreter's first run). A second softmax-sized buffer,
+        # and the V^T P block, on the 2.93 held all run) is the higher, at 8.9 (9.06
+        # measured, 9.29 in a fresh interpreter's first run). A second softmax-sized buffer,
         # the previous chunk's blocks or the spatial input each puts it over 10.
         assert traced_peak(cfg) <= 10 * latent_bytes
 
@@ -392,13 +396,13 @@ class TestRunPipeline:
         block_bytes = cfg.timesteps * cfg.positions * cfg.model_dim * 8
         # In chunk-sized blocks (50 m x h*d float64, 400 KiB) at this size, the live
         # set at the peak, in blend:
-        # - held all run: w_q, w_k, w_v (3 h*d / 50 m = 0.24), the oracle noise and the
-        #   current latent (2 / 50 = 0.04), the four key/value blocks (4 t / 50 m = 0.02);
+        # - held all run: w_q and its transpose (2 h*d / 50 m = 0.16), the oracle noise
+        #   and the current latent (2 / 50 = 0.04), the key/value blocks (4 t / 50 m = 0.02);
         # - the layer's blocks: q, f_s and f_c (3), the spatial and fused bool masks
         #   (2 / 8 = 0.25), both tracks' column sums (2 / m = 0.125);
         # - blend: its output, the block of squared deviations it sums, and the
         #   inverted mask (1 + 1 + 1 / 8).
-        # That is 5.80 (5.89 measured). The stacked latents and the projection are freed
+        # That is 5.72 (5.81 measured). The stacked latents and the projection are freed
         # by then; any further chunk-sized block puts it over 6.5. The run before the
         # traced one imports the helper's pool, which adds about 1.3 blocks the first time.
         run_pipeline(cfg)

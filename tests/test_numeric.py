@@ -185,27 +185,32 @@ class TestContractionOrder:
             strided.update((x.shape, x.strides) for x in (a, b, result) if not x.flags.c_contiguous)
             return result
 
-        for module in (numeric, sica, adablending, harness):
+        for module in (numeric, sica, adablending):
             monkeypatch.setattr(module, "_contract", checked)
         monkeypatch.setattr(numeric, "_CPUS", 2)  # split as on a 2-CPU host, whatever this one has
         cfg = ExperimentConfig(**RUN_SHAPES[name], dump_dir=tmp_path)
         steps = harness._chunk_steps(cfg)
         run_pipeline(dataclasses.replace(cfg, timesteps=steps))  # one chunk of `steps` steps
         h, m, d, t, md = cfg.heads, cfg.positions, cfg.head_dim, cfg.tokens, cfg.model_dim
-        # Where the kernels split, matmul makes a projection in two halves of its rows, and
-        # the layer's first split makes both tracks' products and both Grams over each half
-        # of the heads, h // 2 and h - h // 2 of them. With blending off (mid_bypass), the
-        # layer stack splits by rows instead: each half projects its half of the stacked
-        # rows and attends them with all h heads, and the distances split by heads. At
-        # small_sweep's 64 steps project_q's 1024 x 64 by 64 x 64 product (4,194,304
-        # multiply-adds) splits, and so does the layer (65,536 entries a track x 32
-        # multiply-adds each); at head_dim=1 the layer's Gram has one column, and it runs whole.
+        # Where the kernels split, matmul makes a key or value projection in two halves of
+        # its rows, project_q makes Q^T = W_q^T X^T from the rows of W_q^T of each half of
+        # the heads, h // 2 and h - h // 2 of them, and the layer's first split makes both
+        # tracks' products and both Grams over each half of the heads. With blending off
+        # (mid_bypass), the layer stack splits by rows instead: each half projects its half
+        # of the stacked rows with all of W_q^T and attends them with all h heads, and the
+        # distances split by heads. At small_sweep's 64 steps project_q's 64 x 64 by
+        # 64 x 1024 product (4,194,304 multiply-adds) splits, and so does the layer (65,536
+        # entries a track x 32 multiply-adds each); at head_dim=1 the layer's Gram has one
+        # column, and it runs whole.
         split = name in ("sd_block", "mid_bypass")
         halves = {h // 2, h - h // 2}
         rows = steps * m
         attention, cols, grams = {h}, rows, {h}
+        queries = {((n * d, md), (md, rows))
+                   for n in (halves if name in ("sd_block", "small_sweep") else {h})}
         if name == "mid_bypass":
             attention, cols, grams = {h}, rows // 2, halves
+            queries = {((md, md), (md, r)) for r in {rows // 2, rows - rows // 2}}
         elif name != "head_dim_1":
             attention, grams = halves, halves
 
@@ -215,7 +220,7 @@ class TestContractionOrder:
 
         assert seen == {
             *projection(t, split),  # project_kv
-            *projection(rows, split or name == "small_sweep"),  # the queries, stacked latents
+            *queries,  # Q^T, from the stacked latents
             *{((n, t, d), (n, d, cols)) for n in attention},  # logits as K Q^T, all rows at once
             *{((n, d, t), (n, t, cols)) for n in attention},  # output as V^T P, P as the logits
             *{((n, steps, d, m), (n, steps, m, d)) for n in grams},  # Gram F^T F per step
@@ -224,11 +229,11 @@ class TestContractionOrder:
         assert steps == {"small_sweep": 64, "ragged": 183, "head_dim_1": 183}.get(name, 1)
         kernels = {kernel for kernel, _, _ in handed}
         if name == "sd_block":  # merge_heads's 2 passes over 1024 x 320 entries stay whole
-            assert kernels == {"Rng.normals", "_jump", "matmul", "asi_layer"}
+            assert kernels == {"Rng.normals", "_jump", "matmul", "project_q", "asi_layer"}
         if name == "mid_bypass":  # no blending (apply_asi is off); a 256 x 256 jump stays whole
             assert kernels == {"Rng.normals", "matmul", "_bypass_layers", "head_distances"}
-        if name == "small_sweep":  # project_q's upper 512 rows, then the layer's first split
-            assert handed == [("matmul", 512, 1024), ("asi_layer", 4, 8)]
+        if name == "small_sweep":  # project_q's upper 4 heads, then the layer's first split
+            assert handed == [("project_q", 4, 8), ("asi_layer", 4, 8)]
         if name == "ragged":  # 46,665 entries a track x 38 multiply-adds
             assert handed == [("asi_layer", 1, 3)]
         if name == "head_dim_1":

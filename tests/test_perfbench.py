@@ -29,19 +29,19 @@ def test_benchmark_self_checks_pass():
 
 
 # (config, the kernels whose halves the helper runs, traced names the run must reach)
-# of each shape: small_sweep's and sd_block's, with blending on, whose layer splits by
-# heads twice (once at small_sweep's size), and mid_bypass's, whose layer stack splits
-# by rows in one hand-off.
+# of each shape: small_sweep's and sd_block's, with blending on, whose query projection
+# splits by heads and whose layer splits by heads twice (once at small_sweep's size), and
+# mid_bypass's, whose layer stack splits by rows in one hand-off.
 HELPER_RUNS = {
     "small_sweep": (
         dict(timesteps=50),
-        {"matmul", "asi_layer"},
+        {"project_q", "asi_layer"},
         {"harness.run_pipeline", "adablending.asi_layer", "sica.project_q", "ddim.ddim_step",
          "harness.render_mask_pgm", "tensorio.save_tensor", "numeric.matmul", "matrix_new"},
     ),
     "sd_block": (
         dict(heads=8, head_dim=40, positions=1024, tokens=77, timesteps=1),
-        {"Rng.normals", "_jump", "matmul", "asi_layer"},
+        {"Rng.normals", "_jump", "matmul", "project_q", "asi_layer"},
         {"harness.run_pipeline", "adablending.asi_layer", "sica.project_q", "ddim.ddim_step",
          "harness.synth_inputs", "numeric.matmul", "matrix_new"},
     ),

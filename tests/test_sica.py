@@ -112,6 +112,53 @@ class TestProjections:
             project_kv(Matrix(np.zeros((2, 5))), identity_params(2, 2))
 
 
+
+class TestQueryLayout:
+    """project_q makes Q^T = W_q^T X^T, the (h, d, m) block attention reads, by heads.
+
+    Each entry is the sum of W_q[k, j] X[i, k] in k order, bit for bit as
+    the row product X W_q split into heads, whether or not the heads split
+    over two threads. With one row the product would have one column, whose
+    order einsum does not pin, so that row is projected as X W_q.
+    """
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("heads, head_dim, rows", [
+        (8, 8, 800),  # small_sweep: the default run's 50-step block
+        (8, 40, 1024),  # sd_block
+        (16, 16, 256),  # mid_bypass
+        (1, 8, 129),  # one head
+        (3, 1, 17),  # head_dim=1
+        (5, 7, 183),  # ragged
+        (2, 3, 1),  # one row
+    ])
+    def test_bits_of_the_k_ordered_row_product_split_into_heads(self, monkeypatch, cpus,
+                                                                 heads, head_dim, rows):
+        monkeypatch.setattr(numeric, "_CPUS", cpus)
+        gen = np.random.default_rng(heads * head_dim + rows)
+        md = heads * head_dim
+        # Magnitudes over 16 orders, so that another summation order shows in the bits.
+        spatial = Matrix(gen.standard_normal((rows, md)) * 10.0 ** gen.uniform(-8, 8, (rows, md)))
+        params = AttentionParams(*(Matrix(gen.standard_normal((md, md))) for _ in range(3)),
+                                 heads=heads, head_dim=head_dim)
+        q = project_q(spatial, params)
+        split = lambda flat: flat.reshape(rows, heads, head_dim).transpose(1, 0, 2)
+        oracle = np.ascontiguousarray(split(k_ordered_contract(spatial.a, params.w_q.a)))
+        parent = np.ascontiguousarray(split(numeric.matmul(spatial, params.w_q).a))
+        assert q.shape == (heads, rows, head_dim) and q.dtype == np.float64
+        assert np.ascontiguousarray(q).tobytes() == oracle.tobytes() == parent.tobytes()
+        assert not q.flags.writeable and q.base is not None  # a read-only view
+        assert q.transpose(0, 2, 1).flags.c_contiguous  # of the C-ordered Q^T
+
+    def test_the_transposed_weight_is_made_once_per_params(self):
+        params = random_params(Rng(9), 2, 3)
+        spatial = randn_matrix(Rng(10), 4, 6)
+        project_q(spatial, params)
+        wt = params._w_qt
+        project_q(spatial, params)
+        assert params._w_qt is wt and not wt.flags.writeable
+        assert wt.flags.c_contiguous and np.array_equal(wt, params.w_q.a.T)
+
 def random_tracks(seed, heads=2, m=3, d=2, tokens_style=2, tokens_content=4):
     rng = Rng(seed)
     q = random_feature_map(rng, heads, m, d)
@@ -250,8 +297,8 @@ class TestHeadDimOne:
     def test_every_product_equals_the_k_ordered_oracle(self, monkeypatch, heads, rows, tokens):
         contract, checked = numeric._contract, []
 
-        def k_ordered(a, b):
-            result = contract(a, b)
+        def k_ordered(a, b, out=None):
+            result = contract(a, b, out)
             assert result.tobytes() == k_ordered_contract(a, b).tobytes(), (a.shape, b.shape)
             checked.append((a.shape, b.shape))
             return result

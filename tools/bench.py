@@ -40,9 +40,11 @@ ROOT = Path(__file__).resolve().parent.parent
 NOTES = [
     "adablending.adain.* reads 0: blend calls the private _adain, not the traced adain.",
     "numeric.softmax_rows.* reads 0: attend calls the private _softmax inside its split halves.",
-    "mid_bypass: the query projection, both attention tracks and the merges run in the bypass "
-    "layer stack's row split and count in harness.run_pipeline.self_s; sica.project_q.calls "
-    "reads 0 and numeric.matmul.calls counts project_kv's 4 products alone.",
+    "numeric.matmul.* counts project_kv's products alone on every workload: the query "
+    "projection (Q^T = W_q^T X^T) calls no matmul. Its time is in sica.project_q on "
+    "small_sweep and sd_block, and in harness.run_pipeline.self_s on mid_bypass.",
+    "mid_bypass: the query projection and both attention tracks run in the bypass layer "
+    "stack's row split and count in harness.run_pipeline.self_s; sica.project_q.calls reads 0.",
     "small_sweep and sd_block: asi_layer runs both attention tracks, the distances, the masks "
     "and the blend through private kernels in its own two head splits, so sica.siamese_attend.*, "
     "adablending.head_distances, extract_spatial_mask, fuse_masks and blend read 0; their time "
