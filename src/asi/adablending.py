@@ -32,12 +32,12 @@ Every head's covariances, distance, masks and AdaIN depend on that head
 alone, up to the top-n selection. So :func:`asi_layer` splits its heads over
 two threads twice (see :func:`asi.numeric._split`): both attention tracks,
 their column sums, the distances and the spatial mask; then, after the
-selection, the fusion and the blend. :func:`head_distances` and
-:func:`blend` split by the shape of the block's Gram F^T F, and the mask
-stages, one to three passes over a block, run whole. Each half writes its
-heads of outputs made before the split, so every entry keeps its bits; at
-head_dim=1 the Gram has one column, and nothing splits. Each formula is one
-private kernel, shared by the public stages and the layer.
+selection, the fusion and the blend. :func:`head_distances` splits by the
+shape of the block's Gram F^T F; the other public stages run whole. Each
+half writes its heads of outputs made before the split, so every entry
+keeps its bits; at head_dim=1 the Gram has one column, and nothing splits.
+Each formula is one private kernel, shared by the public stages and the
+layer.
 """
 
 from __future__ import annotations
@@ -303,19 +303,14 @@ def blend(f_c: np.ndarray, f_s: np.ndarray, mask: BlendMask, cfg: BlendConfig) -
     Because the mask is binary, the blend is implemented as coordinate
     selection: every output entry is bit-identical to either the content
     entry (mask False) or the style-normalized entry (mask True); no third
-    value can appear. The heads are split over both CPUs where their
-    distances are.
+    value can appear.
     """
     _check_blocks("blend", f_c, f_s)
     _check_mask("blend", mask)
     _check_config("blend", cfg)
     _check_blocks("blend mask", mask.data, f_c)
     out = np.empty(f_c.shape)
-
-    def body(lo: int, hi: int) -> None:
-        _blend(f_c[lo:hi], f_s[lo:hi], mask.data[lo:hi], cfg.eps, out[lo:hi])
-
-    _split(body, f_c.shape[0], f_c.size, f_c.shape[-1])  # with head_distances
+    _blend(f_c, f_s, mask.data, cfg.eps, out)
     return _readonly(out)
 
 
@@ -382,6 +377,6 @@ def asi_layer(
         _blend(f_c[lo:hi], f_s[lo:hi], fused[lo:hi], cfg.eps, f_out[lo:hi], sums[1, lo:hi],
                sums[0, lo:hi])
 
-    _split(mix, h, f_c.size, d)  # with blend
+    _split(mix, h, f_c.size, d)  # as the Gram F^T F
     return AsiLayerResult(_readonly(f_out), _readonly(f_s), _readonly(f_c), distances, head_mask,
                           BlendMask(spatial), BlendMask(fused))

@@ -26,7 +26,6 @@ __all__ = [
     "LatentState",
     "make_schedule",
     "forward_noise",
-    "predict_x0",
     "ddim_step",
     "ddim_invert",
     "ddim_generate",
@@ -114,12 +113,6 @@ def forward_noise(x0: Matrix, t: int, eps: Matrix, sched: NoiseSchedule) -> Matr
     """Closed-form jump to timestep t: x_t = sqrt(ab_t) x0 + sqrt(1 - ab_t) eps."""
     _check_shapes(x0, eps, "forward_noise")
     return Matrix(_renoise(np.array(x0.a), eps.a, sched.bar(t)))
-
-
-def predict_x0(x_t: Matrix, eps_pred: Matrix, t: int, sched: NoiseSchedule) -> Matrix:
-    """Recover the clean estimate: (x_t - sqrt(1 - ab_t) eps) / sqrt(ab_t)."""
-    ab = _estimate_bar(x_t, eps_pred, t, sched)
-    return Matrix(_estimate(np.empty(x_t.a.shape), x_t.a, eps_pred.a, ab))
 
 
 def _jump(x_t: Matrix, eps: Matrix, t: int, t_to: int, sched: NoiseSchedule) -> Matrix:

@@ -6,25 +6,8 @@ bit-identical outputs regardless of CPU count, thread count or BLAS
 backend. Large work may be split in two along its first axis, which leaves
 every entry's bits as they are: the caller runs one half, and the one
 worker of a process-wide thread pool runs the other (:func:`_split`, which
-alone decides whether work splits). Each stage splits its own work and
-states it as size x cols, in multiply-adds for a product and in entries x
-passes for elementwise work:
-
-* :meth:`Rng.normals`, by blocks of the stream: draws x 35 passes;
-* the sampler rung (``asi.ddim``), by rows: entries x 7 passes;
-* :func:`matmul`, by rows, checking its rows' finiteness in each half:
-  its multiply-adds;
-* ``asi.sica.project_q``, by heads, as Q^T = W_q^T X^T: its multiply-adds;
-* ``asi.sica.merge_heads``, by rows: entries x 2 passes;
-* ``asi.sica.attend``, by heads: its products' multiply-adds;
-* with blending off, a chunk's whole layer stack (``asi.harness``), by rows:
-  its query projection's multiply-adds (W_q^T X^T of each half's rows);
-* with blending on, a layer (``asi.adablending.asi_layer``), by heads, in
-  two splits: both attention tracks, their column sums, the distances and
-  the spatial mask (the tracks' and the Grams' multiply-adds); then, after
-  the top-n selection, the fusion and the blend, as ``blend``;
-* ``head_distances`` and ``blend``, by heads: the multiply-adds of their
-  block's Gram F^T F.
+alone decides whether work splits, and whose docstring lists the stages
+that split and how each states its work).
 
 The first split makes the pool (importing the package starts no thread),
 and a forked child makes its own. :class:`Matrix` is the validated 2-D type
@@ -166,21 +149,20 @@ def _split(body, n: int, size: int, cols: int) -> None:
     The body states its work as size * cols: for a product, its largest
     one's `size` entries of the first operand and `cols` columns; for
     elementwise work, `size` entries and `cols` passes over each. The
-    stages and their statements:
+    stages that split (this is the package's one list of them) and their
+    statements:
 
     * Rng.normals, n blocks of the stream: count draws x 35 passes;
     * the sampler rung (ddim._jump), n rows: entries x 7 passes;
     * matmul, n rows: a.size entries x b's columns;
     * sica.project_q, n heads: W_q^T's size x rows, the product W_q^T X^T;
-    * sica.merge_heads, n rows: entries x 2 passes;
-    * sica.attend, n heads: k.size x query rows, for both products;
     * harness._bypass_layers, n stacked rows: latents.size x model_dim (their
       W_q^T X^T), or one column under 4 rows, whose halves would attend one row;
     * adablending.asi_layer's first split, n heads: a track's f.size x
       2 (t_s + t_c + head_dim), its tracks' and Grams' multiply-adds, or one
-      column at head_dim=1; its second, as blend;
-    * adablending's head_distances and blend, n heads: the Gram F^T F of
-      their block, f.size x head_dim.
+      column at head_dim=1; its second (fusion and blend), f.size x head_dim;
+    * adablending.head_distances, n heads: the Gram F^T F of its block,
+      f.size x head_dim.
 
     From _MIN_SPLIT (size * cols), n >= 2 and a second CPU, the process's
     one helper thread runs body(n // 2, n) while the caller runs

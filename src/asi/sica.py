@@ -17,10 +17,11 @@ values, layer outputs) and in the query projection. Head i owns channels
 [i*d, (i+1)*d) of the flat model dimension; this split convention is part
 of the dump format contract and must not change.
 
-:func:`attend` and :func:`merge_heads` also take (heads, ..., positions,
-head_dim) blocks, such as the pipeline's (h, steps, m, d) queries of several
-sampler steps. Attention is per query row, so every row of a head attends as
-it would alone and gets the bits it would get in an (h, m, d) block.
+:func:`siamese_attend` and :func:`merge_heads` also take (heads, ...,
+positions, head_dim) blocks, such as the pipeline's (h, steps, m, d) queries
+of several sampler steps. Attention is per query row, so every row of a head
+attends as it would alone and gets the bits it would get in an (h, m, d)
+block.
 
 Both products run with a head's query rows as the innermost loop, from
 C-ordered operands: the logits as K Q^T over a contiguous Q^T (as
@@ -32,11 +33,12 @@ NumPy's einsum adds the products of each output element in order of the
 reduction index, multiply then add, whenever that index is not the
 innermost axis of both operands. So these layouts give the same bits as
 the per-head 2-D products X W_q, Q K^T, then P V. The heads are
-independent, so a large block's projection and tracks are split by heads
-over two threads; that leaves every entry's order as it is. With a single
-query row every product has one column, whose reduced axis is innermost
-in both operands: that order is not pinned, and the track runs whole (see
-:func:`asi.numeric._split`). The pipeline's blocks hold two or more rows.
+independent, so a large block's query projection splits by heads over two
+threads, which leaves every entry's order as it is; the tracks split inside
+the pipeline's layer (:func:`asi.numeric._split` lists every split). With a
+single query row every product has one column, whose reduced axis is
+innermost in both operands: that order is not pinned. The pipeline's blocks
+hold two or more rows.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ __all__ = [
     "merge_heads",
     "project_q",
     "project_kv",
-    "attend",
     "siamese_attend",
 ]
 
@@ -113,17 +114,9 @@ def merge_heads(block: np.ndarray) -> Matrix:
                          f"got shape {block.shape}")
     _check_real(block)
     h, d = block.shape[0], block.shape[-1]
-    rows = block.reshape(h, -1, d)
-    out = np.empty((rows.shape[1], h * d))
-
-    def body(lo: int, hi: int) -> None:
-        # One transposing copy of these rows, then their check: 2 passes over each entry.
-        part = out[lo:hi]
-        part.reshape(hi - lo, h, d)[...] = rows[:, lo:hi].transpose(1, 0, 2)
-        _check_finite(part)
-
-    _split(body, len(out), out.size, 2)
-    return Matrix._of(out)
+    out = block.reshape(h, -1, d).transpose(1, 0, 2).astype(np.float64, order="C")
+    _check_finite(out)  # one transposing copy, then its check
+    return Matrix._of(out.reshape(-1, h * d))
 
 
 def project_q(spatial: Matrix, params: AttentionParams) -> np.ndarray:
@@ -159,46 +152,13 @@ def project_kv(prompt: Matrix, params: AttentionParams) -> tuple[np.ndarray, np.
     return k, v
 
 
-def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """One attention track, softmax(Q K^T / sqrt(d)) V, for all heads at once.
-
-    q is an (h, ..., m, d) float64 block and k, v are (h, t, d) ones: every
-    query row of a head attends to the same keys and values. Returns a block
-    of q's shape.
-    """
-    _check_track(q, k, v)
-    # Logits as K Q^T, output as V^T P, from C-ordered operands: einsum's
-    # inner loop runs over the query rows, and the reduced axis (d, then t)
-    # is never innermost in both operands, so each entry is summed in index
-    # order, bit for bit as the per-head 2-D Q K^T and P V. Q^T is copied
-    # contiguous because as a view, d would be innermost in both operands and
-    # einsum would sum it in another order; V^T (small) is copied so that the
-    # loop einsum picks follows from the layout alone, not from how it ranks
-    # a view's strides. The logits are scaled and turned into P in place, in
-    # the (h, t, rows) layout einsum writes them in; softmax works on their
-    # (h, rows, t) view. V^T P goes to a fresh C-ordered (h, d, rows) block,
-    # P is freed, and a transposing copy fills the C-ordered (h, rows, d)
-    # result that the contractions reading it need to sum in k order. Each
-    # head's track is independent of the others, so the heads may split over
-    # both CPUs, each half filling its heads of the result. Both products are
-    # k.size * n multiply-adds, with n columns.
-    rows = q.reshape(len(q), -1, q.shape[-1])
-    out = np.empty(rows.shape)
-
-    def track(lo: int, hi: int) -> None:
-        out[lo:hi] = _sica(rows[lo:hi].transpose(0, 2, 1), k[lo:hi], v[lo:hi]).transpose(0, 2, 1)
-
-    _split(track, len(q), k.size, rows.shape[1])
-    return _readonly(out.reshape(q.shape))
-
-
 def _check_track(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> None:
-    # attend's argument checks; asi_layer makes them for each of its two tracks.
+    # One track's argument checks; siamese_attend and asi_layer make them for each track.
     for name, x in (("q", q), ("k", k), ("v", v)):
         if not isinstance(x, np.ndarray) or x.dtype != np.float64:
-            raise ShapeError(f"attend: {name} must be a float64 array, got {_kind(x)}")
+            raise ShapeError(f"attention: {name} must be a float64 array, got {_kind(x)}")
     if q.ndim < 3 or k.ndim != 3 or v.ndim != 3 or 0 in (*q.shape, *k.shape, *v.shape):
-        raise ShapeError(f"attend needs non-empty q (h, ..., m, d) and k, v (h, t, d), "
+        raise ShapeError(f"attention needs non-empty q (h, ..., m, d) and k, v (h, t, d), "
                          f"got shapes {q.shape}, {k.shape}, {v.shape}")
     hq, dq = q.shape[0], q.shape[-1]
     (hk, tk, dk), (hv, tv, dv) = k.shape, v.shape
@@ -212,10 +172,11 @@ def _check_track(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> None:
 
 def _sica(qt: np.ndarray, k: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
     # The one attention formula: softmax(Q K^T / sqrt(d)) V of each head's query rows, in
-    # the layouts attend describes, from Q^T, an (h, d, rows) block (a view is copied
-    # C-ordered for the logits alone), to the C-ordered (h, d, rows) V^T P returned, written
-    # to `out` if given, which may be Q^T's own buffer. It runs inside split halves, so it
-    # calls no public name.
+    # the layouts the module describes, from Q^T, an (h, d, rows) block (a view is copied
+    # C-ordered for the logits alone: as a view, d would be innermost in both operands), to
+    # the C-ordered (h, d, rows) V^T P returned, written to `out` if given, which may be
+    # Q^T's own buffer. V^T (small) is copied so that einsum's loop follows from the layout
+    # alone. It runs inside split halves, so it calls no public name.
     p = _contract(k, np.ascontiguousarray(qt))
     p *= 1.0 / math.sqrt(k.shape[-1])
     _softmax(p.transpose(0, 2, 1))
@@ -231,8 +192,18 @@ def siamese_attend(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run both attention branches over the shared queries.
 
-    Returns (style features, content features). The branches are fully
-    independent apart from Q: the style and content prompts may have
-    different token counts, and each branch is one :func:`attend` call.
+    q is an (h, ..., m, d) float64 block and each k, v pair an (h, t, d) one:
+    every query row of a head attends to the same keys and values. Returns
+    (style features, content features), blocks of q's shape. The branches
+    are fully independent apart from Q: the style and content prompts may
+    have different token counts. Each branch runs whole, through the one
+    attention formula, and one transposing copy of its (h, d, rows) output.
     """
-    return attend(q, k_s, v_s), attend(q, k_c, v_c)
+    _check_track(q, k_s, v_s)
+    _check_track(q, k_c, v_c)
+    qt = q.reshape(len(q), -1, q.shape[-1]).transpose(0, 2, 1)
+
+    def track(k: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return _readonly(np.ascontiguousarray(_sica(qt, k, v).transpose(0, 2, 1)).reshape(q.shape))
+
+    return track(k_s, v_s), track(k_c, v_c)

@@ -22,10 +22,10 @@ import numpy as np
 
 from .errors import DumpFormatError, NonFiniteError
 
-MAGIC = b"ASIT"
-VERSION = 1
+_MAGIC = b"ASIT"
+_VERSION = 1
 
-__all__ = ["MAGIC", "VERSION", "save_tensor", "load_tensor"]
+__all__ = ["save_tensor", "load_tensor"]
 
 
 def save_tensor(path: str | Path, array: np.ndarray) -> Path:
@@ -45,7 +45,7 @@ def save_tensor(path: str | Path, array: np.ndarray) -> Path:
         values = a.astype("<f4")
     if not np.isfinite(values).all():
         raise NonFiniteError(f"{path}: values must be finite as float32 (NaN, Inf or overflow)")
-    header = MAGIC + struct.pack("<BB", VERSION, a.ndim)
+    header = _MAGIC + struct.pack("<BB", _VERSION, a.ndim)
     header += struct.pack(f"<{a.ndim}I", *a.shape)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -56,14 +56,17 @@ def save_tensor(path: str | Path, array: np.ndarray) -> Path:
 
 
 def load_tensor(path: str | Path) -> np.ndarray:
-    """Read a dump written by :func:`save_tensor`; returns float64 data."""
+    """Read a dump written by :func:`save_tensor`; returns float64 data.
+
+    Any other bytes, a NaN or Inf value among them, are a DumpFormatError naming the path.
+    """
     blob = Path(path).read_bytes()
-    if blob[:4] != MAGIC:
-        raise DumpFormatError(f"{path}: bad magic {blob[:4]!r}, expected {MAGIC!r}")
+    if blob[:4] != _MAGIC:
+        raise DumpFormatError(f"{path}: bad magic {blob[:4]!r}, expected {_MAGIC!r}")
     if len(blob) < 6:
         raise DumpFormatError(f"{path}: truncated header, {len(blob)} of 6 bytes")
     version, rank = struct.unpack_from("<BB", blob, 4)
-    if version != VERSION:
+    if version != _VERSION:
         raise DumpFormatError(f"{path}: unsupported version {version}")
     if rank == 0:
         raise DumpFormatError(f"{path}: rank 0, expected a rank in [1, 255]")
@@ -77,6 +80,8 @@ def load_tensor(path: str | Path) -> np.ndarray:
     if len(blob) != expected:
         raise DumpFormatError(f"{path}: expected {expected} bytes, found {len(blob)}")
     flat = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+    if not np.isfinite(flat).all():
+        raise DumpFormatError(f"{path}: NaN or Inf in the payload, which save_tensor never writes")
     try:
         return flat.astype(np.float64).reshape(dims)
     except ValueError as exc:  # e.g. dims (0, 2**30, 2**30), or more dims than numpy allows

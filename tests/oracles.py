@@ -8,6 +8,7 @@ kernels, so a bug cannot hide on both sides of a comparison.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
@@ -123,3 +124,133 @@ def fresh_ddim_step(x_t, eps, ab, ab_prev) -> np.ndarray:
 def float_spatial_mask(f_c, alpha) -> np.ndarray:
     """The spatial mask as a float {0, 1} block: 0 strictly above alpha times the channel max."""
     return np.where(f_c > alpha * f_c.max(axis=1, keepdims=True), 0.0, 1.0)
+
+
+# An independent whole run. Only its inputs and latents come from the package:
+# synth_inputs and the ddim walks, which the golden synth_seed0.sha256 and
+# acceptance criteria 09 and 10 pin. Every layer is computed per step and per
+# head in plain 2-D NumPy, every product through k_ordered_contract, and every
+# artifact is encoded here, so a fault in a kernel the run and its replay
+# share cannot hide.
+
+
+def _attention(q, k, v) -> np.ndarray:
+    """softmax(Q K^T / sqrt(d)) V of one head: logits times the reciprocal of sqrt(d)."""
+    logits = k_ordered_contract(q, k.T) * (1.0 / math.sqrt(q.shape[1]))
+    return k_ordered_contract(c_ordered_softmax(logits), v)
+
+
+def _covariance(f) -> np.ndarray:
+    """Gram-form covariance of one m x d head, from its column sums."""
+    m = len(f)
+    colsum = f.sum(axis=0, keepdims=True)
+    return (k_ordered_contract(f.T, f) - colsum.T * colsum / m) / (m - 1)
+
+
+def _distance(f_s, f_c) -> float:
+    """Squared Frobenius norm of the covariance difference over 4 d**2."""
+    diff = _covariance(f_s) - _covariance(f_c)
+    d = f_s.shape[1]
+    return float(np.einsum("ij,ij->", diff, diff) / (4.0 * d * d))
+
+
+def _adain(f_c, f_s, eps) -> np.ndarray:
+    """AdaIN of one head, its means as column sums over m and its std the population one."""
+    m = len(f_c)
+    mu_s = f_s.sum(axis=0) / m
+    dev_s = f_s - mu_s
+    sd_s = np.sqrt((dev_s * dev_s).sum(axis=0) / m)
+    dev_c = f_c - f_c.sum(axis=0) / m
+    sd_c = np.sqrt((dev_c * dev_c).sum(axis=0) / m)
+    return sd_s * dev_c / (sd_c + eps) + mu_s
+
+
+def _layer(x, w_q, kv, heads, blend):
+    """One layer on an m x (h d) step: per-head (f_out, f_s, f_c, ell, selected, spatial, fused).
+
+    With blend None (blending off) the output is the content track and
+    nothing is selected or masked.
+    """
+    d = x.shape[1] // heads
+    tracks = []
+    for i in range(heads):
+        q = k_ordered_contract(x, w_q[:, i * d:(i + 1) * d])
+        f_s, f_c = (_attention(q, k[i], v[i]) for k, v in (kv[:2], kv[2:]))
+        tracks.append((f_s, f_c, _distance(f_s, f_c)))
+    if blend is None:
+        return [(f_c, f_s, f_c, ell, False, None, None) for f_s, f_c, ell in tracks]
+    ranked = sorted(range(heads), key=lambda i: -tracks[i][2])  # stable: ties to the lower head
+    selected = set(ranked[:blend.n])
+    heads_out = []
+    for i, (f_s, f_c, ell) in enumerate(tracks):
+        spatial = ~(f_c > blend.alpha * f_c.max(axis=0))
+        fused = spatial | (i in selected)
+        f_out = np.where(fused, _adain(f_c, f_s, blend.eps), f_c)
+        heads_out.append((f_out, f_s, f_c, ell, i in selected, spatial, fused))
+    return heads_out
+
+
+def asit_bytes(a) -> bytes:
+    """The dump format: b"ASIT", version 1, rank, uint32 dims, float32 values, little-endian."""
+    a = np.asarray(a, dtype=np.float64)
+    header = b"ASIT" + struct.pack(f"<BB{a.ndim}I", 1, a.ndim, *a.shape)
+    return header + a.astype("<f4").tobytes()
+
+
+def _csv_bytes(header, rows) -> bytes:
+    # Comma-separated, CRLF line ends; a float as its repr, which reads back exactly.
+    lines = [header, *([repr(x) if isinstance(x, float) else str(x) for x in row] for row in rows)]
+    return "".join(",".join(line) + "\r\n" for line in lines).encode()
+
+
+def reference_run(cfg) -> dict[str, bytes]:
+    """Every artifact run_pipeline(cfg) writes, by file name, from the formulas alone.
+
+    The sampler walks the top latent down one rung a step; each step's latent
+    goes through cfg.layers_per_step layers, each feeding its merged output
+    to the next (the content track with blending off). A step's report row
+    holds its final layer's distances; the artifacts hold the final step's
+    output and masks.
+    """
+    from asi.ddim import ddim_generate, ddim_invert, make_schedule
+    from asi.harness import synth_inputs
+
+    inputs = synth_inputs(cfg)
+    params, noise, h = inputs.params, inputs.latent_noise, cfg.heads
+    sched = make_schedule(cfg.timesteps)
+    top = ddim_invert(inputs.spatial, noise, sched, cfg.timesteps)[-1].x
+    steps = ddim_generate(top, noise, sched, cfg.timesteps)[1:]  # the latents at T-1, ..., 0
+    kv = []
+    for prompt in (inputs.style_prompt, inputs.content_prompt):
+        for w in (params.w_k, params.w_v):
+            flat = k_ordered_contract(prompt.a, w.a)
+            kv.append([flat[:, i * cfg.head_dim:(i + 1) * cfg.head_dim] for i in range(h)])
+    rows = []
+    for t, state in zip(range(cfg.timesteps, 0, -1), steps):
+        x = state.x.a
+        for _ in range(cfg.layers_per_step):
+            layer = _layer(x, params.w_q.a, kv, h, cfg.blend if cfg.apply_asi else None)
+            x = np.concatenate([f_out for f_out, *_ in layer], axis=1)
+        f_out, f_s, f_c, ell, selected, spatial, fused = (np.array(v) for v in zip(*layer))
+        fraction = mse = 0.0
+        if cfg.apply_asi:
+            fraction = int(fused.sum()) / fused.size
+            squares = (f_out[~fused] - f_c[~fused]) ** 2
+            mse = float(squares.sum() / squares.size) if squares.size else 0.0
+        rows.append((t, *ell.tolist(), fraction, mse))
+    artifacts = {
+        "features_out.asit": asit_bytes(f_out),
+        "report.csv": _csv_bytes(
+            ["step", *(f"ell_{i}" for i in range(h)), "blended_fraction", "preserved_mse"], rows),
+        "ell.csv": _csv_bytes(["head_index", "ell"], enumerate(rows[-1][1:-2])),
+    }
+    if cfg.apply_asi:
+        artifacts["head_mask.asit"] = asit_bytes(np.broadcast_to(selected[:, None, None],
+                                                                 fused.shape))
+        artifacts["spatial_mask.asit"] = asit_bytes(spatial)
+        artifacts["fused_mask.asit"] = asit_bytes(fused)
+        m, d = fused.shape[1:]
+        for i, head in enumerate(fused):
+            pgm = f"P5\n{d} {m}\n255\n".encode() + np.where(head, 255, 0).astype(np.uint8).tobytes()
+            artifacts[f"mask_head_{i}.pgm"] = pgm
+    return artifacts

@@ -26,7 +26,7 @@ from asi.adablending import (
 from asi.errors import ConfigError, DegenerateInputError, NonFiniteError, ShapeError
 from asi.harness import ExperimentConfig
 from asi.numeric import Matrix, Rng, matmul, randn_matrix, softmax_rows
-from asi.sica import AttentionParams, attend, merge_heads, project_kv, project_q, siamese_attend
+from asi.sica import AttentionParams, merge_heads, project_kv, project_q, siamese_attend
 
 from oracles import (
     float_spatial_mask,
@@ -337,8 +337,6 @@ class TestWholeBlock:
         k_s, v_s = (random_feature_map(rng, h, t_s, d) for _ in range(2))
         k_c, v_c = (random_feature_map(rng, h, t_c, d) for _ in range(2))
         f_s, f_c = siamese_attend(q, k_s, v_s, k_c, v_c)
-        assert np.array_equal(attend(q, k_s, v_s), f_s)
-        assert np.array_equal(attend(q, k_c, v_c), f_c)
         distances = head_distances(f_s, f_c)
         cov = covariance(f_c)
         step_cov = covariance(np.stack([f_s, f_c], axis=1))  # (h, 2, m, d): a step axis
@@ -374,7 +372,6 @@ class TestBlockContract:
         blocks = {
             "project_kv k": k_s,
             "project_kv v": v_s,
-            "attend": attend(q, k_c, v_c),
             "siamese_attend f_s": f_s,
             "siamese_attend f_c": f_c,
             "blend": blend(f_c, f_s, result.fused_mask, cfg),
@@ -404,9 +401,9 @@ HEAD, ROW, SCALAR = np.ones((3, 4)), np.ones(4), np.array(1.0)
     pytest.param(lambda: head_distances(ROW, ROW), id="head_distances-1d"),
     pytest.param(lambda: adain(SCALAR, SCALAR, 1e-5), id="adain-0d"),
     pytest.param(lambda: adain(ROW, ROW, 1e-5), id="adain-1d"),
-    pytest.param(lambda: attend(BLOCK[:, 0], KV, KV), id="attend-2d-q"),
-    pytest.param(lambda: attend(BLOCK, KV[0], KV), id="attend-2d-k"),
-    pytest.param(lambda: attend(BLOCK, KV, KV[0]), id="attend-2d-v"),
+    pytest.param(lambda: siamese_attend(BLOCK[:, 0], KV, KV, KV, KV), id="attention-2d-q"),
+    pytest.param(lambda: siamese_attend(BLOCK, KV[0], KV, KV, KV), id="attention-2d-k"),
+    pytest.param(lambda: siamese_attend(BLOCK, KV, KV[0], KV, KV), id="attention-2d-v"),
     pytest.param(lambda: merge_heads(ROW), id="merge_heads-1d"),
     pytest.param(lambda: merge_heads(HEAD), id="merge_heads-2d"),
     pytest.param(lambda: extract_head_mask(HEAD, HEAD, BlendConfig(n=1)), id="head_mask-2d"),
@@ -415,8 +412,9 @@ HEAD, ROW, SCALAR = np.ones((3, 4)), np.ones(4), np.array(1.0)
     pytest.param(lambda: covariance(HEAD[:, :0]), id="covariance-empty-d"),
     pytest.param(lambda: head_distances(BLOCK[..., :0], BLOCK[..., :0]), id="distances-empty-d"),
     pytest.param(lambda: adain(BLOCK[:, :0], BLOCK[:, :0], 1e-5), id="adain-empty-m"),
-    pytest.param(lambda: attend(BLOCK, KV[:, :0], KV[:, :0]), id="attend-empty-t"),
-    pytest.param(lambda: attend(BLOCK[:, :0], KV, KV), id="attend-empty-m"),
+    pytest.param(lambda: siamese_attend(BLOCK, KV, KV, KV[:, :0], KV[:, :0]),
+                 id="attention-empty-t"),
+    pytest.param(lambda: siamese_attend(BLOCK[:, :0], KV, KV, KV, KV), id="attention-empty-m"),
     pytest.param(lambda: merge_heads(BLOCK[..., :0]), id="merge_heads-empty-d"),
     pytest.param(lambda: merge_heads(BLOCK[:, :0]), id="merge_heads-empty-m"),
 ])
@@ -688,40 +686,41 @@ def _helper_halves(monkeypatch) -> list:
 
 
 class TestSplitKernels:
-    """attend, head_distances and blend split by heads have the bits they have whole.
+    """head_distances split by heads has the bits it has whole; the other stages run whole.
 
-    Each kernel runs once as on one CPU and once as on two. Where it splits,
-    the helper thread runs the upper half of the heads; where its largest
-    product has one column, it runs whole: the Gram at head_dim=1 (for the
-    distances and the blend of that block) and attention with a single
-    query row.
+    Each kernel runs once as on one CPU and once as on two. Where
+    head_distances splits, the helper thread runs the upper half of the
+    heads; at head_dim=1 its Gram has one column, and it runs whole. Of the
+    public stages, only head_distances splits on its own: the run reaches it
+    with blending off. Attention, the blend and the merge split only inside
+    the pipeline's layer (asi_layer, or the bypass stack), so called on
+    their own they hand nothing to the helper at any size.
     """
 
-    @pytest.mark.parametrize("h, steps, m, d, t, splits", [
-        pytest.param(8, 8, 16, 8, 4, (False, False, False), id="small_sweep"),  # one chunk
-        pytest.param(8, 1, 1024, 40, 77, (True, True, True), id="sd_block"),
-        pytest.param(16, 1, 256, 16, 16, (True, True, True), id="mid_bypass"),
-        pytest.param(3, 1, 1024, 40, 77, (True, True, True), id="h3"),
-        pytest.param(5, 1, 1024, 40, 77, (True, True, True), id="h5"),
-        pytest.param(7, 1, 1024, 40, 77, (True, True, True), id="h7"),
-        # The Gram of 2**20 multiply-adds has one column at d=1, and stays whole;
-        # attention's products are k-ordered at d=1, and split.
-        pytest.param(4, 1, 1 << 18, 1, 2, (True, False, False), id="d1"),
+    @pytest.mark.parametrize("h, steps, m, d, t, split", [
+        pytest.param(8, 8, 16, 8, 4, False, id="small_sweep"),  # one chunk
+        pytest.param(8, 1, 1024, 40, 77, True, id="sd_block"),
+        pytest.param(16, 1, 256, 16, 16, True, id="mid_bypass"),
+        pytest.param(3, 1, 1024, 40, 77, True, id="h3"),
+        pytest.param(5, 1, 1024, 40, 77, True, id="h5"),
+        pytest.param(7, 1, 1024, 40, 77, True, id="h7"),
+        # The Gram of 2**20 multiply-adds has one column at d=1, and stays whole.
+        pytest.param(4, 1, 1 << 18, 1, 2, False, id="d1"),
     ])
-    def test_split_bits_equal_the_whole_kernels(self, monkeypatch, h, steps, m, d, t, splits):
+    def test_split_bits_equal_the_whole_kernels(self, monkeypatch, h, steps, m, d, t, split):
         gen = np.random.default_rng(h * m + d)
         q, f_s, f_c = (gen.standard_normal((h, steps, m, d)) for _ in range(3))
         k, v = gen.standard_normal((h, t, d)), gen.standard_normal((h, t, d))
         mask = BlendMask(gen.random(f_c.shape) < 0.5)
-        kernels = (lambda: attend(q, k, v), lambda: head_distances(f_s, f_c),
+        kernels = (lambda: head_distances(f_s, f_c), lambda: siamese_attend(q, k, v, k, v)[0],
                    lambda: blend(f_c, f_s, mask, BlendConfig()))
-        for kernel, split in zip(kernels, splits):
+        for kernel, splits in zip(kernels, (split, False, False)):
             monkeypatch.setattr(numeric, "_CPUS", 1)
             whole = kernel()
             monkeypatch.setattr(numeric, "_CPUS", 2)
             halves = _helper_halves(monkeypatch)
             assert_same_bits(kernel(), whole)
-            assert halves == ([(h // 2, h)] if split else [])
+            assert halves == ([(h // 2, h)] if splits else [])
 
     # The mask stages are one to three passes over their block, short of _MIN_SPLIT at
     # every benchmark size (sd_block's 327,680 entries x 3 passes), so they run whole.
@@ -751,34 +750,33 @@ class TestSplitKernels:
         assert_same_bits(extract_spatial_mask(f_c, BlendConfig(alpha=0.5)).data,
                          np.stack(per_step, axis=1) == 1.0)
 
-    @pytest.mark.parametrize("shape, split", [
-        pytest.param((8, 1, 1024, 40), False, id="sd_block"),  # 2 passes over 327,680 entries
-        pytest.param((16, 1, 256, 16), False, id="mid_bypass"),
-        pytest.param((8, 2, 1024, 40), True, id="two_steps"),
-        pytest.param((8, 5, 341, 40), True, id="odd_rows"),  # 1,705 rows
+    # The merge is one transposing copy and its check, whole at any size: only a run with
+    # blending on and two or more layers a step merges, and no benchmark workload does.
+    @pytest.mark.parametrize("shape", [
+        pytest.param((8, 1, 1024, 40), id="sd_block"),
+        pytest.param((16, 1, 256, 16), id="mid_bypass"),
+        pytest.param((8, 2, 1024, 40), id="two_steps"),
+        pytest.param((8, 5, 341, 40), id="odd_rows"),  # 1,705 rows
     ])
-    def test_split_merge_equals_the_whole_merge(self, monkeypatch, shape, split):
+    def test_merge_runs_whole_with_the_bits_of_the_earlier_form(self, monkeypatch, shape):
         block = np.random.default_rng(len(shape)).standard_normal(shape)
         h, d = shape[0], shape[-1]
-        rows = block.size // (h * d)
         monkeypatch.setattr(numeric, "_CPUS", 1)
         whole = merge_heads(block).a
         monkeypatch.setattr(numeric, "_CPUS", 2)
         halves = _helper_halves(monkeypatch)
         assert_same_bits(merge_heads(block).a, whole)
-        assert halves == ([(rows // 2, rows)] if split else [])
+        assert halves == []
         assert_same_bits(whole, np.moveaxis(block, 0, -2).reshape(-1, h * d))  # the earlier form
-        assert not whole.flags.writeable
+        assert not whole.flags.writeable and whole.flags.c_contiguous
 
-    @pytest.mark.parametrize("row", [5, 1500])  # in the caller's half, in the helper's
-    def test_nan_in_either_half_of_a_merge_is_the_same_error(self, monkeypatch, row):
+    @pytest.mark.parametrize("row", [5, 1500])  # in the first step, in the second
+    def test_nan_anywhere_in_a_merge_is_the_same_error(self, monkeypatch, row):
         block = np.ones((8, 2, 1024, 40))
         block[3, row // 1024, row % 1024, 7] = np.nan
         monkeypatch.setattr(numeric, "_CPUS", 2)
-        halves = _helper_halves(monkeypatch)
         with pytest.raises(NonFiniteError, match=r"^Matrix entries must be finite \(no NaN/Inf\)$"):
             merge_heads(block)
-        assert halves == [(1024, 2048)]
 
     def test_merge_takes_integer_blocks_and_names_a_complex_one(self):
         block = np.arange(24).reshape(2, 3, 4)
@@ -825,15 +823,3 @@ class TestSplitKernels:
                 if isinstance(got, BlendMask):
                     got, want = got.data, want.data
                 assert_same_bits(got, want)
-
-    def test_attention_with_one_query_row_stays_whole(self, monkeypatch):
-        gen = np.random.default_rng(1)
-        q = gen.standard_normal((8, 1, 128))
-        k, v = (gen.standard_normal((8, 1024, 128)) for _ in range(2))
-        assert k.size >= numeric._MIN_SPLIT  # each product is large enough to split
-        monkeypatch.setattr(numeric, "_CPUS", 1)
-        whole = attend(q, k, v)
-        monkeypatch.setattr(numeric, "_CPUS", 2)
-        halves = _helper_halves(monkeypatch)
-        assert_same_bits(attend(q, k, v), whole)
-        assert halves == []

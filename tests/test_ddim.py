@@ -13,7 +13,6 @@ from asi.ddim import (
     ddim_step,
     forward_noise,
     make_schedule,
-    predict_x0,
 )
 from asi.errors import ConfigError, NonFiniteError, ScheduleError, ShapeError, TimestepError
 from asi.harness import dump_trajectory
@@ -110,25 +109,27 @@ class TestForwardNoise:
             assert abs(x_t.a.var() - expected) / expected < 0.05
 
 
-class TestPredictX0:
+class TestCleanEstimate:
+    """A step down to t_prev=0, where alpha_bar is 1, is the clean estimate."""
+
     def test_inverts_forward_noise_at_every_t(self):
         rng = Rng(43)
         x0, eps = randn_matrix(rng, 4, 5), randn_matrix(rng, 4, 5)
         sched = make_schedule(20)
         for t in range(1, 21):
             x_t = forward_noise(x0, t, eps, sched)
-            assert np.abs(predict_x0(x_t, eps, t, sched).a - x0.a).max() < 1e-10
+            assert np.abs(ddim_step(x_t, eps, t, 0, sched).a - x0.a).max() < 1e-10
 
     def test_zero_eps_prediction(self):
         sched = make_schedule(3)
         x_t = Matrix([[2.0, -1.0]])
-        out = predict_x0(x_t, Matrix(np.zeros((1, 2))), 2, sched)
+        out = ddim_step(x_t, Matrix(np.zeros((1, 2))), 2, 0, sched)
         assert np.array_equal(out.a, x_t.a / np.sqrt(sched.bar(2)))
 
     def test_scalar_case(self):
         # alpha_bar = 0.64 -> sqrt terms 0.8 and 0.6
         sched = make_schedule(1, 0.36, 0.36)
-        out = predict_x0(Matrix([[2.0]]), Matrix([[0.5]]), 1, sched)
+        out = ddim_step(Matrix([[2.0]]), Matrix([[0.5]]), 1, 0, sched)
         assert abs(out.a[0, 0] - 2.125) < 1e-12
 
 
@@ -149,7 +150,8 @@ class TestDdimStep:
         sched = make_schedule(5)
         x_t = forward_noise(x0, 5, eps, sched)
         out = ddim_step(x_t, eps, 5, 0, sched)
-        assert np.array_equal(out.a, predict_x0(x_t, eps, 5, sched).a)
+        ab = sched.bar(5)
+        assert np.array_equal(out.a, (x_t.a - np.sqrt(1.0 - ab) * eps.a) / np.sqrt(ab))
 
     def test_scalar_case_matches_high_precision(self):
         sched = make_schedule(2, 0.19, 0.19)
@@ -188,7 +190,7 @@ class TestStepErrors:
         with pytest.raises(ScheduleError):
             ddim_step(x, x, 2, 1, sched)
         with pytest.raises(ScheduleError):
-            predict_x0(x, x, 2, sched)
+            ddim_step(x, x, 2, 0, sched)
 
 
 class TestSplitJump:
@@ -255,7 +257,7 @@ class TestBitwiseAgainstEarlierForms:
             out = ddim_step(x_t, eps, t, t_prev, sched).a
             expected = fresh_ddim_step(x_t.a, eps.a, sched.bar(t), sched.bar(t_prev))
             assert out.tobytes() == expected.tobytes()
-            composed = forward_noise(predict_x0(x_t, eps, t, sched), t_prev, eps, sched)
+            composed = forward_noise(ddim_step(x_t, eps, t, 0, sched), t_prev, eps, sched)
             assert out.tobytes() == composed.a.tobytes()
 
     def test_forward_noise_equals_fresh_temporaries(self, rows, cols):

@@ -6,7 +6,6 @@ from asi.errors import ShapeError
 from asi.numeric import Matrix, Rng, randn_matrix
 from asi.sica import (
     AttentionParams,
-    attend,
     merge_heads,
     project_kv,
     project_q,
@@ -182,18 +181,23 @@ def stacked_step_queries(seed, heads=3, d=2, m=5, steps=4):
 
 
 class TestStepAxis:
-    def test_attend_equals_one_call_per_step_bitwise(self):
+    def test_siamese_attend_equals_one_call_per_step_bitwise(self):
         q, per_step, k, v = stacked_step_queries(14)
-        out = attend(q, k, v)
-        assert out.shape == q.shape and out.flags.c_contiguous and not out.flags.writeable
+        k_c, v_c = k[:, :3] * 2.0, v[:, :3].copy()  # a content track of its own, fewer tokens
+        f_s, f_c = siamese_attend(q, k, v, k_c, v_c)
+        for out in (f_s, f_c):
+            assert out.shape == q.shape and out.flags.c_contiguous and not out.flags.writeable
         for i, q_i in enumerate(per_step):
             assert q[:, i].tobytes() == q_i.tobytes()
-            assert out[:, i].tobytes() == attend(q_i, k, v).tobytes()
+            g_s, g_c = siamese_attend(q_i, k, v, k_c, v_c)
+            assert f_s[:, i].tobytes() == g_s.tobytes()
+            assert f_c[:, i].tobytes() == g_c.tobytes()
 
     def test_merge_heads_stacks_the_steps_row_wise(self):
         q, per_step, k, v = stacked_step_queries(15)
-        out = attend(q, k, v)
-        expected = np.concatenate([merge_heads(attend(q_i, k, v)).a for q_i in per_step])
+        out = siamese_attend(q, k, v, k, v)[0]
+        expected = np.concatenate([merge_heads(siamese_attend(q_i, k, v, k, v)[0]).a
+                                   for q_i in per_step])
         assert merge_heads(out).a.tobytes() == expected.tobytes()
 
 
@@ -247,14 +251,14 @@ class TestSiameseAttend:
         with pytest.raises(ShapeError):
             siamese_attend(q, bad, v_s, k_c, v_c)
         with pytest.raises(ShapeError):
-            attend(q, bad, v_s)
+            siamese_attend(q, k_s, v_s, k_c, bad)
 
     def test_kv_token_mismatch_raises(self):
         q, k_s, v_s, k_c, v_c = random_tracks(7)
         with pytest.raises(ShapeError):
             siamese_attend(q, k_s, v_s[:, :1, :], k_c, v_c)
         with pytest.raises(ShapeError):
-            attend(q, k_s, v_s[:, :1, :])
+            siamese_attend(q, k_s, v_s, k_c[:, :1, :], v_c)
 
     def test_head_dim_mismatch_raises(self):
         q, k_s, v_s, k_c, v_c = random_tracks(8)
@@ -262,11 +266,13 @@ class TestSiameseAttend:
         with pytest.raises(ShapeError):
             siamese_attend(q, k_s, v_s, wide, wide)
         with pytest.raises(ShapeError):
-            attend(q, wide, wide)
+            siamese_attend(q, wide, wide, k_c, v_c)
 
 
-class TestAttendOperands:
-    @pytest.mark.parametrize("name", ["q", "k", "v"])
+class TestAttentionOperands:
+    @pytest.mark.parametrize("arg, name", [
+        ("q", "q"), ("k_s", "k"), ("v_s", "v"), ("k_c", "k"), ("v_c", "v"),
+    ])
     @pytest.mark.parametrize("bad, kind", [
         ([[[0.0, 1.0]]], "list"),
         (None, "NoneType"),
@@ -274,15 +280,16 @@ class TestAttendOperands:
         (np.ones((2, 2, 2), dtype=np.int64), "int64 array"),
         (np.ones((2, 2, 2), dtype=complex), "complex128 array"),
     ])
-    def test_non_float64_operand_is_shape_error_naming_it(self, name, bad, kind):
-        q, k, v, _, _ = random_tracks(9)
-        operands = {"q": q, "k": k, "v": v, name: bad}
-        with pytest.raises(ShapeError, match=f"attend: {name} must be a float64 array, got {kind}"):
-            attend(**operands)
+    def test_non_float64_operand_is_shape_error_naming_it(self, arg, name, bad, kind):
+        q, k_s, v_s, k_c, v_c = random_tracks(9)
+        operands = {"q": q, "k_s": k_s, "v_s": v_s, "k_c": k_c, "v_c": v_c, arg: bad}
+        with pytest.raises(ShapeError, match=f"^attention: {name} must be a float64 array, "
+                                             f"got {kind}$"):
+            siamese_attend(**operands)
 
 
 class TestHeadDimOne:
-    """At head_dim=1 with two or more query rows, both products of attend are k-ordered.
+    """At head_dim=1 with two or more query rows, both products of attention are k-ordered.
 
     Neither has its reduced axis innermost in both operands: K Q^T reduces
     over d, innermost in K but not in the contiguous Q^T, and V^T P over t,
@@ -307,7 +314,8 @@ class TestHeadDimOne:
         rng = Rng(heads * rows + tokens)
         q = random_feature_map(rng, heads, rows, 1)
         k, v = (random_feature_map(rng, heads, tokens, 1) for _ in range(2))
-        out = attend(q, k, v)
+        f_s, f_c = siamese_attend(q, k, v, k, v)
         assert checked == [((heads, tokens, 1), (heads, 1, rows)),  # logits as K Q^T
-                           ((heads, 1, tokens), (heads, tokens, rows))]  # output as V^T P
-        assert out.shape == q.shape and out.flags.c_contiguous and not out.flags.writeable
+                           ((heads, 1, tokens), (heads, tokens, rows))] * 2  # output as V^T P
+        assert f_s.tobytes() == f_c.tobytes()
+        assert f_s.shape == q.shape and f_s.flags.c_contiguous and not f_s.flags.writeable

@@ -1,12 +1,14 @@
+import math
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from asi.errors import DumpFormatError, NonFiniteError
-from asi.tensorio import MAGIC, load_tensor, save_tensor
+from asi.tensorio import load_tensor, save_tensor
 
 
 def test_exact_byte_layout(tmp_path):
@@ -67,7 +69,7 @@ def test_bad_magic(tmp_path):
 
 def test_bad_version(tmp_path):
     path = tmp_path / "bad.asit"
-    path.write_bytes(MAGIC + bytes([9, 1]) + struct.pack("<I", 1) + struct.pack("<f", 0.0))
+    path.write_bytes(b"ASIT" + bytes([9, 1]) + struct.pack("<I", 1) + struct.pack("<f", 0.0))
     with pytest.raises(DumpFormatError, match="version"):
         load_tensor(path)
 
@@ -124,10 +126,87 @@ def headers(draw):
 @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_malformed_bytes_load_or_raise_naming_the_path(tmp_path, tail):
     path = tmp_path / "fuzz.asit"
-    path.write_bytes(MAGIC + bytes([1]) + tail)
+    path.write_bytes(b"ASIT" + bytes([1]) + tail)
     try:
         loaded = load_tensor(path)
     except DumpFormatError as exc:
         assert str(exc).startswith(str(path)), exc
     else:
         assert loaded.dtype == np.float64 and loaded.ndim >= 1
+
+
+def test_a_nan_payload_is_a_dump_format_error_naming_the_path(tmp_path):
+    # One float32 NaN behind a valid header: save_tensor never writes such a file.
+    path = tmp_path / "nan.asit"
+    path.write_bytes(b"ASIT" + bytes([1, 1]) + struct.pack("<I", 1) + struct.pack("<f", np.nan))
+    with pytest.raises(DumpFormatError, match="NaN or Inf") as info:
+        load_tensor(path)
+    assert str(info.value).startswith(str(path))
+
+
+def _dump(dims, payload: bytes, magic=b"ASIT", version=1, rank=None) -> bytes:
+    rank = len(dims) if rank is None else rank
+    return magic + bytes([version, rank]) + struct.pack(f"<{len(dims)}I", *dims) + payload
+
+
+SMALL_DIMS = st.lists(st.integers(0, 3), min_size=1, max_size=4)
+# A float32 with every exponent bit set, of either sign: Inf for a zero fraction, else a NaN.
+NON_FINITE = st.builds(lambda frac, sign: struct.pack("<I", 0x7F800000 | frac | sign << 31),
+                       st.integers(0, 2**23 - 1), st.integers(0, 1))
+
+
+@st.composite
+def bad_dumps(draw):
+    """Bytes save_tensor never writes, one fault each."""
+    dims = draw(SMALL_DIMS)
+    payload = bytes(4 * math.prod(dims))  # zeros: finite
+    kind = draw(st.sampled_from(["truncated", "magic", "version", "rank", "overflow", "dims",
+                                 "non_finite"]))
+    if kind == "truncated":
+        whole = _dump(dims, payload)
+        return whole[:draw(st.integers(0, 6 + 4 * len(dims) - 1))]
+    if kind == "magic":
+        return _dump(dims, payload, magic=draw(st.binary(min_size=4, max_size=4)
+                                               .filter(lambda m: m != b"ASIT")))
+    if kind == "version":
+        return _dump(dims, payload, version=draw(st.integers(0, 255).filter(lambda v: v != 1)))
+    if kind == "rank":  # rank 0, or a rank byte that promises more dims than there are
+        return _dump(dims, payload,
+                     rank=draw(st.sampled_from([0, len(dims) + 1 + len(payload) // 4])))
+    if kind == "overflow":  # the product needs more than 64 bits; a few payload bytes
+        big = draw(st.lists(st.integers(2**16, 2**32 - 1), min_size=4, max_size=8))
+        return _dump(big, draw(st.binary(max_size=16)))
+    if kind == "dims":  # more dims than NumPy allows, each 1, and one finite value
+        return _dump([1] * draw(st.integers(65, 255)), struct.pack("<f", 1.0))
+    count = draw(st.integers(1, 6))
+    values = [struct.pack("<f", v) for v in draw(st.lists(st.floats(-1e3, 1e3), min_size=count,
+                                                          max_size=count))]
+    values[draw(st.integers(0, count - 1))] = draw(NON_FINITE)
+    return _dump([count], b"".join(values))
+
+
+@given(blob=bad_dumps())
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_bad_dump_is_a_dump_format_error_naming_the_path(tmp_path, blob):
+    path = tmp_path / "bad.asit"
+    path.write_bytes(blob)
+    with pytest.raises(DumpFormatError) as info:
+        load_tensor(path)
+    assert str(info.value).startswith(str(path))
+
+
+@given(array=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=4, min_side=0,
+                                                     max_side=4)))
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_array_save_tensor_accepts_round_trips(tmp_path, array):
+    path = tmp_path / "t.asit"
+    path.unlink(missing_ok=True)  # tmp_path is shared by every example
+    try:
+        save_tensor(path, array)
+    except NonFiniteError:  # NaN, Inf or beyond float32: refused, and nothing is written
+        assert not path.exists()
+        return
+    loaded = load_tensor(path)
+    assert loaded.shape == array.shape and loaded.dtype == np.float64
+    assert loaded.tobytes() == array.astype(np.float32).astype(np.float64).tobytes()
+    assert save_tensor(tmp_path / "again.asit", loaded).read_bytes() == path.read_bytes()

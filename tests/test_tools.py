@@ -66,6 +66,51 @@ def test_pair_statistics():
     assert "better in 5 of 6" in line and "gap > IQR" in line
 
 
+def test_pair_ratios_their_median_interval_and_sign_test():
+    parent = [0.50, 0.48, 0.49, 0.52, 0.47, 0.51]
+    change = [0.46, 0.45, 0.50, 0.44, 0.46, 0.45]
+    (row,) = pairs.summarize(_runs(parent, change), [SPECS["run_s.p50"]])
+    assert row["ratios"] == [c / p for p, c in zip(parent, change)]
+    ordered = sorted(row["ratios"])
+    assert row["ratio_median"] == pytest.approx((ordered[2] + ordered[3]) / 2)
+    # Six ratios: [min, max] holds the median with probability 1 - 2/64; the next pair in,
+    # 1 - 2 * 7/64 = 0.78125, falls short of 90%.
+    assert row["ratio_interval"] == (ordered[0], ordered[5], 1 - 2 / 64)
+    assert row["sign_p"] == 2 * (1 + 6) / 64  # 5 better, 1 worse
+    line, = pairs.format_rows([row])
+    assert f"ratio {row['ratio_median']:.4f} [{ordered[0]:.4f}-{ordered[5]:.4f}, 96.9%]" in line
+    assert "sign p 0.219" in line and "better in 5 of 6" in line
+    assert line.endswith(" ".join(f"{r:.4f}" for r in row["ratios"]))
+
+
+@pytest.mark.parametrize("n, j, coverage", [
+    (5, 1, 1 - 2 / 32),
+    (10, 2, 1 - 2 * (1 + 10) / 1024),  # j = 3 would hold it with 1 - 2 * 56/1024 = 0.89
+    (20, 6, 1 - 2 * (1 + 20 + 190 + 1140 + 4845 + 15504) / 2**20),  # j = 7: 0.885
+])
+def test_median_interval_takes_the_narrowest_order_statistics_at_90_percent(n, j, coverage):
+    values = [float(v) for v in reversed(range(n))]  # the order statistics of 0 .. n-1
+    assert pairs.median_interval(values) == (j - 1, n - j, coverage)
+    assert coverage >= 0.90
+
+
+def test_median_interval_needs_five_values():
+    assert pairs.median_interval([1.0, 2.0, 3.0, 4.0]) is None  # [min, max]: 1 - 2/16 = 0.875
+    assert pairs.median_interval([]) is None
+
+
+@pytest.mark.parametrize("better, worse, p", [
+    (9, 1, 2 * (1 + 10) / 1024),
+    (1, 9, 2 * (1 + 10) / 1024),  # two-sided
+    (10, 0, 2 / 1024),
+    (8, 2, 2 * (1 + 10 + 45) / 1024),
+    (5, 5, 1.0),
+    (0, 0, 1.0),  # every pair a tie
+])
+def test_sign_test_p_values(better, worse, p):
+    assert pairs.sign_test_p(better, worse) == pytest.approx(p)
+
+
 def test_ties_count_for_neither_side_and_higher_can_be_better():
     (row,) = pairs.summarize(_runs([100.0, 100.0, 90.0], [100.0, 110.0, 80.0], "layer_apps_per_s"),
                              [SPECS["layer_apps_per_s"]])

@@ -39,7 +39,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # Figures the benchmark's tracer is known to get wrong; see ROADMAP.md.
 NOTES = [
     "adablending.adain.* reads 0: blend calls the private _adain, not the traced adain.",
-    "numeric.softmax_rows.* reads 0: attend calls the private _softmax inside its split halves.",
+    "numeric.softmax_rows.* reads 0: attention calls the private _softmax, inside split halves.",
     "numeric.matmul.* counts project_kv's products alone on every workload: the query "
     "projection (Q^T = W_q^T X^T) calls no matmul. Its time is in sica.project_q on "
     "small_sweep and sd_block, and in harness.run_pipeline.self_s on mid_bypass.",

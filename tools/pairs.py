@@ -13,17 +13,25 @@ parent first in even pairs, the change first in odd ones.
 For each workload and end-to-end metric of ``BENCHMARK.json`` it prints the
 parent's median and interquartile range (IQR), the change's median, the
 relative change, "better in k of N" pairs (ties count for neither) and
-whether the gap between the medians exceeds the parent's IQR. The last line
-is one JSON object with the same figures and every run's value. A run that
-is not ``correct`` stops the comparison (exit 1). ``--work`` keeps the
-exports in a directory of one's choice; by default they go to a temporary
-directory that is removed at the end.
+whether the gap between the medians exceeds the parent's IQR. Beside these,
+which a shift in the box's load between runs can pass or fail, it prints
+statistics of the pairs themselves: each pair's change/parent ratio, their
+median, a distribution-free 90% interval for that median from the ratios'
+order statistics (none under 5 pairs), and the two-sided sign-test p value
+of the better and worse pairs. Each ratio compares two runs made back to
+back, so a ratio interval that excludes 1 points to the trees, not to load
+that drifted between pairs. The last line is one JSON object with the same
+figures and every run's value. A run that is not ``correct`` stops the
+comparison (exit 1). ``--work`` keeps the exports in a directory of one's
+choice; by default they go to a temporary directory that is removed at the
+end.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import shutil
 import statistics
 import subprocess
@@ -76,6 +84,31 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def median_interval(values: list[float], level: float = 0.90):
+    """(lo, hi, coverage): a distribution-free interval for the median of `values`.
+
+    [x_(j), x_(n+1-j)] of the sorted values holds the median with probability
+    1 - 2 P(Bin(n, 1/2) < j) whatever their distribution; j is the largest
+    whose coverage is at least `level`. None when even [min, max] falls short
+    (n < 5 at 90%).
+    """
+    xs, n = sorted(values), len(values)
+    interval, below = None, 0  # below: 2**n P(Bin(n, 1/2) < j)
+    for j in range(1, n // 2 + 1):
+        below += math.comb(n, j - 1)
+        coverage = 1 - 2 * below / 2**n
+        if coverage < level:
+            break
+        interval = (xs[j - 1], xs[n - j], coverage)
+    return interval
+
+
+def sign_test_p(better: int, worse: int) -> float:
+    """Two-sided sign-test p value of `better` against `worse` pairs, ties left out."""
+    n, k = better + worse, min(better, worse)
+    return min(1.0, 2 * sum(math.comb(n, i) for i in range(k + 1)) / 2**n)
+
+
 def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> list[dict]:
     """One row per workload and end-to-end metric from paired runs.
 
@@ -91,6 +124,8 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> list[dict]
             c_median = statistics.median(change)
             lower = spec["better"] == "lower"
             better = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+            worse = sum((c > p) if lower else (c < p) for p, c in zip(parent, change))
+            ratios = [c / p for p, c in zip(parent, change) if p]
             rows.append({
                 "workload": workload, "metric": name, "unit": spec["unit"],
                 "better": spec["better"], "parent_median": p_median, "parent_q1": q1,
@@ -98,6 +133,10 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> list[dict]
                 "change_pct": 100 * (c_median - p_median) / p_median if p_median else 0.0,
                 "better_pairs": better, "pairs": len(parent),
                 "gap_exceeds_iqr": abs(c_median - p_median) > q3 - q1,
+                "ratios": ratios,
+                "ratio_median": statistics.median(ratios) if ratios else None,
+                "ratio_interval": median_interval(ratios),
+                "sign_p": sign_test_p(better, worse),
                 "parent_runs": parent, "change_runs": change,
             })
     return rows
@@ -106,12 +145,17 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> list[dict]
 def format_rows(rows: list[dict]) -> list[str]:
     lines = []
     for r in rows:
+        interval = r["ratio_interval"]
+        ratio = "none" if r["ratio_median"] is None else f"{r['ratio_median']:.4f}"
+        ratio += (f" [{interval[0]:.4f}-{interval[1]:.4f}, {100 * interval[2]:.1f}%]"
+                  if interval else " [no 90% interval under 5 pairs]")
         lines.append(
             f"{r['workload']:<12} {r['metric']:<17} parent {r['parent_median']:.6g} "
             f"[{r['parent_q1']:.6g}-{r['parent_q3']:.6g}] -> change {r['change_median']:.6g} "
             f"{r['unit']:<4} {r['change_pct']:+6.2f}%  better in {r['better_pairs']} of "
-            f"{r['pairs']}  gap {'>' if r['gap_exceeds_iqr'] else '<='} IQR "
-            f"({r['better']} is better)")
+            f"{r['pairs']}  gap {'>' if r['gap_exceeds_iqr'] else '<='} IQR  "
+            f"ratio {ratio}  sign p {r['sign_p']:.3g}  ({r['better']} is better)  "
+            f"pair ratios {' '.join(f'{x:.4f}' for x in r['ratios'])}")
     return lines
 
 
