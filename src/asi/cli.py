@@ -13,8 +13,9 @@ apply after the file, left to right. An override splits at its first ``=``
 and keeps its value literally, ``#`` included. Override values and ``sweep
 --values`` entries are parsed like file values (see ``harness.configure``).
 Unknown keys and empty values are rejected. Exit codes: 0 success, 1 invalid
-configuration (including one too large to allocate) or I/O failure, 2 an
-internal invariant failed (including values that overflow to NaN/Inf mid-run).
+configuration (including one too large to allocate), a malformed command line
+or I/O failure, 2 an internal invariant failed (including values that
+overflow to NaN/Inf mid-run).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -30,15 +31,17 @@ from .adablending import asi_layer
 from .ddim import ddim_generate, ddim_invert, make_schedule
 from .errors import AsiError, ConfigError
 from .harness import (
+    _MASK_GLOBS,
     SWEEPABLE_PARAMS,
     ExperimentConfig,
+    _mask_files,
+    _publish,
     _sweep_run,
     configure,
     dump_trajectory,
     run_pipeline,
     sweep,
     synth_inputs,
-    write_mask_artifacts,
 )
 from .numeric import Rng, randn_matrix
 from .sica import project_kv, project_q
@@ -125,31 +128,31 @@ def _cmd_dump_masks(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     k_s, v_s = project_kv(inputs.style_prompt, inputs.params)
     k_c, v_c = project_kv(inputs.content_prompt, inputs.params)
     result = asi_layer(q, k_s, v_s, k_c, v_c, cfg.blend)
-    write_mask_artifacts(cfg.dump_dir,
-                         (result.head_mask, result.spatial_mask.data, result.fused_mask.data))
+    masks = (result.head_mask, result.spatial_mask.data, result.fused_mask.data)
+    _publish(cfg.dump_dir, _mask_files(masks), _MASK_GLOBS)
     print(f"masks written to {cfg.dump_dir} (heads selected: {int(result.head_mask.sum())})")
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:  # a bad command line: exit 1 with one line
+        self.exit(1, f"error: {message}\n")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="asi",
         description="dual-track attention with mask-guided content-style blending",
     )
     config_args = argparse.ArgumentParser(add_help=False)
     config_args.add_argument("--config", type=Path, default=None, help="flat key=value config file")
-    config_args.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override one config key (repeatable, applied left to right)",
-    )
+    config_args.add_argument("--set", dest="overrides", action="append", default=[],
+                             metavar="KEY=VALUE",
+                             help="override one config key (repeatable, applied left to right)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", parents=[config_args], help="run the full pipeline")
-    p_run.set_defaults(func=_cmd_run)
+    sub.add_parser("run", parents=[config_args],
+                   help="run the full pipeline").set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser(
         "sweep", parents=[config_args], help="run once per value of one parameter"
@@ -164,10 +167,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_rt.add_argument("--dump", action="store_true", help="also dump the latent trajectory")
     p_rt.set_defaults(func=_cmd_ddim_roundtrip)
 
-    p_masks = sub.add_parser(
-        "dump-masks", parents=[config_args], help="render masks for one layer application"
-    )
-    p_masks.set_defaults(func=_cmd_dump_masks)
+    sub.add_parser("dump-masks", parents=[config_args],
+                   help="render masks for one layer application").set_defaults(func=_cmd_dump_masks)
 
     args = parser.parse_args(argv)
     try:

@@ -11,10 +11,10 @@ the sampler has made their latents, so the layer runs once per chunk of
 steps, on (heads, steps, positions, head_dim) blocks; the comment at
 _CHUNK_ENTRIES gives the chunk size and why.
 
-Every artifact is written here: the run's report.csv, per-head distance
-CSV, mask and feature dumps and per-head mask renders, the sweep CSV, and
-the sampler trajectory dump. All are written with overwrite semantics, so a
-repeated run with the same config produces byte-identical files.
+Every artifact is written here, by one writer (_publish) that puts a set in
+place all or nothing, then removes stale names: report.csv, the per-head
+distance CSV, mask and feature dumps, per-head mask renders, the sweep CSV
+and the trajectory dump. The same config always gives byte-identical files.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .adablending import BlendConfig, asi_layer, head_distances
 from .ddim import LatentState, NoiseSchedule, ddim_invert, ddim_step, make_schedule
-from .errors import ConfigError, ShapeError
+from .errors import AsiError, ConfigError, ShapeError
 from .numeric import (Matrix, Rng, _as_number, _check_finite, _is_int, _readonly, _split,
                       randn_matrix)
 # siamese_attend is unused here, but the benchmark tracer wraps harness.siamese_attend.
@@ -51,7 +51,6 @@ __all__ = [
     "run_pipeline",
     "sweep",
     "render_mask_pgm",
-    "write_mask_artifacts",
     "dump_trajectory",
 ]
 
@@ -230,57 +229,80 @@ def render_mask_pgm(path: str | Path, mask_slice: np.ndarray) -> Path:
     return path
 
 
-def write_mask_artifacts(out_dir: Path, masks: Sequence[np.ndarray] | None) -> None:
-    """Replace the mask artifacts in out_dir with one layer application's.
+# Every mask artifact's name: a set of masks, or none with blending off, replaces them all.
+_MASK_GLOBS = ("head_mask.asit", "spatial_mask.asit", "fused_mask.asit", "mask_head_*.pgm")
 
-    First removes head_mask.asit, spatial_mask.asit, fused_mask.asit and every
-    mask_head_*.pgm already in out_dir, so none is left from an earlier run.
-    Then, unless masks is None (blending off), writes masks = (head, spatial,
-    fused), the (h,) head mask broadcast to the other two's (h, m, d) shape,
-    and mask_head_<i>.pgm per head i into out_dir, which is created if missing.
-    """
-    for name in ("head_mask.asit", "spatial_mask.asit", "fused_mask.asit"):
-        (out_dir / name).unlink(missing_ok=True)
-    for stale in out_dir.glob("mask_head_*.pgm"):
-        stale.unlink()
+
+def _mask_files(masks: Sequence[np.ndarray] | None) -> dict:
+    # _publish's entries for masks = (head, spatial, fused), the head mask broadcast to (h, m, d).
     if masks is None:
-        return
+        return {}
     head, spatial, fused = masks
-    save_tensor(out_dir / "head_mask.asit", np.broadcast_to(head[:, None, None], fused.shape))
-    save_tensor(out_dir / "spatial_mask.asit", spatial)
-    save_tensor(out_dir / "fused_mask.asit", fused)
-    for i, fused_head in enumerate(fused):
-        render_mask_pgm(out_dir / f"mask_head_{i}.pgm", fused_head)
+    return {
+        "head_mask.asit": (save_tensor, np.broadcast_to(head[:, None, None], fused.shape)),
+        "spatial_mask.asit": (save_tensor, spatial),
+        "fused_mask.asit": (save_tensor, fused),
+        **{f"mask_head_{i}.pgm": (render_mask_pgm, fused[i]) for i in range(len(fused))},
+    }
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     # Floats are written as repr(float(x)), the shortest text that reads back exactly.
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
-    return path
+
+
+def _publish(out_dir: Path, files: dict, stale: Sequence[str] = ()) -> None:
+    # The one artifact writer: files maps each name to (write, *args); write(path, *args) makes
+    # the file. Each goes to <name>.partial in out_dir (made if missing), and only once all are
+    # written are they renamed into place; then each file matching a stale glob but not named in
+    # files is removed. A name held by a directory fails first. On failure the temporaries and
+    # the directories this call made are removed, so out_dir keeps its earlier set byte for byte.
+    if held := [name for name in files if (out_dir / name).is_dir()]:
+        raise IsADirectoryError(f"{out_dir / held[0]}: a directory holds this artifact's name")
+    created = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
+    partials: list[Path] = []
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, (write, *args) in files.items():
+            partials.append(out_dir / f"{name}.partial")
+            write(partials[-1], *args)
+    except BaseException as exc:
+        for partial in partials:
+            partial.unlink(missing_ok=True)
+        for path in created:  # deepest first
+            if path.is_dir():
+                path.rmdir()
+        if isinstance(exc, AsiError) and partials:  # name the artifact, not its temporary
+            raise type(exc)(str(exc).replace(str(partials[-1]), str(out_dir / name))) from exc
+        raise
+    for name in files:
+        os.replace(out_dir / f"{name}.partial", out_dir / name)
+    for pattern in stale:
+        for path in out_dir.glob(pattern):
+            if path.name not in files and not path.is_dir():
+                path.unlink()
 
 
 def dump_trajectory(
     trajectory: list[LatentState], sched: NoiseSchedule, out_dir: str | Path
 ) -> Path:
-    """Replace out_dir's trajectory with one tensor dump per state and a manifest CSV.
+    """Publish one tensor dump per state and a manifest CSV into out_dir, all or nothing.
 
-    First removes every step_*.asit already in out_dir, so none is left from an
-    earlier, longer trajectory. The manifest has columns t, alpha_bar, file.
+    Only once the set is in place is every other step_*.asit in out_dir (from an earlier,
+    longer trajectory) removed. The manifest has columns t, alpha_bar, file; returns its path.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for stale in out_dir.glob("step_*.asit"):
-        stale.unlink()
-    rows = []
-    for state in trajectory:
-        name = f"step_{state.t}.asit"
-        save_tensor(out_dir / name, state.x.a)
-        rows.append((state.t, sched.bar(state.t), name))
-    return _write_csv(out_dir / "trajectory.csv", ["t", "alpha_bar", "file"], rows)
+    names = [f"step_{state.t}.asit" for state in trajectory]
+    files = {name: (save_tensor, state.x.a) for name, state in zip(names, trajectory)}
+    files["trajectory.csv"] = (_write_csv, ["t", "alpha_bar", "file"],
+                               [(state.t, sched.bar(state.t), name)
+                                for state, name in zip(trajectory, names)])
+    _publish(out_dir, files, ("step_*.asit",))
+    return out_dir / "trajectory.csv"
 
 
 def _preserved_mse(fused: np.ndarray, f_out: np.ndarray, f_c: np.ndarray) -> float:
@@ -443,20 +465,19 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
         mask[:, -1] for mask in (result.head_mask, result.spatial_mask.data, result.fused_mask.data)]
     del q, features, result, block, fused
 
-    out_dir = cfg.dump_dir
-    # Written first: save_tensor rejects a non-finite block before it creates the
-    # directory or opens the file, so a failed run creates and changes nothing.
-    feature_path = save_tensor(out_dir / "features_out.asit", f_out)
     header = ["step", *(f"ell_{i}" for i in range(cfg.heads)), "blended_fraction", "preserved_mse"]
-    _write_csv(out_dir / "report.csv", header, rows)
-    _write_csv(out_dir / "ell.csv", ["head_index", "ell"], enumerate(rows[-1][1:-2]))
-    write_mask_artifacts(out_dir, masks)
+    _publish(cfg.dump_dir, {
+        "features_out.asit": (save_tensor, f_out),
+        "report.csv": (_write_csv, header, rows),
+        "ell.csv": (_write_csv, ["head_index", "ell"], enumerate(rows[-1][1:-2])),
+        **_mask_files(masks),
+    }, _MASK_GLOBS)
 
     return RunReport(
         per_step_ell=tuple(r[1:-2] for r in rows),
         preserved_mse=max(r[-1] for r in rows),
         blended_fraction=float(np.mean([r[-2] for r in rows])),
-        output_feature_path=feature_path,
+        output_feature_path=cfg.dump_dir / "features_out.asit",
     )
 
 
@@ -487,9 +508,7 @@ def sweep(cfg: ExperimentConfig, param: str, values: list) -> list[RunReport]:
     runs = [_sweep_run(cfg, param, raw) for raw in values]
     (cfg.dump_dir / "sweep.csv").unlink(missing_ok=True)
     reports = [run_pipeline(run_cfg) for _, run_cfg in runs]
-    _write_csv(
-        cfg.dump_dir / "sweep.csv",
-        ["param", "value", "blended_fraction", "preserved_mse"],
-        [(param, v, r.blended_fraction, r.preserved_mse) for (v, _), r in zip(runs, reports)],
-    )
+    header = ["param", "value", "blended_fraction", "preserved_mse"]
+    rows = [(param, v, r.blended_fraction, r.preserved_mse) for (v, _), r in zip(runs, reports)]
+    _publish(cfg.dump_dir, {"sweep.csv": (_write_csv, header, rows)})
     return reports

@@ -1,14 +1,20 @@
+import contextlib
 import dataclasses
+import errno
 import hashlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
-from asi import cli, numeric
+from asi import cli, harness, numeric
 from asi.adablending import BlendConfig
 from asi.cli import main, parse_config
 from asi.errors import ConfigError
@@ -34,6 +40,25 @@ SAMPLE_SETTINGS = {
     "alpha": "0.5",
     "eps": "0.001",
 }
+
+
+def digests(out: Path) -> dict[str, str]:
+    """The sha256 of every file under out, by its path relative to out."""
+    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def exit_code(argv: list[str]) -> int:
+    """main(argv)'s exit code, also where it exits (a malformed command line, --help)."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def partials(root: Path) -> list[Path]:
+    """Every temporary the artifact writer would leave under root."""
+    return sorted(root.rglob("*.partial"))
 
 
 class TestParseConfig:
@@ -241,18 +266,27 @@ class TestMainExitCodes:
         assert main(["run", "--set", "foo"]) == 1
         assert capsys.readouterr().err.splitlines() == ["error: --set 'foo': expected 'key=value'"]
 
+    @pytest.mark.parametrize("argv", [["run", "--set", "-x"], ["run", "--bogus"], []])
+    def test_malformed_command_line_is_1_with_one_error_line(self, argv, capsys):
+        # "--set -x" reads -x as an option, so --set has no value; argparse exited 2 with usage.
+        assert exit_code(argv) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+
     def test_failed_run_leaves_earlier_output_unchanged(self, tmp_path, capsys):
         out = tmp_path / "out"
-
-        def digests():
-            return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-
         assert main(["run", "--set", "timesteps=2", "--set", f"dump_dir={out}"]) == 0
-        before = digests()
+        before = digests(out)
+        capsys.readouterr()
         rc = main(["run", "--set", "timesteps=2", "--set", "perturbation=1e40",
                    "--set", f"dump_dir={out}"])
         assert rc == 2
-        assert digests() == before
+        assert digests(out) == before
+        assert partials(tmp_path) == []
+        # The writer writes each artifact to a temporary name; the error names the artifact.
+        assert capsys.readouterr().err.splitlines() == [
+            f"internal error: {out / 'features_out.asit'}: values must be finite as float32 "
+            "(NaN, Inf or overflow)"]
 
     def test_failed_run_creates_nothing(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -293,6 +327,113 @@ class TestMainExitCodes:
         assert proc.returncode == 1, proc.stderr[-2000:]
         assert len(proc.stderr.splitlines()) == 1
         assert "too large" in proc.stderr
+
+
+# (subcommand, the artifact a directory is put at, its directory under dump_dir)
+FORCED = [
+    pytest.param(["run"], "mask_head_3.pgm", "", id="run"),
+    pytest.param(["dump-masks"], "mask_head_3.pgm", "", id="dump-masks"),
+    pytest.param(["ddim-roundtrip", "--dump"], "step_2.asit", "trajectory", id="ddim-roundtrip"),
+]
+
+
+class TestPublishAllOrNothing:
+    @pytest.mark.parametrize("command, victim, sub", FORCED)
+    def test_a_directory_at_an_artifact_keeps_the_earlier_set(self, tmp_path, capsys, command,
+                                                                victim, sub):
+        out = tmp_path / "out"
+        assert main([*command, "--set", "timesteps=2", "--set", f"dump_dir={out}"]) == 0
+        (out / sub / victim).unlink()
+        before = digests(out)
+        (out / sub / victim).mkdir()
+        capsys.readouterr()
+        rc = main([*command, "--set", "timesteps=3", "--set", "seed=1", "--set", f"dump_dir={out}"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {out / sub / victim}: a directory holds this artifact's name"]
+        assert digests(out) == before
+        assert partials(tmp_path) == []
+
+    @pytest.mark.parametrize("first", [False, True], ids=["rerun", "first-run"])
+    def test_a_write_failing_mid_set_keeps_the_earlier_set(self, tmp_path, monkeypatch, capsys,
+                                                           first):
+        out = tmp_path / "fresh" / "out"
+        if not first:
+            assert main(["run", "--set", "timesteps=2", "--set", f"dump_dir={out}"]) == 0
+        before = digests(out) if not first else None
+        render = harness.render_mask_pgm
+
+        def full_disk(path, mask_slice):  # as ENOSPC would, once half the renders are written
+            if path.name.startswith("mask_head_4"):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return render(path, mask_slice)
+
+        monkeypatch.setattr(harness, "render_mask_pgm", full_disk)
+        capsys.readouterr()
+        rc = main(["run", "--set", "timesteps=3", "--set", "seed=1", "--set", f"dump_dir={out}"])
+        assert rc == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        if first:
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert digests(out) == before
+            assert partials(tmp_path) == []
+
+    def test_no_temporary_is_left_after_a_success(self, tmp_path, capsys):
+        target = ["--set", "timesteps=2", "--set", f"dump_dir={tmp_path}"]
+        for command in (["run"], ["dump-masks"], ["ddim-roundtrip", "--dump"],
+                        ["sweep", "--param", "n", "--values", "0,2"]):
+            assert main([*command, *target]) == 0
+        assert (tmp_path / "sweep.csv").exists()
+        assert partials(tmp_path) == []
+
+
+CONFIG_KEYS = st.sampled_from([*SAMPLE_SETTINGS, "bogus", "Heads", "n ", ""])
+ODD_VALUES = st.sampled_from(["\0", "1\0", "nan", "NaN", "inf", "-inf", "1e40", "-1e40",
+                              str(10**30), str(-10**30), "", " ", "0", "1", "2", "-1", "0.5",
+                              "1e-320", "true", "off", "0x10", "1_000", "#"])
+SET_ITEMS = st.one_of(
+    st.builds("{}={}".format, CONFIG_KEYS, st.one_of(ODD_VALUES, st.text(max_size=8))),
+    st.text(max_size=8),
+)
+# The tiny-shape settings go last, so drawn shape values are parsed and checked but never run.
+TINY = st.fixed_dictionaries({
+    "heads": st.integers(1, 2), "head_dim": st.integers(1, 2), "positions": st.integers(2, 4),
+    "tokens": st.integers(1, 2), "timesteps": st.integers(1, 2),
+    "layers_per_step": st.integers(1, 2)})
+TINY_EXAMPLE = {"heads": 2, "head_dim": 2, "positions": 4, "tokens": 2, "timesteps": 2,
+                "layers_per_step": 1}
+
+
+@settings(max_examples=150, deadline=None)
+@example(command="run", items=["perturbation=1e40"], tiny=TINY_EXAMPLE)  # beyond float32: exit 2
+@example(command="run", items=["perturbation=1e200"], tiny=TINY_EXAMPLE)  # distances overflow
+@example(command="run", items=["-x"], tiny=TINY_EXAMPLE)  # "--set -x": -x read as an option
+@given(command=st.sampled_from(["run", "dump-masks"]), items=st.lists(SET_ITEMS, max_size=6),
+       tiny=TINY)
+def test_drawn_settings_exit_cleanly_and_a_failure_keeps_the_earlier_set(command, items, tiny):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        # n=1 first, as heads <= 2 rejects the default n=6; a drawn n overrides it.
+        settings_ = ["n=1", *items, *(f"{key}={value}" for key, value in tiny.items()),
+                     f"dump_dir={out}"]
+        argv = [command, *(arg for item in settings_ for arg in ("--set", item))]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            assert main(["run", "--set", "heads=2", "--set", "n=1", "--set", "positions=4",
+                         "--set", "timesteps=2", "--set", f"dump_dir={out}"]) == 0
+            before = digests(out)
+            rc = exit_code(argv)
+        event(f"exit {rc}")
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in stderr.getvalue()
+        assert partials(Path(tmp)) == []
+        if rc == 0:
+            assert stderr.getvalue() == ""
+        else:
+            (line,) = stderr.getvalue().splitlines()
+            assert line.startswith(("error: ", "internal error: "))
+            assert digests(out) == before
 
 
 class TestRunCommand:

@@ -15,7 +15,7 @@ import pytest
 from asi import harness, numeric
 from asi.adablending import BlendConfig, asi_layer, head_distances
 from asi.ddim import ddim_invert, ddim_step, make_schedule
-from asi.errors import ConfigError, ShapeError
+from asi.errors import ConfigError, NonFiniteError, ShapeError
 from asi.harness import (
     ExperimentConfig,
     configure,
@@ -596,6 +596,37 @@ class TestChunking:
             chunked, output_feature_path=single.dump_dir / "features_out.asit"
         )
         assert artifacts(single.dump_dir) == artifacts(cfg.dump_dir)
+
+
+class TestPublish:
+    def test_stale_files_go_only_once_the_set_is_in_place(self, tmp_path):
+        (tmp_path / "step_9.asit").write_text("earlier")
+        (tmp_path / "step_8.asit").mkdir()  # a directory matching the glob is no artifact
+        seen = []
+
+        def write(path, text):
+            seen.append(sorted(p.name for p in tmp_path.iterdir()))
+            path.write_text(text)
+
+        harness._publish(tmp_path, {"step_1.asit": (write, "a"), "trajectory.csv": (write, "b")},
+                         ("step_*.asit",))
+        assert seen == [["step_8.asit", "step_9.asit"],
+                        ["step_1.asit.partial", "step_8.asit", "step_9.asit"]]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "step_1.asit", "step_8.asit", "trajectory.csv"]
+        assert (tmp_path / "trajectory.csv").read_text() == "b"
+
+    def test_an_error_names_the_artifact_and_nothing_is_left(self, tmp_path):
+        def refuse(path):
+            raise NonFiniteError(f"{path}: values must be finite")
+
+        out = tmp_path / "a" / "b"
+        files = {"ell.csv": (harness._write_csv, ["head_index", "ell"], [(0, 0.5)]),
+                 "features_out.asit": (refuse,)}
+        with pytest.raises(NonFiniteError) as caught:
+            harness._publish(out, files)
+        assert str(caught.value) == f"{out / 'features_out.asit'}: values must be finite"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSweep:

@@ -163,3 +163,18 @@ def test_comparison_names_a_metric_missing_from_the_older_file():
     del old["end_to_end"]["sd_block"]["peak_rss_mb"]
     lines, worse = bench.compare(old, _bench(0.5, 68.0), [SPECS["peak_rss_mb"]])
     assert not worse and "missing in the older file" in lines[0]
+
+
+def test_comparison_prints_the_box_independent_counts_exactly():
+    old, new = _bench(0.5, 68.0), _bench(0.5, 68.0)
+    old.update(run_handoffs={"sd_block": 59, "small_sweep": 2}, run_files={"sd_block": 14})
+    new.update(run_handoffs={"sd_block": 57, "small_sweep": 2}, run_files={"sd_block": 14},
+               run_bytes={"sd_block": 5573124})
+    lines, worse = bench.compare(old, new, [SPECS["run_s.p50"]])
+    assert not worse
+    assert [line.split() for line in lines[1:5]] == [
+        ["sd_block", "run_handoffs", "59", "->", "57", "-2"],
+        ["small_sweep", "run_handoffs", "2", "->", "2", "+0"],
+        ["sd_block", "run_files", "14", "->", "14", "+0"],
+        ["sd_block", "run_bytes", "missing", "in", "the", "older", "file"]]
+    assert lines[-2].startswith("src_asi_lines")

@@ -18,9 +18,11 @@ count, and notes on figures known to be wrong.
 
 ``--compare`` prints, for each workload and end-to-end metric, the relative
 change against the older file next to the bound ``BENCHMARK.json`` allows,
-and the change in line and name counts. It exits 1 when a metric is worse
-than its bound. Needs Python, NumPy and git; with ``--seconds 30`` a
-measurement takes several minutes.
+then each workload's box-independent counts from ``tools/peak_traced.py``
+(``run_handoffs``, ``run_files``, ``run_bytes``) exactly, and the change in
+line and name counts. It exits 1 when a metric is worse than its bound.
+Needs Python, NumPy and git; with ``--seconds 30`` a measurement takes
+several minutes.
 """
 
 from __future__ import annotations
@@ -50,6 +52,10 @@ NOTES = [
     "adablending.head_distances, extract_spatial_mask, fuse_masks and blend read 0; their time "
     "counts in adablending.asi_layer.self_s.",
 ]
+
+
+# tools/peak_traced.py's per-workload counts that do not depend on the box.
+COUNTS = ("run_handoffs", "run_files", "run_bytes")
 
 
 def parse_run_output(text: str) -> tuple[dict, dict]:
@@ -167,6 +173,11 @@ def compare(old: dict, new: dict, end_to_end: list[dict]) -> tuple[list[str], bo
             lines.append(f"{workload:<12} {name:<18} {a:>12.6g} -> {b:<12.6g} {spec['unit']:<4} "
                          f"{100 * change:+7.2f}%  (bound {100 * spec['bound']:.0f}% worse, "
                          f"{spec['better']} is better: {verdict})")
+    for key in COUNTS:
+        for workload in sorted(new.get(key, {})):
+            a, b = old.get(key, {}).get(workload), new[key][workload]
+            lines.append(f"{workload:<12} {key:<18} " + (
+                "missing in the older file" if a is None else f"{a:>12} -> {b:<12} {b - a:+d}"))
     for key in ("src_asi_lines", "all_names"):
         lines.append(f"{key:<31} {old[key]:>12} -> {new[key]:<12} {new[key] - old[key]:+d}")
     return lines, worse
