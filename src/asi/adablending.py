@@ -13,9 +13,10 @@ features, and adaptive instance normalization decides what gets written:
 The two masks are fused elementwise by OR (a coordinate blends when its head
 is selected or its position is not preserved), and the blend copies the
 content value where the fused mask is False and the style-normalized value
-where it is True. The head mask is a read-only length-h bool array; the
-spatial and fused masks are :class:`BlendMask` wrappers of read-only (h, m, d)
-bool blocks, so blending stays shape-uniform and no mask is scanned for values.
+where it is True. The head mask is a read-only length-h bool array, and the
+spatial and fused masks are read-only (h, m, d) bool blocks, each checked for
+its dtype and shape where it enters; so blending stays shape-uniform and no
+mask is scanned for values.
 
 Feature blocks are the read-only, C-contiguous float64 (h, m, d) arrays that
 :mod:`asi.sica` returns, and every block returned here is one too. A block
@@ -24,7 +25,8 @@ may also be (h, steps, m, d): one feature map per sampler step. The kernels
 (..., m, d) block, one m x d head included, and reduce over positions (axis
 -2), so each slice gets the bits it would get alone; heads are ranked along
 axis 0 within each step, and the head mask and distances are (h, steps).
-Blocks are not scanned for NaN/Inf again: the head distances are checked,
+Every stage takes float64 blocks only (a bool block's Gram would be logical),
+but does not scan them for NaN/Inf again: the head distances are checked,
 and a non-finite block fails there or where the pipeline checks a layer's
 output finite.
 
@@ -54,7 +56,6 @@ from .sica import _check_track, _sica, siamese_attend
 
 __all__ = [
     "BlendConfig",
-    "BlendMask",
     "AsiLayerResult",
     "covariance",
     "head_distances",
@@ -98,30 +99,15 @@ def _check_positive(name: str, value: float) -> int | float:
     return number
 
 
-@dataclass(frozen=True)
-class BlendMask:
-    """Read-only (h, [steps,] m, d) bool block: True blends style in, False keeps content."""
-
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.data)
-        if a.dtype != np.bool_:
-            raise ShapeError(f"BlendMask entries must be bool, got {a.dtype}")
-        if a.ndim not in (3, 4):
-            raise ShapeError(f"BlendMask requires 3-D or 4-D data, got {a.ndim}-D")
-        # A read-only view: the caller's own array keeps its flags.
-        object.__setattr__(self, "data", _readonly(np.ascontiguousarray(a).view()))
-
-
-def _check_blocks(what: str, a: np.ndarray, *others: np.ndarray, least: int = 2) -> None:
-    # Each block is an array, a has at least `least` dimensions (..., m, d), none empty,
-    # and every other block has its shape.
+def _check_blocks(what: str, a: np.ndarray, *others: np.ndarray, least: int = 2,
+                  most: int = 64) -> None:
+    # Each block is a float64 array, a has `least` to `most` (NumPy's limit) dimensions
+    # (..., m, d), none empty, and every other block has its shape.
     for i, b in enumerate((a, *others), 1):
-        if not isinstance(b, np.ndarray):
-            raise ShapeError(f"{what}: block {i} must be an array, got {_kind(b)}")
-    if a.ndim < least or 0 in a.shape:
-        raise ShapeError(f"{what}: needs {least} or more non-empty dimensions, got shape {a.shape}")
+        if not isinstance(b, np.ndarray) or b.dtype != np.float64:
+            raise ShapeError(f"{what}: block {i} must be a float64 array, got {_kind(b)}")
+    if not least <= a.ndim <= most or 0 in a.shape:
+        raise ShapeError(f"{what}: needs {least} to {most} non-empty dimensions, got {a.shape}")
     for b in others:
         if b.shape != a.shape:
             raise ShapeError(f"{what}: shapes differ, {a.shape} vs {b.shape}")
@@ -210,7 +196,7 @@ def extract_head_mask(f_s: np.ndarray, f_c: np.ndarray, cfg: BlendConfig) -> np.
     return _select_top_heads(head_distances(f_s, f_c), cfg.n)
 
 
-def extract_spatial_mask(f_c: np.ndarray, cfg: BlendConfig) -> BlendMask:
+def extract_spatial_mask(f_c: np.ndarray, cfg: BlendConfig) -> np.ndarray:
     """Mask out (False: preserve) positions strictly above alpha times the channel max.
 
     The criteria point per head and channel is the max over positions of the
@@ -220,9 +206,9 @@ def extract_spatial_mask(f_c: np.ndarray, cfg: BlendConfig) -> BlendMask:
     qualifies, and that channel's mask is all True; the formula is applied as
     written rather than special-cased.
     """
-    _check_blocks("extract_spatial_mask", f_c, least=3)
+    _check_blocks("extract_spatial_mask", f_c, least=3, most=4)  # (h, [steps,] m, d)
     _check_config("extract_spatial_mask", cfg)
-    return BlendMask(_spatial(f_c, cfg.alpha, np.empty(f_c.shape, dtype=bool)))
+    return _readonly(_spatial(f_c, cfg.alpha, np.empty(f_c.shape, dtype=bool)))
 
 
 def _spatial(f_c: np.ndarray, alpha: float, out: np.ndarray) -> np.ndarray:
@@ -236,13 +222,16 @@ def _check_config(what: str, cfg: BlendConfig) -> None:
         raise ConfigError(f"{what}: cfg must be a BlendConfig, got {type(cfg).__name__}")
 
 
-def _check_mask(what: str, mask: BlendMask) -> None:
-    # A plain array would pass the shape checks unread: its .data is a memoryview with a shape.
-    if not isinstance(mask, BlendMask):
-        raise ShapeError(f"{what}: mask must be a BlendMask, got {type(mask).__name__}")
+def _check_mask(what: str, mask: np.ndarray, shape: tuple[int, ...] | None = None) -> None:
+    # An (h, [steps,] m, d) bool block; of `shape`, the features', where the caller gives it.
+    if not isinstance(mask, np.ndarray) or mask.dtype != np.bool_:
+        raise ShapeError(f"{what}: mask must be a bool array, got {_kind(mask)}")
+    if mask.ndim not in (3, 4) or shape is not None and mask.shape != shape:
+        needs = shape or "(h, [steps,] m, d)"
+        raise ShapeError(f"{what}: mask has shape {mask.shape}, needs {needs}")
 
 
-def fuse_masks(head: np.ndarray, spatial: BlendMask) -> BlendMask:
+def fuse_masks(head: np.ndarray, spatial: np.ndarray) -> np.ndarray:
     """Combine the two masks elementwise by OR.
 
     `head` is the bool selection of :func:`extract_head_mask`, one entry per
@@ -252,10 +241,10 @@ def fuse_masks(head: np.ndarray, spatial: BlendMask) -> BlendMask:
     _check_mask("fuse_masks", spatial)
     if not isinstance(head, np.ndarray) or head.dtype != np.bool_:
         raise ShapeError(f"head mask must be a bool array, got {_kind(head)}")
-    if head.shape != spatial.data.shape[:-2]:
+    if head.shape != spatial.shape[:-2]:
         raise ShapeError(f"head mask has shape {head.shape}, spatial mask has heads "
-                         f"{spatial.data.shape[:-2]}")
-    return BlendMask(_fuse(head, spatial.data, np.empty(spatial.data.shape, dtype=bool)))
+                         f"{spatial.shape[:-2]}")
+    return _readonly(_fuse(head, spatial, np.empty(spatial.shape, dtype=bool)))
 
 
 def _fuse(head: np.ndarray, spatial: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -297,7 +286,7 @@ def adain(f_c: np.ndarray, f_s: np.ndarray, eps: float) -> np.ndarray:
     return _readonly(_adain(f_c, f_s, eps, np.empty(f_c.shape)))
 
 
-def blend(f_c: np.ndarray, f_s: np.ndarray, mask: BlendMask, cfg: BlendConfig) -> np.ndarray:
+def blend(f_c: np.ndarray, f_s: np.ndarray, mask: np.ndarray, cfg: BlendConfig) -> np.ndarray:
     """Mask-guided interpolation between content and style-normalized features.
 
     Because the mask is binary, the blend is implemented as coordinate
@@ -305,12 +294,11 @@ def blend(f_c: np.ndarray, f_s: np.ndarray, mask: BlendMask, cfg: BlendConfig) -
     entry (mask False) or the style-normalized entry (mask True); no third
     value can appear.
     """
-    _check_blocks("blend", f_c, f_s)
-    _check_mask("blend", mask)
+    _check_blocks("blend", f_c, f_s, least=3, most=4)  # (h, [steps,] m, d), as its mask
+    _check_mask("blend", mask, f_c.shape)
     _check_config("blend", cfg)
-    _check_blocks("blend mask", mask.data, f_c)
     out = np.empty(f_c.shape)
-    _blend(f_c, f_s, mask.data, cfg.eps, out)
+    _blend(f_c, f_s, mask, cfg.eps, out)
     return _readonly(out)
 
 
@@ -330,8 +318,8 @@ class AsiLayerResult:
     f_c: np.ndarray
     distances: np.ndarray
     head_mask: np.ndarray
-    spatial_mask: BlendMask
-    fused_mask: BlendMask
+    spatial_mask: np.ndarray
+    fused_mask: np.ndarray
 
 
 def asi_layer(
@@ -352,6 +340,7 @@ def asi_layer(
     _check_config("asi_layer", cfg)
     _check_track(q, k_s, v_s)
     _check_track(q, k_c, v_c)
+    _check_blocks("asi_layer", q, least=3, most=4)  # masks are (h, [steps,] m, d)
     _check_rows(q)
     h, d = q.shape[0], q.shape[-1]
     f_s, f_c, spatial = np.empty(q.shape), np.empty(q.shape), np.empty(q.shape, dtype=bool)
@@ -379,4 +368,4 @@ def asi_layer(
 
     _split(mix, h, f_c.size, d)  # as the Gram F^T F
     return AsiLayerResult(_readonly(f_out), _readonly(f_s), _readonly(f_c), distances, head_mask,
-                          BlendMask(spatial), BlendMask(fused))
+                          _readonly(spatial), _readonly(fused))

@@ -19,7 +19,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import ConfigError, ScheduleError, ShapeError, TimestepError
-from .numeric import Matrix, _check_finite, _is_int, _split
+from .numeric import Matrix, _check_finite, _is_int, _kind, _split
 
 __all__ = [
     "NoiseSchedule",
@@ -81,18 +81,15 @@ class LatentState:
     x: Matrix
 
 
-def _check_shapes(a: Matrix, b: Matrix, what: str) -> None:
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ShapeError(f"{what}: shapes differ, {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
-
-
-def _estimate_bar(x_t: Matrix, eps: Matrix, t: int, sched: NoiseSchedule) -> float:
-    # alpha_bar at t, where the clean estimate from x_t and eps is defined.
-    _check_shapes(x_t, eps, "latent vs noise")
-    ab = sched.bar(t)
-    if ab == 0.0:
-        raise ScheduleError(f"alpha_bar vanishes at t={t}; clean estimate undefined")
-    return ab
+def _check_walk(what: str, x: Matrix, eps: Matrix, sched: NoiseSchedule) -> None:
+    # A latent and its noise, Matrix blocks of one shape, and the schedule they move on.
+    for name, a in (("latent", x), ("noise", eps)):
+        if not isinstance(a, Matrix):
+            raise ShapeError(f"{what}: {name} must be a Matrix, got {_kind(a)}")
+    if (x.rows, x.cols) != (eps.rows, eps.cols):
+        raise ShapeError(f"{what}: shapes differ, {x.rows}x{x.cols} vs {eps.rows}x{eps.cols}")
+    if not isinstance(sched, NoiseSchedule):
+        raise ConfigError(f"{what}: sched must be a NoiseSchedule, got {_kind(sched)}")
 
 
 def _estimate(out: np.ndarray, x_t: np.ndarray, eps: np.ndarray, ab: float) -> np.ndarray:
@@ -111,15 +108,18 @@ def _renoise(x: np.ndarray, eps: np.ndarray, ab: float) -> np.ndarray:
 
 def forward_noise(x0: Matrix, t: int, eps: Matrix, sched: NoiseSchedule) -> Matrix:
     """Closed-form jump to timestep t: x_t = sqrt(ab_t) x0 + sqrt(1 - ab_t) eps."""
-    _check_shapes(x0, eps, "forward_noise")
+    _check_walk("forward_noise", x0, eps, sched)
     return Matrix(_renoise(np.array(x0.a), eps.a, sched.bar(t)))
 
 
 def _jump(x_t: Matrix, eps: Matrix, t: int, t_to: int, sched: NoiseSchedule) -> Matrix:
     # Re-estimate the clean input at t and renoise it to t_to in one fresh buffer, in row
     # halves where that pays (7 passes over each entry: 6 arithmetic and the check). Each
-    # half rejects an overflowed estimate, as sqrt(ab_to) * inf is never finite.
-    ab, ab_to = _estimate_bar(x_t, eps, t, sched), sched.bar(t_to)
+    # half rejects an overflowed estimate, as sqrt(ab_to) * inf is never finite. The
+    # callers have checked the operands.
+    ab, ab_to = sched.bar(t), sched.bar(t_to)
+    if ab == 0.0:
+        raise ScheduleError(f"alpha_bar vanishes at t={t}; clean estimate undefined")
     x = np.empty(x_t.a.shape)
 
     def body(lo: int, hi: int) -> None:
@@ -135,6 +135,7 @@ def ddim_step(x_t: Matrix, eps_pred: Matrix, t: int, t_prev: int, sched: NoiseSc
 
     x_prev = sqrt(ab_prev) * x0_hat + sqrt(1 - ab_prev) * eps
     """
+    _check_walk("latent vs noise", x_t, eps_pred, sched)
     _check_timestep(t)
     _check_timestep(t_prev)
     if not 0 <= t_prev < t <= sched.steps:
@@ -148,7 +149,7 @@ def _walk(
 ) -> list[LatentState]:
     # Evenly spaced rungs from 0 to T inclusive, climbed or descended one jump at a time;
     # with last_only, each state replaces the one before it.
-    _check_shapes(x, eps, "latent vs noise")  # also when no jump would compare them
+    _check_walk("latent vs noise", x, eps, sched)  # also when no jump would compare them
     if not _is_int(steps) or not 0 <= steps <= sched.steps:
         raise ConfigError(f"steps must be an integer in [0, {sched.steps}], got {steps!r}")
     rungs = [round(i * sched.steps / steps) for i in range(steps + 1)] if steps else [0]

@@ -444,7 +444,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
                 result = asi_layer(q, *kv, cfg.blend)
                 if left > 1:
                     features = merge_heads(result.f_out)
-            block, distances, fused = result.f_out, result.distances, result.fused_mask.data
+            block, distances, fused = result.f_out, result.distances, result.fused_mask
             _check_finite(block)  # as the merge no one reads would; the last layer skips it
             # The chunk's report columns at once; only a step whose preserved entries moved
             # is gathered.
@@ -462,7 +462,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     # The artifacts need only the final step's output and masks.
     f_out = block[:, -1]
     masks = None if result is None else [
-        mask[:, -1] for mask in (result.head_mask, result.spatial_mask.data, result.fused_mask.data)]
+        mask[:, -1] for mask in (result.head_mask, result.spatial_mask, result.fused_mask)]
     del q, features, result, block, fused
 
     header = ["step", *(f"ell_{i}" for i in range(cfg.heads)), "blended_fraction", "preserved_mse"]

@@ -131,17 +131,17 @@ def test_criterion_04_spatial_mask_threshold():
     mask = extract_spatial_mask(f_c, cfg)
     peaks = channels.max(axis=0)
     expected = np.where(channels > 0.7 * peaks, 0.0, 1.0)
-    assert np.array_equal(mask.data[0], expected)
+    assert np.array_equal(mask[0], expected)
     for c in range(channels.shape[1]):
         if peaks[c] > 0:
-            assert mask.data[0, channels[:, c].argmax(), c] == 0.0
+            assert mask[0, channels[:, c].argmax(), c] == 0.0
     # randomized reinforcement of the argmax clause
     rng = Rng(400)
     rand = np.abs(rng.normals(4 * 10 * 6)).reshape(4, 10, 6) + 1e-3
     rand_mask = extract_spatial_mask(rand, cfg)
     for i in range(4):
         for c in range(6):
-            assert rand_mask.data[i, rand[i, :, c].argmax(), c] == 0.0
+            assert rand_mask[i, rand[i, :, c].argmax(), c] == 0.0
 
 
 @criterion(5, "adain transfers style moments (mean < 1e-6, std < 1e-4) on 100 cases")
@@ -170,8 +170,8 @@ def test_criterion_06_blend_interpolation_exactness(tmp_path):
     out = blend(f_c, f_s, fused, cfg)
     for i in range(4):
         styled = adain(f_c[i], f_s[i], cfg.eps)
-        zero = fused.data[i] == 0.0
-        one = fused.data[i] == 1.0
+        zero = fused[i] == 0.0
+        one = fused[i] == 1.0
         assert np.array_equal(out[i][zero], f_c[i][zero])
         assert np.array_equal(out[i][one], styled[one])
     for seed in (0, 7):

@@ -1,7 +1,9 @@
 import dataclasses
 import math
+import re
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from asi import numeric
 from asi.adablending import (
     AsiLayerResult,
     BlendConfig,
-    BlendMask,
     adain,
     asi_layer,
     blend,
@@ -176,7 +177,7 @@ class TestSpatialMaskExtraction:
         f_c = np.array([[[1.0], [0.25], [0.99]]])
         mask = extract_spatial_mask(f_c, BlendConfig(alpha=1.0))
         # nothing is strictly greater than the max itself
-        assert np.array_equal(mask.data[0, :, 0], [1.0, 1.0, 1.0])
+        assert np.array_equal(mask[0, :, 0], [1.0, 1.0, 1.0])
 
     def test_zeros_shrink_as_alpha_grows_on_positive_features(self):
         rng = Rng(28)
@@ -184,50 +185,85 @@ class TestSpatialMaskExtraction:
         zero_counts = []
         for alpha in (0.3, 0.5, 0.7, 0.9, 1.1):
             mask = extract_spatial_mask(f_c, BlendConfig(alpha=alpha))
-            zero_counts.append(int((mask.data == 0.0).sum()))
+            zero_counts.append(int((mask == 0.0).sum()))
         assert zero_counts == sorted(zero_counts, reverse=True)
+
+
+# Masks of a (2, 2, 2) block that are no array, and the kind each error names: a list,
+# None, and a wrapper holding the block as .data (test_masks_must_be_bool has the dtypes).
+BAD_MASKS = [
+    pytest.param(np.ones((2, 2, 2), dtype=bool).tolist(), "list", id="list"),
+    pytest.param(None, "NoneType", id="None"),
+    pytest.param(types.SimpleNamespace(data=np.ones((2, 2, 2), dtype=bool)), "SimpleNamespace",
+                 id="wrapper"),
+]
 
 
 class TestMaskFusion:
     def test_selected_head_absorbs_spatial(self):
-        spatial = BlendMask(np.array([[[False, True], [True, False]]]))
+        spatial = np.array([[[False, True], [True, False]]])
         fused = fuse_masks(np.array([True]), spatial)
-        assert np.array_equal(fused.data, np.ones((1, 2, 2)))
+        assert np.array_equal(fused, np.ones((1, 2, 2)))
 
     def test_unselected_head_passes_spatial_through(self):
-        spatial = BlendMask(np.array([[[False, True], [True, False]]]))
+        spatial = np.array([[[False, True], [True, False]]])
         fused = fuse_masks(np.array([False]), spatial)
-        assert np.array_equal(fused.data, spatial.data)
+        assert np.array_equal(fused, spatial)
 
     def test_matches_boolean_oracle(self):
         rng = Rng(29)
         head = rng.uniforms(4) < 0.5
-        spatial = BlendMask((rng.uniforms(4 * 5 * 3) < 0.5).reshape(4, 5, 3))
+        spatial = (rng.uniforms(4 * 5 * 3) < 0.5).reshape(4, 5, 3)
         fused = fuse_masks(head, spatial)
         for i in range(4):
             for p in range(5):
                 for c in range(3):
-                    expected = 1.0 if (head[i] or spatial.data[i, p, c] == 1.0) else 0.0
-                    assert fused.data[i, p, c] == expected
+                    expected = 1.0 if (head[i] or spatial[i, p, c] == 1.0) else 0.0
+                    assert fused[i, p, c] == expected
 
     @pytest.mark.parametrize("data", [np.zeros((1, 2, 2)), np.ones((1, 2, 2), dtype=np.int64)])
     def test_masks_must_be_bool(self, data):
-        with pytest.raises(ShapeError, match="bool"):
-            BlendMask(data)
+        # fuse_masks checks its spatial mask and blend its mask where they enter.
+        f = np.ones(data.shape)
+        with pytest.raises(ShapeError, match=f"^fuse_masks: mask must be a bool array, "
+                                             f"got {data.dtype} array$"):
+            fuse_masks(np.array([True]), data)
+        with pytest.raises(ShapeError, match=f"^blend: mask must be a bool array, "
+                                             f"got {data.dtype} array$"):
+            blend(f, f, data, BlendConfig())
 
     @pytest.mark.parametrize("shape", [(2, 2), (1, 1, 1, 2, 2)])
     def test_masks_must_be_three_or_four_dimensional(self, shape):
-        with pytest.raises(ShapeError):
-            BlendMask(np.zeros(shape, dtype=bool))
+        mask, f = np.zeros(shape, dtype=bool), np.ones((1, 2, 2))
+        with pytest.raises(ShapeError, match=r"^fuse_masks: mask has shape .*, "
+                                             r"needs \(h, \[steps,\] m, d\)$"):
+            fuse_masks(np.zeros(shape[:-2], dtype=bool), mask)
+        with pytest.raises(ShapeError, match=r"^blend: mask has shape .*, needs \(1, 2, 2\)$"):
+            blend(f, f, mask, BlendConfig())
+        # Features of that rank are no (h, [steps,] m, d) block to blend either.
+        with pytest.raises(ShapeError, match=r"^blend: needs 3 to 4 non-empty dimensions"):
+            blend(np.ones(shape), np.ones(shape), mask, BlendConfig())
+
+    def test_mask_makers_take_only_three_or_four_dimensional_blocks(self):
+        # The spatial extractor and the layer make masks, so they check the rank first.
+        q, k = np.ones((2, 1, 1, 3, 2)), np.ones((2, 4, 2))
+        with pytest.raises(ShapeError, match=r"^extract_spatial_mask: needs 3 to 4 "):
+            extract_spatial_mask(q, BlendConfig())
+        with pytest.raises(ShapeError, match=r"^asi_layer: needs 3 to 4 "):
+            asi_layer(q, k, k, k, k, BlendConfig(n=1))
 
     def test_mask_is_read_only_and_leaves_caller_array_writable(self):
-        a = np.zeros((1, 2, 2), dtype=bool)
-        mask = BlendMask(a)
-        assert not mask.data.flags.writeable
-        assert a.flags.writeable
+        f_s, f_c = (random_feature_map(Rng(seed), 2, 3, 2) for seed in (1, 2))
+        a = np.zeros(f_c.shape, dtype=bool)
+        masks = [extract_spatial_mask(f_c, BlendConfig()), fuse_masks(np.array([True, False]), a)]
+        layer = asi_layer(*synth_layer_inputs(heads=2), BlendConfig(n=1))
+        masks += [layer.spatial_mask, layer.fused_mask]
+        assert all(mask.dtype == bool and not mask.flags.writeable for mask in masks)
+        blend(f_c, f_s, a, BlendConfig())
+        assert a.flags.writeable and not a.any()
 
     def test_head_count_mismatch_either_way(self):
-        spatial = BlendMask(np.zeros((2, 2, 2), dtype=bool))
+        spatial = np.zeros((2, 2, 2), dtype=bool)
         for head in (np.array([True]), np.array([True, False, True])):
             with pytest.raises(ShapeError, match="heads"):
                 fuse_masks(head, spatial)
@@ -235,12 +271,12 @@ class TestMaskFusion:
     @pytest.mark.parametrize("head", [np.ones(2), np.array([1, 0]), [True, False]])
     def test_head_mask_must_be_a_bool_array(self, head):
         with pytest.raises(ShapeError, match="bool"):
-            fuse_masks(head, BlendMask(np.zeros((2, 2, 2), dtype=bool)))
+            fuse_masks(head, np.zeros((2, 2, 2), dtype=bool))
 
-    def test_spatial_mask_must_be_a_blend_mask(self):
-        # An ndarray's .data is a memoryview with a .shape, so it would pass the shape check.
-        with pytest.raises(ShapeError, match="BlendMask"):
-            fuse_masks(np.array([True, False]), np.zeros((2, 2, 2), dtype=bool))
+    @pytest.mark.parametrize("spatial, kind", BAD_MASKS)
+    def test_spatial_mask_must_be_a_bool_array(self, spatial, kind):
+        with pytest.raises(ShapeError, match=f"^fuse_masks: mask must be a bool array, got {kind}$"):
+            fuse_masks(np.array([True, False]), spatial)
 
 
 class TestAdain:
@@ -282,32 +318,31 @@ class TestBlend:
 
     def test_zero_mask_preserves_content_bitwise(self):
         f_c, f_s = self._setup()
-        mask = BlendMask(np.zeros(f_c.shape, dtype=bool))
+        mask = np.zeros(f_c.shape, dtype=bool)
         out = blend(f_c, f_s, mask, BlendConfig())
         assert np.array_equal(out, f_c)
 
     def test_style_equals_content_is_noop(self):
         f_c, _ = self._setup(seed=34)
         cfg = BlendConfig(eps=1e-9)
-        mask = BlendMask((Rng(1).uniforms(f_c.size) < 0.5).reshape(f_c.shape))
+        mask = (Rng(1).uniforms(f_c.size) < 0.5).reshape(f_c.shape)
         out = blend(f_c, f_c, mask, cfg)
         assert np.abs(out - f_c).max() < 1e-6
 
     def test_mask_shape_mismatch(self):
         f_c, f_s = self._setup()
         with pytest.raises(ShapeError):
-            blend(f_c, f_s, BlendMask(np.zeros((1, 2, 2), dtype=bool)), BlendConfig())
+            blend(f_c, f_s, np.zeros((1, 2, 2), dtype=bool), BlendConfig())
 
-    @pytest.mark.parametrize("dtype", [float, bool])
-    def test_mask_must_be_a_blend_mask(self, dtype):
-        # An ndarray's .data is a memoryview with a .shape, so it would pass the shape check.
-        f_c, f_s = self._setup()
-        with pytest.raises(ShapeError, match="BlendMask"):
-            blend(f_c, f_s, np.full(f_c.shape, 0.5).astype(dtype), BlendConfig())
+    @pytest.mark.parametrize("mask, kind", BAD_MASKS)
+    def test_mask_must_be_a_bool_array(self, mask, kind):
+        f_c, f_s = np.ones((2, 2, 2)), np.ones((2, 2, 2))
+        with pytest.raises(ShapeError, match=f"^blend: mask must be a bool array, got {kind}$"):
+            blend(f_c, f_s, mask, BlendConfig())
 
     def test_holds_at_most_two_blocks_besides_its_operands(self):
         f_c, f_s = self._setup(heads=4, m=256, d=8)
-        mask = BlendMask(np.ones(f_c.shape, dtype=bool))
+        mask = np.ones(f_c.shape, dtype=bool)
         tracemalloc.start()
         try:
             blend(f_c, f_s, mask, BlendConfig())
@@ -341,7 +376,7 @@ class TestWholeBlock:
         cov = covariance(f_c)
         step_cov = covariance(np.stack([f_s, f_c], axis=1))  # (h, 2, m, d): a step axis
         cfg = BlendConfig()
-        out = blend(f_c, f_s, BlendMask(np.ones(f_c.shape, dtype=bool)), cfg)
+        out = blend(f_c, f_s, np.ones(f_c.shape, dtype=bool), cfg)
         scale = 1.0 / math.sqrt(d)
         for i in range(h):
             for f, k, v in ((f_s, k_s, v_s), (f_c, k_c, v_c)):
@@ -423,10 +458,11 @@ def test_wrong_rank_or_empty_block_is_shape_error(call):
         call()
 
 
-MASK = BlendMask(np.ones(BLOCK.shape, dtype=bool))
+MASK = np.ones(BLOCK.shape, dtype=bool)
 
 
-@pytest.mark.parametrize("call", [
+# Each adablending stage, called with one bad block in place of a feature block.
+STAGE_CALLS = [
     pytest.param(lambda bad: covariance(bad), id="covariance"),
     pytest.param(lambda bad: head_distances(bad, BLOCK), id="head_distances-first"),
     pytest.param(lambda bad: head_distances(BLOCK, bad), id="head_distances-second"),
@@ -436,11 +472,25 @@ MASK = BlendMask(np.ones(BLOCK.shape, dtype=bool))
     pytest.param(lambda bad: blend(BLOCK, bad, MASK, BlendConfig()), id="blend-style"),
     pytest.param(lambda bad: extract_head_mask(bad, BLOCK, BlendConfig(n=1)), id="head_mask"),
     pytest.param(lambda bad: extract_spatial_mask(bad, BlendConfig()), id="spatial_mask"),
-    pytest.param(lambda bad: merge_heads(bad), id="merge_heads"),
-])
+]
+
+
+@pytest.mark.parametrize("call", [
+    *STAGE_CALLS, pytest.param(lambda bad: merge_heads(bad), id="merge_heads")])
 @pytest.mark.parametrize("bad, kind", [(BLOCK.tolist(), "list"), (None, "NoneType")])
 def test_non_array_block_is_shape_error_naming_its_type(call, bad, kind):
     with pytest.raises(ShapeError, match=f"got {kind}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("call", STAGE_CALLS)
+@pytest.mark.parametrize("dtype", [bool, np.int64, np.float32, np.complex128, np.str_])
+def test_block_of_another_dtype_is_shape_error_naming_it(call, dtype):
+    # A bool block's einsum is logical: covariance([[1, 0], [0, 1], [1, 1]]) as bools would
+    # come out [[-1/6, -1/6], [-1/6, -1/6]], not [[1/3, -1/6], [-1/6, 1/3]], without an error.
+    bad = BLOCK.astype(dtype)
+    with pytest.raises(ShapeError, match=f"must be a float64 array, got {re.escape(str(bad.dtype))} "
+                                         f"array$"):
         call(bad)
 
 
@@ -491,8 +541,8 @@ class TestAsiLayer:
         assert np.array_equal(result.f_s, f_s)
         assert np.array_equal(result.f_c, f_c)
         assert np.array_equal(result.head_mask, head)
-        assert np.array_equal(result.spatial_mask.data, spatial.data)
-        assert np.array_equal(result.fused_mask.data, fused.data)
+        assert np.array_equal(result.spatial_mask, spatial)
+        assert np.array_equal(result.fused_mask, fused)
         assert np.array_equal(result.f_out, expected)
 
     def test_degenerate_style_matches_single_track(self):
@@ -511,8 +561,8 @@ class TestAsiLayer:
         q, k_s, v_s, k_c, _ = synth_layer_inputs(seed=2)
         v_c = np.full(v_s.shape, 7.0)
         result = asi_layer(q, k_s, v_s, k_c, v_c, BlendConfig(n=0))
-        assert np.array_equal(result.spatial_mask.data, np.zeros(result.f_c.shape))
-        assert np.array_equal(result.fused_mask.data, np.zeros(result.f_c.shape))
+        assert np.array_equal(result.spatial_mask, np.zeros(result.f_c.shape))
+        assert np.array_equal(result.fused_mask, np.zeros(result.f_c.shape))
         assert np.array_equal(result.f_out, result.f_c)
 
     def test_distances_exposed_per_head(self):
@@ -537,8 +587,6 @@ class TestAsiLayer:
             alone = asi_layer(np.ascontiguousarray(q[:, i]), k_s, v_s, k_c, v_c, cfg)
             for field in dataclasses.fields(AsiLayerResult):
                 got, want = getattr(result, field.name), getattr(alone, field.name)
-                if isinstance(got, BlendMask):
-                    got, want = got.data, want.data
                 assert_same_bits(got[:, i], want)
 
 
@@ -563,7 +611,7 @@ class TestAsiLayerShapeEdges:
         n = len(q) if select_all else 0
         cfg = BlendConfig(n=n)
         result = asi_layer(*operands, cfg)
-        preserved = result.fused_mask.data == 0.0
+        preserved = result.fused_mask == 0.0
         assert np.array_equal(result.f_out[preserved], result.f_c[preserved])
         for i in range(len(q)):
             styled = adain(result.f_c[i], result.f_s[i], cfg.eps)
@@ -571,7 +619,7 @@ class TestAsiLayerShapeEdges:
             assert np.array_equal(result.f_out[i][blended], styled[blended])
         assert result.head_mask.sum() == n
         if select_all:
-            assert result.fused_mask.data.all()
+            assert result.fused_mask.all()
 
 
 class TestBlendConfig:
@@ -640,7 +688,7 @@ class TestBitwiseAgainstEarlierForms:
         f_c = random_feature_map(rng, h, m, d) * scale + 0.5 * scale
         f_s = random_feature_map(rng, h, m, d) * (3.0 * scale) - scale
         cfg = BlendConfig()
-        out = blend(f_c, f_s, BlendMask(np.ones(f_c.shape, dtype=bool)), cfg)
+        out = blend(f_c, f_s, np.ones(f_c.shape, dtype=bool), cfg)
         assert_same_bits(out, mean_std_adain(f_c, f_s, cfg.eps))
 
     def _tied_block(self, h, m, d):
@@ -655,20 +703,20 @@ class TestBitwiseAgainstEarlierForms:
     def test_spatial_mask_equals_float_form_with_ties(self, h, m, d):
         f_c = self._tied_block(h, m, d)
         mask = extract_spatial_mask(f_c, BlendConfig(alpha=0.5))
-        assert_same_bits(mask.data, float_spatial_mask(f_c, 0.5) == 1.0)
+        assert_same_bits(mask, float_spatial_mask(f_c, 0.5) == 1.0)
 
     def test_spatial_mask_equals_float_form_with_nan(self, h, m, d):
         f_c = self._tied_block(h, m, d)
         f_c.reshape(-1)[::7] = np.nan
         mask = extract_spatial_mask(f_c, BlendConfig(alpha=0.5))
-        assert_same_bits(mask.data, float_spatial_mask(f_c, 0.5) == 1.0)
+        assert_same_bits(mask, float_spatial_mask(f_c, 0.5) == 1.0)
 
     def test_fused_mask_equals_float_form(self, h, m, d):
         f_c = self._tied_block(h, m, d)
         head = np.arange(h) % 2 == 1
         fused = fuse_masks(head, extract_spatial_mask(f_c, BlendConfig(alpha=0.5)))
         float_head = head.astype(np.float64)[:, None, None]
-        assert_same_bits(fused.data, np.maximum(float_head, float_spatial_mask(f_c, 0.5)) == 1.0)
+        assert_same_bits(fused, np.maximum(float_head, float_spatial_mask(f_c, 0.5)) == 1.0)
 
 
 def _helper_halves(monkeypatch) -> list:
@@ -711,7 +759,7 @@ class TestSplitKernels:
         gen = np.random.default_rng(h * m + d)
         q, f_s, f_c = (gen.standard_normal((h, steps, m, d)) for _ in range(3))
         k, v = gen.standard_normal((h, t, d)), gen.standard_normal((h, t, d))
-        mask = BlendMask(gen.random(f_c.shape) < 0.5)
+        mask = gen.random(f_c.shape) < 0.5
         kernels = (lambda: head_distances(f_s, f_c), lambda: siamese_attend(q, k, v, k, v)[0],
                    lambda: blend(f_c, f_s, mask, BlendConfig()))
         for kernel, splits in zip(kernels, (split, False, False)):
@@ -735,10 +783,10 @@ class TestSplitKernels:
         gen = np.random.default_rng(h * m + d)
         f_c = gen.standard_normal((h, steps, m, d))
         f_c.reshape(-1)[::97] = np.nan  # a NaN entry blends
-        spatial = BlendMask(gen.random(f_c.shape) < 0.5)
+        spatial = gen.random(f_c.shape) < 0.5
         head = gen.random((h, steps)) < 0.5
-        kernels = (lambda: extract_spatial_mask(f_c, BlendConfig(alpha=0.5)).data,
-                   lambda: fuse_masks(head, spatial).data)
+        kernels = (lambda: extract_spatial_mask(f_c, BlendConfig(alpha=0.5)),
+                   lambda: fuse_masks(head, spatial))
         for kernel in kernels:
             monkeypatch.setattr(numeric, "_CPUS", 1)
             whole = kernel()
@@ -747,7 +795,7 @@ class TestSplitKernels:
             assert_same_bits(kernel(), whole)
             assert halves == []
         per_step = [float_spatial_mask(f_c[:, i], 0.5) for i in range(steps)]
-        assert_same_bits(extract_spatial_mask(f_c, BlendConfig(alpha=0.5)).data,
+        assert_same_bits(extract_spatial_mask(f_c, BlendConfig(alpha=0.5)),
                          np.stack(per_step, axis=1) == 1.0)
 
     # The merge is one transposing copy and its check, whole at any size: only a run with
@@ -820,6 +868,4 @@ class TestSplitKernels:
                                     spatial, fused)
             for field in dataclasses.fields(AsiLayerResult):
                 got, want = getattr(result, field.name), getattr(stages, field.name)
-                if isinstance(got, BlendMask):
-                    got, want = got.data, want.data
                 assert_same_bits(got, want)

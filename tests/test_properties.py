@@ -1,10 +1,13 @@
 """Properties at the shape edges m=2, d=1, L=1, n=0 and n=h: each whole-run
 property pins one edge as a pytest parameter, and Hypothesis draws the rest.
 The reference property holds every artifact of a drawn run to
-tests/oracles.reference_run, byte for byte."""
+tests/oracles.reference_run, byte for byte. The direct-kernel property calls
+each public kernel with drawn good and bad arguments: every failure must be a
+named AsiError."""
 
 import math
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +16,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asi import harness, numeric
-from asi.adablending import BlendConfig, asi_layer, head_distances
+from asi.adablending import (BlendConfig, adain, asi_layer, blend, covariance,
+                             extract_spatial_mask, fuse_masks, head_distances)
+from asi.ddim import ddim_invert, ddim_step, forward_noise, make_schedule
+from asi.errors import AsiError, ConfigError, ShapeError
 from asi.harness import ExperimentConfig, configure, run_pipeline
-from asi.numeric import Rng
+from asi.numeric import Matrix, Rng
+from asi.sica import siamese_attend
 from asi.tensorio import load_tensor
 
 from oracles import reference_run
@@ -190,8 +197,8 @@ def test_layer_scale_is_exact(steps, data, seed, tokens, k):
     assert np.array_equal(scaled.f_c, 2.0**k * base.f_c)
     assert np.array_equal(scaled.distances, 16.0**k * base.distances)
     assert np.array_equal(scaled.head_mask, base.head_mask)
-    assert np.array_equal(scaled.spatial_mask.data, base.spatial_mask.data)
-    assert np.array_equal(scaled.fused_mask.data, base.fused_mask.data)
+    assert np.array_equal(scaled.spatial_mask, base.spatial_mask)
+    assert np.array_equal(scaled.fused_mask, base.fused_mask)
 
 
 def assert_shift_keeps_distances(seed, shape, c_s, c_c):
@@ -224,3 +231,102 @@ def test_layer_shift_keeps_distances(steps, data, seed, c_s, c_c):
                    reason="the Gram-form covariance cancels at a 1e7 shift (ROADMAP.md, item 2)")
 def test_layer_shift_keeps_distances_at_1e7():
     assert_shift_keeps_distances(0, (4, 8, 4), 1e7, -1e7)
+
+
+# Direct kernel calls: each public kernel with every argument drawn either good or bad.
+# Good values are tiny; no drawn array holds more than 3**5 entries.
+GOOD = {
+    "block": Rng(1).normals(12).reshape(2, 3, 2),
+    "kv": Rng(2).normals(8).reshape(2, 2, 2),
+    "mask": Rng(3).uniforms(12).reshape(2, 3, 2) < 0.5,
+    "head": np.array([True, False]),
+    "cfg": BlendConfig(n=1),
+    "eps": 1e-5,
+    "matrix": Matrix(Rng(4).normals(6).reshape(3, 2)),
+    "t": 2,
+    "t_prev": 1,
+    "sched": make_schedule(4),
+    "count": 5,
+    "values": [[1.0, 2.0], [3.0, 4.0]],
+}
+KERNELS = {
+    "siamese_attend": (siamese_attend, ("block", "kv", "kv", "kv", "kv")),
+    "covariance": (covariance, ("block",)),
+    "head_distances": (head_distances, ("block", "block")),
+    "adain": (adain, ("block", "block", "eps")),
+    "blend": (blend, ("block", "block", "mask", "cfg")),
+    "fuse_masks": (fuse_masks, ("head", "mask")),
+    "extract_spatial_mask": (extract_spatial_mask, ("block", "cfg")),
+    "asi_layer": (asi_layer, ("block", "kv", "kv", "kv", "kv", "cfg")),
+    "ddim_step": (ddim_step, ("matrix", "matrix", "t", "t_prev", "sched")),
+    "forward_noise": (forward_noise, ("matrix", "t", "matrix", "sched")),
+    "Rng.normals": (lambda count: Rng(0).normals(count), ("count",)),
+    "Matrix": (Matrix, ("values",)),
+}
+DTYPES = [np.float64, np.float32, np.bool_, np.int64, np.complex128, np.str_, object]
+
+
+@st.composite
+def small_arrays(draw):
+    """An array of rank 0 to 5, each axis 0 to 3 long (some empty), of any listed dtype."""
+    shape = tuple(draw(st.lists(st.integers(0, 3), max_size=5)))
+    values = Rng(draw(SEEDS)).normals(math.prod(shape)).reshape(shape)
+    return values.astype(draw(st.sampled_from(DTYPES)))
+
+
+def reshaped(good: np.ndarray):
+    """The good array with another dtype, an axis more or less, or an axis emptied."""
+    return st.one_of(
+        st.sampled_from(DTYPES).map(good.astype),
+        st.sampled_from([good[None], good[0], good[:0], good[..., :0]]),
+    )
+
+
+def arguments(role: str):
+    good = GOOD[role]
+    bad = st.one_of(
+        small_arrays(), small_arrays().map(np.ndarray.tolist),
+        st.none(), st.booleans(), st.integers(-3, 64), st.floats(), st.text(max_size=2),
+        st.sampled_from([
+            [[1.0, 2.0], [3.0]], [[True, False]], [], 2.5, np.float64(2.0), np.int64(3),
+            2**61, 2**70, BlendConfig(), make_schedule(2), Matrix([[1.0]]),
+            types.SimpleNamespace(data=GOOD["mask"]),
+        ]),
+    )
+    return st.one_of(st.just(good), reshaped(good) if isinstance(good, np.ndarray) else bad, bad)
+
+
+@pytest.mark.parametrize("name", KERNELS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_direct_kernel_call_ends_in_a_named_error(name, data):
+    kernel, roles = KERNELS[name]
+    args = [data.draw(arguments(role), label=role) for role in roles]
+    try:
+        kernel(*args)
+    except AsiError:
+        pass
+    except MemoryError:  # documented: a count of draws no array can hold
+        assert name == "Rng.normals" and args[0] >= 2**61
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: ddim_step(np.ones((2, 2)), GOOD["matrix"], 2, 1, GOOD["sched"]),
+                 ShapeError, "^latent vs noise: latent must be a Matrix, got float64 array$",
+                 id="ddim_step-array-latent"),
+    pytest.param(lambda: forward_noise(np.ones((2, 2)), 1, GOOD["matrix"], GOOD["sched"]),
+                 ShapeError, "^forward_noise: latent must be a Matrix, got float64 array$",
+                 id="forward_noise-array-latent"),
+    pytest.param(lambda: forward_noise(GOOD["matrix"], 1, None, GOOD["sched"]),
+                 ShapeError, "^forward_noise: noise must be a Matrix, got NoneType$",
+                 id="forward_noise-no-noise"),
+    pytest.param(lambda: ddim_step(GOOD["matrix"], GOOD["matrix"], 2, 1, None),
+                 ConfigError, "^latent vs noise: sched must be a NoiseSchedule, got NoneType$",
+                 id="ddim_step-no-schedule"),
+    pytest.param(lambda: ddim_invert(GOOD["matrix"], GOOD["matrix"], {"steps": 4}, 2),
+                 ConfigError, "^latent vs noise: sched must be a NoiseSchedule, got dict$",
+                 id="ddim_invert-dict-schedule"),
+])
+def test_a_sampler_call_names_its_bad_argument(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

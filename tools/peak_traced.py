@@ -17,8 +17,10 @@ the process. One JSON line goes to stdout::
      "run_bytes": {"<workload>": <bytes>, ...}}
 
 ``run_peak_traced_mb`` counts only the Python and NumPy allocations of the
-traced run, so it repeats to within a few KiB, alone or after other
-workloads; the benchmark's
+traced run, so it reads about the same alone or after other workloads (CI
+allows 0.1 MiB between the two). Runs of one tree still spread: ``mid_bypass``
+alone read 4.737 to 4.771 MiB, 34 KiB apart, so a change of a few tens of KiB
+is noise. The benchmark's
 ``peak_rss_mb`` (``ru_maxrss``) also moves with the interpreter, its imports
 and the allocator. ``run_minor_faults`` is the ``ru_minflt`` delta of the
 untraced last run: the pages it had to map afresh, which a run that reuses
