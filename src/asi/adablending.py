@@ -50,9 +50,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, NonFiniteError, ShapeError
-from .numeric import _as_number, _contract, _is_int, _kind, _readonly, _split
+from .numeric import _as_number, _check_array, _contract, _is_int, _readonly, _split
 # siamese_attend is unused here, but the benchmark tracer wraps adablending.siamese_attend.
-from .sica import _check_track, _sica, siamese_attend
+from .sica import _check_tracks, _sica, siamese_attend
 
 __all__ = [
     "BlendConfig",
@@ -101,14 +101,10 @@ def _check_positive(name: str, value: float) -> int | float:
 
 def _check_blocks(what: str, a: np.ndarray, *others: np.ndarray, least: int = 2,
                   most: int = 64) -> None:
-    # Each block is a float64 array, a has `least` to `most` (NumPy's limit) dimensions
-    # (..., m, d), none empty, and every other block has its shape.
+    # Each block is a float64 (..., m, d) array of `least` to `most` dimensions, none empty,
+    # and every other block has a's shape.
     for i, b in enumerate((a, *others), 1):
-        if not isinstance(b, np.ndarray) or b.dtype != np.float64:
-            raise ShapeError(f"{what}: block {i} must be a float64 array, got {_kind(b)}")
-    if not least <= a.ndim <= most or 0 in a.shape:
-        raise ShapeError(f"{what}: needs {least} to {most} non-empty dimensions, got {a.shape}")
-    for b in others:
+        _check_array(f"{what}: block {i}", b, least=least, most=most)
         if b.shape != a.shape:
             raise ShapeError(f"{what}: shapes differ, {a.shape} vs {b.shape}")
 
@@ -224,11 +220,9 @@ def _check_config(what: str, cfg: BlendConfig) -> None:
 
 def _check_mask(what: str, mask: np.ndarray, shape: tuple[int, ...] | None = None) -> None:
     # An (h, [steps,] m, d) bool block; of `shape`, the features', where the caller gives it.
-    if not isinstance(mask, np.ndarray) or mask.dtype != np.bool_:
-        raise ShapeError(f"{what}: mask must be a bool array, got {_kind(mask)}")
-    if mask.ndim not in (3, 4) or shape is not None and mask.shape != shape:
-        needs = shape or "(h, [steps,] m, d)"
-        raise ShapeError(f"{what}: mask has shape {mask.shape}, needs {needs}")
+    _check_array(f"{what}: mask", mask, np.bool_, 3, 4)
+    if shape is not None and mask.shape != shape:
+        raise ShapeError(f"{what}: mask has shape {mask.shape}, needs {shape}")
 
 
 def fuse_masks(head: np.ndarray, spatial: np.ndarray) -> np.ndarray:
@@ -239,8 +233,7 @@ def fuse_masks(head: np.ndarray, spatial: np.ndarray) -> np.ndarray:
     position; unselected heads blend only where the spatial mask permits.
     """
     _check_mask("fuse_masks", spatial)
-    if not isinstance(head, np.ndarray) or head.dtype != np.bool_:
-        raise ShapeError(f"head mask must be a bool array, got {_kind(head)}")
+    _check_array("fuse_masks: head mask", head, np.bool_, 1, 2)
     if head.shape != spatial.shape[:-2]:
         raise ShapeError(f"head mask has shape {head.shape}, spatial mask has heads "
                          f"{spatial.shape[:-2]}")
@@ -338,9 +331,7 @@ def asi_layer(
     taken once for the distances, over m.
     """
     _check_config("asi_layer", cfg)
-    _check_track(q, k_s, v_s)
-    _check_track(q, k_c, v_c)
-    _check_blocks("asi_layer", q, least=3, most=4)  # masks are (h, [steps,] m, d)
+    _check_tracks("asi_layer", q, k_s, v_s, k_c, v_c, most=4)  # masks are (h, [steps,] m, d)
     _check_rows(q)
     h, d = q.shape[0], q.shape[-1]
     f_s, f_c, spatial = np.empty(q.shape), np.empty(q.shape), np.empty(q.shape, dtype=bool)

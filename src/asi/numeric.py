@@ -55,12 +55,10 @@ class Matrix:
             a = np.asarray(values)
         except ValueError as exc:  # a ragged nested list
             raise ShapeError(f"Matrix needs rectangular data, got a ragged input ({exc})") from exc
-        _check_real(a)
+        if a.dtype.kind not in "biuf":  # a complex value would lose its imaginary part
+            raise ShapeError(f"Matrix entries must be real numbers, got dtype {a.dtype}")
         a = np.array(a, dtype=np.float64, order="C", copy=True)
-        if a.ndim != 2:
-            raise ShapeError(f"Matrix requires 2-D data, got {a.ndim}-D")
-        if min(a.shape) < 1:
-            raise ShapeError(f"Matrix dimensions must be >= 1, got {'x'.join(map(str, a.shape))}")
+        _check_array("Matrix: values", a, least=2, most=2)
         _check_finite(a)
         self._a = _readonly(a)
 
@@ -93,9 +91,13 @@ class Matrix:
         return f"Matrix(<{self.rows}x{self.cols}>)"
 
 
-def _check_real(a: np.ndarray) -> None:
-    if a.dtype.kind not in "biuf":  # a complex value would lose its imaginary part
-        raise ShapeError(f"Matrix entries must be real numbers, got dtype {a.dtype}")
+def _check_array(what: str, x, dtype=np.float64, least: int = 2, most: int = 64) -> None:
+    # The one block check: x is an ndarray of exactly `dtype`, with `least` to `most` (NumPy's
+    # limit) dimensions, none empty. `what` names the function and the argument.
+    if not isinstance(x, np.ndarray) or x.dtype != dtype:
+        raise ShapeError(f"{what} must be a {np.dtype(dtype)} array, got {_kind(x)}")
+    if not least <= x.ndim <= most or 0 in x.shape:
+        raise ShapeError(f"{what} needs {least} to {most} non-empty dimensions, got {x.shape}")
 
 
 def _check_finite(a: np.ndarray) -> None:
@@ -253,10 +255,7 @@ def softmax_rows(a: np.ndarray) -> np.ndarray:
     C-ordered copy (:func:`_row_sums`). Every output row sums to 1 (within
     float64 rounding) and all entries lie in (0, 1] for finite input.
     """
-    if not isinstance(a, np.ndarray) or a.dtype != np.float64:
-        raise ShapeError(f"softmax_rows needs a float64 array, got {_kind(a)}")
-    if a.ndim < 1 or a.shape[-1] == 0:
-        raise ShapeError(f"softmax_rows needs a non-empty last axis, got shape {a.shape}")
+    _check_array("softmax_rows: a", a, least=1)
     if not a.flags.writeable:
         raise ShapeError("softmax_rows works in place: needs a writable array, got a read-only one")
     return _softmax(a)

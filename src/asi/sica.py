@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import ShapeError
 # softmax_rows is unused here, but the benchmark tracer wraps sica.softmax_rows.
-from .numeric import (Matrix, _check_finite, _check_real, _contract, _is_int, _kind, _readonly,
+from .numeric import (Matrix, _check_array, _check_finite, _contract, _is_int, _readonly,
                       _softmax, _split, matmul, softmax_rows)
 
 __all__ = [
@@ -107,14 +107,9 @@ def merge_heads(block: np.ndarray) -> Matrix:
     Middle axes stack row-wise: an (h, steps, m, d) block gives each step's
     m rows after the last step's.
     """
-    if not isinstance(block, np.ndarray):
-        raise ShapeError(f"merge_heads needs an array block, got {_kind(block)}")
-    if block.ndim < 3 or 0 in block.shape:
-        raise ShapeError(f"merge_heads needs a non-empty (h, ..., m, d) block, "
-                         f"got shape {block.shape}")
-    _check_real(block)
+    _check_array("merge_heads: block", block, least=3)
     h, d = block.shape[0], block.shape[-1]
-    out = block.reshape(h, -1, d).transpose(1, 0, 2).astype(np.float64, order="C")
+    out = block.reshape(h, -1, d).transpose(1, 0, 2).copy()
     _check_finite(out)  # one transposing copy, then its check
     return Matrix._of(out.reshape(-1, h * d))
 
@@ -152,22 +147,21 @@ def project_kv(prompt: Matrix, params: AttentionParams) -> tuple[np.ndarray, np.
     return k, v
 
 
-def _check_track(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> None:
-    # One track's argument checks; siamese_attend and asi_layer make them for each track.
-    for name, x in (("q", q), ("k", k), ("v", v)):
-        if not isinstance(x, np.ndarray) or x.dtype != np.float64:
-            raise ShapeError(f"attention: {name} must be a float64 array, got {_kind(x)}")
-    if q.ndim < 3 or k.ndim != 3 or v.ndim != 3 or 0 in (*q.shape, *k.shape, *v.shape):
-        raise ShapeError(f"attention needs non-empty q (h, ..., m, d) and k, v (h, t, d), "
-                         f"got shapes {q.shape}, {k.shape}, {v.shape}")
+def _check_tracks(what: str, q: np.ndarray, *kv: np.ndarray, most: int = 64) -> None:
+    # The shared queries, an (h, ..., m, d) block of 3 to `most` dimensions, checked once;
+    # then k_s, v_s, k_c and v_c, (h, t, d) blocks of q's heads and head_dim, t per track.
+    _check_array(f"{what}: q", q, least=3, most=most)
+    for name, x in zip(("k_s", "v_s", "k_c", "v_c"), kv):
+        _check_array(f"{what}: {name}", x, least=3, most=3)
     hq, dq = q.shape[0], q.shape[-1]
-    (hk, tk, dk), (hv, tv, dv) = k.shape, v.shape
-    if hk != hq or hv != hq:
-        raise ShapeError(f"head count mismatch: q has {hq}, k has {hk}, v has {hv}")
-    if dk != dq or dv != dq:
-        raise ShapeError(f"head_dim mismatch: q has {dq}, k has {dk}, v has {dv}")
-    if tk != tv:
-        raise ShapeError(f"token count mismatch: k has {tk}, v has {tv}")
+    for k, v in zip(kv[::2], kv[1::2]):
+        (hk, tk, dk), (hv, tv, dv) = k.shape, v.shape
+        if hk != hq or hv != hq:
+            raise ShapeError(f"head count mismatch: q has {hq}, k has {hk}, v has {hv}")
+        if dk != dq or dv != dq:
+            raise ShapeError(f"head_dim mismatch: q has {dq}, k has {dk}, v has {dv}")
+        if tk != tv:
+            raise ShapeError(f"token count mismatch: k has {tk}, v has {tv}")
 
 
 def _sica(qt: np.ndarray, k: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
@@ -199,8 +193,7 @@ def siamese_attend(
     have different token counts. Each branch runs whole, through the one
     attention formula, and one transposing copy of its (h, d, rows) output.
     """
-    _check_track(q, k_s, v_s)
-    _check_track(q, k_c, v_c)
+    _check_tracks("siamese_attend", q, k_s, v_s, k_c, v_c)
     qt = q.reshape(len(q), -1, q.shape[-1]).transpose(0, 2, 1)
 
     def track(k: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -235,21 +235,26 @@ class TestMaskFusion:
     @pytest.mark.parametrize("shape", [(2, 2), (1, 1, 1, 2, 2)])
     def test_masks_must_be_three_or_four_dimensional(self, shape):
         mask, f = np.zeros(shape, dtype=bool), np.ones((1, 2, 2))
-        with pytest.raises(ShapeError, match=r"^fuse_masks: mask has shape .*, "
-                                             r"needs \(h, \[steps,\] m, d\)$"):
+        with pytest.raises(ShapeError, match=r"^fuse_masks: mask needs 3 to 4 non-empty "
+                                             r"dimensions, got \(.*\)$"):
             fuse_masks(np.zeros(shape[:-2], dtype=bool), mask)
-        with pytest.raises(ShapeError, match=r"^blend: mask has shape .*, needs \(1, 2, 2\)$"):
+        with pytest.raises(ShapeError, match=r"^blend: mask needs 3 to 4 non-empty dimensions"):
             blend(f, f, mask, BlendConfig())
         # Features of that rank are no (h, [steps,] m, d) block to blend either.
-        with pytest.raises(ShapeError, match=r"^blend: needs 3 to 4 non-empty dimensions"):
+        with pytest.raises(ShapeError, match=r"^blend: block 1 needs 3 to 4 non-empty dimensions"):
             blend(np.ones(shape), np.ones(shape), mask, BlendConfig())
+
+    def test_an_empty_spatial_mask_is_shape_error(self):
+        with pytest.raises(ShapeError, match=r"^fuse_masks: mask needs 3 to 4 non-empty "
+                                             r"dimensions, got \(2, 0, 3\)$"):
+            fuse_masks(np.ones(2, dtype=bool), np.ones((2, 0, 3), dtype=bool))
 
     def test_mask_makers_take_only_three_or_four_dimensional_blocks(self):
         # The spatial extractor and the layer make masks, so they check the rank first.
         q, k = np.ones((2, 1, 1, 3, 2)), np.ones((2, 4, 2))
-        with pytest.raises(ShapeError, match=r"^extract_spatial_mask: needs 3 to 4 "):
+        with pytest.raises(ShapeError, match=r"^extract_spatial_mask: block 1 needs 3 to 4 "):
             extract_spatial_mask(q, BlendConfig())
-        with pytest.raises(ShapeError, match=r"^asi_layer: needs 3 to 4 "):
+        with pytest.raises(ShapeError, match=r"^asi_layer: q needs 3 to 4 "):
             asi_layer(q, k, k, k, k, BlendConfig(n=1))
 
     def test_mask_is_read_only_and_leaves_caller_array_writable(self):
@@ -826,11 +831,12 @@ class TestSplitKernels:
         with pytest.raises(NonFiniteError, match=r"^Matrix entries must be finite \(no NaN/Inf\)$"):
             merge_heads(block)
 
-    def test_merge_takes_integer_blocks_and_names_a_complex_one(self):
-        block = np.arange(24).reshape(2, 3, 4)
-        assert_same_bits(merge_heads(block).a, merge_heads(block.astype(np.float64)).a)
-        with pytest.raises(ShapeError, match="real numbers, got dtype complex128$"):
-            merge_heads(block * 1j)
+    @pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.complex128])
+    def test_merge_names_a_block_that_is_not_float64(self, dtype):
+        block = np.arange(24).reshape(2, 3, 4).astype(dtype)
+        with pytest.raises(ShapeError, match=f"^merge_heads: block must be a float64 array, "
+                                             f"got {np.dtype(dtype)} array$"):
+            merge_heads(block)
 
     # (h, steps, m, d, t, the layer's hand-offs on two CPUs): its first split hands off
     # from 2**20 multiply-adds (entries x 2 (t_s + t_c + d)), its second with blend's.

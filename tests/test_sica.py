@@ -270,9 +270,7 @@ class TestSiameseAttend:
 
 
 class TestAttentionOperands:
-    @pytest.mark.parametrize("arg, name", [
-        ("q", "q"), ("k_s", "k"), ("v_s", "v"), ("k_c", "k"), ("v_c", "v"),
-    ])
+    @pytest.mark.parametrize("arg", ["q", "k_s", "v_s", "k_c", "v_c"])
     @pytest.mark.parametrize("bad, kind", [
         ([[[0.0, 1.0]]], "list"),
         (None, "NoneType"),
@@ -280,10 +278,10 @@ class TestAttentionOperands:
         (np.ones((2, 2, 2), dtype=np.int64), "int64 array"),
         (np.ones((2, 2, 2), dtype=complex), "complex128 array"),
     ])
-    def test_non_float64_operand_is_shape_error_naming_it(self, arg, name, bad, kind):
+    def test_non_float64_operand_is_shape_error_naming_it(self, arg, bad, kind):
         q, k_s, v_s, k_c, v_c = random_tracks(9)
         operands = {"q": q, "k_s": k_s, "v_s": v_s, "k_c": k_c, "v_c": v_c, arg: bad}
-        with pytest.raises(ShapeError, match=f"^attention: {name} must be a float64 array, "
+        with pytest.raises(ShapeError, match=f"^siamese_attend: {arg} must be a float64 array, "
                                              f"got {kind}$"):
             siamese_attend(**operands)
 
