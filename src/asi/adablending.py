@@ -26,9 +26,12 @@ may also be (h, steps, m, d): one feature map per sampler step. The kernels
 -2), so each slice gets the bits it would get alone; heads are ranked along
 axis 0 within each step, and the head mask and distances are (h, steps).
 Every stage takes float64 blocks only (a bool block's Gram would be logical),
-but does not scan them for NaN/Inf again: the head distances are checked,
-and a non-finite block fails there or where the pipeline checks a layer's
-output finite.
+each checked by :func:`asi.numeric._check_array`, whose ShapeError names the
+stage and the argument ("blend: block 2", "fuse_masks: head mask"). A block
+holding NaN or Inf is a NonFiniteError: :func:`covariance`, :func:`adain`
+and :func:`blend`, which no run calls, scan their blocks after every other
+check; :func:`head_distances` and :func:`asi_layer` scan no entry, and the
+value ends at the distance check, NumPy's warnings on the way ignored.
 
 Every head's covariances, distance, masks and AdaIN depend on that head
 alone, up to the top-n selection. So :func:`asi_layer` splits its heads over
@@ -50,7 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, NonFiniteError, ShapeError
-from .numeric import _as_number, _check_array, _contract, _is_int, _readonly, _split
+from .numeric import (_as_number, _check_array, _check_finite, _check_type, _contract, _is_int,
+                      _readonly, _split)
 # siamese_attend is unused here, but the benchmark tracer wraps adablending.siamese_attend.
 from .sica import _check_tracks, _sica, siamese_attend
 
@@ -109,6 +113,12 @@ def _check_blocks(what: str, a: np.ndarray, *others: np.ndarray, least: int = 2,
             raise ShapeError(f"{what}: shapes differ, {a.shape} vs {b.shape}")
 
 
+def _check_finite_blocks(what: str, *blocks: np.ndarray) -> None:
+    # The scan for NaN/Inf of a stage that no run calls, after every other check.
+    for i, b in enumerate(blocks, 1):
+        _check_finite(b, f"{what}: block {i}")
+
+
 def covariance(f: np.ndarray) -> np.ndarray:
     """Spatial covariance over positions of an (..., m, d) block, as (..., d, d).
 
@@ -119,6 +129,7 @@ def covariance(f: np.ndarray) -> np.ndarray:
     """
     _check_blocks("covariance", f)
     _check_rows(f)
+    _check_finite_blocks("covariance", f)
     return _readonly(_cov(f))
 
 
@@ -148,20 +159,23 @@ def head_distances(f_s: np.ndarray, f_c: np.ndarray) -> np.ndarray:
     """
     _check_blocks("head_distances", f_s, f_c)
     _check_rows(f_s)
-    if f_s.ndim == 2:
-        dist = _distances(f_s, f_c)
-    else:
-        dist = np.empty(f_s.shape[:-2])
+    with np.errstate(invalid="ignore", over="ignore"):  # _distances names NaN/Inf; see there
+        if f_s.ndim == 2:
+            dist = _distances(f_s, f_c)
+        else:
+            dist = np.empty(f_s.shape[:-2])
 
-        def body(lo: int, hi: int) -> None:
-            dist[lo:hi] = _distances(f_s[lo:hi], f_c[lo:hi])
+            def body(lo: int, hi: int) -> None:
+                dist[lo:hi] = _distances(f_s[lo:hi], f_c[lo:hi])
 
-        _split(body, f_s.shape[0], f_s.size, f_s.shape[-1])  # as the Gram F^T F
+            _split(body, f_s.shape[0], f_s.size, f_s.shape[-1])  # as the Gram F^T F
     return dist
 
 
 def _distances(f_s: np.ndarray, f_c: np.ndarray, sum_s: np.ndarray | None = None,
                sum_c: np.ndarray | None = None) -> np.ndarray:
+    # NaN, Inf or an overflow in a block ends here, as a distance that is not finite, so
+    # the callers ignore NumPy's warnings on the way (in both halves of a split: see _split).
     d = f_s.shape[-1]
     diff = _cov(f_s, sum_s) - _cov(f_c, sum_c)
     dist = np.einsum("...ij,...ij->...", diff, diff) / (4.0 * d * d)
@@ -214,8 +228,7 @@ def _spatial(f_c: np.ndarray, alpha: float, out: np.ndarray) -> np.ndarray:
 
 
 def _check_config(what: str, cfg: BlendConfig) -> None:
-    if not isinstance(cfg, BlendConfig):
-        raise ConfigError(f"{what}: cfg must be a BlendConfig, got {type(cfg).__name__}")
+    _check_type(f"{what}: cfg", cfg, BlendConfig, ConfigError)
 
 
 def _check_mask(what: str, mask: np.ndarray, shape: tuple[int, ...] | None = None) -> None:
@@ -276,6 +289,7 @@ def adain(f_c: np.ndarray, f_s: np.ndarray, eps: float) -> np.ndarray:
     """
     _check_positive("eps", eps)
     _check_blocks("adain", f_c, f_s)
+    _check_finite_blocks("adain", f_c, f_s)
     return _readonly(_adain(f_c, f_s, eps, np.empty(f_c.shape)))
 
 
@@ -290,6 +304,7 @@ def blend(f_c: np.ndarray, f_s: np.ndarray, mask: np.ndarray, cfg: BlendConfig) 
     _check_blocks("blend", f_c, f_s, least=3, most=4)  # (h, [steps,] m, d), as its mask
     _check_mask("blend", mask, f_c.shape)
     _check_config("blend", cfg)
+    _check_finite_blocks("blend", f_c, f_s)
     out = np.empty(f_c.shape)
     _blend(f_c, f_s, mask, cfg.eps, out)
     return _readonly(out)
@@ -348,7 +363,8 @@ def asi_layer(
 
     # An entry of a track: 2 t multiply-adds in each track, d in each Gram. At d=1 the Gram
     # has one column, so all runs whole; with m >= 2, the attention products never have one.
-    _split(stats, h, f_c.size, 2 * (len(k_s[0]) + len(k_c[0]) + d) if d > 1 else 1)
+    with np.errstate(invalid="ignore", over="ignore"):  # _distances names NaN/Inf; see there
+        _split(stats, h, f_c.size, 2 * (len(k_s[0]) + len(k_c[0]) + d) if d > 1 else 1)
     head_mask = _select_top_heads(distances, cfg.n)
     f_out, fused = np.empty(q.shape), np.empty(q.shape, dtype=bool)  # once the tracks' P is freed
 

@@ -19,7 +19,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import ConfigError, ScheduleError, ShapeError, TimestepError
-from .numeric import Matrix, _check_finite, _is_int, _kind, _split
+from .numeric import Matrix, _check_array, _check_finite, _check_type, _is_int, _split
 
 __all__ = [
     "NoiseSchedule",
@@ -44,6 +44,16 @@ class NoiseSchedule:
 
     beta: np.ndarray
     alpha_bar: np.ndarray
+
+    def __post_init__(self) -> None:
+        # Float64 vectors, alpha_bar one entry longer, each of its entries in [0, 1].
+        _check_array("NoiseSchedule: beta", self.beta, least=1, most=1)
+        _check_array("NoiseSchedule: alpha_bar", self.alpha_bar, least=1, most=1)
+        if len(self.alpha_bar) != len(self.beta) + 1:
+            raise ShapeError(f"NoiseSchedule: alpha_bar needs {len(self.beta) + 1} entries, "
+                             f"got {len(self.alpha_bar)}")
+        if not ((self.alpha_bar >= 0.0) & (self.alpha_bar <= 1.0)).all():  # NaN fails too
+            raise ScheduleError("NoiseSchedule: alpha_bar entries must lie in [0, 1]")
 
     @property
     def steps(self) -> int:
@@ -84,12 +94,10 @@ class LatentState:
 def _check_walk(what: str, x: Matrix, eps: Matrix, sched: NoiseSchedule) -> None:
     # A latent and its noise, Matrix blocks of one shape, and the schedule they move on.
     for name, a in (("latent", x), ("noise", eps)):
-        if not isinstance(a, Matrix):
-            raise ShapeError(f"{what}: {name} must be a Matrix, got {_kind(a)}")
+        _check_type(f"{what}: {name}", a, Matrix)
     if (x.rows, x.cols) != (eps.rows, eps.cols):
         raise ShapeError(f"{what}: shapes differ, {x.rows}x{x.cols} vs {eps.rows}x{eps.cols}")
-    if not isinstance(sched, NoiseSchedule):
-        raise ConfigError(f"{what}: sched must be a NoiseSchedule, got {_kind(sched)}")
+    _check_type(f"{what}: sched", sched, NoiseSchedule, ConfigError)
 
 
 def _estimate(out: np.ndarray, x_t: np.ndarray, eps: np.ndarray, ab: float) -> np.ndarray:

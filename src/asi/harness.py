@@ -34,8 +34,8 @@ import numpy as np
 from .adablending import BlendConfig, asi_layer, head_distances
 from .ddim import LatentState, NoiseSchedule, ddim_invert, ddim_step, make_schedule
 from .errors import AsiError, ConfigError, ShapeError
-from .numeric import (Matrix, Rng, _as_number, _check_finite, _is_int, _readonly, _split,
-                      randn_matrix)
+from .numeric import (Matrix, Rng, _as_number, _check_finite, _check_type, _is_int, _readonly,
+                      _split, randn_matrix)
 # siamese_attend is unused here, but the benchmark tracer wraps harness.siamese_attend.
 from .sica import (AttentionParams, _project, _sica, merge_heads, project_kv, project_q,
                    siamese_attend)
@@ -129,12 +129,18 @@ def configure(cfg: ExperimentConfig, settings: Iterable[tuple[str, object]]) -> 
     Each value is parsed from its text by the field's declared type (booleans
     accept true/false, 1/0, yes/no, on/off), and BlendConfig keys land in
     cfg.blend. Unknown keys, empty or blank values, unparseable values and a
-    result that fails validation are a ConfigError naming the key.
+    result that fails validation are a ConfigError naming the key, as is an
+    entry that is no (key, value) pair.
     """
+    _check_type("configure: cfg", cfg, ExperimentConfig, ConfigError)
     plain: dict = {}
     blend: dict = {}
+    try:
+        settings = [(key, raw) for key, raw in settings]
+    except (TypeError, ValueError) as exc:  # no iterable, or an entry that is no pair
+        raise ConfigError(f"configure: settings must be (key, value) pairs ({exc})") from exc
     for key, raw in settings:
-        if key not in _KEYS:
+        if not isinstance(key, str) or key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         kind = _KEYS[key]
         if not str(raw).strip():
@@ -169,6 +175,7 @@ def synth_inputs(cfg: ExperimentConfig) -> SynthInputs:
     the latent bookkeeping (positions x model_dim). With perturbation 0 the
     style prompt is bit-identical to the content prompt.
     """
+    _check_type("synth_inputs: cfg", cfg, ExperimentConfig, ConfigError)
     rng = Rng(cfg.seed)
     md = cfg.model_dim
     scale = md**-0.5
@@ -409,6 +416,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     of freed heap mapped, so later steps and runs reuse their blocks' pages
     instead of faulting them in afresh.
     """
+    _check_type("run_pipeline: cfg", cfg, ExperimentConfig, ConfigError)
     _keep_freed_memory_mapped()
     inputs = synth_inputs(cfg)
     sched = make_schedule(cfg.timesteps)

@@ -15,7 +15,10 @@ at the edges (inputs, weights, latents, keys, values and merged layer
 outputs); a kernel that made and checked a fresh block wraps it without a
 copy. The layer kernels work on plain read-only arrays, whole feature
 blocks at a time. The row softmax alone writes its argument: it normalizes
-attention's own logits buffer in place.
+attention's own logits buffer in place. Every block argument of the package
+passes one check, :func:`_check_array` (an ndarray of one dtype, with a
+range of dimensions and no empty axis), whose ShapeError names the function
+and the argument.
 """
 
 from __future__ import annotations
@@ -100,10 +103,17 @@ def _check_array(what: str, x, dtype=np.float64, least: int = 2, most: int = 64)
         raise ShapeError(f"{what} needs {least} to {most} non-empty dimensions, got {x.shape}")
 
 
-def _check_finite(a: np.ndarray) -> None:
+def _check_finite(a: np.ndarray, what: str = "Matrix entries") -> None:
     # A split kernel checks its own rows inside its halves, with this message.
     if not np.isfinite(a).all():
-        raise NonFiniteError("Matrix entries must be finite (no NaN/Inf)")
+        raise NonFiniteError(f"{what} must be finite (no NaN/Inf)")
+
+
+def _check_type(what: str, x, cls: type, error: type = ShapeError) -> None:
+    # x is a `cls`, else an `error` naming the function and the argument.
+    if not isinstance(x, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise error(f"{what} must be {article} {cls.__name__}, got {_kind(x)}")
 
 
 # CPUs this process may run on, read once: work is split over two threads only
@@ -227,8 +237,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     reproducible bit-for-bit across runs, CPU counts and BLAS backends.
     """
     for name, x in (("a", a), ("b", b)):
-        if not isinstance(x, Matrix):
-            raise ShapeError(f"matmul: operand {name} must be a Matrix, got {_kind(x)}")
+        _check_type(f"matmul: operand {name}", x, Matrix)
     if a.cols != b.rows:
         raise ShapeError(
             f"matmul: inner dimensions differ for ({a.rows}x{a.cols}) @ ({b.rows}x{b.cols})"
@@ -253,11 +262,13 @@ def softmax_rows(a: np.ndarray) -> np.ndarray:
     max leaves every exponential as it is), the subtraction, exponential and
     division are elementwise, and the row sums are those NumPy gives a
     C-ordered copy (:func:`_row_sums`). Every output row sums to 1 (within
-    float64 rounding) and all entries lie in (0, 1] for finite input.
+    float64 rounding) and all entries lie in (0, 1]. NaN or Inf input is a
+    NonFiniteError, raised before the array is written.
     """
     _check_array("softmax_rows: a", a, least=1)
     if not a.flags.writeable:
         raise ShapeError("softmax_rows works in place: needs a writable array, got a read-only one")
+    _check_finite(a, "softmax_rows: a")
     return _softmax(a)
 
 
@@ -393,11 +404,11 @@ class Rng:
     __slots__ = ("seed", "_counter")
 
     def __init__(self, seed: int) -> None:
-        if not isinstance(seed, int) or isinstance(seed, bool):
+        if not _is_int(seed):
             raise ConfigError(f"seed must be an integer, got {type(seed).__name__}")
         if not 0 <= seed <= _U64_MASK:
             raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
-        self.seed = seed
+        self.seed = int(seed)
         self._counter = 0
 
     def uniforms(self, count: int) -> np.ndarray:
@@ -448,7 +459,8 @@ class Rng:
 
 def randn_matrix(rng: Rng, rows: int, cols: int) -> Matrix:
     """rows x cols matrix of standard-normal draws, filled in row-major order."""
+    _check_type("randn_matrix: rng", rng, Rng, ConfigError)
     if not (_is_int(rows) and _is_int(cols)) or rows < 1 or cols < 1:
         raise ShapeError(f"randn_matrix dimensions must be integers >= 1, got {rows!r}, {cols!r}")
     # Every draw is finite: |normal| <= sqrt(-2 ln 2**-53), about 8.6.
-    return Matrix._of(rng.normals(rows * cols).reshape(rows, cols))
+    return Matrix._of(rng.normals(int(rows) * int(cols)).reshape(rows, cols))  # no int64 wrap

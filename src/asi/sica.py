@@ -11,11 +11,14 @@ with d the per-head channel dimension.
 
 Feature blocks are plain NumPy arrays of shape (heads, positions, head_dim):
 float64, read-only and C-contiguous, the queries aside (below). Functions
-here return blocks of that kind and do not scan block arguments for NaN/Inf
-again; the checks run where data becomes a :class:`Matrix` (inputs, keys,
-values, layer outputs) and in the query projection. Head i owns channels
-[i*d, (i+1)*d) of the flat model dimension; this split convention is part
-of the dump format contract and must not change.
+here return blocks of that kind. The shared queries are checked once per
+call, then each track's keys and values (:func:`_check_tracks`, through
+:func:`asi.numeric._check_array`). The run checks finiteness where data
+becomes a :class:`Matrix` (inputs, keys, values, layer outputs) and in the
+query projection; :func:`siamese_attend`, which no run calls, scans its
+blocks for NaN/Inf where they enter. Head i owns channels [i*d, (i+1)*d) of
+the flat model dimension; this split convention is part of the dump format
+contract and must not change.
 
 :func:`siamese_attend` and :func:`merge_heads` also take (heads, ...,
 positions, head_dim) blocks, such as the pipeline's (h, steps, m, d) queries
@@ -49,10 +52,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 # softmax_rows is unused here, but the benchmark tracer wraps sica.softmax_rows.
-from .numeric import (Matrix, _check_array, _check_finite, _contract, _is_int, _readonly,
-                      _softmax, _split, matmul, softmax_rows)
+from .numeric import (Matrix, _check_array, _check_finite, _check_type, _contract, _is_int,
+                      _readonly, _softmax, _split, matmul, softmax_rows)
 
 __all__ = [
     "AttentionParams",
@@ -81,6 +84,7 @@ class AttentionParams:
             )
         md = heads * head_dim
         for name, w in (("w_q", self.w_q), ("w_k", self.w_k), ("w_v", self.w_v)):
+            _check_type(f"AttentionParams: {name}", w, Matrix)
             if (w.rows, w.cols) != (md, md):
                 raise ShapeError(
                     f"{name} must be {md}x{md} (model_dim = heads*head_dim), got {w.rows}x{w.cols}"
@@ -119,6 +123,8 @@ def project_q(spatial: Matrix, params: AttentionParams) -> np.ndarray:
 
     Q is made once, as the C-ordered (h, d, m) Q^T, and shared as its view.
     """
+    _check_type("project_q: spatial", spatial, Matrix)
+    _check_type("project_q: params", params, AttentionParams, ConfigError)
     if spatial.cols != params.model_dim:
         raise ShapeError(f"spatial features are {spatial.rows}x{spatial.cols}, "
                          f"expected {params.model_dim} channels")
@@ -140,6 +146,8 @@ def _project(wt: np.ndarray, xt: np.ndarray, qt: np.ndarray | None = None) -> np
 
 def project_kv(prompt: Matrix, params: AttentionParams) -> tuple[np.ndarray, np.ndarray]:
     """Project a tokens x model_dim prompt embedding to per-head keys and values."""
+    _check_type("project_kv: prompt", prompt, Matrix)
+    _check_type("project_kv: params", params, AttentionParams, ConfigError)
     if prompt.cols != params.model_dim:
         raise ShapeError(f"prompt has {prompt.cols} channels, expected {params.model_dim}")
     k = _split_heads(matmul(prompt, params.w_k), params.heads)
@@ -194,6 +202,8 @@ def siamese_attend(
     attention formula, and one transposing copy of its (h, d, rows) output.
     """
     _check_tracks("siamese_attend", q, k_s, v_s, k_c, v_c)
+    for name, x in zip(("q", "k_s", "v_s", "k_c", "v_c"), (q, k_s, v_s, k_c, v_c)):
+        _check_finite(x, f"siamese_attend: {name}")
     qt = q.reshape(len(q), -1, q.shape[-1]).transpose(0, 2, 1)
 
     def track(k: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -31,14 +31,20 @@ __all__ = ["save_tensor", "load_tensor"]
 def save_tensor(path: str | Path, array: np.ndarray) -> Path:
     """Write `array` (rank 1 to 255, finite as float32) to `path`; returns the path.
 
-    The payload is encoded and checked first, and `path`'s directory is created
-    only then, so a rejected array leaves the filesystem untouched.
+    Bool, integer and float values are encoded; complex, string or object
+    values and ragged lists are a DumpFormatError. The payload is encoded and
+    checked first, and `path`'s directory is created only then, so a
+    rejected array leaves the filesystem untouched.
     """
-    # The input's own rank: ascontiguousarray makes a 0-d array or a scalar 1-D.
-    rank = np.ndim(array)
-    if not 1 <= rank <= 255:
-        raise DumpFormatError(f"tensor rank must be in [1, 255], got {rank}")
-    a = np.ascontiguousarray(array, dtype=np.float64)
+    try:
+        a = np.asarray(array)
+    except ValueError as exc:  # a ragged nested list
+        raise DumpFormatError(f"{path}: ragged input has no encoding ({exc})") from exc
+    if not 1 <= a.ndim <= 255:
+        raise DumpFormatError(f"tensor rank must be in [1, 255], got {a.ndim}")
+    if a.dtype.kind not in "biuf":  # a complex value would lose its imaginary part
+        raise DumpFormatError(f"{path}: {a.dtype} values have no encoding in the dump format")
+    a = np.ascontiguousarray(a, dtype=np.float64)
     if any(dim > 0xFFFFFFFF for dim in a.shape):
         raise DumpFormatError(f"dimension too large for uint32 header: {a.shape}")
     with np.errstate(over="ignore"):

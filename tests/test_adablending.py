@@ -241,7 +241,8 @@ class TestMaskFusion:
         with pytest.raises(ShapeError, match=r"^blend: mask needs 3 to 4 non-empty dimensions"):
             blend(f, f, mask, BlendConfig())
         # Features of that rank are no (h, [steps,] m, d) block to blend either.
-        with pytest.raises(ShapeError, match=r"^blend: block 1 needs 3 to 4 non-empty dimensions"):
+        with pytest.raises(ShapeError, match=r"^blend: block 1 needs 3 to 4 non-empty "
+                                             r"dimensions"):
             blend(np.ones(shape), np.ones(shape), mask, BlendConfig())
 
     def test_an_empty_spatial_mask_is_shape_error(self):

@@ -648,6 +648,12 @@ class TestSoftmaxRows:
 
 
 class TestRng:
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint64(2**64 - 1), np.int32(0)])
+    def test_a_numpy_integer_seed_draws_the_python_seeds_stream(self, seed):
+        rng = Rng(seed)
+        assert type(rng.seed) is int and rng.seed == int(seed)
+        assert rng.normals(5).tobytes() == Rng(int(seed)).normals(5).tobytes()
+
     def test_different_seed_different_matrix(self):
         a = randn_matrix(Rng(42), 4, 4)
         b = randn_matrix(Rng(43), 4, 4)

@@ -5,6 +5,7 @@ tests/oracles.reference_run, byte for byte. The direct-kernel property calls
 each public kernel with drawn good and bad arguments: every failure must be a
 named AsiError."""
 
+import dataclasses
 import math
 import tempfile
 import types
@@ -16,14 +17,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asi import harness, numeric
-from asi.adablending import (BlendConfig, adain, asi_layer, blend, covariance,
+from asi.adablending import (BlendConfig, adain, asi_layer, blend, covariance, extract_head_mask,
                              extract_spatial_mask, fuse_masks, head_distances)
-from asi.ddim import ddim_invert, ddim_step, forward_noise, make_schedule
-from asi.errors import AsiError, ConfigError, ShapeError
-from asi.harness import ExperimentConfig, configure, run_pipeline
-from asi.numeric import Matrix, Rng
-from asi.sica import siamese_attend
-from asi.tensorio import load_tensor
+from asi.ddim import NoiseSchedule, ddim_invert, ddim_step, forward_noise, make_schedule
+from asi.errors import (AsiError, ConfigError, DumpFormatError, NonFiniteError,
+                        ScheduleError, ShapeError)
+from asi.harness import ExperimentConfig, configure, run_pipeline, synth_inputs
+from asi.numeric import Matrix, Rng, matmul, randn_matrix, softmax_rows
+from asi.sica import AttentionParams, merge_heads, project_kv, project_q, siamese_attend
+from asi.tensorio import load_tensor, save_tensor
 
 from oracles import reference_run
 from test_harness import artifacts, replay_run, report_rows
@@ -234,7 +236,8 @@ def test_layer_shift_keeps_distances_at_1e7():
 
 
 # Direct kernel calls: each public kernel with every argument drawn either good or bad.
-# Good values are tiny; no drawn array holds more than 3**5 entries.
+# Good values are tiny and their arrays read-only; no drawn array holds more than 3**5 entries.
+WEIGHT = Matrix(Rng(5).normals(4).reshape(2, 2))
 GOOD = {
     "block": Rng(1).normals(12).reshape(2, 3, 2),
     "kv": Rng(2).normals(8).reshape(2, 2, 2),
@@ -248,7 +251,39 @@ GOOD = {
     "sched": make_schedule(4),
     "count": 5,
     "values": [[1.0, 2.0], [3.0, 4.0]],
+    "weight": WEIGHT,
+    "heads": 1,
+    "head_dim": 2,
+    "params": AttentionParams(w_q=WEIGHT, w_k=WEIGHT, w_v=WEIGHT, heads=1, head_dim=2),
+    "rng": Rng(6),
+    "beta": make_schedule(4).beta,
+    "alpha_bar": make_schedule(4).alpha_bar,
+    "config": ExperimentConfig(heads=2, head_dim=2, positions=3, tokens=2, timesteps=2,
+                               blend=BlendConfig(n=1)),
+    "settings": [("n", "2"), ("alpha", "0.5")],
 }
+for value in GOOD.values():
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+
+
+def in_place(kernel):
+    """The kernel called with a writable copy of each array argument (it writes its input)."""
+    return lambda *args: kernel(*(np.array(a) if isinstance(a, np.ndarray) else a for a in args))
+
+
+def save_in_a_temporary_directory(array):
+    with tempfile.TemporaryDirectory() as tmp:
+        save_tensor(Path(tmp) / "t.asit", array)
+
+
+def run_in_a_temporary_directory(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        if isinstance(cfg, ExperimentConfig):
+            cfg = dataclasses.replace(cfg, dump_dir=Path(tmp))
+        run_pipeline(cfg)
+
+
 KERNELS = {
     "siamese_attend": (siamese_attend, ("block", "kv", "kv", "kv", "kv")),
     "covariance": (covariance, ("block",)),
@@ -262,6 +297,20 @@ KERNELS = {
     "forward_noise": (forward_noise, ("matrix", "t", "matrix", "sched")),
     "Rng.normals": (lambda count: Rng(0).normals(count), ("count",)),
     "Matrix": (Matrix, ("values",)),
+    "merge_heads": (merge_heads, ("block",)),
+    "softmax_rows": (in_place(softmax_rows), ("block",)),
+    "extract_head_mask": (extract_head_mask, ("block", "block", "cfg")),
+    "matmul": (matmul, ("matrix", "weight")),
+    "randn_matrix": (randn_matrix, ("rng", "count", "count")),
+    "Rng": (Rng, ("count",)),
+    "AttentionParams": (AttentionParams, ("weight", "weight", "weight", "heads", "head_dim")),
+    "project_q": (project_q, ("matrix", "params")),
+    "project_kv": (project_kv, ("matrix", "params")),
+    "NoiseSchedule": (NoiseSchedule, ("beta", "alpha_bar")),
+    "save_tensor": (save_in_a_temporary_directory, ("block",)),
+    "synth_inputs": (synth_inputs, ("config",)),
+    "run_pipeline": (run_in_a_temporary_directory, ("config",)),
+    "configure": (configure, ("config", "settings")),
 }
 DTYPES = [np.float64, np.float32, np.bool_, np.int64, np.complex128, np.str_, object]
 
@@ -274,11 +323,21 @@ def small_arrays(draw):
     return values.astype(draw(st.sampled_from(DTYPES)))
 
 
+def with_entry(good: np.ndarray, index: int, value: float) -> np.ndarray:
+    bad = good.copy()
+    bad.flat[index] = value
+    return bad
+
+
 def reshaped(good: np.ndarray):
-    """The good array with another dtype, an axis more or less, or an axis emptied."""
+    """The good array with another dtype, an axis more or less, an axis emptied, or (a float
+    array) one entry NaN, Inf or -Inf."""
+    non_finite = st.builds(with_entry, st.just(good), st.integers(0, good.size - 1),
+                           st.sampled_from([np.nan, np.inf, -np.inf]))
     return st.one_of(
         st.sampled_from(DTYPES).map(good.astype),
         st.sampled_from([good[None], good[0], good[:0], good[..., :0]]),
+        *([non_finite] if good.dtype == np.float64 else []),
     )
 
 
@@ -307,7 +366,8 @@ def test_a_direct_kernel_call_ends_in_a_named_error(name, data):
     except AsiError:
         pass
     except MemoryError:  # documented: a count of draws no array can hold
-        assert name == "Rng.normals" and args[0] >= 2**61
+        assert name in ("Rng.normals", "randn_matrix")
+        assert max(a for a in args if isinstance(a, int)) >= 2**61
 
 
 @pytest.mark.parametrize("call, error, match", [
@@ -326,7 +386,74 @@ def test_a_direct_kernel_call_ends_in_a_named_error(name, data):
     pytest.param(lambda: ddim_invert(GOOD["matrix"], GOOD["matrix"], {"steps": 4}, 2),
                  ConfigError, "^latent vs noise: sched must be a NoiseSchedule, got dict$",
                  id="ddim_invert-dict-schedule"),
+    pytest.param(lambda: NoiseSchedule(beta=None, alpha_bar=None),
+                 ShapeError, "^NoiseSchedule: beta must be a float64 array, got NoneType$",
+                 id="NoiseSchedule-none"),
+    pytest.param(lambda: NoiseSchedule(beta=np.zeros(1), alpha_bar=np.array([1.0, -0.5])),
+                 ScheduleError, r"^NoiseSchedule: alpha_bar entries must lie in \[0, 1\]$",
+                 id="NoiseSchedule-negative"),
+    pytest.param(lambda: AttentionParams(w_q=np.eye(2), w_k=WEIGHT, w_v=WEIGHT, heads=1,
+                                         head_dim=2),
+                 ShapeError, "^AttentionParams: w_q must be a Matrix, got float64 array$",
+                 id="AttentionParams-array-weight"),
+    pytest.param(lambda: project_q(np.ones((3, 2)), GOOD["params"]),
+                 ShapeError, "^project_q: spatial must be a Matrix, got float64 array$",
+                 id="project_q-array"),
+    pytest.param(lambda: project_q(GOOD["matrix"], None),
+                 ConfigError, "^project_q: params must be an AttentionParams, got NoneType$",
+                 id="project_q-no-params"),
+    pytest.param(lambda: project_kv(np.ones((3, 2)), GOOD["params"]),
+                 ShapeError, "^project_kv: prompt must be a Matrix, got float64 array$",
+                 id="project_kv-array"),
+    pytest.param(lambda: randn_matrix(None, 2, 2),
+                 ConfigError, "^randn_matrix: rng must be a Rng, got NoneType$",
+                 id="randn_matrix-no-rng"),
+    pytest.param(lambda: randn_matrix(Rng(0), np.int64(3), 2**62),
+                 MemoryError, "^cannot draw", id="randn_matrix-int64-rows"),
+    pytest.param(lambda: save_in_a_temporary_directory(np.array(["a"])),
+                 DumpFormatError, "<U1 values have no encoding in the dump format$",
+                 id="save_tensor-strings"),
+    pytest.param(lambda: save_in_a_temporary_directory([[1.0], [2.0, 3.0]]),
+                 DumpFormatError, "ragged input has no encoding", id="save_tensor-ragged"),
+    pytest.param(lambda: synth_inputs(None),
+                 ConfigError, "^synth_inputs: cfg must be an ExperimentConfig, got NoneType$",
+                 id="synth_inputs-none"),
+    pytest.param(lambda: run_pipeline(None),
+                 ConfigError, "^run_pipeline: cfg must be an ExperimentConfig, got NoneType$",
+                 id="run_pipeline-none"),
+    pytest.param(lambda: configure(None, []),
+                 ConfigError, "^configure: cfg must be an ExperimentConfig, got NoneType$",
+                 id="configure-none"),
+    pytest.param(lambda: configure(GOOD["config"], ["n"]),
+                 ConfigError, r"^configure: settings must be \(key, value\) pairs",
+                 id="configure-no-pair"),
+    pytest.param(lambda: configure(GOOD["config"], [(["n"], "1")]),
+                 ConfigError, r"^unknown config key \['n'\]$", id="configure-list-key"),
 ])
-def test_a_sampler_call_names_its_bad_argument(call, error, match):
+def test_an_entry_point_names_its_bad_argument(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+# The stages that take float blocks, with one block holding one NaN, Inf or -Inf entry.
+NON_FINITE_STAGES = ["siamese_attend", "covariance", "head_distances", "adain", "blend",
+                     "asi_layer", "softmax_rows", "extract_head_mask", "merge_heads"]
+
+
+@pytest.mark.parametrize("name", NON_FINITE_STAGES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), value=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_a_non_finite_block_ends_in_a_non_finite_error(name, data, value):
+    # NumPy warnings are errors here, so a stage that warns on the way fails too.
+    kernel, roles = KERNELS[name]
+    args = [GOOD[role] for role in roles]
+    i = data.draw(st.sampled_from([i for i, role in enumerate(roles) if role in ("block", "kv")]))
+    args[i] = with_entry(args[i], data.draw(st.integers(0, args[i].size - 1)), value)
+    try:
+        out = kernel(*args)
+    except NonFiniteError:
+        return
+    # The layer scans no entry of its blocks: it names a non-finite value where it reaches the
+    # head distances, and an Inf key whose logits are all finite or -Inf reaches none.
+    assert name == "asi_layer" and np.isinf(value)
+    assert all(np.isfinite(block).all() for block in (out.f_out, out.f_s, out.f_c))

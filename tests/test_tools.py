@@ -1,5 +1,6 @@
 """The statistics and parsing of tools/pairs.py and tools/bench.py, on canned run output."""
 
+import ast
 import json
 import sys
 from pathlib import Path
@@ -138,24 +139,37 @@ def test_unequal_export_paths_are_refused(monkeypatch, tmp_path):
         pairs.side_dirs(tmp_path)
 
 
-def _bench(run_s, rss, lines=1900, names=48):
+def _bench(run_s, rss, lines=1900, names=48, code=1000):
     return {"end_to_end": {"sd_block": {"run_s.p50": run_s, "layer_apps_per_s": 1.0 / run_s,
                                         "peak_rss_mb": rss}},
-            "src_asi_lines": lines, "all_names": names}
+            "src_asi_lines": lines, "src_asi_code_lines": code, "all_names": names}
 
 
 def test_comparison_reads_each_change_against_its_bound():
     specs = [SPECS[name] for name in ("run_s.p50", "layer_apps_per_s", "peak_rss_mb")]
-    lines, worse = bench.compare(_bench(0.50, 68.0), _bench(0.45, 66.0, 1960, 48), specs)
+    lines, worse = bench.compare(_bench(0.50, 68.0), _bench(0.45, 66.0, 1960, 48, 1100), specs)
     assert not worse
     assert lines[0].startswith("sd_block") and "-10.00%" in lines[0]
     assert "bound 15% worse" in lines[0] and lines[0].endswith(": ok)")
     assert "+11.11%" in lines[1] and "higher is better: ok" in lines[1]
-    assert lines[-2].split() == ["src_asi_lines", "1900", "->", "1960", "+60"]
+    assert lines[-3].split() == ["src_asi_lines", "1900", "->", "1960", "+60"]
+    assert lines[-2].split() == ["src_asi_code_lines", "1000", "->", "1100", "+100"]
     assert lines[-1].split() == ["all_names", "48", "->", "48", "+0"]
+    # A BENCH file written before the code-line count has none.
+    old = _bench(0.50, 68.0)
+    del old["src_asi_code_lines"]
+    lines, _ = bench.compare(old, _bench(0.45, 66.0), specs)
+    assert lines[-2].split() == ["src_asi_code_lines", "missing", "in", "the", "older", "file"]
     # 68 -> 76 MB is 11.8% worse, beyond peak_rss_mb's 10% bound.
     lines, worse = bench.compare(_bench(0.50, 68.0), _bench(0.50, 76.0), specs)
     assert worse and lines[2].endswith("WORSE than bound)")
+
+
+def test_code_lines_leave_out_blanks_comments_and_docstrings():
+    text = ('"""A module\ndocstring."""\n\nimport os  # a comment after code counts\n'
+            '# a comment\n\n\ndef f():\n    """One line."""\n    return """not a\n'
+            'docstring"""\n\n\nclass C:\n    """A\n    class."""\n    x = 1\n')
+    assert bench.code_lines(ast.parse(text), text) == 6
 
 
 def test_comparison_names_a_metric_missing_from_the_older_file():
@@ -177,4 +191,4 @@ def test_comparison_prints_the_box_independent_counts_exactly():
         ["small_sweep", "run_handoffs", "2", "->", "2", "+0"],
         ["sd_block", "run_files", "14", "->", "14", "+0"],
         ["sd_block", "run_bytes", "missing", "in", "the", "older", "file"]]
-    assert lines[-2].startswith("src_asi_lines")
+    assert lines[-3].startswith("src_asi_lines")

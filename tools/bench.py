@@ -13,14 +13,15 @@ names the program's code whether or not it is committed yet: the file of a
 commit is ``BENCH_$(git rev-parse --short=7 <commit>:src).json``. The file
 also holds the HEAD it was measured on and whether ``src``, ``perfbench`` or
 ``tools`` differed from it, the ``env`` line, ``correct``/``attempted``/
-``failed`` of both runs, the ``src/asi`` line count and ``__all__`` name
-count, and notes on figures known to be wrong.
+``failed`` of both runs, the ``src/asi`` line count, its code-line count
+(lines that are not blank, not a comment and not a docstring), the
+``__all__`` name count, and notes on figures known to be wrong.
 
 ``--compare`` prints, for each workload and end-to-end metric, the relative
 change against the older file next to the bound ``BENCHMARK.json`` allows,
 then each workload's box-independent counts from ``tools/peak_traced.py``
 (``run_handoffs``, ``run_files``, ``run_bytes``) exactly, and the change in
-line and name counts. It exits 1 when a metric is worse than its bound.
+line, code-line and name counts. It exits 1 when a metric is worse than its bound.
 Needs Python, NumPy and git; with ``--seconds 30`` a measurement takes
 several minutes.
 """
@@ -112,17 +113,32 @@ def src_tree() -> str:
     return _git("rev-parse", "--short=7", tree)
 
 
+def code_lines(tree: ast.Module, text: str) -> int:
+    """The lines of a module that are not blank, not a # comment and not a docstring."""
+    docstrings = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.body and isinstance(node.body[0], ast.Expr)
+                and isinstance(node.body[0].value, ast.Constant)
+                and isinstance(node.body[0].value.value, str)):
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return sum(1 for number, line in enumerate(text.splitlines(), 1)
+               if number not in docstrings and line.strip() and not line.lstrip().startswith("#"))
+
+
 def source_size(package: Path) -> dict[str, int]:
-    """Lines of the package's modules and the names their __all__ lists hold."""
-    lines = names = 0
+    """Lines and code lines of the package's modules, and the names their __all__ lists hold."""
+    lines = code = names = 0
     for path in sorted(package.glob("*.py")):
         text = path.read_text()
+        tree = ast.parse(text)
         lines += len(text.splitlines())
-        for node in ast.parse(text).body:
+        code += code_lines(tree, text)
+        for node in tree.body:
             if (isinstance(node, ast.Assign)
                     and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
                 names += len(ast.literal_eval(node.value))
-    return {"src_asi_lines": lines, "all_names": names}
+    return {"src_asi_lines": lines, "src_asi_code_lines": code, "all_names": names}
 
 
 def measure(seconds: float, seed: int) -> dict:
@@ -178,8 +194,10 @@ def compare(old: dict, new: dict, end_to_end: list[dict]) -> tuple[list[str], bo
             a, b = old.get(key, {}).get(workload), new[key][workload]
             lines.append(f"{workload:<12} {key:<18} " + (
                 "missing in the older file" if a is None else f"{a:>12} -> {b:<12} {b - a:+d}"))
-    for key in ("src_asi_lines", "all_names"):
-        lines.append(f"{key:<31} {old[key]:>12} -> {new[key]:<12} {new[key] - old[key]:+d}")
+    for key in ("src_asi_lines", "src_asi_code_lines", "all_names"):
+        a, b = old.get(key), new[key]
+        lines.append(f"{key:<31} " + (
+            "missing in the older file" if a is None else f"{a:>12} -> {b:<12} {b - a:+d}"))
     return lines, worse
 
 
