@@ -30,8 +30,9 @@ each checked by :func:`asi.numeric._check_array`, whose ShapeError names the
 stage and the argument ("blend: block 2", "fuse_masks: head mask"). A block
 holding NaN or Inf is a NonFiniteError: :func:`covariance`, :func:`adain`
 and :func:`blend`, which no run calls, scan their blocks after every other
-check; :func:`head_distances` and :func:`asi_layer` scan no entry, and the
-value ends at the distance check, NumPy's warnings on the way ignored.
+check, and name an overflow of finite values on the way the same way;
+:func:`head_distances` and :func:`asi_layer` scan no entry, and the value
+ends at the distance check, NumPy's warnings on the way ignored.
 
 Every head's covariances, distance, masks and AdaIN depend on that head
 alone, up to the top-n selection. So :func:`asi_layer` splits its heads over
@@ -113,10 +114,18 @@ def _check_blocks(what: str, a: np.ndarray, *others: np.ndarray, least: int = 2,
             raise ShapeError(f"{what}: shapes differ, {a.shape} vs {b.shape}")
 
 
-def _check_finite_blocks(what: str, *blocks: np.ndarray) -> None:
-    # The scan for NaN/Inf of a stage that no run calls, after every other check.
+def _run_finite(what: str, blocks: tuple, kernel, *args):
+    # kernel(*args) of a stage that no run calls, after every other check: NaN or Inf in
+    # one of its float blocks, or an overflow of finite values on the way, is a
+    # NonFiniteError, not NumPy's warning. A check of the result would miss an overflow
+    # that ends finite, as a standard deviation of Inf divides a deviation to 0.
     for i, b in enumerate(blocks, 1):
         _check_finite(b, f"{what}: block {i}")
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return kernel(*args)
+    except FloatingPointError as exc:
+        raise NonFiniteError(f"{what}: the values are too large ({exc})") from exc
 
 
 def covariance(f: np.ndarray) -> np.ndarray:
@@ -129,8 +138,7 @@ def covariance(f: np.ndarray) -> np.ndarray:
     """
     _check_blocks("covariance", f)
     _check_rows(f)
-    _check_finite_blocks("covariance", f)
-    return _readonly(_cov(f))
+    return _readonly(_run_finite("covariance", (f,), _cov, f))
 
 
 def _check_rows(f: np.ndarray) -> None:
@@ -289,8 +297,7 @@ def adain(f_c: np.ndarray, f_s: np.ndarray, eps: float) -> np.ndarray:
     """
     _check_positive("eps", eps)
     _check_blocks("adain", f_c, f_s)
-    _check_finite_blocks("adain", f_c, f_s)
-    return _readonly(_adain(f_c, f_s, eps, np.empty(f_c.shape)))
+    return _readonly(_run_finite("adain", (f_c, f_s), _adain, f_c, f_s, eps, np.empty(f_c.shape)))
 
 
 def blend(f_c: np.ndarray, f_s: np.ndarray, mask: np.ndarray, cfg: BlendConfig) -> np.ndarray:
@@ -304,9 +311,8 @@ def blend(f_c: np.ndarray, f_s: np.ndarray, mask: np.ndarray, cfg: BlendConfig) 
     _check_blocks("blend", f_c, f_s, least=3, most=4)  # (h, [steps,] m, d), as its mask
     _check_mask("blend", mask, f_c.shape)
     _check_config("blend", cfg)
-    _check_finite_blocks("blend", f_c, f_s)
     out = np.empty(f_c.shape)
-    _blend(f_c, f_s, mask, cfg.eps, out)
+    _run_finite("blend", (f_c, f_s), _blend, f_c, f_s, mask, cfg.eps, out)
     return _readonly(out)
 
 

@@ -9,12 +9,21 @@ identity here exactly testable.
 
 Timesteps are 1-based: t runs over [1, T], and alpha_bar[0] = 1 is the
 clean-image boundary.
+
+Every walk is one call of one private kernel: a single update
+(:func:`ddim_step`), the inversion and generation trajectories, and each
+chunk of a run's descent. The kernel jumps through a list of rungs, writing
+each state into a caller's block or one buffer in place, splits once by
+rows over two threads (see :func:`asi.numeric._split`), and checks only the
+final state finite: a NaN or Inf entry never becomes finite again on the
+way. The public functions check their arguments and wrap the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Real
+from typing import Sequence
 
 import numpy as np
 
@@ -30,11 +39,6 @@ __all__ = [
     "ddim_invert",
     "ddim_generate",
 ]
-
-
-def _check_timestep(t) -> None:
-    if not _is_int(t):
-        raise TimestepError(f"timestep must be an integer, got {t!r}")
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,8 @@ class NoiseSchedule:
 
     def bar(self, t: int) -> float:
         """alpha_bar at timestep t, with type and range checking."""
-        _check_timestep(t)
+        if not _is_int(t):
+            raise TimestepError(f"timestep must be an integer, got {t!r}")
         if not 0 <= t <= self.steps:
             raise TimestepError(f"timestep {t} outside [0, {self.steps}]")
         return float(self.alpha_bar[t])
@@ -100,42 +105,50 @@ def _check_walk(what: str, x: Matrix, eps: Matrix, sched: NoiseSchedule) -> None
     _check_type(f"{what}: sched", sched, NoiseSchedule, ConfigError)
 
 
-def _estimate(out: np.ndarray, x_t: np.ndarray, eps: np.ndarray, ab: float) -> np.ndarray:
-    # In `out`: (x_t - sqrt(1 - ab) eps) / sqrt(ab).
-    np.subtract(x_t, np.sqrt(1.0 - ab) * eps, out=out)
-    out /= np.sqrt(ab)
-    return out
-
-
-def _renoise(x: np.ndarray, eps: np.ndarray, ab: float) -> np.ndarray:
-    # In place: x <- sqrt(ab) x + sqrt(1 - ab) eps, the same bits as the fresh form.
-    x *= np.sqrt(ab)
-    x += np.sqrt(1.0 - ab) * eps
-    return x
-
-
 def forward_noise(x0: Matrix, t: int, eps: Matrix, sched: NoiseSchedule) -> Matrix:
     """Closed-form jump to timestep t: x_t = sqrt(ab_t) x0 + sqrt(1 - ab_t) eps."""
     _check_walk("forward_noise", x0, eps, sched)
-    return Matrix(_renoise(np.array(x0.a), eps.a, sched.bar(t)))
+    ab = sched.bar(t)
+    return Matrix(np.sqrt(ab) * x0.a + np.sqrt(1.0 - ab) * eps.a)
 
 
-def _jump(x_t: Matrix, eps: Matrix, t: int, t_to: int, sched: NoiseSchedule) -> Matrix:
-    # Re-estimate the clean input at t and renoise it to t_to in one fresh buffer, in row
-    # halves where that pays (7 passes over each entry: 6 arithmetic and the check). Each
-    # half rejects an overflowed estimate, as sqrt(ab_to) * inf is never finite. The
-    # callers have checked the operands.
-    ab, ab_to = sched.bar(t), sched.bar(t_to)
-    if ab == 0.0:
-        raise ScheduleError(f"alpha_bar vanishes at t={t}; clean estimate undefined")
-    x = np.empty(x_t.a.shape)
+def _walk(x: np.ndarray, eps: np.ndarray, sched: NoiseSchedule, rungs: Sequence[int],
+          out: np.ndarray | None = None) -> np.ndarray:
+    # The sampler kernel: jump x, the latent at rungs[0], through every later rung in one
+    # call, each jump re-estimating the clean input at its rung and renoising it to the
+    # next. Jump i writes out[i] of a caller's (jumps, rows, cols) block, or the last of
+    # a shorter one (without out, one fresh buffer) in place; the final state is returned.
+    # The product sqrt(1 - ab) eps that renoises to a rung is the next jump's estimate
+    # term, made once, so the operations and their order, and so the bits, are those of
+    # fresh temporaries per jump. The walk splits once, by rows: 5 passes over each entry
+    # a jump, the first estimate term and the check. Only the final state is checked:
+    # every jump divides by sqrt(ab) > 0, multiplies by a finite coefficient and adds a
+    # finite product, so a NaN or Inf entry never becomes finite again (NumPy's warnings
+    # on the way are ignored). The callers have checked the operands.
+    bars = sched.alpha_bar[list(rungs)]
+    if 0.0 in bars[:-1]:  # an overflow on the way to that rung is named first
+        k = list(bars).index(0.0)
+        _walk(x, eps, sched, rungs[:k + 1], out)
+        raise ScheduleError(f"alpha_bar vanishes at t={rungs[k]}; clean estimate undefined")
+    root, coef = np.sqrt(bars), np.sqrt(1.0 - bars)
+    out = np.empty((1, *x.shape)) if out is None else out
 
     def body(lo: int, hi: int) -> None:
-        part = _estimate(x[lo:hi], x_t.a[lo:hi], eps.a[lo:hi], ab)
-        _check_finite(_renoise(part, eps.a[lo:hi], ab_to))
+        e, state = eps[lo:hi], x[lo:hi]
+        term = coef[0] * e
+        for i in range(len(bars) - 1):
+            dst = out[min(i, len(out) - 1), lo:hi]
+            np.subtract(state, term, out=dst)
+            dst /= root[i]
+            dst *= root[i + 1]
+            np.multiply(coef[i + 1], e, out=term)
+            dst += term
+            state = dst
+        _check_finite(state)
 
-    _split(body, x_t.rows, x.size, 7)
-    return Matrix._of(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _split(body, len(x), x.size, 5 * (len(bars) - 1) + 2)
+    return out[-1]
 
 
 def ddim_step(x_t: Matrix, eps_pred: Matrix, t: int, t_prev: int, sched: NoiseSchedule) -> Matrix:
@@ -144,32 +157,28 @@ def ddim_step(x_t: Matrix, eps_pred: Matrix, t: int, t_prev: int, sched: NoiseSc
     x_prev = sqrt(ab_prev) * x0_hat + sqrt(1 - ab_prev) * eps
     """
     _check_walk("latent vs noise", x_t, eps_pred, sched)
-    _check_timestep(t)
-    _check_timestep(t_prev)
-    if not 0 <= t_prev < t <= sched.steps:
-        raise TimestepError(f"need 0 <= t_prev < t <= {sched.steps}, got t={t}, t_prev={t_prev}")
-    return _jump(x_t, eps_pred, t, t_prev, sched)
+    if not (_is_int(t) and _is_int(t_prev) and 0 <= t_prev < t <= sched.steps):
+        raise TimestepError(f"need integers 0 <= t_prev < t <= {sched.steps}, "
+                            f"got t={t!r}, t_prev={t_prev!r}")
+    return Matrix._of(_walk(x_t.a, eps_pred.a, sched, [t, t_prev]))
 
 
-def _walk(
+def _trajectory(
     x: Matrix, eps: Matrix, sched: NoiseSchedule, steps: int, upward: bool,
     last_only: bool = False,
 ) -> list[LatentState]:
-    # Evenly spaced rungs from 0 to T inclusive, climbed or descended one jump at a time;
-    # with last_only, each state replaces the one before it.
+    # Evenly spaced rungs from 0 to T inclusive, climbed or descended in one walk; with
+    # last_only, the final state alone.
     _check_walk("latent vs noise", x, eps, sched)  # also when no jump would compare them
     if not _is_int(steps) or not 0 <= steps <= sched.steps:
         raise ConfigError(f"steps must be an integer in [0, {sched.steps}], got {steps!r}")
-    rungs = [round(i * sched.steps / steps) for i in range(steps + 1)] if steps else [0]
-    if not upward:
-        rungs.reverse()
-    trajectory = [LatentState(rungs[0], x)]
-    for t_from, t_to in zip(rungs[:-1], rungs[1:]):
-        x = _jump(x, eps, t_from, t_to, sched)
-        if last_only:
-            trajectory.clear()
-        trajectory.append(LatentState(t_to, x))
-    return trajectory
+    if not steps:
+        return [LatentState(0, x)]
+    rungs = [round(i * sched.steps / steps) for i in range(steps + 1)][::1 if upward else -1]
+    states = np.empty((1 if last_only else steps, x.rows, x.cols))
+    _walk(x.a, eps.a, sched, rungs, states)
+    walked = [LatentState(t, Matrix._of(state)) for t, state in zip(rungs[-len(states):], states)]
+    return walked if last_only else [LatentState(rungs[0], x), *walked]
 
 
 def ddim_invert(
@@ -184,7 +193,7 @@ def ddim_invert(
     keeps only its latest state, so its memory does not grow with `steps`,
     and the list holds the final state alone.
     """
-    return _walk(x0, eps, sched, steps, upward=True, last_only=last_only)
+    return _trajectory(x0, eps, sched, steps, upward=True, last_only=last_only)
 
 
 def ddim_generate(
@@ -195,4 +204,4 @@ def ddim_generate(
     The exact functional inverse of :func:`ddim_invert` over the same rungs;
     returns steps + 1 states ending at t = 0.
     """
-    return _walk(x_start, eps, sched, steps, upward=False)
+    return _trajectory(x_start, eps, sched, steps, upward=False)

@@ -22,7 +22,9 @@ from __future__ import annotations
 import csv
 import ctypes
 import dataclasses
+import fnmatch
 import functools
+import itertools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -32,7 +34,8 @@ from typing import Iterable, Sequence, get_type_hints
 import numpy as np
 
 from .adablending import BlendConfig, asi_layer, head_distances
-from .ddim import LatentState, NoiseSchedule, ddim_invert, ddim_step, make_schedule
+# ddim_step is unused here, but the benchmark tracer wraps harness.ddim_step.
+from .ddim import LatentState, NoiseSchedule, _walk, ddim_invert, ddim_step, make_schedule
 from .errors import AsiError, ConfigError, ShapeError
 from .numeric import (Matrix, Rng, _as_number, _check_finite, _check_type, _is_int, _readonly,
                       _split, randn_matrix)
@@ -55,6 +58,15 @@ __all__ = [
 ]
 
 _MAX_SEED = (1 << 64) - 1
+
+
+def _as_dir(what: str, value) -> Path:
+    # An output directory's str or str os.PathLike name, as a Path.
+    if not isinstance(value, (str, os.PathLike)) or not isinstance(os.fspath(value), str):
+        raise ConfigError(f"{what} must be a str or a str os.PathLike, got {value!r}")
+    if "\0" in str(value):
+        raise ConfigError(f"{what} must not contain a NUL byte, got {str(value)!r}")
+    return Path(value)
 
 
 @dataclass(frozen=True)
@@ -95,12 +107,7 @@ class ExperimentConfig:
             raise ConfigError(f"blend must be a BlendConfig, got {self.blend!r}")
         if self.blend.n > self.heads:
             raise ConfigError(f"n={self.blend.n} exceeds heads={self.heads}")
-        if (not isinstance(self.dump_dir, (str, os.PathLike))
-                or not isinstance(os.fspath(self.dump_dir), str)):
-            raise ConfigError(f"dump_dir must be a str or a str os.PathLike, got {self.dump_dir!r}")
-        if "\0" in str(self.dump_dir):
-            raise ConfigError(f"dump_dir must not contain a NUL byte, got {str(self.dump_dir)!r}")
-        object.__setattr__(self, "dump_dir", Path(self.dump_dir))
+        object.__setattr__(self, "dump_dir", _as_dir("dump_dir", self.dump_dir))
 
     @property
     def model_dim(self) -> int:
@@ -184,18 +191,9 @@ def synth_inputs(cfg: ExperimentConfig) -> SynthInputs:
     spatial = randn_matrix(rng, cfg.positions, md)
     content = randn_matrix(rng, cfg.tokens, md)
     delta = randn_matrix(rng, cfg.tokens, md)
-    if cfg.perturbation == 0:
-        style = content
-    else:
-        style = Matrix(content.a + cfg.perturbation * delta.a)
+    style = content if cfg.perturbation == 0 else Matrix(content.a + cfg.perturbation * delta.a)
     latent_noise = randn_matrix(rng, cfg.positions, md)
-    return SynthInputs(
-        spatial=spatial,
-        content_prompt=content,
-        style_prompt=style,
-        params=params,
-        latent_noise=latent_noise,
-    )
+    return SynthInputs(spatial, content, style, params, latent_noise)
 
 
 @dataclass(frozen=True)
@@ -254,12 +252,12 @@ def _mask_files(masks: Sequence[np.ndarray] | None) -> dict:
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    # Floats are written as repr(float(x)), the shortest text that reads back exactly.
+    # The rows hold Python floats, which csv writes as repr: the shortest text that reads
+    # back exactly.
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
+        writer.writerows(rows)
 
 
 def _publish(out_dir: Path, files: dict, stale: Sequence[str] = ()) -> None:
@@ -268,9 +266,11 @@ def _publish(out_dir: Path, files: dict, stale: Sequence[str] = ()) -> None:
     # written are they renamed into place; then each file matching a stale glob but not named in
     # files is removed. A name held by a directory fails first. On failure the temporaries and
     # the directories this call made are removed, so out_dir keeps its earlier set byte for byte.
-    if held := [name for name in files if (out_dir / name).is_dir()]:
+    # One scan of out_dir finds the names directories hold and the stale files.
+    is_dir = {e.name: e.is_dir() for e in os.scandir(out_dir)} if out_dir.is_dir() else {}
+    if held := [name for name in files if is_dir.get(name)]:
         raise IsADirectoryError(f"{out_dir / held[0]}: a directory holds this artifact's name")
-    created = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
+    created = list(itertools.takewhile(lambda path: not path.exists(), (out_dir, *out_dir.parents)))
     partials: list[Path] = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -286,12 +286,11 @@ def _publish(out_dir: Path, files: dict, stale: Sequence[str] = ()) -> None:
         if isinstance(exc, AsiError) and partials:  # name the artifact, not its temporary
             raise type(exc)(str(exc).replace(str(partials[-1]), str(out_dir / name))) from exc
         raise
-    for name in files:
-        os.replace(out_dir / f"{name}.partial", out_dir / name)
-    for pattern in stale:
-        for path in out_dir.glob(pattern):
-            if path.name not in files and not path.is_dir():
-                path.unlink()
+    for partial, name in zip(partials, files):
+        os.replace(partial, out_dir / name)
+    for name, directory in is_dir.items():
+        if not directory and name not in files and any(fnmatch.fnmatchcase(name, p) for p in stale):
+            os.unlink(out_dir / name)
 
 
 def dump_trajectory(
@@ -302,7 +301,12 @@ def dump_trajectory(
     Only once the set is in place is every other step_*.asit in out_dir (from an earlier,
     longer trajectory) removed. The manifest has columns t, alpha_bar, file; returns its path.
     """
-    out_dir = Path(out_dir)
+    _check_type("dump_trajectory: trajectory", trajectory, list)
+    for state in trajectory:
+        _check_type("dump_trajectory: trajectory entry", state, LatentState)
+        _check_type("dump_trajectory: latent", state.x, Matrix)
+    _check_type("dump_trajectory: sched", sched, NoiseSchedule, ConfigError)
+    out_dir = _as_dir("dump_trajectory: out_dir", out_dir)
     names = [f"step_{state.t}.asit" for state in trajectory]
     files = {name: (save_tensor, state.x.a) for name, state in zip(names, trajectory)}
     files["trajectory.csv"] = (_write_csv, ["t", "alpha_bar", "file"],
@@ -400,7 +404,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     feature matrix: it is projected to queries, attended against both
     prompts, and blended cfg.layers_per_step times (each layer feeding the
     next). As the blended output never feeds the latent, the layers run once
-    per chunk of steps: the sampler writes the chunk's latents into one
+    per chunk of steps: one sampler walk writes the chunk's latents into one
     stacked block and each layer's queries are viewed as an (h, steps, m, d)
     block, so every step computes what it would alone, bit for bit, and the
     top n heads are selected per step. _CHUNK_ENTRIES bounds a chunk's size:
@@ -429,20 +433,20 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     params = dataclasses.replace(params, w_k=params.w_q, w_v=params.w_q)
 
     # Only the top latent is kept; the spatial block it was inverted from goes with inputs.
-    x = ddim_invert(inputs.spatial, noise, sched, cfg.timesteps, last_only=True)[-1].x
+    x = ddim_invert(inputs.spatial, noise, sched, cfg.timesteps, last_only=True)[-1].x.a
     del inputs
 
     rows: list[tuple] = []
     for top in range(cfg.timesteps, 0, -chunk):
         q = features = result = block = fused = None  # free the previous chunk's blocks first
         ts = range(top, max(top - chunk, 0), -1)
-        # Each step's latent goes to its rows of one block; its jump checked it finite.
-        latents = np.empty((len(ts), cfg.positions, cfg.model_dim)) if len(ts) > 1 else None
-        for i, t in enumerate(ts):
-            x = ddim_step(x, noise, t, t - 1, sched)
-            if latents is not None:
-                latents[i] = x.a
-        features = x if latents is None else Matrix._of(latents.reshape(-1, cfg.model_dim))
+        # One walk down the chunk's rungs writes each step's latent to its rows of one
+        # block, and checks the last one finite. The next chunk starts from that one, a
+        # copy where a view would keep a block of several steps alive.
+        latents = np.empty((len(ts), cfg.positions, cfg.model_dim))
+        _walk(x, noise.a, sched, range(top, ts[-1] - 2, -1), latents)
+        x = latents[-1] if len(ts) == 1 else latents[-1].copy()
+        features = Matrix._of(latents.reshape(-1, cfg.model_dim))
         del latents
         shape = (cfg.heads, len(ts), cfg.positions, cfg.head_dim)
         if cfg.apply_asi:
@@ -502,17 +506,18 @@ def _sweep_run(cfg: ExperimentConfig, param: str, raw) -> tuple[object, Experime
 def sweep(cfg: ExperimentConfig, param: str, values: list) -> list[RunReport]:
     """One run per value, each in its own subdirectory, plus a combined CSV.
 
-    Values are parsed like any other setting (see :func:`configure`), and
-    every run config is built before the first run starts; then an earlier
-    sweep.csv is removed, so a sweep that fails part-way leaves none.
+    `values` is a non-empty list or tuple. Values are parsed like any other
+    setting (see :func:`configure`), and every run config is built before
+    the first run starts; then an earlier sweep.csv is removed, so a sweep
+    that fails part-way leaves none.
     Subdirectories and CSV rows carry the parsed value. All runs share
     cfg.seed unless the sweep parameter is the seed itself. Reports come back
     in input order.
     """
     if param not in SWEEPABLE_PARAMS:
         raise ConfigError(f"unknown sweep parameter {param!r}; choose from {SWEEPABLE_PARAMS}")
-    if not values:
-        raise ConfigError("sweep needs at least one value")
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ConfigError(f"sweep needs a non-empty list of values, got {values!r}")
     runs = [_sweep_run(cfg, param, raw) for raw in values]
     (cfg.dump_dir / "sweep.csv").unlink(missing_ok=True)
     reports = [run_pipeline(run_cfg) for _, run_cfg in runs]

@@ -165,7 +165,7 @@ def _split(body, n: int, size: int, cols: int) -> None:
     statements:
 
     * Rng.normals, n blocks of the stream: count draws x 35 passes;
-    * the sampler rung (ddim._jump), n rows: entries x 7 passes;
+    * the sampler walk (ddim._walk), n rows: entries x (5 jumps + 2) passes;
     * matmul, n rows: a.size entries x b's columns;
     * sica.project_q, n heads: W_q^T's size x rows, the product W_q^T X^T;
     * harness._bypass_layers, n stacked rows: latents.size x model_dim (their

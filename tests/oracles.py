@@ -121,6 +121,14 @@ def fresh_ddim_step(x_t, eps, ab, ab_prev) -> np.ndarray:
     return np.sqrt(ab_prev) * x0 + np.sqrt(1.0 - ab_prev) * eps
 
 
+def fresh_walk(x, eps, alpha_bars) -> list[np.ndarray]:
+    """The states after each jump through alpha_bars, one fresh_ddim_step at a time."""
+    states = [np.asarray(x, dtype=float)]
+    for ab, ab_to in zip(alpha_bars[:-1], alpha_bars[1:]):
+        states.append(fresh_ddim_step(states[-1], eps, ab, ab_to))
+    return states[1:]
+
+
 def float_spatial_mask(f_c, alpha) -> np.ndarray:
     """The spatial mask as a float {0, 1} block: 0 strictly above alpha times the channel max."""
     return np.where(f_c > alpha * f_c.max(axis=1, keepdims=True), 0.0, 1.0)

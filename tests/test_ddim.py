@@ -3,8 +3,10 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from asi import numeric
+from asi import ddim, numeric
 from asi.ddim import (
     LatentState,
     NoiseSchedule,
@@ -19,7 +21,7 @@ from asi.harness import dump_trajectory
 from asi.numeric import Matrix, Rng, randn_matrix
 from asi.tensorio import load_tensor
 
-from oracles import fresh_ddim_step
+from oracles import fresh_ddim_step, fresh_walk
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -279,6 +281,88 @@ class TestBitwiseAgainstEarlierForms:
                 ab_from, ab_to = sched.bar(prev.t), sched.bar(state.t)
                 expected = fresh_ddim_step(prev.x.a, noise.a, ab_from, ab_to)
                 assert state.x.a.tobytes() == expected.tobytes()
+
+
+@st.composite
+def walk_cases(draw):
+    """(x, noise, schedule, steps, rungs): a latent of up to 9 x 9 entries and its noise,
+    a schedule of up to 12 steps, a trajectory's step count and a chunk's descending rungs."""
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    timesteps = draw(st.integers(1, 12))
+    rng = Rng(draw(st.integers(0, 2**32)))
+    x, noise = randn_matrix(rng, rows, cols), randn_matrix(rng, rows, cols)
+    top = draw(st.integers(1, timesteps))
+    jumps = draw(st.integers(1, top))
+    return (x, noise, make_schedule(timesteps), draw(st.integers(0, timesteps)),
+            range(top, top - jumps - 1, -1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=walk_cases())
+def test_every_walk_equals_one_fresh_jump_at_a_time(case):
+    # Each walk is one call of the sampler kernel: an inversion, a generation, a chunk's
+    # descent into a block and one rung. Whole, and split by rows wherever a split is
+    # possible (two rows or more).
+    x, noise, sched, steps, rungs = case
+    ab = sched.alpha_bar
+    with pytest.MonkeyPatch.context() as patch:
+        for cpus, min_split in ((1, numeric._MIN_SPLIT), (2, 1)):
+            patch.setattr(numeric, "_CPUS", cpus)
+            patch.setattr(numeric, "_MIN_SPLIT", min_split)
+            up = ddim_invert(x, noise, sched, steps)
+            down = ddim_generate(up[-1].x, noise, sched, steps)
+            for walk in (up, down):
+                expected = fresh_walk(walk[0].x.a, noise.a, [ab[state.t] for state in walk])
+                assert [state.x.a.tobytes() for state in walk[1:]] == [
+                    e.tobytes() for e in expected]
+            [top] = ddim_invert(x, noise, sched, steps, last_only=True)
+            assert top.x.a.tobytes() == up[-1].x.a.tobytes()
+            block = np.empty((len(rungs) - 1, x.rows, x.cols))
+            last = ddim._walk(x.a, noise.a, sched, rungs, block)
+            expected = fresh_walk(x.a, noise.a, ab[list(rungs)])
+            assert [state.tobytes() for state in block] == [e.tobytes() for e in expected]
+            assert last.tobytes() == expected[-1].tobytes()
+            step = ddim_step(x, noise, rungs[0], rungs[1], sched)
+            assert step.a.tobytes() == expected[0].tobytes()
+
+
+class TestWalkOverflow:
+    """A walk checks its final state alone; an overflow at any jump still ends in NonFiniteError."""
+
+    @staticmethod
+    def overflowing_at(jump, row):
+        # alpha_bar is 1 up to rung jump - 1, where each jump keeps the state, then 1/4: the
+        # jump to that rung renoises a row near the float64 limit as x / 2 + sqrt(3/4) eps,
+        # 1.23 times the limit. The other rows are 0.
+        alpha_bar = np.array([1.0] * jump + [0.25] * (6 - jump))
+        x = np.zeros((4, 3))
+        x[row] = 0.9 * np.finfo(float).max
+        return Matrix(x), NoiseSchedule(beta=np.zeros(5), alpha_bar=alpha_bar)
+
+    @pytest.mark.parametrize("row", [0, 3], ids=["caller", "helper"])  # whose half holds it
+    @pytest.mark.parametrize("jump", [1, 3, 5])
+    def test_an_overflow_at_any_jump_is_a_non_finite_error(self, monkeypatch, jump, row):
+        x, sched = self.overflowing_at(jump, row)
+        monkeypatch.setattr(numeric, "_CPUS", 2)
+        monkeypatch.setattr(numeric, "_MIN_SPLIT", 1)
+        halves = _helper_halves(monkeypatch)
+        for last_only in (False, True):  # into a block of states, or in place
+            # NumPy's warnings are errors here, so a warning on the way fails too.
+            with pytest.raises(NonFiniteError,
+                               match=r"^Matrix entries must be finite \(no NaN/Inf\)$"):
+                ddim_invert(x, x, sched, 5, last_only=last_only)
+        assert halves == [(2, 4)] * 2
+
+    def test_an_overflow_before_a_vanishing_alpha_bar_is_named_first(self):
+        x, sched = self.overflowing_at(2, 0)
+        alpha_bar = sched.alpha_bar.copy()
+        alpha_bar[3] = 0.0  # the jump from rung 3 has no clean estimate
+        sched = NoiseSchedule(beta=sched.beta, alpha_bar=alpha_bar)
+        with pytest.raises(NonFiniteError):
+            ddim_invert(x, x, sched, 5)
+        zero = Matrix(np.zeros((4, 3)))
+        with pytest.raises(ScheduleError, match="^alpha_bar vanishes at t=3;"):
+            ddim_invert(zero, zero, sched, 5)
 
 
 def make_oracle(seed=46, rows=4, cols=6):

@@ -389,6 +389,23 @@ class TestRunPipeline:
         # the previous chunk's blocks or the spatial input each puts it over 10.
         assert traced_peak(cfg) <= 10 * latent_bytes
 
+    def test_peak_memory_of_a_bypass_run_is_at_most_ten_latents_at_mid_size(self, tmp_path):
+        cfg = ExperimentConfig(heads=16, head_dim=16, positions=256, tokens=16, timesteps=10,
+                               layers_per_step=4, apply_asi=False, dump_dir=tmp_path)
+        latent_bytes = cfg.positions * cfg.model_dim * 8
+        # mid_bypass: a step is a chunk of its own. In latent-sized blocks (m x h*d float64,
+        # 512 KiB; w_q is one too, as h*d = m), the live set at the peak, in the bypass layer
+        # stack's last attention:
+        # - held all run: w_q and its transpose (2), the oracle noise and the current latent
+        #   (2), the four key/value blocks (4 t / m = 0.25);
+        # - the stack's content and style outputs (2), Q^T (1), the logits that softmax
+        #   turns into P in place (t / d = 1) and the V^T P block (1).
+        # That is 9.25 (9.5 measured). A copy of the step's latent puts it over 10; the
+        # one-jump sampler walk that makes the latent holds 2 blocks (the latent and its
+        # noise term), far below the peak.
+        run_pipeline(cfg)
+        assert traced_peak(cfg) <= 10 * latent_bytes
+
     def test_peak_memory_of_the_default_run_is_at_most_six_and_a_half_chunk_blocks(
             self, tmp_path):
         cfg = ExperimentConfig(dump_dir=tmp_path)

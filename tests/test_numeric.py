@@ -229,7 +229,7 @@ class TestContractionOrder:
         assert steps == {"small_sweep": 64, "ragged": 183, "head_dim_1": 183}.get(name, 1)
         kernels = {kernel for kernel, _, _ in handed}
         if name == "sd_block":  # merge_heads's 2 passes over 1024 x 320 entries stay whole
-            assert kernels == {"Rng.normals", "_jump", "matmul", "project_q", "asi_layer"}
+            assert kernels == {"Rng.normals", "_walk", "matmul", "project_q", "asi_layer"}
         if name == "mid_bypass":  # no blending (apply_asi is off); a 256 x 256 jump stays whole
             assert kernels == {"Rng.normals", "matmul", "_bypass_layers", "head_distances"}
         if name == "small_sweep":  # project_q's upper 4 heads, then the layer's first split

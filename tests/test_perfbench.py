@@ -36,20 +36,20 @@ HELPER_RUNS = {
     "small_sweep": (
         dict(timesteps=50),
         {"project_q", "asi_layer"},
-        {"harness.run_pipeline", "adablending.asi_layer", "sica.project_q", "ddim.ddim_step",
+        {"harness.run_pipeline", "adablending.asi_layer", "sica.project_q", "ddim.ddim_invert",
          "harness.render_mask_pgm", "tensorio.save_tensor", "numeric.matmul", "matrix_new"},
     ),
     "sd_block": (
         dict(heads=8, head_dim=40, positions=1024, tokens=77, timesteps=1),
-        {"Rng.normals", "_jump", "matmul", "project_q", "asi_layer"},
-        {"harness.run_pipeline", "adablending.asi_layer", "sica.project_q", "ddim.ddim_step",
+        {"Rng.normals", "_walk", "matmul", "project_q", "asi_layer"},
+        {"harness.run_pipeline", "adablending.asi_layer", "sica.project_q", "ddim.ddim_invert",
          "harness.synth_inputs", "numeric.matmul", "matrix_new"},
     ),
     "mid_bypass": (
         dict(heads=16, head_dim=16, positions=256, tokens=16, timesteps=1, layers_per_step=4,
              apply_asi=False),
         {"Rng.normals", "matmul", "_bypass_layers", "head_distances"},
-        {"harness.run_pipeline", "adablending.head_distances", "ddim.ddim_step",
+        {"harness.run_pipeline", "adablending.head_distances", "ddim.ddim_invert",
          "harness.synth_inputs", "sica.project_kv", "numeric.matmul", "matrix_new"},
     ),
 }

@@ -20,10 +20,12 @@ from hypothesis import strategies as st
 from asi import harness, numeric
 from asi.adablending import (BlendConfig, adain, asi_layer, blend, covariance, extract_head_mask,
                              extract_spatial_mask, fuse_masks, head_distances)
-from asi.ddim import NoiseSchedule, ddim_invert, ddim_step, forward_noise, make_schedule
+from asi.ddim import (LatentState, NoiseSchedule, ddim_invert, ddim_step, forward_noise,
+                      make_schedule)
 from asi.errors import (AsiError, ConfigError, DumpFormatError, NonFiniteError,
                         ScheduleError, ShapeError)
-from asi.harness import ExperimentConfig, configure, run_pipeline, synth_inputs
+from asi.harness import (ExperimentConfig, configure, dump_trajectory, run_pipeline, sweep,
+                         synth_inputs)
 from asi.numeric import Matrix, Rng, matmul, randn_matrix, softmax_rows
 from asi.sica import AttentionParams, merge_heads, project_kv, project_q, siamese_attend
 from asi.tensorio import load_tensor, save_tensor
@@ -430,6 +432,24 @@ def test_a_direct_kernel_call_ends_in_a_named_error(name, data):
                  id="configure-no-pair"),
     pytest.param(lambda: configure(GOOD["config"], [(["n"], "1")]),
                  ConfigError, r"^unknown config key \['n'\]$", id="configure-list-key"),
+    pytest.param(lambda: dump_trajectory(None, GOOD["sched"], "unused"),
+                 ShapeError, "^dump_trajectory: trajectory must be a list, got NoneType$",
+                 id="dump_trajectory-none"),
+    pytest.param(lambda: dump_trajectory([1], GOOD["sched"], "unused"),
+                 ShapeError, "^dump_trajectory: trajectory entry must be a LatentState, got int$",
+                 id="dump_trajectory-int-state"),
+    pytest.param(lambda: dump_trajectory([LatentState(0, GOOD["matrix"])], None, "unused"),
+                 ConfigError, "^dump_trajectory: sched must be a NoiseSchedule, got NoneType$",
+                 id="dump_trajectory-no-schedule"),
+    pytest.param(lambda: dump_trajectory([LatentState(0, None)], GOOD["sched"], "unused"),
+                 ShapeError, "^dump_trajectory: latent must be a Matrix, got NoneType$",
+                 id="dump_trajectory-no-latent"),
+    pytest.param(lambda: dump_trajectory([], GOOD["sched"], None),
+                 ConfigError,
+                 "^dump_trajectory: out_dir must be a str or a str os.PathLike, got None$",
+                 id="dump_trajectory-no-directory"),
+    pytest.param(lambda: sweep(GOOD["config"], "n", 5),
+                 ConfigError, "^sweep needs a non-empty list of values, got 5$", id="sweep-int"),
 ])
 def test_an_entry_point_names_its_bad_argument(call, error, match):
     with pytest.raises(error, match=match):
@@ -439,6 +459,23 @@ def test_an_entry_point_names_its_bad_argument(call, error, match):
 # The stages that take float blocks, with one block holding one NaN, Inf or -Inf entry.
 NON_FINITE_STAGES = ["siamese_attend", "covariance", "head_distances", "adain", "blend",
                      "asi_layer", "softmax_rows", "extract_head_mask", "merge_heads"]
+
+
+# The stages that scan their blocks' entries, with one finite entry near the float64 limit.
+LARGE_VALUE_STAGES = ["covariance", "head_distances", "adain", "blend", "extract_head_mask"]
+
+
+@pytest.mark.parametrize("name", LARGE_VALUE_STAGES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), value=st.floats(1e160, 1.7e308), sign=st.sampled_from([1.0, -1.0]))
+def test_a_block_near_the_float64_limit_ends_in_a_non_finite_error(name, data, value, sign):
+    # Its square overflows; under the suite's warnings-as-errors, a warning on the way fails.
+    kernel, roles = KERNELS[name]
+    args = [GOOD[role] for role in roles]
+    i = data.draw(st.sampled_from([i for i, role in enumerate(roles) if role == "block"]))
+    args[i] = with_entry(args[i], data.draw(st.integers(0, args[i].size - 1)), sign * value)
+    with pytest.raises(NonFiniteError):
+        kernel(*args)
 
 
 @pytest.mark.parametrize("name", NON_FINITE_STAGES)

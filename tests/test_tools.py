@@ -192,3 +192,19 @@ def test_comparison_prints_the_box_independent_counts_exactly():
         ["sd_block", "run_files", "14", "->", "14", "+0"],
         ["sd_block", "run_bytes", "missing", "in", "the", "older", "file"]]
     assert lines[-3].startswith("src_asi_lines")
+
+
+def test_comparison_prints_the_hand_offs_of_each_kernel_exactly():
+    old, new = _bench(0.5, 68.0), _bench(0.5, 68.0)
+    old["run_handoffs_by_kernel"] = {"sd_block": {"_jump": 10, "asi_layer": 20}}
+    new["run_handoffs_by_kernel"] = {"sd_block": {"_walk": 11, "asi_layer": 20},
+                                     "mid_bypass": {"_walk": 1}}
+    lines, worse = bench.compare(old, new, [SPECS["run_s.p50"]])
+    assert not worse
+    # A kernel that one file lacks hands off 0 there.
+    assert [line.split() for line in lines[1:5]] == [
+        ["mid_bypass", "run_handoffs_by_kernel", "missing", "in", "the", "older", "file"],
+        ["sd_block", "handoffs", "_jump", "10", "->", "0", "-10"],
+        ["sd_block", "handoffs", "_walk", "0", "->", "11", "+11"],
+        ["sd_block", "handoffs", "asi_layer", "20", "->", "20", "+0"]]
+    assert lines[5].startswith("src_asi_lines")

@@ -20,8 +20,9 @@ also holds the HEAD it was measured on and whether ``src``, ``perfbench`` or
 ``--compare`` prints, for each workload and end-to-end metric, the relative
 change against the older file next to the bound ``BENCHMARK.json`` allows,
 then each workload's box-independent counts from ``tools/peak_traced.py``
-(``run_handoffs``, ``run_files``, ``run_bytes``) exactly, and the change in
-line, code-line and name counts. It exits 1 when a metric is worse than its bound.
+(``run_handoffs``, ``run_files``, ``run_bytes``, and ``run_handoffs_by_kernel``
+one kernel a line) exactly, and the change in line, code-line and name counts.
+It exits 1 when a metric is worse than its bound.
 Needs Python, NumPy and git; with ``--seconds 30`` a measurement takes
 several minutes.
 """
@@ -52,11 +53,16 @@ NOTES = [
     "and the blend through private kernels in its own two head splits, so sica.siamese_attend.*, "
     "adablending.head_distances, extract_spatial_mask, fuse_masks and blend read 0; their time "
     "counts in adablending.asi_layer.self_s.",
+    "ddim.ddim_step.* reads 0: the run's descent calls the private sampler kernel (ddim._walk), "
+    "one walk per chunk of steps, and its time counts in harness.run_pipeline.self_s. "
+    "ddim.ddim_invert.total_s is the inversion's one walk.",
 ]
 
 
-# tools/peak_traced.py's per-workload counts that do not depend on the box.
+# tools/peak_traced.py's per-workload counts that do not depend on the box; the hand-offs
+# by kernel are {kernel: count} per workload.
 COUNTS = ("run_handoffs", "run_files", "run_bytes")
+BY_KERNEL = "run_handoffs_by_kernel"
 
 
 def parse_run_output(text: str) -> tuple[dict, dict]:
@@ -194,6 +200,14 @@ def compare(old: dict, new: dict, end_to_end: list[dict]) -> tuple[list[str], bo
             a, b = old.get(key, {}).get(workload), new[key][workload]
             lines.append(f"{workload:<12} {key:<18} " + (
                 "missing in the older file" if a is None else f"{a:>12} -> {b:<12} {b - a:+d}"))
+    for workload, kernels in sorted(new.get(BY_KERNEL, {}).items()):
+        older = old.get(BY_KERNEL, {}).get(workload)
+        if older is None:
+            lines.append(f"{workload:<12} {BY_KERNEL} missing in the older file")
+            continue
+        for kernel in sorted(older.keys() | kernels.keys()):  # a kernel absent hands off 0
+            a, b = older.get(kernel, 0), kernels.get(kernel, 0)
+            lines.append(f"{workload:<12} {'handoffs ' + kernel:<18} {a:>12} -> {b:<12} {b - a:+d}")
     for key in ("src_asi_lines", "src_asi_code_lines", "all_names"):
         a, b = old.get(key), new[key]
         lines.append(f"{key:<31} " + (

@@ -13,6 +13,7 @@ the process. One JSON line goes to stdout::
     {"run_peak_traced_mb": {"<workload>": <MiB>, ...},
      "run_minor_faults": {"<workload>": <count>, ...},
      "run_handoffs": {"<workload>": <count>, ...},
+     "run_handoffs_by_kernel": {"<workload>": {"<kernel>": <count>, ...}, ...},
      "run_files": {"<workload>": <count>, ...},
      "run_bytes": {"<workload>": <bytes>, ...}}
 
@@ -27,11 +28,14 @@ untraced last run: the pages it had to map afresh, which a run that reuses
 the memory it freed keeps near 0. It is a Linux figure; other systems may
 count faults otherwise or not at all.
 
-The last three are counts that do not depend on the box. ``run_handoffs``
+The last four are counts that do not depend on the box. ``run_handoffs``
 is the number of halves the warm-up run hands to the helper thread's pool,
 counted at ``ThreadPoolExecutor.submit`` with the kernels splitting as on a
-2-CPU host, whatever this one has. ``run_files`` and ``run_bytes`` are the
-files in the dump directory after the last run, and their bytes.
+2-CPU host, whatever this one has; ``run_handoffs_by_kernel`` splits that
+count by the kernel whose body the half runs (the split body's name, such
+as ``_walk``, the sampler, or ``asi_layer``). ``run_files`` and
+``run_bytes`` are the files in the dump directory after the last run, and
+their bytes.
 
 Artifacts go to a temporary directory (``$TMPDIR``) that is removed
 afterwards, and no bytecode is cached, so the tree is left as it was.
@@ -39,6 +43,7 @@ afterwards, and no bytecode is cached, so the tree is left as it was.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import json
 import resource
@@ -58,14 +63,14 @@ from workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
 
 @contextlib.contextmanager
 def counting_handoffs():
-    """A list that gains one entry per half handed to the helper's pool, while
-    the kernels split as on a 2-CPU host."""
-    handed: list[int] = []
+    """A list that gains the kernel's name of each half handed to the helper's
+    pool, while the kernels split as on a 2-CPU host."""
+    handed: list[str] = []
     submit, cpus = ThreadPoolExecutor.submit, numeric._CPUS
 
     def counted(self, fn, *args, **kwargs):
         if args and args[0] is numeric._run_half:  # run in a copy of the caller's context
-            handed.append(1)
+            handed.append(args[1].__qualname__.split(".<locals>")[0])  # the body's kernel
         return submit(self, fn, *args, **kwargs)
 
     ThreadPoolExecutor.submit, numeric._CPUS = counted, 2
@@ -75,11 +80,11 @@ def counting_handoffs():
         ThreadPoolExecutor.submit, numeric._CPUS = submit, cpus
 
 
-def measure(name: str) -> dict[str, float]:
+def measure(name: str) -> dict[str, object]:
     """Workload `name`'s first config: the tracemalloc peak, in MiB, of one
     run after an untraced warm-up run, the minor page faults of a third,
-    untraced run, the warm-up's hand-offs and the dump directory's files and
-    bytes."""
+    untraced run, the warm-up's hand-offs, in all and by kernel, and the dump
+    directory's files and bytes."""
     _, overrides = WORKLOADS[name].configs(DEFAULT_SEED)[0]
     with tempfile.TemporaryDirectory() as out:
         cfg = cli.parse_config(None, [*overrides, f"dump_dir={out}"])
@@ -96,7 +101,9 @@ def measure(name: str) -> dict[str, float]:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         files = [p for p in Path(out).iterdir() if p.is_file()]
         return {"run_peak_traced_mb": round(peak, 3), "run_minor_faults": faults,
-                "run_handoffs": len(handed), "run_files": len(files),
+                "run_handoffs": len(handed),
+                "run_handoffs_by_kernel": dict(sorted(collections.Counter(handed).items())),
+                "run_files": len(files),
                 "run_bytes": sum(p.stat().st_size for p in files)}
 
 
