@@ -106,15 +106,15 @@ def _cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 def _cmd_ddim_roundtrip(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     rng = Rng(cfg.seed)
-    x0 = randn_matrix(rng, cfg.positions, cfg.model_dim)
-    noise = randn_matrix(rng, cfg.positions, cfg.model_dim)
+    x0 = randn_matrix(rng, cfg.positions, cfg.model_dim).a
+    noise = randn_matrix(rng, cfg.positions, cfg.model_dim).a
     sched = make_schedule(cfg.timesteps)
     upward = ddim_invert(x0, noise, sched, cfg.timesteps)
     downward = ddim_generate(upward[-1].x, noise, sched, cfg.timesteps)
     if args.dump:
         manifest = dump_trajectory(upward, sched, cfg.dump_dir / "trajectory")
         print(f"trajectory manifest: {manifest}")
-    error = float(abs(downward[-1].x.a - x0.a).max())
+    error = float(abs(downward[-1].x - x0).max())
     print(f"max roundtrip error over {cfg.timesteps} steps: {error!r}")
     if error >= ROUNDTRIP_TOLERANCE:
         print(f"FAIL: roundtrip error >= {ROUNDTRIP_TOLERANCE}", file=sys.stderr)

@@ -10,13 +10,17 @@ identity here exactly testable.
 Timesteps are 1-based: t runs over [1, T], and alpha_bar[0] = 1 is the
 clean-image boundary.
 
-Every walk is one call of one private kernel: a single update
+Latents and noise are 2-D float64 arrays, checked by
+:func:`asi.numeric._check_array` where they enter; every latent returned is
+read-only. Every walk is one call of one private kernel: a single update
 (:func:`ddim_step`), the inversion and generation trajectories, and each
 chunk of a run's descent. The kernel jumps through a list of rungs, writing
 each state into a caller's block or one buffer in place, splits once by
 rows over two threads (see :func:`asi.numeric._split`), and checks only the
 final state finite: a NaN or Inf entry never becomes finite again on the
-way. The public functions check their arguments and wrap the kernel.
+way. Its NonFiniteError names the function and the latent
+("ddim_step: latent"). The public functions check their arguments and call
+the kernel; :func:`forward_noise` follows its rule, too.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ScheduleError, ShapeError, TimestepError
-from .numeric import Matrix, _check_array, _check_finite, _check_type, _is_int, _split
+from .numeric import _check_array, _check_finite, _check_type, _is_int, _readonly, _split
 
 __all__ = [
     "NoiseSchedule",
@@ -90,29 +94,35 @@ def make_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> N
 
 @dataclass(frozen=True)
 class LatentState:
-    """A latent matrix tagged with its timestep."""
+    """A latent, a read-only 2-D float64 array, tagged with its timestep."""
 
     t: int
-    x: Matrix
+    x: np.ndarray
 
 
-def _check_walk(what: str, x: Matrix, eps: Matrix, sched: NoiseSchedule) -> None:
-    # A latent and its noise, Matrix blocks of one shape, and the schedule they move on.
+def _check_walk(what: str, x: np.ndarray, eps: np.ndarray, sched: NoiseSchedule) -> None:
+    # A latent and its noise, 2-D float64 arrays of one shape, and the schedule they move on.
     for name, a in (("latent", x), ("noise", eps)):
-        _check_type(f"{what}: {name}", a, Matrix)
-    if (x.rows, x.cols) != (eps.rows, eps.cols):
-        raise ShapeError(f"{what}: shapes differ, {x.rows}x{x.cols} vs {eps.rows}x{eps.cols}")
+        _check_array(f"{what}: {name}", a, least=2, most=2)
+    if x.shape != eps.shape:
+        raise ShapeError(f"{what}: noise is {eps.shape}, the latent {x.shape}")
     _check_type(f"{what}: sched", sched, NoiseSchedule, ConfigError)
 
 
-def forward_noise(x0: Matrix, t: int, eps: Matrix, sched: NoiseSchedule) -> Matrix:
-    """Closed-form jump to timestep t: x_t = sqrt(ab_t) x0 + sqrt(1 - ab_t) eps."""
+def forward_noise(x0: np.ndarray, t: int, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
+    """Closed-form jump to timestep t: x_t = sqrt(ab_t) x0 + sqrt(1 - ab_t) eps.
+
+    A NaN or Inf entry, or an overflow near the float64 limit, is a
+    NonFiniteError, raised without NumPy's warning, as in a walk.
+    """
     _check_walk("forward_noise", x0, eps, sched)
     ab = sched.bar(t)
-    return Matrix(np.sqrt(ab) * x0.a + np.sqrt(1.0 - ab) * eps.a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+    return _readonly(_check_finite(x_t, "forward_noise: latent"))
 
 
-def _walk(x: np.ndarray, eps: np.ndarray, sched: NoiseSchedule, rungs: Sequence[int],
+def _walk(what: str, x: np.ndarray, eps: np.ndarray, sched: NoiseSchedule, rungs: Sequence[int],
           out: np.ndarray | None = None) -> np.ndarray:
     # The sampler kernel: jump x, the latent at rungs[0], through every later rung in one
     # call, each jump re-estimating the clean input at its rung and renoising it to the
@@ -124,11 +134,12 @@ def _walk(x: np.ndarray, eps: np.ndarray, sched: NoiseSchedule, rungs: Sequence[
     # a jump, the first estimate term and the check. Only the final state is checked:
     # every jump divides by sqrt(ab) > 0, multiplies by a finite coefficient and adds a
     # finite product, so a NaN or Inf entry never becomes finite again (NumPy's warnings
-    # on the way are ignored). The callers have checked the operands.
+    # on the way are ignored), and its NonFiniteError names `what`. The callers have checked
+    # the operands.
     bars = sched.alpha_bar[list(rungs)]
     if 0.0 in bars[:-1]:  # an overflow on the way to that rung is named first
         k = list(bars).index(0.0)
-        _walk(x, eps, sched, rungs[:k + 1], out)
+        _walk(what, x, eps, sched, rungs[:k + 1], out)
         raise ScheduleError(f"alpha_bar vanishes at t={rungs[k]}; clean estimate undefined")
     root, coef = np.sqrt(bars), np.sqrt(1.0 - bars)
     out = np.empty((1, *x.shape)) if out is None else out
@@ -144,45 +155,47 @@ def _walk(x: np.ndarray, eps: np.ndarray, sched: NoiseSchedule, rungs: Sequence[
             np.multiply(coef[i + 1], e, out=term)
             dst += term
             state = dst
-        _check_finite(state)
+        _check_finite(state, what)
 
     with np.errstate(over="ignore", invalid="ignore"):
         _split(body, len(x), x.size, 5 * (len(bars) - 1) + 2)
     return out[-1]
 
 
-def ddim_step(x_t: Matrix, eps_pred: Matrix, t: int, t_prev: int, sched: NoiseSchedule) -> Matrix:
+def ddim_step(x_t: np.ndarray, eps_pred: np.ndarray, t: int, t_prev: int,
+              sched: NoiseSchedule) -> np.ndarray:
     """One deterministic sampler update from t down to t_prev, exactly invertible.
 
     x_prev = sqrt(ab_prev) * x0_hat + sqrt(1 - ab_prev) * eps
     """
-    _check_walk("latent vs noise", x_t, eps_pred, sched)
+    _check_walk("ddim_step", x_t, eps_pred, sched)
     if not (_is_int(t) and _is_int(t_prev) and 0 <= t_prev < t <= sched.steps):
         raise TimestepError(f"need integers 0 <= t_prev < t <= {sched.steps}, "
                             f"got t={t!r}, t_prev={t_prev!r}")
-    return Matrix._of(_walk(x_t.a, eps_pred.a, sched, [t, t_prev]))
+    return _readonly(_walk("ddim_step: latent", x_t, eps_pred, sched, [t, t_prev]))
 
 
 def _trajectory(
-    x: Matrix, eps: Matrix, sched: NoiseSchedule, steps: int, upward: bool,
+    what: str, x: np.ndarray, eps: np.ndarray, sched: NoiseSchedule, steps: int, upward: bool,
     last_only: bool = False,
 ) -> list[LatentState]:
     # Evenly spaced rungs from 0 to T inclusive, climbed or descended in one walk; with
-    # last_only, the final state alone.
-    _check_walk("latent vs noise", x, eps, sched)  # also when no jump would compare them
+    # last_only, the final state alone. The first state is a read-only view of x.
+    _check_walk(what, x, eps, sched)  # also when no jump would compare them
     if not _is_int(steps) or not 0 <= steps <= sched.steps:
         raise ConfigError(f"steps must be an integer in [0, {sched.steps}], got {steps!r}")
-    if not steps:
-        return [LatentState(0, x)]
+    if not steps:  # no walk checks the latent returned
+        _check_finite(x, f"{what}: latent")
+        return [LatentState(0, _readonly(x.view()))]
     rungs = [round(i * sched.steps / steps) for i in range(steps + 1)][::1 if upward else -1]
-    states = np.empty((1 if last_only else steps, x.rows, x.cols))
-    _walk(x.a, eps.a, sched, rungs, states)
-    walked = [LatentState(t, Matrix._of(state)) for t, state in zip(rungs[-len(states):], states)]
-    return walked if last_only else [LatentState(rungs[0], x), *walked]
+    states = np.empty((1 if last_only else steps, *x.shape))
+    _walk(f"{what}: latent", x, eps, sched, rungs, states)
+    walked = [LatentState(t, state) for t, state in zip(rungs[-len(states):], _readonly(states))]
+    return walked if last_only else [LatentState(rungs[0], _readonly(x.view())), *walked]
 
 
 def ddim_invert(
-    x0: Matrix, eps: Matrix, sched: NoiseSchedule, steps: int, *,
+    x0: np.ndarray, eps: np.ndarray, sched: NoiseSchedule, steps: int, *,
     last_only: bool = False,
 ) -> list[LatentState]:
     """Walk the deterministic update upward, producing the latent trajectory.
@@ -193,15 +206,15 @@ def ddim_invert(
     keeps only its latest state, so its memory does not grow with `steps`,
     and the list holds the final state alone.
     """
-    return _trajectory(x0, eps, sched, steps, upward=True, last_only=last_only)
+    return _trajectory("ddim_invert", x0, eps, sched, steps, upward=True, last_only=last_only)
 
 
 def ddim_generate(
-    x_start: Matrix, eps: Matrix, sched: NoiseSchedule, steps: int
+    x_start: np.ndarray, eps: np.ndarray, sched: NoiseSchedule, steps: int
 ) -> list[LatentState]:
     """Walk the deterministic update downward from the topmost ladder rung.
 
     The exact functional inverse of :func:`ddim_invert` over the same rungs;
     returns steps + 1 states ending at t = 0.
     """
-    return _trajectory(x_start, eps, sched, steps, upward=False)
+    return _trajectory("ddim_generate", x_start, eps, sched, steps, upward=False)

@@ -19,7 +19,6 @@ and the trajectory dump. The same config always gives byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import dataclasses
 import fnmatch
@@ -37,8 +36,8 @@ from .adablending import BlendConfig, asi_layer, head_distances
 # ddim_step is unused here, but the benchmark tracer wraps harness.ddim_step.
 from .ddim import LatentState, NoiseSchedule, _walk, ddim_invert, ddim_step, make_schedule
 from .errors import AsiError, ConfigError, ShapeError
-from .numeric import (Matrix, Rng, _as_number, _check_finite, _check_type, _is_int, _readonly,
-                      _split, randn_matrix)
+from .numeric import (Matrix, Rng, _as_number, _check_array, _check_finite, _check_type, _is_int,
+                      _readonly, _split, randn_matrix)
 # siamese_attend is unused here, but the benchmark tracer wraps harness.siamese_attend.
 from .sica import (AttentionParams, _project, _sica, merge_heads, project_kv, project_q,
                    siamese_attend)
@@ -162,13 +161,17 @@ def configure(cfg: ExperimentConfig, settings: Iterable[tuple[str, object]]) -> 
 
 @dataclass(frozen=True)
 class SynthInputs:
-    """Seeded tensors for one run; see :func:`synth_inputs` for the draw order."""
+    """Seeded tensors for one run; see :func:`synth_inputs` for the draw order.
 
-    spatial: Matrix
+    The spatial features and the latent noise are read-only 2-D float64 arrays; the prompts
+    are the Matrix values that project_kv multiplies.
+    """
+
+    spatial: np.ndarray
     content_prompt: Matrix
     style_prompt: Matrix
     params: AttentionParams
-    latent_noise: Matrix
+    latent_noise: np.ndarray
 
 
 def synth_inputs(cfg: ExperimentConfig) -> SynthInputs:
@@ -188,11 +191,11 @@ def synth_inputs(cfg: ExperimentConfig) -> SynthInputs:
     scale = md**-0.5
     w_q, w_k, w_v = (Matrix(randn_matrix(rng, md, md).a * scale) for _ in range(3))
     params = AttentionParams(w_q=w_q, w_k=w_k, w_v=w_v, heads=cfg.heads, head_dim=cfg.head_dim)
-    spatial = randn_matrix(rng, cfg.positions, md)
+    spatial = randn_matrix(rng, cfg.positions, md).a
     content = randn_matrix(rng, cfg.tokens, md)
     delta = randn_matrix(rng, cfg.tokens, md)
     style = content if cfg.perturbation == 0 else Matrix(content.a + cfg.perturbation * delta.a)
-    latent_noise = randn_matrix(rng, cfg.positions, md)
+    latent_noise = randn_matrix(rng, cfg.positions, md).a
     return SynthInputs(spatial, content, style, params, latent_noise)
 
 
@@ -252,12 +255,11 @@ def _mask_files(masks: Sequence[np.ndarray] | None) -> dict:
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    # The rows hold Python floats, which csv writes as repr: the shortest text that reads
-    # back exactly.
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    # One text, header first, "\r\n" after each row, written in one call. No field needs
+    # quoting: each is a number or a fixed name. The rows hold Python floats, whose str is
+    # their repr: the shortest text that reads back exactly.
+    path.write_text("".join(",".join(map(str, row)) + "\r\n" for row in (header, *rows)),
+                    newline="")
 
 
 def _publish(out_dir: Path, files: dict, stale: Sequence[str] = ()) -> None:
@@ -304,11 +306,11 @@ def dump_trajectory(
     _check_type("dump_trajectory: trajectory", trajectory, list)
     for state in trajectory:
         _check_type("dump_trajectory: trajectory entry", state, LatentState)
-        _check_type("dump_trajectory: latent", state.x, Matrix)
+        _check_array("dump_trajectory: latent", state.x, least=2, most=2)
     _check_type("dump_trajectory: sched", sched, NoiseSchedule, ConfigError)
     out_dir = _as_dir("dump_trajectory: out_dir", out_dir)
     names = [f"step_{state.t}.asit" for state in trajectory]
-    files = {name: (save_tensor, state.x.a) for name, state in zip(names, trajectory)}
+    files = {name: (save_tensor, state.x) for name, state in zip(names, trajectory)}
     files["trajectory.csv"] = (_write_csv, ["t", "alpha_bar", "file"],
                                [(state.t, sched.bar(state.t), name)
                                 for state, name in zip(trajectory, names)])
@@ -353,8 +355,9 @@ def _bypass_layers(latents: np.ndarray, params: AttentionParams, kv: tuple, laye
     # With blending off, one chunk's layer stack: the content track's final output and
     # the style track of the final queries, as (h, steps, m, d) blocks. Every stage reads
     # only its own query rows, so the stack splits once, by rows; each half checks its
-    # projections and merged outputs finite. Under 4 rows it runs whole, as a half of one
-    # row would attend in another order (see _split).
+    # projections finite. A content track's output needs no check: each entry is a
+    # softmax-weighted mean of V_c rows, which matmul checked. Under 4 rows the stack runs
+    # whole, as a half of one row would attend in another order (see _split).
     h, _, _, d = shape
     content, style = np.empty((2, h, len(latents), d))
     wt = params._w_qt  # made here, once, not in each half
@@ -362,13 +365,11 @@ def _bypass_layers(latents: np.ndarray, params: AttentionParams, kv: tuple, laye
     def body(lo: int, hi: int) -> None:
         xt = np.ascontiguousarray(latents[lo:hi].T)  # X^T; a layer's V^T P is the next X^T
         for left in range(layers, 0, -1):
-            qt = _project(wt, xt.reshape(h * d, -1)).reshape(h, d, -1)
+            qt = _project(wt, xt.reshape(h * d, -1), what="run_pipeline: queries").reshape(h, d, -1)
             del xt  # once Q^T = W_q^T X^T is made
             if left > 1:
                 xt = _sica(qt, *kv[2:], qt)  # written over Q^T, once the logits have read it
-                _check_finite(xt)
         content[:, lo:hi] = _sica(qt, *kv[2:]).transpose(0, 2, 1)
-        _check_finite(content[:, lo:hi])
         style[:, lo:hi] = _sica(qt, *kv[:2], qt).transpose(0, 2, 1)
 
     _split(body, len(latents), latents.size, h * d if len(latents) >= 4 else 1)
@@ -410,7 +411,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     top n heads are selected per step. _CHUNK_ENTRIES bounds a chunk's size:
     the default run's 50 steps are one chunk, an SD-sized step is a chunk of
     its own. A chunk's final layer output is checked finite, not merged back
-    into a matrix that no one reads. With blending off, only the content
+    into an array that no one reads. With blending off, only the content
     track feeds the next layer, and a chunk's whole layer stack runs as one
     split by rows (_bypass_layers), ending with the style track of the final
     queries. The blended output of the final step's final layer is dumped
@@ -433,7 +434,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     params = dataclasses.replace(params, w_k=params.w_q, w_v=params.w_q)
 
     # Only the top latent is kept; the spatial block it was inverted from goes with inputs.
-    x = ddim_invert(inputs.spatial, noise, sched, cfg.timesteps, last_only=True)[-1].x.a
+    x = ddim_invert(inputs.spatial, noise, sched, cfg.timesteps, last_only=True)[-1].x
     del inputs
 
     rows: list[tuple] = []
@@ -444,9 +445,9 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
         # block, and checks the last one finite. The next chunk starts from that one, a
         # copy where a view would keep a block of several steps alive.
         latents = np.empty((len(ts), cfg.positions, cfg.model_dim))
-        _walk(x, noise.a, sched, range(top, ts[-1] - 2, -1), latents)
+        _walk("run_pipeline: latent", x, noise, sched, range(top, ts[-1] - 2, -1), latents)
         x = latents[-1] if len(ts) == 1 else latents[-1].copy()
-        features = Matrix._of(latents.reshape(-1, cfg.model_dim))
+        features = latents.reshape(-1, cfg.model_dim)
         del latents
         shape = (cfg.heads, len(ts), cfg.positions, cfg.head_dim)
         if cfg.apply_asi:
@@ -457,7 +458,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
                 if left > 1:
                     features = merge_heads(result.f_out)
             block, distances, fused = result.f_out, result.distances, result.fused_mask
-            _check_finite(block)  # as the merge no one reads would; the last layer skips it
+            _check_finite(block, "run_pipeline: layer output")  # as the skipped merge would
             # The chunk's report columns at once; only a step whose preserved entries moved
             # is gathered.
             fractions = (np.count_nonzero(fused, axis=(0, 2, 3)) / fused[:, 0].size).tolist()
@@ -465,7 +466,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
             mses = [_preserved_mse(fused[:, i], block[:, i], result.f_c[:, i]) if changed[i]
                     else 0.0 for i in range(len(ts))]
         else:
-            block, style = _bypass_layers(features.a, params, kv, cfg.layers_per_step, shape)
+            block, style = _bypass_layers(features, params, kv, cfg.layers_per_step, shape)
             features = None
             distances = head_distances(style, block)
             del style

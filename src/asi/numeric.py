@@ -10,15 +10,16 @@ alone decides whether work splits, and whose docstring lists the stages
 that split and how each states its work).
 
 The first split makes the pool (importing the package starts no thread),
-and a forked child makes its own. :class:`Matrix` is the validated 2-D type
-at the edges (inputs, weights, latents, keys, values and merged layer
-outputs); a kernel that made and checked a fresh block wraps it without a
-copy. The layer kernels work on plain read-only arrays, whole feature
-blocks at a time. The row softmax alone writes its argument: it normalizes
-attention's own logits buffer in place. Every block argument of the package
-passes one check, :func:`_check_array` (an ndarray of one dtype, with a
-range of dimensions and no empty axis), whose ShapeError names the function
-and the argument.
+and a forked child makes its own. Data moves through the package as plain
+read-only float64 arrays: latents, queries and merged layer outputs are 2-D,
+feature blocks (heads, ..., positions, head_dim). :class:`Matrix` is left
+only where :func:`matmul` reads it: the attention weights and prompts it
+multiplies, and the draws of :func:`randn_matrix`. The row softmax alone
+writes its argument: it normalizes attention's own logits buffer in place.
+Every array argument of the package passes one check, :func:`_check_array`
+(an ndarray of one dtype, with a range of dimensions and no empty axis),
+whose ShapeError names the function and the argument, as does every
+NonFiniteError.
 """
 
 from __future__ import annotations
@@ -62,8 +63,7 @@ class Matrix:
             raise ShapeError(f"Matrix entries must be real numbers, got dtype {a.dtype}")
         a = np.array(a, dtype=np.float64, order="C", copy=True)
         _check_array("Matrix: values", a, least=2, most=2)
-        _check_finite(a)
-        self._a = _readonly(a)
+        self._a = _readonly(_check_finite(a, "Matrix: values"))
 
     @classmethod
     def _of(cls, a: np.ndarray) -> Matrix:
@@ -103,10 +103,12 @@ def _check_array(what: str, x, dtype=np.float64, least: int = 2, most: int = 64)
         raise ShapeError(f"{what} needs {least} to {most} non-empty dimensions, got {x.shape}")
 
 
-def _check_finite(a: np.ndarray, what: str = "Matrix entries") -> None:
-    # A split kernel checks its own rows inside its halves, with this message.
+def _check_finite(a: np.ndarray, what: str) -> np.ndarray:
+    # Return `a`, checked: NaN or Inf in it is a NonFiniteError naming the function and the
+    # argument, or what the function made.
     if not np.isfinite(a).all():
         raise NonFiniteError(f"{what} must be finite (no NaN/Inf)")
+    return a
 
 
 def _check_type(what: str, x, cls: type, error: type = ShapeError) -> None:
@@ -245,7 +247,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     out = np.empty((a.rows, b.cols))
 
     def body(lo: int, hi: int) -> None:
-        _check_finite(_contract(a.a[lo:hi], b.a, out[lo:hi]))
+        _check_finite(_contract(a.a[lo:hi], b.a, out[lo:hi]), "matmul: a @ b")
 
     _split(body, a.rows, a.a.size, b.cols)
     return Matrix._of(out)
@@ -262,14 +264,17 @@ def softmax_rows(a: np.ndarray) -> np.ndarray:
     max leaves every exponential as it is), the subtraction, exponential and
     division are elementwise, and the row sums are those NumPy gives a
     C-ordered copy (:func:`_row_sums`). Every output row sums to 1 (within
-    float64 rounding) and all entries lie in (0, 1]. NaN or Inf input is a
+    float64 rounding) and all entries lie in [0, 1]: a logit more than the
+    float64 range below its row's max gets exactly 0, with no warning, as
+    ``[[1e308, -1e308]]`` gives ``[[1.0, 0.0]]``. NaN or Inf input is a
     NonFiniteError, raised before the array is written.
     """
     _check_array("softmax_rows: a", a, least=1)
     if not a.flags.writeable:
         raise ShapeError("softmax_rows works in place: needs a writable array, got a read-only one")
     _check_finite(a, "softmax_rows: a")
-    return _softmax(a)
+    with np.errstate(over="ignore"):  # the max subtraction's -Inf gives exp's exact 0
+        return _softmax(a)
 
 
 def _softmax(a: np.ndarray) -> np.ndarray:

@@ -11,14 +11,18 @@ with d the per-head channel dimension.
 
 Feature blocks are plain NumPy arrays of shape (heads, positions, head_dim):
 float64, read-only and C-contiguous, the queries aside (below). Functions
-here return blocks of that kind. The shared queries are checked once per
+here return blocks of that kind. The spatial features that
+:func:`project_q` takes and the positions x model_dim array that
+:func:`merge_heads` returns are read-only 2-D float64 arrays too; only the
+weights and the prompts, which :func:`asi.numeric.matmul` multiplies, are
+:class:`asi.numeric.Matrix` values. The shared queries are checked once per
 call, then each track's keys and values (:func:`_check_tracks`, through
-:func:`asi.numeric._check_array`). The run checks finiteness where data
-becomes a :class:`Matrix` (inputs, keys, values, layer outputs) and in the
-query projection; :func:`siamese_attend`, which no run calls, scans its
-blocks for NaN/Inf where they enter. Head i owns channels [i*d, (i+1)*d) of
-the flat model dimension; this split convention is part of the dump format
-contract and must not change.
+:func:`asi.numeric._check_array`). Finiteness is checked where values are
+made: the keys and values by matmul, the queries by the projection, a
+merged block by :func:`merge_heads`; :func:`siamese_attend`, which no run
+calls, scans its blocks for NaN/Inf where they enter. Head i owns channels
+[i*d, (i+1)*d) of the flat model dimension; this split convention is part
+of the dump format contract and must not change.
 
 :func:`siamese_attend` and :func:`merge_heads` also take (heads, ...,
 positions, head_dim) blocks, such as the pipeline's (h, steps, m, d) queries
@@ -99,49 +103,49 @@ class AttentionParams:
         return _readonly(np.ascontiguousarray(self.w_q.a.T))
 
 
-def _split_heads(flat: Matrix, heads: int) -> np.ndarray:
+def _split_heads(flat: np.ndarray, heads: int) -> np.ndarray:
     # m x (h*d) -> (h, m, d); AttentionParams makes the channel count h*d.
-    m, md = flat.a.shape
-    return _readonly(np.ascontiguousarray(flat.a.reshape(m, heads, md // heads).transpose(1, 0, 2)))
+    m, md = flat.shape
+    return _readonly(np.ascontiguousarray(flat.reshape(m, heads, md // heads).transpose(1, 0, 2)))
 
 
-def merge_heads(block: np.ndarray) -> Matrix:
-    """Inverse of the head split: an (h, ..., m, d) block back to a (... * m) x (h*d) matrix.
+def merge_heads(block: np.ndarray) -> np.ndarray:
+    """Inverse of the head split: an (h, ..., m, d) block back to a (... * m) x (h*d) array.
 
     Middle axes stack row-wise: an (h, steps, m, d) block gives each step's
-    m rows after the last step's.
+    m rows after the last step's. The array is read-only and C-contiguous.
     """
     _check_array("merge_heads: block", block, least=3)
     h, d = block.shape[0], block.shape[-1]
-    out = block.reshape(h, -1, d).transpose(1, 0, 2).copy()
-    _check_finite(out)  # one transposing copy, then its check
-    return Matrix._of(out.reshape(-1, h * d))
+    out = block.reshape(h, -1, d).transpose(1, 0, 2).copy()  # one transposing copy, checked
+    return _readonly(_check_finite(out, "merge_heads: block").reshape(-1, h * d))
 
 
-def project_q(spatial: Matrix, params: AttentionParams) -> np.ndarray:
+def project_q(spatial: np.ndarray, params: AttentionParams) -> np.ndarray:
     """Project spatial features to per-head queries: Q = spatial @ w_q, then split.
 
-    Q is made once, as the C-ordered (h, d, m) Q^T, and shared as its view.
+    spatial is a positions x model_dim float64 array. Q is made once, as the
+    C-ordered (h, d, m) Q^T, and shared as its view.
     """
-    _check_type("project_q: spatial", spatial, Matrix)
+    _check_array("project_q: spatial", spatial, least=2, most=2)
     _check_type("project_q: params", params, AttentionParams, ConfigError)
-    if spatial.cols != params.model_dim:
-        raise ShapeError(f"spatial features are {spatial.rows}x{spatial.cols}, "
-                         f"expected {params.model_dim} channels")
-    h, d, rows = params.heads, params.head_dim, spatial.rows
-    if rows == 1:  # Q^T is then Q, whose one-column product einsum would not sum in k order
-        return matmul(spatial, params.w_q).a.reshape(h, d, 1).transpose(0, 2, 1)
-    wt, xt, qt = params._w_qt, np.ascontiguousarray(spatial.a.T), np.empty((h * d, rows))
+    (rows, cols), h, d = spatial.shape, params.heads, params.head_dim
+    if cols != params.model_dim:
+        raise ShapeError(f"project_q: spatial is {rows}x{cols}, expected {h * d} channels")
+    if rows == 1:  # Q^T has Q's bytes; its one-column form would not sum in k order
+        return _readonly(_project(spatial, params.w_q.a)).reshape(h, d, 1).transpose(0, 2, 1)
+    wt, xt, qt = params._w_qt, np.ascontiguousarray(spatial.T), np.empty((h * d, rows))
     _split(lambda lo, hi: _project(wt[lo * d:hi * d], xt, qt[lo * d:hi * d]), h, wt.size, rows)
     return _readonly(qt).reshape(h, d, rows).transpose(0, 2, 1)
 
 
-def _project(wt: np.ndarray, xt: np.ndarray, qt: np.ndarray | None = None) -> np.ndarray:
-    # The one query projection, rows of W_q^T times X^T (two or more columns), both C-ordered,
-    # into `qt` or a fresh block, checked finite. As k is innermost in W_q^T alone, each entry
-    # sums W_q[k, j] X[i, k] in k order, as X W_q does.
-    _check_finite(qt := _contract(wt, xt, qt))
-    return qt
+def _project(wt: np.ndarray, xt: np.ndarray, qt: np.ndarray | None = None,
+             what: str = "project_q: spatial") -> np.ndarray:
+    # The one query projection: rows of W_q^T times X^T (two or more columns), both C-ordered,
+    # or one row X times W_q, into `qt` or a fresh block, checked finite, an error naming
+    # `what`. As k is innermost in W_q^T (or X) alone, each entry sums W_q[k, j] X[i, k] in
+    # k order, as X W_q does.
+    return _check_finite(_contract(wt, xt, qt), what)
 
 
 def project_kv(prompt: Matrix, params: AttentionParams) -> tuple[np.ndarray, np.ndarray]:
@@ -150,8 +154,8 @@ def project_kv(prompt: Matrix, params: AttentionParams) -> tuple[np.ndarray, np.
     _check_type("project_kv: params", params, AttentionParams, ConfigError)
     if prompt.cols != params.model_dim:
         raise ShapeError(f"prompt has {prompt.cols} channels, expected {params.model_dim}")
-    k = _split_heads(matmul(prompt, params.w_k), params.heads)
-    v = _split_heads(matmul(prompt, params.w_v), params.heads)
+    k = _split_heads(matmul(prompt, params.w_k).a, params.heads)
+    v = _split_heads(matmul(prompt, params.w_v).a, params.heads)
     return k, v
 
 

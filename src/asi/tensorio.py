@@ -44,9 +44,9 @@ def save_tensor(path: str | Path, array: np.ndarray) -> Path:
         raise DumpFormatError(f"tensor rank must be in [1, 255], got {a.ndim}")
     if a.dtype.kind not in "biuf":  # a complex value would lose its imaginary part
         raise DumpFormatError(f"{path}: {a.dtype} values have no encoding in the dump format")
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    if any(dim > 0xFFFFFFFF for dim in a.shape):
+    if any(dim > 0xFFFFFFFF for dim in a.shape):  # before a copy of that size is tried
         raise DumpFormatError(f"dimension too large for uint32 header: {a.shape}")
+    a = np.ascontiguousarray(a, dtype=np.float64)
     with np.errstate(over="ignore"):
         values = a.astype("<f4")
     if not np.isfinite(values).all():

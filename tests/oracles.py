@@ -235,7 +235,7 @@ def reference_run(cfg) -> dict[str, bytes]:
             kv.append([flat[:, i * cfg.head_dim:(i + 1) * cfg.head_dim] for i in range(h)])
     rows = []
     for t, state in zip(range(cfg.timesteps, 0, -1), steps):
-        x = state.x.a
+        x = state.x
         for _ in range(cfg.layers_per_step):
             layer = _layer(x, params.w_q.a, kv, h, cfg.blend if cfg.apply_asi else None)
             x = np.concatenate([f_out for f_out, *_ in layer], axis=1)

@@ -218,14 +218,14 @@ def test_criterion_08_sica_track_isolation():
 @criterion(9, "50-step invert-then-generate roundtrip: max abs error < 1e-6, < 1s")
 def test_criterion_09_ddim_perfect_inversion():
     rng = Rng(900)
-    x0 = randn_matrix(rng, 16, 64)
-    noise = randn_matrix(rng, 16, 64)
+    x0 = randn_matrix(rng, 16, 64).a
+    noise = randn_matrix(rng, 16, 64).a
     sched = make_schedule(50)
     start = time.perf_counter()
     up = ddim_invert(x0, noise, sched, 50)
     down = ddim_generate(up[-1].x, noise, sched, 50)
     elapsed = time.perf_counter() - start
-    error = np.abs(down[-1].x.a - x0.a).max()
+    error = np.abs(down[-1].x - x0).max()
     assert error < 1e-6, f"roundtrip error {error}"
     assert elapsed < 1.0, f"roundtrip took {elapsed:.3f}s"
 
@@ -235,8 +235,8 @@ def test_criterion_10_forward_noise_closed_form():
     mpmath = pytest.importorskip("mpmath")
     sched = make_schedule(2, 0.5, 0.5)
     assert sched.bar(2) == 0.25
-    out = forward_noise(Matrix([[1.0]]), 2, Matrix([[2.0]]), sched)
-    value = out.a[0, 0]
+    out = forward_noise(np.array([[1.0]]), 2, np.array([[2.0]]), sched)
+    value = out[0, 0]
     assert abs(value - 2.232050) < 1e-5
     exact = mpmath.sqrt(mpmath.mpf(1) / 4) + mpmath.sqrt(mpmath.mpf(3) / 4) * 2
     assert abs(value - float(exact)) < 1e-12

@@ -401,7 +401,7 @@ class TestBlockContract:
         heads, d = 3, 4
         weights = (randn_matrix(rng, heads * d, heads * d) for _ in range(3))
         params = AttentionParams(*weights, heads=heads, head_dim=d)
-        q = project_q(randn_matrix(rng, 5, heads * d), params)
+        q = project_q(randn_matrix(rng, 5, heads * d).a, params)
         k_s, v_s = project_kv(randn_matrix(rng, 2, heads * d), params)
         k_c, v_c = project_kv(randn_matrix(rng, 3, heads * d), params)
         f_s, f_c = siamese_attend(q, k_s, v_s, k_c, v_c)
@@ -816,10 +816,10 @@ class TestSplitKernels:
         block = np.random.default_rng(len(shape)).standard_normal(shape)
         h, d = shape[0], shape[-1]
         monkeypatch.setattr(numeric, "_CPUS", 1)
-        whole = merge_heads(block).a
+        whole = merge_heads(block)
         monkeypatch.setattr(numeric, "_CPUS", 2)
         halves = _helper_halves(monkeypatch)
-        assert_same_bits(merge_heads(block).a, whole)
+        assert_same_bits(merge_heads(block), whole)
         assert halves == []
         assert_same_bits(whole, np.moveaxis(block, 0, -2).reshape(-1, h * d))  # the earlier form
         assert not whole.flags.writeable and whole.flags.c_contiguous
@@ -829,7 +829,8 @@ class TestSplitKernels:
         block = np.ones((8, 2, 1024, 40))
         block[3, row // 1024, row % 1024, 7] = np.nan
         monkeypatch.setattr(numeric, "_CPUS", 2)
-        with pytest.raises(NonFiniteError, match=r"^Matrix entries must be finite \(no NaN/Inf\)$"):
+        with pytest.raises(NonFiniteError,
+                           match=r"^merge_heads: block must be finite \(no NaN/Inf\)$"):
             merge_heads(block)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.complex128])

@@ -124,10 +124,10 @@ class TestSynthInputs:
         cfg = ExperimentConfig()
         a = synth_inputs(cfg)
         b = synth_inputs(cfg)
-        assert np.array_equal(a.spatial.a, b.spatial.a)
+        assert np.array_equal(a.spatial, b.spatial)
         assert np.array_equal(a.params.w_q.a, b.params.w_q.a)
         assert np.array_equal(a.style_prompt.a, b.style_prompt.a)
-        assert np.array_equal(a.latent_noise.a, b.latent_noise.a)
+        assert np.array_equal(a.latent_noise, b.latent_noise)
 
     def test_zero_perturbation_copies_prompt(self):
         inputs = synth_inputs(ExperimentConfig(perturbation=0.0))
@@ -145,10 +145,10 @@ class TestSynthInputs:
             heads=4, head_dim=8, positions=16, tokens=4, blend=BlendConfig(n=4)
         )
         inputs = synth_inputs(cfg)
-        assert (inputs.spatial.rows, inputs.spatial.cols) == (16, 32)
+        assert inputs.spatial.shape == (16, 32)
         assert (inputs.content_prompt.rows, inputs.content_prompt.cols) == (4, 32)
         assert inputs.params.heads == 4 and inputs.params.head_dim == 8
-        assert (inputs.latent_noise.rows, inputs.latent_noise.cols) == (16, 32)
+        assert inputs.latent_noise.shape == (16, 32)
 
     def test_frozen_regression_digest(self):
         # byte-level digest of every tensor drawn at the reference settings
@@ -161,10 +161,10 @@ class TestSynthInputs:
             inputs.params.w_q.a,
             inputs.params.w_k.a,
             inputs.params.w_v.a,
-            inputs.spatial.a,
+            inputs.spatial,
             inputs.content_prompt.a,
             inputs.style_prompt.a,
-            inputs.latent_noise.a,
+            inputs.latent_noise,
         ):
             digest.update(block.tobytes())
         expected = (GOLDEN / "synth_seed0.sha256").read_text().strip()

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -546,12 +547,20 @@ class TestSplitChecks:
         handed = _counting_submits(monkeypatch)
         monkeypatch.setattr(numeric, "_CPUS", 2)
         with np.errstate(over="ignore"), pytest.raises(
-                NonFiniteError, match=r"^Matrix entries must be finite \(no NaN/Inf\)$"):
+                NonFiniteError, match=r"^matmul: a @ b must be finite \(no NaN/Inf\)$"):
             matmul(Matrix(big), Matrix(np.ones((33, 33))))
         assert [(lo, hi) for _, lo, hi in handed] == [(512, 1025)]
 
 
 class TestSoftmaxRows:
+    def test_a_logit_beyond_the_float64_range_below_the_max_gets_exactly_zero(self):
+        # The max subtraction overflows to -Inf, whose exponential is 0: the correctly
+        # rounded softmax, with no NumPy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = softmax_rows(np.array([[1e308, -1e308]]))
+        assert out.tolist() == [[1.0, 0.0]]
+
     def test_equal_logits_are_uniform(self):
         out = softmax_rows(np.array([[0.0, 0.0, 0.0]]))
         assert np.allclose(out, 1.0 / 3.0, atol=1e-15)

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from asi import harness, numeric
 from asi.adablending import (BlendConfig, adain, asi_layer, blend, covariance, extract_head_mask,
                              extract_spatial_mask, fuse_masks, head_distances)
-from asi.ddim import (LatentState, NoiseSchedule, ddim_invert, ddim_step, forward_noise,
-                      make_schedule)
+from asi.ddim import (LatentState, NoiseSchedule, ddim_generate, ddim_invert, ddim_step,
+                      forward_noise, make_schedule)
 from asi.errors import (AsiError, ConfigError, DumpFormatError, NonFiniteError,
                         ScheduleError, ShapeError)
 from asi.harness import (ExperimentConfig, configure, dump_trajectory, run_pipeline, sweep,
@@ -248,6 +248,7 @@ GOOD = {
     "head": np.array([True, False]),
     "cfg": BlendConfig(n=1),
     "eps": 1e-5,
+    "latent": Rng(4).normals(6).reshape(3, 2),
     "matrix": Matrix(Rng(4).normals(6).reshape(3, 2)),
     "t": 2,
     "t_prev": 1,
@@ -296,8 +297,8 @@ KERNELS = {
     "fuse_masks": (fuse_masks, ("head", "mask")),
     "extract_spatial_mask": (extract_spatial_mask, ("block", "cfg")),
     "asi_layer": (asi_layer, ("block", "kv", "kv", "kv", "kv", "cfg")),
-    "ddim_step": (ddim_step, ("matrix", "matrix", "t", "t_prev", "sched")),
-    "forward_noise": (forward_noise, ("matrix", "t", "matrix", "sched")),
+    "ddim_step": (ddim_step, ("latent", "latent", "t", "t_prev", "sched")),
+    "forward_noise": (forward_noise, ("latent", "t", "latent", "sched")),
     "Rng.normals": (lambda count: Rng(0).normals(count), ("count",)),
     "Matrix": (Matrix, ("values",)),
     "merge_heads": (merge_heads, ("block",)),
@@ -307,7 +308,7 @@ KERNELS = {
     "randn_matrix": (randn_matrix, ("rng", "count", "count")),
     "Rng": (Rng, ("count",)),
     "AttentionParams": (AttentionParams, ("weight", "weight", "weight", "heads", "head_dim")),
-    "project_q": (project_q, ("matrix", "params")),
+    "project_q": (project_q, ("latent", "params")),
     "project_kv": (project_kv, ("matrix", "params")),
     "NoiseSchedule": (NoiseSchedule, ("beta", "alpha_bar")),
     "save_tensor": (save_in_a_temporary_directory, ("block",)),
@@ -374,21 +375,32 @@ def test_a_direct_kernel_call_ends_in_a_named_error(name, data):
 
 
 @pytest.mark.parametrize("call, error, match", [
-    pytest.param(lambda: ddim_step(np.ones((2, 2)), GOOD["matrix"], 2, 1, GOOD["sched"]),
-                 ShapeError, "^latent vs noise: latent must be a Matrix, got float64 array$",
-                 id="ddim_step-array-latent"),
-    pytest.param(lambda: forward_noise(np.ones((2, 2)), 1, GOOD["matrix"], GOOD["sched"]),
-                 ShapeError, "^forward_noise: latent must be a Matrix, got float64 array$",
-                 id="forward_noise-array-latent"),
-    pytest.param(lambda: forward_noise(GOOD["matrix"], 1, None, GOOD["sched"]),
-                 ShapeError, "^forward_noise: noise must be a Matrix, got NoneType$",
+    pytest.param(lambda: ddim_step(GOOD["matrix"], GOOD["latent"], 2, 1, GOOD["sched"]),
+                 ShapeError, "^ddim_step: latent must be a float64 array, got Matrix$",
+                 id="ddim_step-matrix-latent"),
+    pytest.param(lambda: ddim_step(GOOD["latent"], GOOD["latent"][:2], 2, 1, GOOD["sched"]),
+                 ShapeError, r"^ddim_step: noise is \(2, 2\), the latent \(3, 2\)$",
+                 id="ddim_step-short-noise"),
+    pytest.param(lambda: forward_noise(GOOD["matrix"], 1, GOOD["latent"], GOOD["sched"]),
+                 ShapeError, "^forward_noise: latent must be a float64 array, got Matrix$",
+                 id="forward_noise-matrix-latent"),
+    pytest.param(lambda: forward_noise(GOOD["latent"], 1, None, GOOD["sched"]),
+                 ShapeError, "^forward_noise: noise must be a float64 array, got NoneType$",
                  id="forward_noise-no-noise"),
-    pytest.param(lambda: ddim_step(GOOD["matrix"], GOOD["matrix"], 2, 1, None),
-                 ConfigError, "^latent vs noise: sched must be a NoiseSchedule, got NoneType$",
+    pytest.param(lambda: ddim_step(GOOD["latent"], GOOD["latent"], 2, 1, None),
+                 ConfigError, "^ddim_step: sched must be a NoiseSchedule, got NoneType$",
                  id="ddim_step-no-schedule"),
-    pytest.param(lambda: ddim_invert(GOOD["matrix"], GOOD["matrix"], {"steps": 4}, 2),
-                 ConfigError, "^latent vs noise: sched must be a NoiseSchedule, got dict$",
+    pytest.param(lambda: ddim_invert(GOOD["latent"], GOOD["latent"], {"steps": 4}, 2),
+                 ConfigError, "^ddim_invert: sched must be a NoiseSchedule, got dict$",
                  id="ddim_invert-dict-schedule"),
+    pytest.param(lambda: ddim_invert(with_entry(GOOD["latent"], 1, np.nan), GOOD["latent"],
+                                     GOOD["sched"], 0),
+                 NonFiniteError, r"^ddim_invert: latent must be finite \(no NaN/Inf\)$",
+                 id="ddim_invert-nan-latent-no-steps"),
+    pytest.param(lambda: ddim_generate(with_entry(GOOD["latent"], 1, np.inf), GOOD["latent"],
+                                       GOOD["sched"], 4),
+                 NonFiniteError, r"^ddim_generate: latent must be finite \(no NaN/Inf\)$",
+                 id="ddim_generate-inf-latent"),
     pytest.param(lambda: NoiseSchedule(beta=None, alpha_bar=None),
                  ShapeError, "^NoiseSchedule: beta must be a float64 array, got NoneType$",
                  id="NoiseSchedule-none"),
@@ -399,10 +411,16 @@ def test_a_direct_kernel_call_ends_in_a_named_error(name, data):
                                          head_dim=2),
                  ShapeError, "^AttentionParams: w_q must be a Matrix, got float64 array$",
                  id="AttentionParams-array-weight"),
-    pytest.param(lambda: project_q(np.ones((3, 2)), GOOD["params"]),
-                 ShapeError, "^project_q: spatial must be a Matrix, got float64 array$",
-                 id="project_q-array"),
-    pytest.param(lambda: project_q(GOOD["matrix"], None),
+    pytest.param(lambda: project_q(GOOD["matrix"], GOOD["params"]),
+                 ShapeError, "^project_q: spatial must be a float64 array, got Matrix$",
+                 id="project_q-matrix"),
+    pytest.param(lambda: project_q(np.ones((3, 5)), GOOD["params"]),
+                 ShapeError, "^project_q: spatial is 3x5, expected 2 channels$",
+                 id="project_q-channels"),
+    pytest.param(lambda: project_q(with_entry(GOOD["latent"][:1], 0, np.nan), GOOD["params"]),
+                 NonFiniteError, r"^project_q: spatial must be finite \(no NaN/Inf\)$",
+                 id="project_q-nan-row"),
+    pytest.param(lambda: project_q(GOOD["latent"], None),
                  ConfigError, "^project_q: params must be an AttentionParams, got NoneType$",
                  id="project_q-no-params"),
     pytest.param(lambda: project_kv(np.ones((3, 2)), GOOD["params"]),
@@ -438,11 +456,11 @@ def test_a_direct_kernel_call_ends_in_a_named_error(name, data):
     pytest.param(lambda: dump_trajectory([1], GOOD["sched"], "unused"),
                  ShapeError, "^dump_trajectory: trajectory entry must be a LatentState, got int$",
                  id="dump_trajectory-int-state"),
-    pytest.param(lambda: dump_trajectory([LatentState(0, GOOD["matrix"])], None, "unused"),
+    pytest.param(lambda: dump_trajectory([LatentState(0, GOOD["latent"])], None, "unused"),
                  ConfigError, "^dump_trajectory: sched must be a NoiseSchedule, got NoneType$",
                  id="dump_trajectory-no-schedule"),
     pytest.param(lambda: dump_trajectory([LatentState(0, None)], GOOD["sched"], "unused"),
-                 ShapeError, "^dump_trajectory: latent must be a Matrix, got NoneType$",
+                 ShapeError, "^dump_trajectory: latent must be a float64 array, got NoneType$",
                  id="dump_trajectory-no-latent"),
     pytest.param(lambda: dump_trajectory([], GOOD["sched"], None),
                  ConfigError,
@@ -458,7 +476,8 @@ def test_an_entry_point_names_its_bad_argument(call, error, match):
 
 # The stages that take float blocks, with one block holding one NaN, Inf or -Inf entry.
 NON_FINITE_STAGES = ["siamese_attend", "covariance", "head_distances", "adain", "blend",
-                     "asi_layer", "softmax_rows", "extract_head_mask", "merge_heads"]
+                     "asi_layer", "softmax_rows", "extract_head_mask", "merge_heads", "ddim_step",
+                     "forward_noise", "project_q"]
 
 
 # The stages that scan their blocks' entries, with one finite entry near the float64 limit.
@@ -485,7 +504,8 @@ def test_a_non_finite_block_ends_in_a_non_finite_error(name, data, value):
     # NumPy warnings are errors here, so a stage that warns on the way fails too.
     kernel, roles = KERNELS[name]
     args = [GOOD[role] for role in roles]
-    i = data.draw(st.sampled_from([i for i, role in enumerate(roles) if role in ("block", "kv")]))
+    i = data.draw(st.sampled_from([i for i, role in enumerate(roles)
+                                   if role in ("block", "kv", "latent")]))
     args[i] = with_entry(args[i], data.draw(st.integers(0, args[i].size - 1)), value)
     try:
         out = kernel(*args)

@@ -58,27 +58,27 @@ class TestAttentionParams:
 
 class TestProjections:
     def test_identity_projection_single_head(self):
-        spatial = randn_matrix(Rng(3), 4, 3)
+        spatial = randn_matrix(Rng(3), 4, 3).a
         q = project_q(spatial, identity_params(1, 3))
-        assert np.array_equal(q[0], spatial.a)
+        assert np.array_equal(q[0], spatial)
 
     def test_identity_projection_splits_heads(self):
-        q = project_q(Matrix([[1.0, 2.0, 3.0, 4.0]]), identity_params(2, 2))
+        q = project_q(np.array([[1.0, 2.0, 3.0, 4.0]]), identity_params(2, 2))
         assert np.array_equal(q[0], [[1.0, 2.0]])
         assert np.array_equal(q[1], [[3.0, 4.0]])
 
     def test_merge_heads_inverts_split(self):
         rng = Rng(1)
-        flat = randn_matrix(rng, 5, 12)
+        flat = randn_matrix(rng, 5, 12).a
         q = project_q(flat, identity_params(3, 4))
-        assert np.array_equal(merge_heads(q).a, flat.a)
+        assert np.array_equal(merge_heads(q), flat)
 
     def test_projection_matches_loop_oracle(self):
         rng = Rng(4)
         params = random_params(rng, 2, 2)
-        spatial = randn_matrix(rng, 3, 4)
+        spatial = randn_matrix(rng, 3, 4).a
         q = project_q(spatial, params)
-        expected = project_and_split(spatial.a, params.w_q.a, heads=2)
+        expected = project_and_split(spatial, params.w_q.a, heads=2)
         assert np.abs(q - expected).max() < 1e-12
 
     def test_kv_identity(self):
@@ -106,7 +106,7 @@ class TestProjections:
 
     def test_wrong_channel_count_raises(self):
         with pytest.raises(ShapeError):
-            project_q(Matrix(np.zeros((2, 5))), identity_params(2, 2))
+            project_q(np.zeros((2, 5)), identity_params(2, 2))
         with pytest.raises(ShapeError):
             project_kv(Matrix(np.zeros((2, 5))), identity_params(2, 2))
 
@@ -137,13 +137,13 @@ class TestQueryLayout:
         gen = np.random.default_rng(heads * head_dim + rows)
         md = heads * head_dim
         # Magnitudes over 16 orders, so that another summation order shows in the bits.
-        spatial = Matrix(gen.standard_normal((rows, md)) * 10.0 ** gen.uniform(-8, 8, (rows, md)))
+        spatial = gen.standard_normal((rows, md)) * 10.0 ** gen.uniform(-8, 8, (rows, md))
         params = AttentionParams(*(Matrix(gen.standard_normal((md, md))) for _ in range(3)),
                                  heads=heads, head_dim=head_dim)
         q = project_q(spatial, params)
         split = lambda flat: flat.reshape(rows, heads, head_dim).transpose(1, 0, 2)
-        oracle = np.ascontiguousarray(split(k_ordered_contract(spatial.a, params.w_q.a)))
-        parent = np.ascontiguousarray(split(numeric.matmul(spatial, params.w_q).a))
+        oracle = np.ascontiguousarray(split(k_ordered_contract(spatial, params.w_q.a)))
+        parent = np.ascontiguousarray(split(numeric.matmul(Matrix(spatial), params.w_q).a))
         assert q.shape == (heads, rows, head_dim) and q.dtype == np.float64
         assert np.ascontiguousarray(q).tobytes() == oracle.tobytes() == parent.tobytes()
         assert not q.flags.writeable and q.base is not None  # a read-only view
@@ -151,7 +151,7 @@ class TestQueryLayout:
 
     def test_the_transposed_weight_is_made_once_per_params(self):
         params = random_params(Rng(9), 2, 3)
-        spatial = randn_matrix(Rng(10), 4, 6)
+        spatial = randn_matrix(Rng(10), 4, 6).a
         project_q(spatial, params)
         wt = params._w_qt
         project_q(spatial, params)
@@ -173,8 +173,8 @@ def stacked_step_queries(seed, heads=3, d=2, m=5, steps=4):
     # with each latent's own projection and keys and values for every head.
     rng = Rng(seed)
     params = random_params(rng, heads, d)
-    latents = [randn_matrix(rng, m, heads * d) for _ in range(steps)]
-    stacked = Matrix(np.concatenate([z.a for z in latents]))
+    latents = [randn_matrix(rng, m, heads * d).a for _ in range(steps)]
+    stacked = np.concatenate(latents)
     q = project_q(stacked, params).reshape(heads, steps, m, d)
     k, v = project_kv(randn_matrix(rng, 7, heads * d), params)
     return q, [project_q(z, params) for z in latents], k, v
@@ -196,9 +196,9 @@ class TestStepAxis:
     def test_merge_heads_stacks_the_steps_row_wise(self):
         q, per_step, k, v = stacked_step_queries(15)
         out = siamese_attend(q, k, v, k, v)[0]
-        expected = np.concatenate([merge_heads(siamese_attend(q_i, k, v, k, v)[0]).a
+        expected = np.concatenate([merge_heads(siamese_attend(q_i, k, v, k, v)[0])
                                    for q_i in per_step])
-        assert merge_heads(out).a.tobytes() == expected.tobytes()
+        assert merge_heads(out).tobytes() == expected.tobytes()
 
 
 class TestSiameseAttend:

@@ -39,6 +39,19 @@ def test_dimension_beyond_uint32_is_rejected(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_an_oversized_view_is_rejected_before_any_copy(tmp_path, monkeypatch):
+    # A 2**32-entry view of one value: a contiguous float64 copy of it would take 32 GiB.
+    too_long = np.broadcast_to(np.zeros(1), (2**32,))
+
+    def no_copy(*args, **kwargs):
+        raise AssertionError("save_tensor copied the view before checking its dimensions")
+
+    monkeypatch.setattr(np, "ascontiguousarray", no_copy)
+    with pytest.raises(DumpFormatError, match="too large for uint32"):
+        save_tensor(tmp_path / "t.asit", too_long)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "shape", [(4,), (3, 5), (2, 3, 4)], ids=["rank1", "rank2", "rank3"]
 )

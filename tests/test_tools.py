@@ -12,6 +12,9 @@ sys.path.insert(0, str(ROOT / "tools"))
 
 import bench  # noqa: E402
 import pairs  # noqa: E402
+import peak_traced  # noqa: E402
+
+from asi import numeric  # noqa: E402
 
 END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 SPECS = {spec["name"]: spec for spec in END_TO_END}
@@ -181,14 +184,16 @@ def test_comparison_names_a_metric_missing_from_the_older_file():
 
 def test_comparison_prints_the_box_independent_counts_exactly():
     old, new = _bench(0.5, 68.0), _bench(0.5, 68.0)
-    old.update(run_handoffs={"sd_block": 59, "small_sweep": 2}, run_files={"sd_block": 14})
-    new.update(run_handoffs={"sd_block": 57, "small_sweep": 2}, run_files={"sd_block": 14},
-               run_bytes={"sd_block": 5573124})
+    old.update(run_handoffs={"sd_block": 59, "small_sweep": 2}, run_matrix_new={"sd_block": 4},
+               run_files={"sd_block": 14})
+    new.update(run_handoffs={"sd_block": 57, "small_sweep": 2}, run_matrix_new={"sd_block": 3},
+               run_files={"sd_block": 14}, run_bytes={"sd_block": 5573124})
     lines, worse = bench.compare(old, new, [SPECS["run_s.p50"]])
     assert not worse
-    assert [line.split() for line in lines[1:5]] == [
+    assert [line.split() for line in lines[1:6]] == [
         ["sd_block", "run_handoffs", "59", "->", "57", "-2"],
         ["small_sweep", "run_handoffs", "2", "->", "2", "+0"],
+        ["sd_block", "run_matrix_new", "4", "->", "3", "-1"],
         ["sd_block", "run_files", "14", "->", "14", "+0"],
         ["sd_block", "run_bytes", "missing", "in", "the", "older", "file"]]
     assert lines[-3].startswith("src_asi_lines")
@@ -208,3 +213,19 @@ def test_comparison_prints_the_hand_offs_of_each_kernel_exactly():
         ["sd_block", "handoffs", "_walk", "0", "->", "11", "+11"],
         ["sd_block", "handoffs", "asi_layer", "20", "->", "20", "+0"]]
     assert lines[5].startswith("src_asi_lines")
+
+
+def test_matrix_constructions_are_counted_and_the_constructor_restored():
+    init = numeric.Matrix.__init__
+    with peak_traced.counting_matrix_new() as made:
+        a = numeric.Matrix([[1.0, 2.0]])
+        b = numeric.randn_matrix(numeric.Rng(0), 2, 3)  # no-copy results: no construction
+        numeric.matmul(a, b)
+    assert len(made) == 1
+    assert numeric.Matrix.__init__ is init
+
+
+def test_a_run_constructs_four_matrices():
+    # The three attention weights and the style prompt; the seeded draws, the products and
+    # every latent, query and layer output are no construction.
+    assert peak_traced.measure("small_sweep")["run_matrix_new"] == 4

@@ -20,8 +20,8 @@ also holds the HEAD it was measured on and whether ``src``, ``perfbench`` or
 ``--compare`` prints, for each workload and end-to-end metric, the relative
 change against the older file next to the bound ``BENCHMARK.json`` allows,
 then each workload's box-independent counts from ``tools/peak_traced.py``
-(``run_handoffs``, ``run_files``, ``run_bytes``, and ``run_handoffs_by_kernel``
-one kernel a line) exactly, and the change in line, code-line and name counts.
+(``run_handoffs``, ``run_matrix_new``, ``run_files``, ``run_bytes``, and
+``run_handoffs_by_kernel`` one kernel a line) exactly, and the change in line, code-line and name counts.
 It exits 1 when a metric is worse than its bound.
 Needs Python, NumPy and git; with ``--seconds 30`` a measurement takes
 several minutes.
@@ -61,7 +61,7 @@ NOTES = [
 
 # tools/peak_traced.py's per-workload counts that do not depend on the box; the hand-offs
 # by kernel are {kernel: count} per workload.
-COUNTS = ("run_handoffs", "run_files", "run_bytes")
+COUNTS = ("run_handoffs", "run_matrix_new", "run_files", "run_bytes")
 BY_KERNEL = "run_handoffs_by_kernel"
 
 

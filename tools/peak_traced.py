@@ -14,6 +14,7 @@ the process. One JSON line goes to stdout::
      "run_minor_faults": {"<workload>": <count>, ...},
      "run_handoffs": {"<workload>": <count>, ...},
      "run_handoffs_by_kernel": {"<workload>": {"<kernel>": <count>, ...}, ...},
+     "run_matrix_new": {"<workload>": <count>, ...},
      "run_files": {"<workload>": <count>, ...},
      "run_bytes": {"<workload>": <bytes>, ...}}
 
@@ -28,14 +29,16 @@ untraced last run: the pages it had to map afresh, which a run that reuses
 the memory it freed keeps near 0. It is a Linux figure; other systems may
 count faults otherwise or not at all.
 
-The last four are counts that do not depend on the box. ``run_handoffs``
+The last five are counts that do not depend on the box. ``run_handoffs``
 is the number of halves the warm-up run hands to the helper thread's pool,
 counted at ``ThreadPoolExecutor.submit`` with the kernels splitting as on a
 2-CPU host, whatever this one has; ``run_handoffs_by_kernel`` splits that
 count by the kernel whose body the half runs (the split body's name, such
-as ``_walk``, the sampler, or ``asi_layer``). ``run_files`` and
-``run_bytes`` are the files in the dump directory after the last run, and
-their bytes.
+as ``_walk``, the sampler, or ``asi_layer``). ``run_matrix_new`` is the
+number of validated-array constructions, ``asi.numeric.Matrix.__init__``
+calls, in the warm-up run (the no-copy ``Matrix._of`` that ``matmul`` and
+``randn_matrix`` use is not one). ``run_files`` and ``run_bytes`` are the
+files in the dump directory after the last run, and their bytes.
 
 Artifacts go to a temporary directory (``$TMPDIR``) that is removed
 afterwards, and no bytecode is cached, so the tree is left as it was.
@@ -80,15 +83,32 @@ def counting_handoffs():
         ThreadPoolExecutor.submit, numeric._CPUS = submit, cpus
 
 
+@contextlib.contextmanager
+def counting_matrix_new():
+    """A list that gains one entry for each ``numeric.Matrix.__init__`` call."""
+    made: list[None] = []
+    init = numeric.Matrix.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(None)
+        init(self, *args, **kwargs)
+
+    numeric.Matrix.__init__ = counted
+    try:
+        yield made
+    finally:
+        numeric.Matrix.__init__ = init
+
+
 def measure(name: str) -> dict[str, object]:
     """Workload `name`'s first config: the tracemalloc peak, in MiB, of one
     run after an untraced warm-up run, the minor page faults of a third,
-    untraced run, the warm-up's hand-offs, in all and by kernel, and the dump
-    directory's files and bytes."""
+    untraced run, the warm-up's hand-offs, in all and by kernel, and its
+    Matrix constructions, and the dump directory's files and bytes."""
     _, overrides = WORKLOADS[name].configs(DEFAULT_SEED)[0]
     with tempfile.TemporaryDirectory() as out:
         cfg = cli.parse_config(None, [*overrides, f"dump_dir={out}"])
-        with counting_handoffs() as handed:
+        with counting_handoffs() as handed, counting_matrix_new() as made:
             harness.run_pipeline(cfg)
         tracemalloc.start()
         try:
@@ -103,6 +123,7 @@ def measure(name: str) -> dict[str, object]:
         return {"run_peak_traced_mb": round(peak, 3), "run_minor_faults": faults,
                 "run_handoffs": len(handed),
                 "run_handoffs_by_kernel": dict(sorted(collections.Counter(handed).items())),
+                "run_matrix_new": len(made),
                 "run_files": len(files),
                 "run_bytes": sum(p.stat().st_size for p in files)}
 
